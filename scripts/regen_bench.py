@@ -88,18 +88,21 @@ FTL_SCALING = (
 
 
 def ftl_bench(results: list) -> dict:
-    """FTL replay throughput (scalar vs vectorized) + fleet curve.
+    """FTL replay throughput (bit-exact vs analytic) + fleet curve.
 
-    Best-of-3 per path so one scheduler hiccup can't misstate the
-    speedup; the two paths must agree on ``FtlStats`` exactly or the
-    regeneration aborts (the perf claim is only meaningful if the fast
-    path is also the *correct* path).
+    The ``scalar`` row replays on the bit-exact chip (per-page host ops),
+    the ``vectorized`` row on the analytic chip (batched host ops); both
+    select GC victims with the one production selector.  Best-of-3 per
+    path so one scheduler hiccup can't misstate the speedup; the two
+    paths must agree on ``FtlStats`` exactly or the regeneration aborts
+    (the perf claim is only meaningful if the fast path is also the
+    *correct* path).
     """
     from repro.ftl.replay import FtlReplayConfig, replay
 
     modes = {
-        "scalar": dict(analytic=False, vectorized_gc=False),
-        "vectorized": dict(analytic=True, vectorized_gc=True),
+        "scalar": dict(analytic=False),
+        "vectorized": dict(analytic=True),
     }
     best: dict[str, object] = {}
     for label, flags in modes.items():

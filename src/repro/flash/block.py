@@ -20,18 +20,19 @@ Two representations coexist per page:
 
 * **bit-exact** -- :meth:`Block.program`/:meth:`Block.read` materialize and
   corrupt real page bytes (the seed behaviour, unchanged);
-* **analytic** -- :meth:`Block.program_analytic`/:meth:`Block.read_analytic`
+* **analytic** -- :meth:`Block.program_analytic_many`/:meth:`Block.read_analytic_many`
   keep every piece of wear/retention/read-disturb book-keeping (and the
   same sequential-programming rules) but never allocate payload bytes or
-  consume the corruption RNG; the read path returns the page's RBER so
-  callers can accrue expected errors instead of injecting them.  Valid
-  only for content-independent protection (no codec, no parity) -- the
-  FTL enforces that.
+  consume the corruption RNG; reads return the pages' RBERs so callers
+  can accrue expected errors instead of injecting them.  Valid only for
+  content-independent protection (no codec, no parity) -- the FTL
+  enforces that.  The analytic operations are batch-only: one page is a
+  batch of one.
 
 Per-page metadata (written-at time, reads since write, PEC at write) lives
-in flat numpy arrays either way, so analytic batch reads
-(:meth:`Block.read_analytic_many`) evaluate a whole block's RBER in one
-vectorized :meth:`~repro.flash.error_model.ErrorModel.rber_many` call.
+in flat numpy arrays either way, so an analytic read evaluates a whole
+batch's RBER in one vectorized
+:meth:`~repro.flash.error_model.ErrorModel.rber_many` call.
 
 Chip-wide per-block state (PEC, retirement, usable pages, last write time)
 lives in a shared :class:`BlockArrays` owned by the chip; ``Block.pec`` and
@@ -326,23 +327,15 @@ class Block:
         ).copy()
         self._record_program(page_index)
 
-    def program_analytic(self, page_index: int) -> None:
-        """Program one page without materializing payload bytes.
-
-        Same ordering/capacity rules and wear book-keeping as
-        :meth:`program`; the page is marked programmed but holds no data
-        (reads must go through :meth:`read_analytic`).
-        """
-        self._check_programmable(page_index)
-        self._record_program(page_index)
-
     def program_analytic_many(self, count: int) -> None:
         """Program the next ``count`` pages analytically in one step.
 
-        Equivalent to ``count`` sequential :meth:`program_analytic`
-        calls (pages are always programmed in order, so the batch form
-        needs no page indices); per-page metadata updates collapse to
-        array slice assignments.
+        Same ordering/capacity rules and wear book-keeping as ``count``
+        sequential :meth:`program` calls (pages are always programmed in
+        order, so no page indices are needed), but no payload bytes: the
+        pages are marked programmed and per-page metadata updates
+        collapse to array slice assignments.  Reads of these pages must
+        go through :meth:`read_analytic_many`.
         """
         if count <= 0:
             return
@@ -396,36 +389,17 @@ class Block:
         self.stats.reads += 1
         return self._corrupt(data, rber)
 
-    def read_analytic(self, page_index: int, now_years: float | None = None) -> float:
-        """Read a page analytically: no bytes, no RNG; returns its RBER.
-
-        Performs the same read book-keeping as :meth:`read` (read-disturb
-        counter, block stats) and accrues ``rber x page bits`` into
-        ``stats.expected_bit_errors`` in lieu of injected errors.
-        """
-        if not self._programmed[page_index]:
-            raise ProgramError(f"page {page_index} is not programmed")
-        now = self._now_years if now_years is None else now_years
-        age = max(0.0, now - float(self._written_at[page_index]))
-        rber = self._error_model.rber(
-            pec=self.pec,
-            years_since_write=age,
-            reads_since_write=int(self._reads[page_index]),
-        )
-        self._reads[page_index] += 1
-        self.stats.reads += 1
-        self.stats.expected_bit_errors += rber * self.page_capacity_bytes * 8
-        return rber
-
     def read_analytic_many(
         self, page_indices: np.ndarray, now_years: float | None = None
     ) -> np.ndarray:
-        """Vectorized :meth:`read_analytic` over many pages of this block.
+        """Read many pages of this block analytically: no bytes, no RNG.
 
-        One :meth:`~repro.flash.error_model.ErrorModel.rber_many` call
-        evaluates every page's RBER; read-disturb counters and stats
-        accrue in bulk.  Used by analytic GC migration, where a victim's
-        whole live set is read at once.
+        Performs the read book-keeping of :meth:`read` (read-disturb
+        counters, block stats) and accrues ``rber x page bits`` into
+        ``stats.expected_bit_errors`` in lieu of injected errors.  One
+        :meth:`~repro.flash.error_model.ErrorModel.rber_many` call
+        evaluates every page's RBER; returns the RBERs.  Used by analytic
+        GC migration, where a victim's whole live set is read at once.
         """
         idx = np.asarray(page_indices, dtype=np.int64)
         if idx.size == 0:
@@ -475,12 +449,6 @@ class Block:
         if not self._programmed.any():
             return 0.0
         return float(self._written_at[self._programmed].max())
-
-    def oldest_write_time_years(self) -> float:
-        """Simulation time of the oldest programmed page (0.0 if empty)."""
-        if not self._programmed.any():
-            return 0.0
-        return float(self._written_at[self._programmed].min())
 
     # -- time ------------------------------------------------------------
 

@@ -108,20 +108,6 @@ class FlashChip:
         block_index, page_index = addr
         return self.blocks[block_index].read(page_index, self._now_years)
 
-    def program_analytic(self, addr: PhysicalAddress) -> None:
-        """Program one page analytically (wear book-keeping, no bytes).
-
-        Valid only for streams whose protection is content-independent
-        (no codec, no parity); the FTL gates this.
-        """
-        block_index, page_index = addr
-        self.blocks[block_index].program_analytic(page_index)
-
-    def read_analytic(self, addr: PhysicalAddress) -> float:
-        """Read one page analytically at chip time; returns its RBER."""
-        block_index, page_index = addr
-        return self.blocks[block_index].read_analytic(page_index, self._now_years)
-
     def read_analytic_many(self, flats: np.ndarray) -> np.ndarray:
         """Batched analytic read of flattened page indices at chip time.
 

@@ -7,8 +7,8 @@ partitioning -- the device-side mechanisms §4.3 of the paper manipulates.
 
 from .bad_blocks import BlockHealthPolicy, BlockVerdict, assess_block
 from .ftl import Ftl, FtlStats, OutOfSpaceError
-from .gc import GcPolicy, select_victim, select_victim_arrays
-from .mapping import BlockUsage, DictPageMap, PageMap
+from .gc import GcPolicy, select_victim_arrays
+from .mapping import PageMap
 from .streams import StreamConfig
 from .wear_leveling import WearLeveler, WearLevelerConfig
 from .zones import ZoneClass, ZonedDevice, ZoneError, ZoneInfo, ZoneState
@@ -21,10 +21,7 @@ __all__ = [
     "FtlStats",
     "OutOfSpaceError",
     "GcPolicy",
-    "select_victim",
     "select_victim_arrays",
-    "BlockUsage",
-    "DictPageMap",
     "PageMap",
     "StreamConfig",
     "WearLeveler",

@@ -30,7 +30,7 @@ from repro.flash.timing import TimingModel
 from repro.obs import get_observer
 
 from .bad_blocks import assess_block
-from .gc import select_victim, select_victim_arrays
+from .gc import select_victim_arrays
 from .mapping import PageMap
 from .streams import StreamConfig
 from .wear_leveling import WearLeveler
@@ -68,9 +68,9 @@ class _Stream:
     def __init__(self, config: StreamConfig, block_indices: list[int], page_size: int) -> None:
         self.config = config
         self.blocks = list(block_indices)
-        #: sorted block indices as an array: the vectorized GC victim
-        #: selector's candidate universe (sorted => argmin tie-breaks on
-        #: lowest block index, matching the scalar oracle)
+        #: sorted block indices as an array: the GC victim selector's
+        #: candidate universe (sorted => argmin tie-breaks on lowest
+        #: block index) and the live-page count's summation range
         self.block_arr = np.sort(np.asarray(block_indices, dtype=np.int64))
         self.codec = PageCodec(config.protection, page_size)
         self.free: list[int] = list(block_indices)
@@ -127,11 +127,10 @@ class Ftl:
         ``analytic=True``.  ``FtlStats`` is pinned identical between the
         two paths on eligible streams -- reads just return empty
         payloads.
-    vectorized_gc:
-        Select GC victims with the masked-argmin array selector
-        (:func:`repro.ftl.gc.select_victim_arrays`).  ``False`` keeps
-        the per-candidate scalar scan as a test oracle; both choose the
-        identical victim on every invocation.
+
+    An LPN belongs to the stream that owns the block holding its live
+    copy: the page map is the single record of placement, read through
+    a per-block owner table built once from ``stream_blocks``.
     """
 
     def __init__(
@@ -141,7 +140,6 @@ class Ftl:
         stream_blocks: dict[str, list[int]],
         *,
         analytic: bool = False,
-        vectorized_gc: bool = True,
     ) -> None:
         if {s.name for s in streams} != set(stream_blocks):
             raise ValueError("streams and stream_blocks must name the same streams")
@@ -155,9 +153,9 @@ class Ftl:
         self.page_map = PageMap(chip.geometry.total_blocks, chip.geometry.pages_per_block)
         self.stats = FtlStats()
         self.analytic = analytic
-        self.vectorized_gc = vectorized_gc
         self._streams: dict[str, _Stream] = {}
-        self._lpn_stream: dict[int, str] = {}
+        #: owning stream of each physical block (None: unassigned)
+        self._block_stream: list[_Stream | None] = [None] * chip.geometry.total_blocks
         for config in streams:
             indices = stream_blocks[config.name]
             for block_index in indices:
@@ -168,6 +166,8 @@ class Ftl:
                 analytic and stream.codec.transparent and not stream.parity_enabled
             )
             self._streams[config.name] = stream
+            for block_index in indices:
+                self._block_stream[block_index] = stream
 
     # -- capacity / introspection -------------------------------------------
 
@@ -185,7 +185,8 @@ class Ftl:
 
     def stream_of(self, lpn: int) -> str | None:
         """Which stream currently holds an LPN."""
-        return self._lpn_stream.get(lpn)
+        addr = self.page_map.lookup(lpn)
+        return None if addr is None else self._block_stream[addr[0]].name
 
     def stream_capacity_pages(self, stream_name: str) -> int:
         """Host-visible data pages a stream can hold (excl. retired
@@ -200,7 +201,8 @@ class Ftl:
 
     def stream_live_pages(self, stream_name: str) -> int:
         """Live (mapped) logical pages currently in a stream."""
-        return sum(1 for lpn, s in self._lpn_stream.items() if s == stream_name)
+        blocks = self._streams[stream_name].block_arr
+        return int(self.page_map.valid_counts(blocks).sum())
 
     # -- host operations -------------------------------------------------------
 
@@ -217,15 +219,12 @@ class Ftl:
                 f"logical page size {stream.codec.payload_bytes}B"
             )
         if stream.analytic:
-            addr = self._allocate_page(stream)
-            self.chip.program_analytic(addr)
-            self.stats.program_time_us += stream.timing.times().program_us
-        else:
-            encoded = stream.codec.encode(payload)
-            addr = self._allocate_page(stream)
-            self._program(stream, addr, encoded)
+            self.write_many([lpn], stream_name)
+            return
+        encoded = stream.codec.encode(payload)
+        addr = self._allocate_page(stream)
+        self._program(stream, addr, encoded)
         self.page_map.record_write(lpn, addr)
-        self._lpn_stream[lpn] = stream_name
         self.stats.host_writes += 1
 
     def read(self, lpn: int) -> PageReadResult:
@@ -238,26 +237,22 @@ class Ftl:
         addr = self.page_map.lookup(lpn)
         if addr is None:
             raise KeyError(f"LPN {lpn} is not mapped")
-        stream = self._streams[self._lpn_stream[lpn]]
+        stream = self._block_stream[addr[0]]
         if stream.analytic:
             # transparent codec: the decode would report 0 corrections and
             # 0 uncorrectable words whatever the bytes were, so the stats
             # trajectory matches the bit-exact path exactly; only the
             # payload (which analytic streams never materialize) is empty
-            self.chip.read_analytic(addr)
-            self.stats.read_time_us += stream.timing.times().read_us
-            result = PageReadResult(
-                payload=b"", corrected_bits=0, uncorrectable_codewords=0
-            )
-        else:
-            raw = self.chip.read(addr)
-            self.stats.read_time_us += stream.timing.times().read_us
-            result = stream.codec.decode(raw)
-            if result.uncorrectable_codewords > 0 and stream.parity_enabled:
-                recovered = self._parity_reconstruct(stream, addr)
-                if recovered is not None and recovered.uncorrectable_codewords == 0:
-                    self.stats.parity_recoveries += 1
-                    result = recovered
+            self.read_many([lpn], stream.name)
+            return PageReadResult(payload=b"", corrected_bits=0, uncorrectable_codewords=0)
+        raw = self.chip.read(addr)
+        self.stats.read_time_us += stream.timing.times().read_us
+        result = stream.codec.decode(raw)
+        if result.uncorrectable_codewords > 0 and stream.parity_enabled:
+            recovered = self._parity_reconstruct(stream, addr)
+            if recovered is not None and recovered.uncorrectable_codewords == 0:
+                self.stats.parity_recoveries += 1
+                result = recovered
         self.stats.host_reads += 1
         self.stats.corrected_bits += result.corrected_bits
         self.stats.uncorrectable_codewords += result.uncorrectable_codewords
@@ -266,7 +261,6 @@ class Ftl:
     def trim(self, lpn: int) -> None:
         """Invalidate an LPN (host delete)."""
         self.page_map.invalidate(lpn)
-        self._lpn_stream.pop(lpn, None)
 
     # -- batched host operations (vectorized hot path) ---------------------
 
@@ -274,15 +268,8 @@ class Ftl:
         """Write many logical pages with empty payloads, in order.
 
         Equivalent to ``write(lpn, b"", stream_name)`` per LPN.  On an
-        analytic stream the batch is the vectorized hot path: writes are
-        split into open-block-sized runs, each run programs its pages
-        and updates the page map in a handful of array operations, and
-        GC/wear bookkeeping happens at exactly the block boundaries the
-        scalar sequence would hit -- so mapping state, wear, GC victims,
-        and ``FtlStats`` are identical to the scalar loop (NAND time
-        counters are integer-valued microseconds, so ``n`` equal float
-        adds equal one ``n``-scaled add exactly).  Non-analytic streams
-        fall back to the scalar loop.
+        analytic stream the batch is the vectorized hot path
+        (:meth:`_program_runs`); other streams take the per-page path.
         """
         stream = self._streams[stream_name]
         arr = np.asarray(lpns, dtype=np.int64)
@@ -290,26 +277,7 @@ class Ftl:
             for lpn in arr.tolist():
                 self.write(lpn, b"", stream_name)
             return
-        times = stream.timing.times()
-        pos = 0
-        while pos < arr.size:
-            if (
-                stream.open_block is None
-                or self.chip.blocks[stream.open_block].free_pages <= 0
-            ):
-                self._seal_parity(stream)
-                self._open_new_block(stream)
-            block = self.chip.blocks[stream.open_block]  # type: ignore[index]
-            run = min(block.free_pages, arr.size - pos)
-            start_page = block.usable_pages - block.free_pages
-            block.program_analytic_many(run)
-            self.stats.program_time_us += times.program_us * run
-            self.page_map.record_writes(
-                arr[pos: pos + run], stream.open_block, start_page
-            )
-            pos += run
-        self._lpn_stream.update(dict.fromkeys(arr.tolist(), stream_name))
-        self.stats.host_writes += int(arr.size)
+        self._program_runs(stream, arr, during_gc=False)
 
     def read_many(self, lpns, stream_name: str) -> int:
         """Read many logical pages, skipping unmapped LPNs; returns reads.
@@ -339,10 +307,7 @@ class Ftl:
 
     def trim_many(self, lpns) -> int:
         """Invalidate many LPNs; returns how many were actually mapped."""
-        freed = self.page_map.invalidate_many(np.asarray(lpns, dtype=np.int64))
-        for lpn in freed.tolist():
-            self._lpn_stream.pop(lpn, None)
-        return int(freed.size)
+        return int(self.page_map.invalidate_many(np.asarray(lpns, dtype=np.int64)).size)
 
     def relocate(self, lpn: int, target_stream: str) -> PageReadResult:
         """Move an LPN's current payload to another stream (SOS placement).
@@ -541,41 +506,27 @@ class Ftl:
     def _select_gc_victim(self, stream: _Stream) -> int | None:
         """One victim choice among the stream's closed blocks.
 
-        The vectorized path masks the stream's (sorted) block array by
-        open/free/retired status and reduces to an argmin over the shared
-        chip state arrays; the scalar path rebuilds the per-candidate
-        list and scans it -- kept as the equivalence oracle.  Both return
-        the identical victim (ties to the lowest block index).
+        Masks the stream's (sorted) block array by open/free/retired
+        status and reduces to an argmin over the shared chip state
+        arrays (ties to the lowest block index).
         """
-        if self.vectorized_gc:
-            blocks = stream.block_arr
-            mask = ~self.chip.arrays.retired[blocks]
-            if stream.open_block is not None:
-                mask &= blocks != stream.open_block
-            if stream.free:
-                # block_arr is sorted, and the free pool is tiny: probe
-                # each free block's slot instead of a full isin sweep
-                free = np.asarray(stream.free, dtype=np.int64)
-                slots = np.searchsorted(blocks, free)
-                hit = (slots < blocks.size) & (blocks[np.minimum(slots, blocks.size - 1)] == free)
-                mask[slots[hit]] = False
-            return select_victim_arrays(
-                blocks[mask],
-                self.page_map,
-                stream.config.gc_policy,
-                self.chip.now_years,
-                self.chip.arrays,
-            )
-        # candidates: closed blocks (full or abandoned part-written)
-        candidates = [
-            (i, self.chip.blocks[i])
-            for i in stream.blocks
-            if i != stream.open_block
-            and i not in stream.free
-            and not self.chip.blocks[i].retired
-        ]
-        return select_victim(
-            candidates, self.page_map, stream.config.gc_policy, self.chip.now_years
+        blocks = stream.block_arr
+        mask = ~self.chip.arrays.retired[blocks]
+        if stream.open_block is not None:
+            mask &= blocks != stream.open_block
+        if stream.free:
+            # block_arr is sorted, and the free pool is tiny: probe
+            # each free block's slot instead of a full isin sweep
+            free = np.asarray(stream.free, dtype=np.int64)
+            slots = np.searchsorted(blocks, free)
+            hit = (slots < blocks.size) & (blocks[np.minimum(slots, blocks.size - 1)] == free)
+            mask[slots[hit]] = False
+        return select_victim_arrays(
+            blocks[mask],
+            self.page_map,
+            stream.config.gc_policy,
+            self.chip.now_years,
+            self.chip.arrays,
         )
 
     def _migrate_block(self, stream: _Stream, victim_index: int) -> int:
@@ -609,8 +560,8 @@ class Ftl:
 
         The victim's live pages are "read" in one vectorized batch (wear
         and expected-error bookkeeping only -- migration never inspects
-        content on a transparent codec), then rewritten in open-block
-        runs like :meth:`write_many`.  Safe to batch the reads up front:
+        content on a transparent codec), then rewritten through
+        :meth:`_program_runs`.  Safe to batch the reads up front:
         destination programs go to the open block, never the victim, and
         per-page read counts are independent, so the chip-side accruals
         match the interleaved scalar order exactly (time counters are
@@ -619,27 +570,45 @@ class Ftl:
         pages, lpns = self.page_map.live_lpns_arrays(victim_index)
         if not lpns.size:
             return 0
-        block = self.chip.blocks[victim_index]
-        block.read_analytic_many(pages, self.chip.now_years)
-        times = stream.timing.times()
-        self.stats.read_time_us += times.read_us * int(lpns.size)
+        self.chip.blocks[victim_index].read_analytic_many(pages, self.chip.now_years)
+        self.stats.read_time_us += stream.timing.times().read_us * int(lpns.size)
+        self._program_runs(stream, lpns, during_gc=True)
+        return int(lpns.size)
+
+    def _program_runs(self, stream: _Stream, lpns: np.ndarray, during_gc: bool) -> None:
+        """Program ``lpns`` in order onto an analytic stream's write path.
+
+        Writes split into open-block-sized runs; each run programs its
+        pages and updates the page map in a handful of array operations,
+        and blocks open (with any GC that triggers) at exactly the page
+        boundaries the per-page sequence would hit -- so mapping state,
+        wear, GC victims, and ``FtlStats`` are identical to it (NAND
+        time counters are integer-valued microseconds, so ``n`` equal
+        float adds equal one ``n``-scaled add exactly).  Counters
+        advance per run, so an ``OutOfSpaceError`` leaves every landed
+        page accounted.  GC migration (``during_gc``) rewrites distinct
+        LPNs and counts as ``gc_migrations``, host writes as
+        ``host_writes``.
+        """
+        program_us = stream.timing.times().program_us
         pos = 0
         while pos < lpns.size:
             if (
                 stream.open_block is None
                 or self.chip.blocks[stream.open_block].free_pages <= 0
             ):
-                self._seal_parity(stream)
-                self._open_new_block(stream, during_gc=True)
-            dest = self.chip.blocks[stream.open_block]  # type: ignore[index]
-            run = min(dest.free_pages, lpns.size - pos)
-            start_page = dest.usable_pages - dest.free_pages
-            dest.program_analytic_many(run)
-            self.stats.program_time_us += times.program_us * run
+                self._open_new_block(stream, during_gc)
+            block = self.chip.blocks[stream.open_block]  # type: ignore[index]
+            run = min(block.free_pages, lpns.size - pos)
+            start_page = block.usable_pages - block.free_pages
+            block.program_analytic_many(run)
+            self.stats.program_time_us += program_us * run
             self.page_map.record_writes(
                 lpns[pos: pos + run], stream.open_block, start_page,
-                assume_unique=True,
+                assume_unique=during_gc,
             )
+            if during_gc:
+                self.stats.gc_migrations += run
+            else:
+                self.stats.host_writes += run
             pos += run
-        self.stats.gc_migrations += int(lpns.size)
-        return int(lpns.size)

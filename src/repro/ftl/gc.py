@@ -12,21 +12,26 @@ SOS's SPARE partition additionally cares about *wear*: migrating data off
 a block costs that block's remaining life nothing, but the destination
 pays a program and the victim pays an erase.  The cost-benefit policy can
 therefore be wear-weighted to prefer victims with remaining endurance.
+
+Victim selection has one implementation, :func:`select_victim_arrays`:
+a masked argmin over the chip's shared per-block state columns.  The
+per-candidate scalar scan it replaced is a test oracle in
+``tests/ftl/ftl_oracles.py``; the randomized suite in
+``tests/ftl/test_gc_vectorized.py`` pins the two to the same victim.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from repro.flash.block import Block, BlockArrays
+from repro.flash.block import BlockArrays
 from repro.obs import get_observer
 
 from .mapping import PageMap
 
-__all__ = ["GcPolicy", "select_victim", "select_victim_arrays"]
+__all__ = ["GcPolicy", "select_victim_arrays"]
 
 
 class GcPolicy(enum.Enum):
@@ -36,100 +41,6 @@ class GcPolicy(enum.Enum):
     COST_BENEFIT = "cost_benefit"
 
 
-def _greedy_score(block_index: int, block: Block, page_map: PageMap, now: float) -> float:
-    """Lower is better: valid page count (ties broken by index upstream)."""
-    return float(page_map.valid_pages(block_index))
-
-
-def _cost_benefit_score(
-    block_index: int, block: Block, page_map: PageMap, now: float
-) -> float:
-    """Lower is better: negative of the classic (benefit/cost * age) score.
-
-    utilization u = valid/usable; benefit = (1-u), cost = (1+u) (one read
-    + one write per valid page, one erase amortized); age = years since
-    the block was last programmed, approximated by the oldest page write
-    time.  Wear-awareness: blocks already past rated endurance are
-    deprioritized by scaling age down.
-    """
-    usable = max(1, block.usable_pages)
-    u = page_map.valid_pages(block_index) / usable
-    if u >= 1.0:
-        return float("inf")  # nothing to reclaim
-    age = max(0.0, now - block.last_write_time_years())
-    wear_penalty = 1.0 / (1.0 + max(0.0, block.wear_ratio - 1.0))
-    score = ((1.0 - u) / (1.0 + u)) * (age + 1e-6) * wear_penalty
-    return -score
-
-
-_SCORERS: dict[GcPolicy, Callable[[int, Block, PageMap, float], float]] = {
-    GcPolicy.GREEDY: _greedy_score,
-    GcPolicy.COST_BENEFIT: _cost_benefit_score,
-}
-
-
-def select_victim(
-    candidates: Iterable[tuple[int, Block]],
-    page_map: PageMap,
-    policy: GcPolicy,
-    now_years: float = 0.0,
-) -> int | None:
-    """Choose a GC victim among ``candidates``; None if no block qualifies.
-
-    Candidates should be full (no free pages) and not retired; blocks that
-    are entirely valid are never chosen (no space to reclaim).  Ties are
-    broken by the **lowest block index** regardless of candidate order --
-    the pinned contract :func:`select_victim_arrays` reproduces with a
-    sorted argmin.
-
-    Observer interaction is one span and one count per *invocation* (never
-    per candidate), and a disarmed observer skips span construction
-    entirely, keeping the "observability off is free" guarantee on this
-    hot path.
-    """
-    obs = get_observer()
-    if not obs.enabled:
-        best_index, _considered = _scan_candidates(
-            candidates, page_map, policy, now_years
-        )
-        return best_index
-    with obs.span("gc.select_victim"):
-        best_index, considered = _scan_candidates(
-            candidates, page_map, policy, now_years
-        )
-    obs.count("gc.candidates_considered", considered)
-    return best_index
-
-
-def _scan_candidates(
-    candidates: Iterable[tuple[int, Block]],
-    page_map: PageMap,
-    policy: GcPolicy,
-    now_years: float,
-) -> tuple[int | None, int]:
-    """Scalar victim scan: (best index, candidates considered)."""
-    scorer = _SCORERS[policy]
-    best_index: int | None = None
-    best_score = float("inf")
-    considered = 0
-    for block_index, block in candidates:
-        if block.retired:
-            continue
-        valid = page_map.valid_pages(block_index)
-        if valid >= block.usable_pages:
-            continue
-        considered += 1
-        score = scorer(block_index, block, page_map, now_years)
-        if score < best_score or (
-            score == best_score
-            and best_index is not None
-            and block_index < best_index
-        ):
-            best_score = score
-            best_index = block_index
-    return best_index, considered
-
-
 def select_victim_arrays(
     candidate_indices: np.ndarray,
     page_map: PageMap,
@@ -137,16 +48,27 @@ def select_victim_arrays(
     now_years: float,
     block_arrays: BlockArrays,
 ) -> int | None:
-    """Vectorized :func:`select_victim`: a masked argmin over state arrays.
+    """Choose a GC victim among ``candidate_indices``; None if none qualifies.
 
-    ``candidate_indices`` are block indices (any order); eligibility,
-    scores, and the winner come from ``block_arrays`` (maintained by the
-    chip on every program/erase/retire) and the page map's valid-count
-    column -- no per-candidate Python calls.  Scores are computed with
-    the exact floating-point operation sequence of the scalar scorers,
-    elementwise, so the chosen victim is identical per invocation
-    (including lowest-index tie-breaking: candidates are sorted and
-    ``argmin`` returns the first minimum).
+    ``candidate_indices`` are block indices (any order).  Retired blocks
+    and blocks whose every usable page is valid (nothing to reclaim) are
+    never chosen.  Eligibility, scores, and the winner come from
+    ``block_arrays`` (maintained by the chip on every
+    program/erase/retire) and the page map's valid-count column -- no
+    per-candidate Python calls.  Lower scores win:
+
+    * greedy scores a block by its valid page count;
+    * cost-benefit scores ``-((1-u)/(1+u) * (age + 1e-6) * wear_penalty)``
+      with utilization ``u = valid/usable``, ``age`` the years since the
+      block's newest page was programmed, and ``wear_penalty =
+      1/(1 + max(0, pec/rated_pec - 1))`` deprioritizing blocks past
+      rated endurance.
+
+    Ties break to the **lowest block index** regardless of candidate
+    order (candidates are sorted and ``argmin`` returns the first
+    minimum).  Observer interaction is one span and one count per
+    *invocation*, and a disarmed observer skips span construction
+    entirely, keeping "observability off is free" on this hot path.
     """
     idx = np.asarray(candidate_indices, dtype=np.int64)
     obs = get_observer()
@@ -179,7 +101,7 @@ def _argmin_victim(
     if policy is GcPolicy.GREEDY:
         scores = valid.astype(np.float64)
     else:
-        # mirror _cost_benefit_score's op order exactly (IEEE elementwise)
+        # op order pinned to the scalar oracle's scorer (IEEE elementwise)
         u = valid / np.maximum(1, usable)
         age = np.maximum(0.0, now_years - arrays.last_write_years[idx])
         wear_ratio = arrays.pec[idx] / arrays.rated_pec[idx]

@@ -5,49 +5,31 @@ A page-mapped FTL keeps, for every logical page number (LPN), the physical
 collection needs: which LPN each physical page holds and whether that copy
 is still live.
 
-Two implementations live here:
+:class:`PageMap` is the one production map: flat ``int64`` arrays for
+both directions (L2P indexed by LPN, P2L indexed by flattened physical
+page) plus a per-block valid-page count array.  Every update is O(1)
+array arithmetic, and the valid-count array doubles as the input the GC
+victim selector (:func:`repro.ftl.gc.select_victim_arrays`) reads
+directly -- no per-candidate Python calls on the GC hot path.
 
-* :class:`PageMap` -- the production map: flat ``int64`` arrays for both
-  directions (L2P indexed by LPN, P2L indexed by flattened physical page)
-  plus a per-block valid-page count array.  Every update is O(1) array
-  arithmetic, and the valid-count array doubles as the input the
-  vectorized GC victim selector (:func:`repro.ftl.gc.select_victim_arrays`)
-  reads directly -- no per-candidate Python calls on the GC hot path.
-* :class:`DictPageMap` -- the original ``dict[int, PhysicalAddress]`` +
-  per-block :class:`BlockUsage` list implementation, kept verbatim as the
-  semantic reference.  The hypothesis property suite drives random
-  write/trim/migrate/erase sequences through both and asserts every query
-  agrees; the arrays are allowed to be fast *because* the dict stays
-  authoritative about what the operations mean.
+The original ``dict[int, PhysicalAddress]`` + per-block usage-list map
+is a test oracle in ``tests/ftl/ftl_oracles.py``.  The hypothesis
+property suite drives random write/trim/migrate/erase sequences through
+both and asserts every query agrees; the arrays are allowed to be fast
+*because* the dict stays authoritative about what the operations mean.
 
-Both expose the same API; ``-1`` is the array sentinel for "unmapped".
-LPNs must be non-negative (the L2P array grows geometrically to cover the
-largest LPN seen, so sparse-but-bounded host address spaces are fine).
+``-1`` is the array sentinel for "unmapped".  LPNs must be non-negative
+(the L2P array grows geometrically to cover the largest LPN seen, so
+sparse-but-bounded host address spaces are fine).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.flash.chip import PhysicalAddress
 
-__all__ = ["PageMap", "DictPageMap", "BlockUsage"]
-
-
-@dataclass(slots=True)
-class BlockUsage:
-    """Reverse-map state for one erase block (dict reference impl)."""
-
-    #: LPN stored at each physical page; None = unwritten or invalidated.
-    page_lpns: list[int | None] = field(default_factory=list)
-    valid_count: int = 0
-
-    def reset(self, pages: int) -> None:
-        """Clear after erase."""
-        self.page_lpns = [None] * pages
-        self.valid_count = 0
+__all__ = ["PageMap"]
 
 
 class PageMap:
@@ -61,7 +43,7 @@ class PageMap:
         Native pages per block (reverse arrays are sized for native;
         pseudo modes simply never touch the tail entries).
 
-    Invariants (pinned against :class:`DictPageMap` by property tests):
+    Invariants (pinned against the dict oracle by property tests):
 
     * ``_l2p[lpn]`` is the flattened physical index of the LPN's live
       copy, or -1;
@@ -268,109 +250,3 @@ class PageMap:
         grown[: self._l2p.size] = self._l2p
         self._l2p = grown
 
-
-class DictPageMap:
-    """Reference implementation: plain dict + per-block usage lists.
-
-    Kept byte-for-byte as the pre-vectorization :class:`PageMap`; the
-    property suite in ``tests/ftl/test_mapping_properties.py`` pins the
-    array implementation's observable behaviour to this one.
-    """
-
-    def __init__(self, total_blocks: int, pages_per_block: int) -> None:
-        self.pages_per_block = pages_per_block
-        self.total_blocks = total_blocks
-        self._l2p: dict[int, PhysicalAddress] = {}
-        self._usage = [BlockUsage() for _ in range(total_blocks)]
-        for usage in self._usage:
-            usage.reset(pages_per_block)
-
-    # -- queries -------------------------------------------------------------
-
-    def lookup(self, lpn: int) -> PhysicalAddress | None:
-        """Physical address of an LPN, or None if unmapped."""
-        return self._l2p.get(lpn)
-
-    def is_mapped(self, lpn: int) -> bool:
-        """Whether the LPN currently has a live physical copy."""
-        return lpn in self._l2p
-
-    def valid_pages(self, block_index: int) -> int:
-        """Live pages in a block (GC cost input)."""
-        return self._usage[block_index].valid_count
-
-    def live_lpns(self, block_index: int) -> list[tuple[int, int]]:
-        """(page_index, lpn) pairs for live pages of a block."""
-        usage = self._usage[block_index]
-        out = []
-        for page_index, lpn in enumerate(usage.page_lpns):
-            if lpn is not None and self._l2p.get(lpn) == (block_index, page_index):
-                out.append((page_index, lpn))
-        return out
-
-    def live_lpns_arrays(self, block_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`live_lpns` as (pages, lpns) arrays."""
-        pairs = self.live_lpns(block_index)
-        pages = np.asarray([p for p, _ in pairs], dtype=np.int64)
-        lpns = np.asarray([l for _, l in pairs], dtype=np.int64)
-        return pages, lpns
-
-    def mapped_count(self) -> int:
-        """Number of live logical pages device-wide."""
-        return len(self._l2p)
-
-    def all_mapped_lpns(self) -> list[int]:
-        """Sorted list of all live LPNs."""
-        return sorted(self._l2p)
-
-    # -- updates ---------------------------------------------------------------
-
-    def record_write(self, lpn: int, addr: PhysicalAddress) -> None:
-        """Point ``lpn`` at a freshly programmed page, invalidating any old copy."""
-        old = self._l2p.get(lpn)
-        if old is not None:
-            old_block, _old_page = old
-            self._usage[old_block].valid_count -= 1
-        block_index, page_index = addr
-        usage = self._usage[block_index]
-        usage.page_lpns[page_index] = lpn
-        usage.valid_count += 1
-        self._l2p[lpn] = addr
-
-    def invalidate(self, lpn: int) -> PhysicalAddress | None:
-        """Drop the mapping for ``lpn`` (trim); returns the freed address."""
-        addr = self._l2p.pop(lpn, None)
-        if addr is not None:
-            self._usage[addr[0]].valid_count -= 1
-        return addr
-
-    def record_writes(
-        self, lpns, block_index: int, start_page: int, assume_unique: bool = False
-    ) -> None:
-        """Batched :meth:`record_write` (reference: the literal scalar loop)."""
-        for i, lpn in enumerate(np.asarray(lpns, dtype=np.int64)):
-            if lpn < 0:
-                raise ValueError("LPNs must be non-negative")
-            self.record_write(int(lpn), (block_index, start_page + i))
-
-    def invalidate_many(self, lpns) -> np.ndarray:
-        """Batched :meth:`invalidate` (reference: the literal scalar loop)."""
-        freed = [
-            lpn
-            for lpn in np.asarray(lpns, dtype=np.int64).tolist()
-            if self.invalidate(lpn) is not None
-        ]
-        return np.asarray(sorted(freed), dtype=np.int64)
-
-    def on_erase(self, block_index: int) -> None:
-        """Reset reverse-map state after a block erase.
-
-        All live data must have been migrated first; erasing a block with
-        valid pages is a bug in the caller.
-        """
-        if self._usage[block_index].valid_count != 0:
-            raise RuntimeError(
-                f"erasing block {block_index} with "
-                f"{self._usage[block_index].valid_count} valid pages"
-            )
-        self._usage[block_index].reset(self.pages_per_block)

@@ -63,8 +63,6 @@ class FtlReplayConfig:
         Run eligible streams on the analytic chip fast path (no byte
         materialization).  The replay only uses transparent protection,
         so this toggles the whole device.
-    vectorized_gc:
-        Use the masked-argmin GC victim selector.
     page_size_bytes / pages_per_block / blocks:
         Simulated chip shape (default ~6 MB physical).
     utilization:
@@ -85,7 +83,6 @@ class FtlReplayConfig:
     capacity_gb: float = 64.0
     seed: int = 0
     analytic: bool = True
-    vectorized_gc: bool = True
     page_size_bytes: int = 2048
     pages_per_block: int = 32
     blocks: int = 96
@@ -152,7 +149,6 @@ def build_replay_ftl(config: FtlReplayConfig) -> Ftl:
         [stream],
         {STREAM: list(range(geometry.total_blocks))},
         analytic=config.analytic,
-        vectorized_gc=config.vectorized_gc,
     )
 
 
@@ -197,41 +193,21 @@ def replay(config: FtlReplayConfig) -> FtlReplayResult:
     counts = _daily_op_counts(config)
     pages = config.logical_pages
     rng = np.random.default_rng(config.seed + 1)
-    batched = ftl.stream(STREAM).analytic
 
     t0 = time.perf_counter()
-    ops = 0
-    if batched:
-        ftl.write_many(np.arange(pages, dtype=np.int64), STREAM)
-        ops += pages
-    else:
-        for lpn in range(pages):
-            ftl.write(lpn, b"", STREAM)
-            ops += 1
+    ftl.write_many(np.arange(pages, dtype=np.int64), STREAM)
+    ops = pages
     for day in range(config.days):
         writes = rng.integers(0, pages, int(counts["writes"][day]))
         reads = rng.integers(0, pages, int(counts["reads"][day]))
         trims = rng.integers(0, pages, int(counts["trims"][day]))
-        if batched:
-            ftl.write_many(writes, STREAM)
-            ops += writes.size
-            ops += ftl.read_many(reads, STREAM)
-            ops += ftl.trim_many(trims)
-        else:
-            for lpn in writes.tolist():
-                ftl.write(lpn, b"", STREAM)
-                ops += 1
-            for lpn in reads.tolist():
-                # trimmed LPNs are skipped deterministically: mapping
-                # state is a pure function of the op stream, never of
-                # page bytes, so both fidelities skip the same reads
-                if ftl.page_map.is_mapped(lpn):
-                    ftl.read(lpn)
-                    ops += 1
-            for lpn in trims.tolist():
-                if ftl.page_map.is_mapped(lpn):
-                    ftl.trim(lpn)
-                    ops += 1
+        ftl.write_many(writes, STREAM)
+        ops += writes.size
+        # trimmed LPNs are skipped deterministically: mapping state is a
+        # pure function of the op stream, never of page bytes, so both
+        # fidelities skip the same reads
+        ops += ftl.read_many(reads, STREAM)
+        ops += ftl.trim_many(trims)
         ftl.chip.advance_time((day + 1) / 365.25)
         if (day + 1) % config.wl_period_days == 0:
             ftl.run_wear_leveling(STREAM)

@@ -8,7 +8,7 @@ import pytest
 from repro.ecc.policy import POLICIES, ProtectionLevel
 from repro.flash.cell import CellTechnology, native_mode, pseudo_mode
 from repro.flash.chip import FlashChip
-from repro.flash.geometry import SMALL_GEOMETRY
+from repro.flash.geometry import SMALL_GEOMETRY, Geometry
 from repro.ftl.ftl import Ftl, OutOfSpaceError
 from repro.ftl.streams import StreamConfig
 from repro.ftl.wear_leveling import WearLevelerConfig
@@ -29,6 +29,18 @@ def make_ftl(seed=0, sys_protection=ProtectionLevel.STRONG,
     ]
     blocks = {"sys": list(range(total // 2)), "spare": list(range(total // 2, total))}
     return Ftl(chip, streams, blocks), chip
+
+
+def make_analytic_ftl(blocks=6, pages_per_block=4):
+    """A one-stream device on the analytic chip path."""
+    geometry = Geometry(page_size_bytes=512, pages_per_block=pages_per_block,
+                        blocks_per_plane=blocks, planes_per_die=1, dies=1)
+    chip = FlashChip(geometry, CellTechnology.TLC, seed=0)
+    stream = StreamConfig("data", native_mode(CellTechnology.TLC),
+                          POLICIES[ProtectionLevel.NONE])
+    ftl = Ftl(chip, [stream], {"data": list(range(blocks))}, analytic=True)
+    assert ftl.stream("data").analytic
+    return ftl
 
 
 class TestConstruction:
@@ -275,3 +287,43 @@ class TestForceRetire:
         ftl.force_retire("sys", ftl.stream("sys").blocks[0])
         ftl.write(1, b"b" * 8, "sys")
         assert ftl.read(1).payload.startswith(b"b" * 8)
+
+
+class TestStreamOwnership:
+    """An LPN belongs to the stream owning the block of its live copy."""
+
+    def test_failed_write_many_keeps_landed_pages_owned(self):
+        """A batch that runs out of space mid-way leaves every landed
+        page readable and accounted to its stream."""
+        ftl = make_analytic_ftl()  # 6 blocks x 4 pages = 24 pages
+        with pytest.raises(OutOfSpaceError):
+            ftl.write_many(np.arange(28), "data")
+        landed = ftl.page_map.all_mapped_lpns()
+        assert landed == list(range(24))
+        assert ftl.stream_live_pages("data") == 24
+        assert ftl.stats.host_writes == 24
+        for lpn in landed:
+            assert ftl.stream_of(lpn) == "data"
+            ftl.read(lpn)
+        assert ftl.stats.host_reads == 24
+        for lpn in range(24, 28):
+            assert ftl.stream_of(lpn) is None
+
+
+class TestAnalyticPath:
+    def test_per_page_ops_match_batched_ops(self):
+        """``write``/``read`` on an analytic stream are batches of one."""
+        lpns = np.random.default_rng(3).integers(0, 10, 80)
+        single, batched = make_analytic_ftl(), make_analytic_ftl()
+        for lpn in lpns.tolist():
+            single.write(lpn, b"", "data")
+        batched.write_many(lpns, "data")
+        for lpn in range(12):
+            if single.page_map.is_mapped(lpn):
+                assert single.read(lpn).payload == b""
+        batched.read_many(np.arange(12), "data")
+        assert single.stats.gc_erases > 0
+        assert single.stats == batched.stats
+        assert single.page_map.all_mapped_lpns() == batched.page_map.all_mapped_lpns()
+        assert single.chip.arrays.pec.tolist() == batched.chip.arrays.pec.tolist()
+        assert single.chip.pages.reads.tolist() == batched.chip.pages.reads.tolist()

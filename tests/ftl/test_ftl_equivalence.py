@@ -1,11 +1,10 @@
 """The FTL fast-path equivalence suite.
 
-The perf work gives the FTL three independent accelerations -- the
-analytic chip path (no byte materialization), the vectorized GC victim
-selector, and batched host operations -- and this suite pins the
-contract that makes them safe: **every combination produces the
-identical** :class:`~repro.ftl.ftl.FtlStats` **and wear outcome** for
-the same replay config.  NAND timing constants are integer-valued
+The analytic chip path (no byte materialization, batched host ops) is
+the FTL's one fast path, and this suite pins the contract that makes it
+safe: an analytic replay produces the **identical**
+:class:`~repro.ftl.ftl.FtlStats` **and wear outcome** as the bit-exact
+replay of the same config.  NAND timing constants are integer-valued
 floats, so even the accumulated device-time counters must match
 exactly, not approximately.
 """
@@ -28,31 +27,17 @@ def _outcome(result: FtlReplayResult) -> tuple:
             result.host_ops, result.retired_blocks)
 
 
-@pytest.fixture(scope="module")
-def bit_exact_baseline() -> FtlReplayResult:
-    """The ground truth: byte-materializing chip, scalar GC, scalar ops."""
-    return replay(FtlReplayConfig(analytic=False, vectorized_gc=False, **BASE))
-
-
-@pytest.mark.parametrize(
-    "analytic,vectorized_gc",
-    [(False, True), (True, False), (True, True)],
-    ids=["vec-gc-only", "analytic-only", "analytic+vec-gc"],
-)
-def test_fast_paths_land_identical_stats(bit_exact_baseline, analytic,
-                                         vectorized_gc):
-    fast = replay(
-        FtlReplayConfig(analytic=analytic, vectorized_gc=vectorized_gc, **BASE)
-    )
-    assert _outcome(fast) == _outcome(bit_exact_baseline)
+def test_analytic_replay_lands_identical_stats():
+    """Ground truth is the byte-materializing chip with per-page ops."""
+    bit_exact = replay(FtlReplayConfig(analytic=False, **BASE))
+    analytic = replay(FtlReplayConfig(analytic=True, **BASE))
+    assert _outcome(analytic) == _outcome(bit_exact)
 
 
 @pytest.mark.parametrize("mix", ["light", "heavy"])
 def test_equivalence_holds_across_mixes(mix):
-    slow = replay(FtlReplayConfig(mix=mix, days=20, seed=9, analytic=False,
-                                  vectorized_gc=False))
-    fast = replay(FtlReplayConfig(mix=mix, days=20, seed=9, analytic=True,
-                                  vectorized_gc=True))
+    slow = replay(FtlReplayConfig(mix=mix, days=20, seed=9, analytic=False))
+    fast = replay(FtlReplayConfig(mix=mix, days=20, seed=9, analytic=True))
     assert _outcome(fast) == _outcome(slow)
 
 

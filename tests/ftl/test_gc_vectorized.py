@@ -1,10 +1,10 @@
-"""Vectorized GC victim selection vs the scalar oracle.
+"""Production GC victim selection vs the scalar oracle.
 
-``select_victim`` (the per-candidate scalar scan) is the pinned
-semantics; ``select_victim_arrays`` must pick the *identical* victim --
-including lowest-block-index tie-breaking -- for any candidate state
-and either policy.  Observer interaction is pinned to one span and one
-count per invocation, and to zero registry traffic when disarmed.
+``ftl_oracles.select_victim`` (the per-candidate scalar scan) is the
+pinned semantics; ``select_victim_arrays`` must pick the *identical*
+victim -- including lowest-block-index tie-breaking -- for any candidate
+state and either policy.  Observer interaction is pinned to one span and
+one count per invocation, and to zero registry traffic when disarmed.
 """
 
 from __future__ import annotations
@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ftl_oracles import select_victim
 from repro.flash.cell import CellTechnology
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import Geometry
-from repro.ftl.gc import GcPolicy, select_victim, select_victim_arrays
+from repro.ftl.gc import GcPolicy, select_victim_arrays
 from repro.ftl.mapping import PageMap
-from repro.ftl.replay import FtlReplayConfig, replay
 from repro.obs import observed
 
 GEOM = Geometry(page_size_bytes=512, pages_per_block=8, blocks_per_plane=16,
@@ -42,8 +42,8 @@ def _random_state(seed: int) -> tuple[FlashChip, PageMap, float]:
         if pages_per[block] == 0:
             continue
         chip.advance_time(float(write_times[block]))
+        chip.blocks[block].program_analytic_many(int(pages_per[block]))
         for page in range(int(pages_per[block])):
-            chip.blocks[block].program_analytic(page)
             page_map.record_write(lpn, (block, page))
             lpn += 1
     now = 2.5
@@ -107,12 +107,3 @@ def test_observer_sees_one_span_and_one_count_per_invocation():
     eligible = snap["counters"]["gc.candidates_considered"]
     assert eligible > 0 and eligible % 3 == 0
 
-
-def test_replay_stats_identical_with_and_without_vectorized_gc():
-    """End-to-end pin: the whole FTL makes the same decisions."""
-    base = dict(days=10, seed=11, analytic=False)
-    fast = replay(FtlReplayConfig(vectorized_gc=True, **base))
-    slow = replay(FtlReplayConfig(vectorized_gc=False, **base))
-    assert fast.stats == slow.stats
-    assert fast.mean_wear == slow.mean_wear
-    assert fast.max_wear == slow.max_wear

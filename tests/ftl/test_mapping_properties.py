@@ -1,11 +1,11 @@
 """Property suite pinning the numpy ``PageMap`` to the dict reference.
 
-``DictPageMap`` is the pre-vectorization implementation, kept verbatim
-as the semantic oracle.  Hypothesis drives both maps through the same
-*legal* operation sequences -- an embedded allocator guarantees every
-``record_write`` lands on a freshly programmed page and every
-``on_erase`` hits a fully dead block, exactly the discipline the FTL
-enforces -- and every observable (lookups, valid counts, live scans,
+``DictPageMap`` (``tests/ftl/ftl_oracles.py``) is the pre-vectorization
+implementation, kept verbatim as the semantic oracle.  Hypothesis drives
+both maps through the same *legal* operation sequences -- an embedded
+allocator guarantees every ``record_write`` lands on a freshly
+programmed page and every ``on_erase`` hits a fully dead block, exactly
+the discipline the FTL enforces -- and every observable (lookups, valid counts, live scans,
 mapped totals, freed-trim returns) must agree at every step.
 """
 
@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ftl.mapping import DictPageMap, PageMap
+from ftl_oracles import DictPageMap
+from repro.ftl.mapping import PageMap
 
 BLOCKS = 6
 PAGES = 4
