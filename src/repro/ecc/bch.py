@@ -4,8 +4,19 @@ Real, bit-exact BCH(n, k, t) over GF(2^m) with n = 2^m - 1:
 
 * generator polynomial built as the LCM of minimal polynomials of
   alpha, alpha^2, ..., alpha^{2t};
-* systematic encoding by polynomial division;
-* decoding via syndromes, Berlekamp-Massey, and Chien search.
+* systematic encoding as a GF(2) product with a parity matrix whose row
+  ``j`` is ``x^(n-k+j) mod g(x)``;
+* decoding via syndromes (a gather from a ``(2t, n)`` table of
+  ``alpha^(i*pos)`` at the word's nonzero positions, XOR-reduced per
+  row), Berlekamp-Massey, and a Chien search that evaluates the locator
+  at all ``n`` points ``alpha^-i`` in one array expression.
+
+Every table is built once per code in ``__init__``; encode, syndromes and
+the Chien search have no Python loop over bits or positions.
+Berlekamp-Massey stays scalar: it runs only on words with errors and
+works on ``2t`` field elements.  The scalar codec these tables replaced
+is the test oracle in ``tests/ecc/bch_oracle.py``; the equivalence suite
+pins codewords, corrections and failures to it.
 
 SSD controllers protect each page with BCH (or LDPC) of a strength chosen
 to hit a target uncorrectable-bit-error-rate; SOS's "approximate storage"
@@ -60,6 +71,18 @@ class BCHCode:
         self.k = self.n - self.n_parity
         if self.k <= 0:
             raise ValueError(f"BCH(m={m}, t={t}) leaves no data bits (k={self.k})")
+        n = self.n
+        positions = np.arange(n)
+        alpha = np.array([self.field.alpha_pow(e) for e in range(n)], dtype=np.int64)
+        #: alpha^e for e in [0, 2n): a sum of two logs indexes it unreduced
+        self._alpha = np.concatenate([alpha, alpha])
+        self._log = np.zeros(n + 1, dtype=np.int64)
+        self._log[alpha] = positions
+        #: row i-1 holds alpha^(i*pos) for syndrome S_i, i = 1 .. 2t
+        self._syndrome_table = alpha[np.arange(1, 2 * t + 1)[:, None] * positions % n]
+        #: row j holds the exponent of alpha^(-i*j), i = 0 .. n-1
+        self._chien_exponents = -(np.arange(t + 1)[:, None] * positions) % n
+        self._parity_matrix = self._build_parity_matrix()
 
     def _build_generator(self) -> list[int]:
         """LCM of minimal polynomials of alpha^1 .. alpha^{2t}."""
@@ -78,6 +101,26 @@ class BCHCode:
             gen = gf.poly_mul(gen, gf.minimal_polynomial(root))
         return gen
 
+    def _build_parity_matrix(self) -> np.ndarray:
+        """``(k, n-k)`` matrix whose row ``j`` is ``x^(n-k+j) mod g(x)``.
+
+        Row 0 is ``g(x)`` without its leading term; each next row is the
+        previous one times ``x``, reduced by ``g`` when it overflows.
+        Stored as float32 so the encode product runs in BLAS: the sums
+        are counts of at most ``k`` ones, exact in float32.
+        """
+        low = np.array(self.generator[:-1], dtype=np.uint8)
+        rows = np.empty((self.k, self.n_parity), dtype=np.uint8)
+        row = low.copy()
+        for j in range(self.k):
+            rows[j] = row
+            overflow = row[-1]
+            row[1:] = row[:-1].copy()
+            row[0] = 0
+            if overflow:
+                row ^= low
+        return rows.astype(np.float32)
+
     # -- encode ------------------------------------------------------------
 
     def encode(self, data_bits: np.ndarray) -> np.ndarray:
@@ -89,18 +132,11 @@ class BCHCode:
         data_bits = np.asarray(data_bits, dtype=np.uint8)
         if data_bits.size != self.k:
             raise ValueError(f"expected {self.k} data bits, got {data_bits.size}")
-        # message polynomial * x^(n-k), then remainder mod generator
-        remainder = np.zeros(self.n_parity, dtype=np.uint8)
-        gen = np.array(self.generator, dtype=np.uint8)
-        # synthetic division over GF(2), processing data from the highest
-        # degree coefficient down
-        for bit in data_bits[::-1]:
-            feedback = bit ^ remainder[-1]
-            remainder[1:] = remainder[:-1]
-            remainder[0] = 0
-            if feedback:
-                remainder ^= gen[:-1] * feedback
-        codeword = np.concatenate([remainder, data_bits]).astype(np.uint8)
+        # parity = data . P over GF(2): integer counts, then their low bit
+        counts = data_bits @ self._parity_matrix
+        codeword = np.empty(self.n, dtype=np.uint8)
+        codeword[: self.n_parity] = counts.astype(np.int64) & 1
+        codeword[self.n_parity:] = data_bits
         return codeword
 
     # -- decode ------------------------------------------------------------
@@ -118,33 +154,26 @@ class BCHCode:
         if received.size != self.n:
             raise ValueError(f"expected {self.n} bits, got {received.size}")
         syndromes = self._syndromes(received)
-        if all(s == 0 for s in syndromes):
+        if not syndromes.any():
             return DecodeResult(data_bits=received[self.n_parity:].copy(), corrected_errors=0)
-        locator = self._berlekamp_massey(syndromes)
+        locator = self._berlekamp_massey(syndromes.tolist())
         nerrors = len(locator) - 1
         if nerrors > self.t:
             raise DecodeFailure(f"error locator degree {nerrors} exceeds t={self.t}")
         positions = self._chien_search(locator)
-        if len(positions) != nerrors:
+        if positions.size != nerrors:
             raise DecodeFailure("error locator polynomial does not fully factor")
         corrected = received.copy()
-        for pos in positions:
-            corrected[pos] ^= 1
+        corrected[positions] ^= 1
         # verify: syndromes of the corrected word must vanish
-        if any(s != 0 for s in self._syndromes(corrected)):
+        if self._syndromes(corrected).any():
             raise DecodeFailure("correction failed verification")
         return DecodeResult(data_bits=corrected[self.n_parity:].copy(), corrected_errors=nerrors)
 
-    def _syndromes(self, word: np.ndarray) -> list[int]:
-        gf = self.field
-        nonzero = np.nonzero(word)[0]
-        syndromes = []
-        for i in range(1, 2 * self.t + 1):
-            s = 0
-            for pos in nonzero:
-                s ^= gf.alpha_pow(i * int(pos))
-            syndromes.append(s)
-        return syndromes
+    def _syndromes(self, word: np.ndarray) -> np.ndarray:
+        """``S_1 .. S_2t``: XOR of ``alpha^(i*pos)`` over set positions."""
+        terms = self._syndrome_table.take(np.flatnonzero(word), axis=1)
+        return np.bitwise_xor.reduce(terms, axis=1)
 
     def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
         """Error-locator polynomial (lowest degree first) via BM."""
@@ -185,12 +214,14 @@ class BCHCode:
             c.pop()
         return c
 
-    def _chien_search(self, locator: list[int]) -> list[int]:
-        """Positions of errors: roots alpha^{-i} of the locator."""
-        gf = self.field
-        positions = []
-        for i in range(self.n):
-            x = gf.alpha_pow(-i % gf.order)
-            if gf.poly_eval(locator, x) == 0:
-                positions.append(i)
-        return positions
+    def _chien_search(self, locator: list[int]) -> np.ndarray:
+        """Positions of errors: roots alpha^{-i} of the locator (ascending).
+
+        ``locator`` has degree at most ``t``; term ``j`` at point ``i``
+        is ``alpha^(log c_j - i*j)``, summed (XOR) over nonzero ``c_j``.
+        """
+        coeffs = np.asarray(locator)
+        degrees = np.flatnonzero(coeffs)
+        exponents = self._log[coeffs[degrees]][:, None] + self._chien_exponents[degrees]
+        values = np.bitwise_xor.reduce(self._alpha[exponents], axis=0)
+        return np.flatnonzero(values == 0)

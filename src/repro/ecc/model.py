@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "CodewordSpec",
@@ -33,6 +32,19 @@ __all__ = [
     "page_failure_prob_many",
     "residual_ber_many",
 ]
+
+
+def _binom():
+    """``scipy.stats.binom``, imported on first use.
+
+    ``scipy.stats`` is most of the import time and resident memory of
+    any program that imports :mod:`repro.ecc`, yet only the four
+    binomial functions below need it; the bit-exact codecs, the FTL and
+    the stores never do.
+    """
+    from scipy import stats
+
+    return stats.binom
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +72,7 @@ def codeword_failure_prob(spec: CodewordSpec, rber: float) -> float:
         raise ValueError("rber must be in [0, 1]")
     if rber == 0.0:
         return 0.0
-    return float(stats.binom.sf(spec.t, spec.n, rber))
+    return float(_binom().sf(spec.t, spec.n, rber))
 
 
 def page_failure_prob(spec: CodewordSpec, rber: float, codewords_per_page: int) -> float:
@@ -96,7 +108,7 @@ def residual_ber(spec: CodewordSpec, rber: float) -> float:
     # E[X] = E[X | X<=t] P(X<=t) + E[X | X>t] P(X>t)
     below = 0.0
     for j in range(spec.t + 1):
-        below += j * float(stats.binom.pmf(j, spec.n, rber))
+        below += j * float(_binom().pmf(j, spec.n, rber))
     mean_given_fail = (mean_errors - below) / p_fail
     # floating-point cancellation can leave a tiny negative residue
     return max(0.0, mean_given_fail * p_fail / spec.n)
@@ -111,7 +123,7 @@ def page_failure_prob_many(
     rber = np.asarray(rber, dtype=float)
     if np.any((rber < 0.0) | (rber > 1.0)):
         raise ValueError("rber must be in [0, 1]")
-    p_cw = np.where(rber > 0.0, stats.binom.sf(spec.t, spec.n, rber), 0.0)
+    p_cw = np.where(rber > 0.0, _binom().sf(spec.t, spec.n, rber), 0.0)
     saturated = p_cw >= 1.0
     # log-space to stay accurate for tiny probabilities
     safe = np.where(saturated, 0.0, p_cw)
@@ -129,10 +141,10 @@ def residual_ber_many(spec: CodewordSpec, rber: np.ndarray) -> np.ndarray:
     if spec.t == 0:
         return rber.astype(float, copy=True)
     flat = rber.ravel()
-    p_fail = np.where(flat > 0.0, stats.binom.sf(spec.t, spec.n, flat), 0.0)
+    p_fail = np.where(flat > 0.0, _binom().sf(spec.t, spec.n, flat), 0.0)
     mean_errors = spec.n * flat
     j = np.arange(spec.t + 1, dtype=float)
-    below = (j[:, None] * stats.binom.pmf(j[:, None], spec.n, flat[None, :])).sum(axis=0)
+    below = (j[:, None] * _binom().pmf(j[:, None], spec.n, flat[None, :])).sum(axis=0)
     # mean_given_fail * p_fail == mean_errors - below; guard the p_fail == 0
     # branch of the scalar form and clamp the cancellation residue
     out = np.where(p_fail > 0.0, np.maximum(0.0, mean_errors - below) / spec.n, 0.0)

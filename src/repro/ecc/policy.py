@@ -47,11 +47,11 @@ class ProtectionLevel(enum.Enum):
 def _bch_codec(m: int, t: int) -> BCHCode:
     """Shared bit-exact BCH instance per ``(m, t)``.
 
-    Construction runs the generator-polynomial build over GF(2^m) --
-    milliseconds of work that ``make_codec`` callers would otherwise
-    repeat per partition per run.  BCHCode is immutable after
-    ``__init__`` (encode/decode are pure), so one instance is safe to
-    share across every policy and thread.
+    Construction builds the generator polynomial over GF(2^m) and the
+    codec's lookup tables -- milliseconds of work that ``make_codec``
+    callers would otherwise repeat per partition per run.  BCHCode is
+    immutable after ``__init__`` (encode/decode are pure), so one
+    instance is safe to share across every policy and thread.
     """
     return BCHCode(m=m, t=t)
 

@@ -393,7 +393,10 @@ class BatchPartition:
 
         ``gb`` broadcasts to ``(n_devices, n_groups)``; lanes outside
         ``mask`` keep their state (their junk arithmetic -- 0/0 on empty
-        groups -- is discarded by the ``where`` writes).
+        groups -- is discarded by the ``where`` writes).  A lane inside
+        ``mask`` whose group is still empty -- a subnormal write's share
+        underflowed to 0.0 -- keeps its write time rather than the 0/0
+        blend, as in :meth:`Partition._absorb`.
         """
         cap = self._capacity
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -402,7 +405,7 @@ class BatchPartition:
             old_weight = np.maximum(0.0, new_live - gb) / new_live
             blended = old_weight * self._write_time + (1.0 - old_weight) * now
         self._pec = np.where(mask, self._pec + inc, self._pec)
-        self._write_time = np.where(mask, blended, self._write_time)
+        self._write_time = np.where(mask & (new_live > 0.0), blended, self._write_time)
         self._live = np.where(mask, new_live, self._live)
 
     def host_write(self, gb: np.ndarray, now: float, churn: bool) -> None:

@@ -314,17 +314,23 @@ class Partition:
     def _absorb(self, idx: np.ndarray, gb: float, now: float, waf: float) -> None:
         """Account ``gb`` of host+amplified writes into *each* group in ``idx``.
 
-        ``idx`` must name non-retired groups with positive capacity and
-        ``gb`` must be positive (both hold for every internal caller, and
-        the guard in :meth:`BlockGroup.absorb_write` covers the view path),
-        so ``new_live`` is strictly positive and the write-time blend needs
-        no zero-division guard.
+        ``idx`` must name non-retired groups with positive capacity (true
+        for every internal caller; the guard in
+        :meth:`BlockGroup.absorb_write` covers the view path).  ``gb`` is
+        non-negative but may be 0.0: a subnormal write split across
+        groups underflows to a zero share, so ``new_live`` is 0.0 on a
+        group that was empty.  Such a group keeps its old write time
+        instead of blending 0/0.
         """
         cap = self._capacity[idx]
         self._pec[idx] += gb * waf / cap
         new_live = np.minimum(cap, self._live[idx] + gb)
-        # blend write times: new bytes are written "now"
-        old_weight = np.maximum(0.0, new_live - gb) / new_live
+        # blend write times: new bytes are written "now"; weight 1 keeps
+        # the old write time of a group that is still empty
+        old_weight = np.divide(
+            np.maximum(0.0, new_live - gb), new_live,
+            out=np.ones_like(new_live), where=new_live > 0.0,
+        )
         self._write_time[idx] = old_weight * self._write_time[idx] + (1.0 - old_weight) * now
         self._live[idx] = new_live
 

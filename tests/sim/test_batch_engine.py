@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import merge_snapshots, observed, strip_timings
 from repro.sim import (
+    BatchLifetimeDevice,
     SummaryBatch,
     build_sos,
     build_tlc_baseline,
@@ -150,6 +151,25 @@ def test_batch_equivalence_property(mixes, days, use_sos, with_faults):
     builder = build_sos if use_sos else build_tlc_baseline
     scalar, batched, sb, bb = _run_both(builder, mixes, days, with_faults)
     _assert_equivalent(scalar, batched, sb, bb)
+
+
+def test_subnormal_churn_keeps_write_times_in_both_engines():
+    """A subnormal churn write splits into 0.0 shares; the empty groups
+    it lands on keep their write time in both engines (the 0/0 blend
+    used to store NaN there)."""
+    scalar = build_sos().device
+    batch = BatchLifetimeDevice.from_devices([build_sos().device])
+    writes = {name: (0.0, 5e-324) for name in scalar.partitions}
+    scalar.step_day(writes)
+    batch.step_day(
+        {name: (np.array([new]), np.array([churn])) for name, (new, churn) in writes.items()},
+        np.ones(1, dtype=bool),
+    )
+    for name, partition in scalar.partitions.items():
+        scalar_times = partition.export_group_state()["write_time"]
+        batch_times = batch.partitions[name].export_state()["write_time"][0]
+        assert np.array_equal(scalar_times, np.zeros_like(scalar_times)), name
+        assert np.array_equal(batch_times, scalar_times), name
 
 
 def test_batch_obs_counters_match_scalar_runs():
