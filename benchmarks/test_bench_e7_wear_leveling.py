@@ -11,11 +11,14 @@ SOS tolerates because worn SPARE blocks retire/resuscitate individually
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
 from repro.ecc.policy import POLICIES, ProtectionLevel
 from repro.flash.cell import CellTechnology, native_mode
-from repro.sim.lifetime import Partition, PartitionSpec
+from repro.sim.batch import BatchPartition
+from repro.sim.lifetime import PartitionSpec
 
 from .common import report
 
@@ -36,21 +39,25 @@ def _run(wear_leveling: bool):
         resuscitation_bits=(),
         scrub_enabled=False,
     )
-    partition = Partition(spec)
+    partition = BatchPartition(spec, 1)  # one device
+    new, churn = np.array([NEW_GB_PER_DAY]), np.array([CHURN_GB_PER_DAY])
+    deleted = new * 0.9  # steady-state churn
+    allowed = np.ones(1, dtype=bool)
     for day in range(YEARS * 365):
         now = day / 365.0
-        partition.host_write(NEW_GB_PER_DAY, now, churn=False)
-        partition.host_write(CHURN_GB_PER_DAY, now, churn=True)
-        partition.host_delete(NEW_GB_PER_DAY * 0.9)  # steady-state churn
+        partition.host_write(new, now, churn=False)
+        partition.host_write(churn, now, churn=True)
+        partition.host_delete(deleted)
         if day % 30 == 0:
-            partition.maintain(now)
-    total_wear = sum(g.pec * g.capacity_gb for g in partition.groups)
+            partition.maintain(now, allowed)
+    state = partition.export_state()
+    pec = state["pec"][0]
     return {
-        "mean_pec": partition.mean_pec(),
-        "max_pec": partition.max_pec(),
-        "total_wear_gb_cycles": total_wear,
-        "retired": partition.retired_count,
-        "capacity_gb": partition.capacity_gb(),
+        "mean_pec": float(partition.mean_pec()[0]),
+        "max_pec": float(pec[~state["retired"][0]].max()),
+        "total_wear_gb_cycles": float((pec * state["capacity_gb"][0]).sum()),
+        "retired": int(partition.retired_count[0]),
+        "capacity_gb": float(partition.capacity_gb()[0]),
     }
 
 

@@ -1,7 +1,7 @@
 """Runner scaling smoke: serial vs parallel sweep wall time.
 
-Runs a small A6-style sensitivity grid through ``run_sweep`` once
-serially and once with ``jobs=2``, checks the two executions return
+Runs a small A6-style sensitivity grid (one batched point per PLC-PEC
+row) through ``run_sweep`` once serially and once with ``jobs=2``, checks the two executions return
 bit-identical points (the runner's core guarantee), and writes both
 wall times to ``BENCH_runner.json`` so perf regressions in the fan-out
 path show up in review.
@@ -18,7 +18,7 @@ import os
 import pytest
 
 from repro.runner import Sweep, run_sweep, write_bench_json
-from repro.runner.points import sensitivity_point
+from repro.runner.points import sensitivity_batch_point
 
 from .common import report_path, run_once
 
@@ -28,15 +28,14 @@ pytestmark = pytest.mark.skipif(
 )
 
 GRID = tuple(
-    {"plc_pec": plc_pec, "waf": waf, "capacity_gb": 64.0,
+    {"plc_pec": plc_pec, "wafs": [1.5, 3.5], "capacity_gb": 64.0,
      "mix": "typical", "days": 365, "workload_seed": 111}
     for plc_pec in (300, 700)
-    for waf in (1.5, 3.5)
 )
 
 
 def _sweep():
-    return Sweep(name="runner-scaling", fn=sensitivity_point, grid=GRID,
+    return Sweep(name="runner-scaling", fn=sensitivity_batch_point, grid=GRID,
                  base_seed=111)
 
 

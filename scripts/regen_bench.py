@@ -5,9 +5,7 @@ Runs the recorded sweeps in one process and writes a single
 
 * ``cli-lifetime`` -- the 4-build lifetime comparison behind
   ``repro lifetime`` (the original baseline entry);
-* ``cli-population-scalar`` -- a 200-device population through the
-  per-device scalar engine, one sweep point per device;
-* ``cli-population-batch`` -- the same 200 devices through the fleet
+* ``cli-population-batch`` -- a 200-device population through the fleet
   layer (sharded, batched, streaming-reduced), as ``repro population``
   runs it;
 * ``fleet-scaling-{1k,10k,100k,1m}`` -- the fleet-of-fleets scaling
@@ -19,8 +17,8 @@ Runs the recorded sweeps in one process and writes a single
 A top-level ``store`` section additionally records the column store's
 size and scan throughput for a cached 10k-device fleet against the
 pickle-per-point counterfactual (one framed pickle per device, the
-scalar engine's cache granularity) -- the ``>= 5x`` smaller claim, as a
-number.
+cache granularity of one sweep point per device) -- the ``>= 5x``
+smaller claim, as a number.
 
 A top-level ``ftl_bench`` section records the page-level FTL's perf
 claims: single-device replay throughput on the bit-exact + scalar-GC
@@ -29,9 +27,8 @@ with an equivalence self-check -- both paths must land identical
 ``FtlStats``), and the first FTL fleet-scaling curve
 (``ftl-scaling-{10,50,200}`` sweeps, devices/s at 90 days each).
 
-The scalar/batch pair records the batching speedup, the scaling rows
-the sharding throughput, as part of the perf trajectory: compare
-``total_wall_s`` across sweeps.
+The scaling rows record the sharding throughput as part of the perf
+trajectory: compare ``total_wall_s`` across sweeps.
 
 Usage::
 
@@ -51,11 +48,7 @@ from repro.runner import Sweep, run_sweep, write_bench_json
 from repro.runner.cache import ResultCache
 from repro.runner.record import frame_record
 from repro.store import ColumnStore
-from repro.runner.points import (
-    DEFAULT_MIX_WEIGHTS,
-    assign_mixes,
-    lifetime_point,
-)
+from repro.runner.points import DEFAULT_MIX_WEIGHTS, lifetime_point
 from repro.sim.baselines import ALL_BUILDERS
 
 POPULATION_USERS = 200
@@ -152,8 +145,8 @@ def ftl_bench(results: list) -> dict:
 def store_bench() -> dict:
     """Column store vs pickle-per-point for a 10k-device fleet.
 
-    The counterfactual is the scalar engine's cache granularity: one
-    framed pickle per device holding that device's observables.  The
+    The counterfactual is one sweep point per device: one framed pickle
+    per device holding that device's observables.  The
     store side is the real artifact a cached fleet run leaves behind
     (``columns.rcs``, compacted), and the scan number is a cold
     off-disk quantile query over every device's wear.
@@ -223,32 +216,16 @@ def main(path: str) -> int:
         mix_weights=DEFAULT_MIX_WEIGHTS,
         shard_size=POPULATION_CHUNK, chunk=POPULATION_CHUNK,
     )
-    scalar_grid = tuple(
-        {"build": "tlc_baseline", "capacity_gb": 64.0, "mix": mix,
-         "days": days,
-         "workload_seed": population_plan.workload_seed_base + u}
-        for u, mix in enumerate(
-            assign_mixes(606, DEFAULT_MIX_WEIGHTS, 0, POPULATION_USERS)
-        )
-    )
-    scalar_sweep = Sweep(name="cli-population-scalar", fn=lifetime_point,
-                         grid=scalar_grid, base_seed=606)
 
     results = []
     outcome = run_sweep(lifetime_sweep, jobs=1)
     results.append(outcome)
     print(f"{lifetime_sweep.name}: {len(outcome.points)} points, "
           f"{outcome.total_wall_s:.2f} s")
-    outcome = run_sweep(scalar_sweep, jobs=1)
-    results.append(outcome)
-    print(f"{scalar_sweep.name}: {len(outcome.points)} points, "
-          f"{outcome.total_wall_s:.2f} s")
 
     fleet = run_fleet(population_plan, jobs=1, name="cli-population-batch")
     results.append(fleet.sweep)
-    print(f"cli-population-batch: {fleet.sweep.total_wall_s:.2f} s")
-    scalar_s, batch_s = results[1].total_wall_s, results[2].total_wall_s
-    print(f"population batching speedup: {scalar_s / batch_s:.1f}x "
+    print(f"cli-population-batch: {fleet.sweep.total_wall_s:.2f} s "
           f"({POPULATION_USERS} devices, {days} days)")
 
     for label, devices, shard_size, chunk in FLEET_SCALING:

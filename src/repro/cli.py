@@ -20,8 +20,7 @@ Commands
     Simulate a device population through the sharded fleet-of-fleets
     layer (batch engine x sweep coordinator) and report the wear
     distribution (E16); scales to millions of devices with
-    shard-bounded memory, and optionally races the per-device scalar
-    engine for an exactness + speedup check.
+    shard-bounded memory.
 ``classify``
     Train the classifiers on a fresh synthetic corpus and report their
     operating points (E9).
@@ -256,28 +255,14 @@ def _cmd_population(args: argparse.Namespace) -> int:
     devices through the batched fleet engine in ``--chunk``-device
     vectorized passes and reduces to a mergeable wear digest, so peak
     memory follows the shard size even at ``--devices 1000000``.
-    ``--compare-scalar`` additionally runs every device through the
-    per-device scalar engine and verifies the sharded wear values match
-    it exactly (exact-mode fleets only).
     """
     import resource
 
-    import numpy as np
-
     from repro.fleet import WEAR_BIN_WIDTH, FleetPlan, run_fleet
-    from repro.runner import Sweep, run_sweep, write_bench_json
-    from repro.runner.points import (
-        DEFAULT_MIX_WEIGHTS,
-        assign_mixes,
-        lifetime_point,
-    )
+    from repro.runner import write_bench_json
 
     days = int(args.years * 365)
     fidelity = getattr(args, "fidelity", "epoch")
-    if args.compare_scalar and fidelity != "epoch":
-        print("--compare-scalar compares against the scalar *epoch* engine; "
-              "it cannot be combined with --fidelity ftl")
-        return 2
     plan = FleetPlan(
         n_devices=args.devices,
         days=days,
@@ -289,10 +274,6 @@ def _cmd_population(args: argparse.Namespace) -> int:
         exact_cap=args.exact_cap,
         fidelity=fidelity,
     )
-    if args.compare_scalar and not plan.exact:
-        print(f"--compare-scalar needs per-device values: raise --exact-cap "
-              f"to at least {plan.n_devices} (currently {plan.exact_cap})")
-        return 2
     fleet = run_fleet(
         plan,
         jobs=args.jobs,
@@ -304,7 +285,6 @@ def _cmd_population(args: argparse.Namespace) -> int:
         durability=args.durability,
     )
     stats = fleet.summary()
-    results = [fleet.sweep]
     # ru_maxrss is KiB on linux
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
@@ -322,31 +302,6 @@ def _cmd_population(args: argparse.Namespace) -> int:
         ["coordinator peak RSS", f"{peak_rss_mb:.0f} MB"],
     ]
 
-    worst = 0.0
-    if args.compare_scalar:
-        wear = np.asarray(fleet.wear_values())
-        mixes = assign_mixes(args.seed, DEFAULT_MIX_WEIGHTS, 0, args.devices)
-        scalar_grid = tuple(
-            {"build": args.build, "capacity_gb": args.capacity_gb, "mix": mix,
-             "days": days, "workload_seed": plan.workload_seed_base + u}
-            for u, mix in enumerate(mixes)
-        )
-        scalar_sweep = Sweep(name="cli-population-scalar", fn=lifetime_point,
-                             grid=scalar_grid, base_seed=args.seed)
-        scalar_outcome = run_sweep(scalar_sweep, jobs=args.jobs,
-                                   cache_dir=args.cache_dir)
-        scalar_wear = np.array(
-            [p.value.final.sys_wear_fraction for p in scalar_outcome.points]
-        )
-        results.append(scalar_outcome)
-        worst = float(np.max(np.abs(scalar_wear - wear))) if len(wear) else 0.0
-        rows += [
-            ["scalar wall time", f"{scalar_outcome.total_wall_s:.2f} s"],
-            ["batch speedup",
-             f"{scalar_outcome.total_wall_s / max(stats['wall_s'], 1e-9):.1f}x"],
-            ["max |scalar - batch| wear", f"{worst:.2e}"],
-        ]
-
     print(format_table(
         ["metric", "value"], rows,
         title=f"{args.devices} x {args.capacity_gb:.0f} GB '{args.build}' "
@@ -362,7 +317,7 @@ def _cmd_population(args: argparse.Namespace) -> int:
         print(f"\nWARNING: result cache degraded ({detail}); "
               "fleet completed read-through")
     if args.bench_json:
-        write_bench_json(args.bench_json, results, notes="repro.cli population")
+        write_bench_json(args.bench_json, [fleet.sweep], notes="repro.cli population")
         print(f"\nwrote per-point timings to {args.bench_json}")
     if fleet.sweep.errors:
         print(f"\n{len(fleet.sweep.errors)} shard(s) failed "
@@ -374,11 +329,6 @@ def _cmd_population(args: argparse.Namespace) -> int:
         return _run_exit_code(
             len(fleet.sweep.points), len(fleet.sweep.errors)
         )
-    # fully-alive TLC fleets are bit-identical; resuscitating builds may
-    # differ by float-reduction order, bounded well under 1e-9
-    if args.compare_scalar and worst > 1e-9:
-        print("\nWARNING: batched wear diverged from the scalar engine")
-        return 1
     return 0
 
 
@@ -945,9 +895,6 @@ def main(argv: list[str] | None = None) -> int:
                    choices=("none", "rename", "fsync"),
                    help="shard cache write durability (see lifetime "
                         "--durability)")
-    p.add_argument("--compare-scalar", action="store_true",
-                   help="also run the per-device scalar engine and verify "
-                        "the sharded wear values match it (exact mode only)")
     p.add_argument("--fidelity", default="epoch", choices=("epoch", "ftl"),
                    help="device simulation fidelity: 'epoch' runs the batched "
                         "lifetime model, 'ftl' replays every device through "

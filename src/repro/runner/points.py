@@ -27,9 +27,7 @@ __all__ = [
     "lifetime_point",
     "split_point",
     "threshold_point",
-    "sensitivity_point",
     "sensitivity_batch_point",
-    "population_point",
     "population_batch_point",
     "population_batch_observables",
     "population_batch_grid",
@@ -139,7 +137,7 @@ def lifetime_point(params: dict, seed: int):
     ``days``, ``workload_seed`` (optional; the derived seed otherwise),
     ``faults`` (optional plain-data :class:`FaultConfig` mapping; omitted
     or all-zero means the exact fault-free run).
-    Returns the :class:`~repro.sim.engine.LifetimeResult`.
+    Returns the :class:`~repro.sim.lifetime.LifetimeResult`.
     """
     from repro.sim.baselines import ALL_BUILDERS
     from repro.sim.engine import run_lifetime
@@ -199,49 +197,6 @@ def threshold_point(params: dict, seed: int):
     return metrics
 
 
-def sensitivity_point(params: dict, seed: int) -> dict:
-    """One (PLC-PEC, WAF) point of the A6 calibration-sensitivity grid.
-
-    params: ``plc_pec``, ``waf``, ``capacity_gb``, ``mix``, ``days``,
-    ``workload_seed``.  The PLC endurance-table override is applied and
-    restored inside the point, so points stay independent no matter
-    which process runs them.
-    """
-    from repro.flash.cell import CellTechnology
-    from repro.flash.reliability import ENDURANCE_TABLE
-    from repro.sim.baselines import build_sos, build_tlc_baseline
-    from repro.sim.engine import run_lifetime
-
-    capacity = params["capacity_gb"]
-    summaries = _summaries(params["mix"], params["days"], params["workload_seed"])
-    original = ENDURANCE_TABLE[CellTechnology.PLC]
-    ENDURANCE_TABLE[CellTechnology.PLC] = dataclasses.replace(
-        original, rated_pec=params["plc_pec"]
-    )
-    try:
-        sos_build = build_sos(capacity)
-        for part in sos_build.device.partitions.values():
-            part.spec = dataclasses.replace(part.spec, waf=params["waf"])
-        result = run_lifetime(sos_build, summaries)
-        tlc = build_tlc_baseline(capacity)
-        capacity_fraction = result.final.capacity_gb / capacity
-        return {
-            "plc_pec": params["plc_pec"],
-            "waf": params["waf"],
-            # usable = acceptable media quality and bounded capacity
-            # loss; §4.3's resuscitation makes capacity shrink the
-            # *designed* response at pessimistic calibrations
-            "usable": result.final.spare_quality >= 0.85
-            and capacity_fraction >= 0.75,
-            "capacity_fraction": capacity_fraction,
-            "sys_wear": result.final.sys_wear_fraction,
-            "quality": result.final.spare_quality,
-            "carbon_ok": sos_build.intensity_kg_per_gb < tlc.intensity_kg_per_gb,
-        }
-    finally:
-        ENDURANCE_TABLE[CellTechnology.PLC] = original
-
-
 def fault_ablation_point(params: dict, seed: int) -> dict:
     """One fault-scale point of the A9 fault-injection ablation.
 
@@ -283,20 +238,6 @@ def fault_ablation_point(params: dict, seed: int) -> dict:
     }
 
 
-def population_point(params: dict, seed: int) -> float:
-    """One user of the E16 population-wear sweep.
-
-    params: ``mix``, ``capacity_gb``, ``days``, ``workload_seed``.
-    Returns the end-of-life SYS wear fraction.
-    """
-    from repro.sim.baselines import build_tlc_baseline
-    from repro.sim.engine import run_lifetime
-
-    summaries = _summaries(params["mix"], params["days"], params["workload_seed"])
-    result = run_lifetime(build_tlc_baseline(params["capacity_gb"]), summaries)
-    return result.final.sys_wear_fraction
-
-
 def _population_batch_results(params: dict, seed: int) -> list:
     """Shared body of the population batch points: one vectorized pass
     over the chunk's devices, returning their ``LifetimeResult``s in
@@ -328,8 +269,7 @@ def _population_batch_results(params: dict, seed: int) -> list:
 def population_batch_point(params: dict, seed: int) -> list[float]:
     """One *chunk* of a device population in a single vectorized pass.
 
-    The batched replacement for per-user :func:`population_point` sweeps:
-    one sweep point simulates ``len(params["mixes"])`` devices through
+    One sweep point simulates ``len(params["mixes"])`` devices through
     :func:`repro.sim.batch.run_lifetime_batch` and returns their
     end-of-life SYS wear fractions in user order.  ``run_sweep`` treats
     the whole batch as one cached point.
@@ -384,10 +324,9 @@ def population_batch_grid(
 
     Per-device identity is a function of the *global* device index
     alone: user ``u`` gets workload seed ``workload_seed_base + u`` and
-    the mix :func:`assign_mixes` derives for index ``u`` -- the same
-    convention as the per-user scalar sweeps, so a batched population
-    reproduces the scalar population's wear values exactly regardless
-    of ``chunk`` (every chunk size slices the identical device list).
+    the mix :func:`assign_mixes` derives for index ``u``, so a population
+    reproduces the same per-device wear values regardless of ``chunk``
+    (every chunk size slices the identical device list).
     Construction is vectorized per chunk; no per-user python-loop rng
     draws, so million-user grids build in milliseconds.
     """
@@ -475,18 +414,22 @@ def ftl_population_point(params: dict, seed: int) -> list[float]:
 
 
 def sensitivity_batch_point(params: dict, seed: int) -> list[dict]:
-    """One PLC-PEC row of the A6 grid: every WAF column in one batch.
+    """One PLC-PEC row of the A6 calibration-sensitivity grid: every WAF
+    column in one batch.
 
-    The endurance-table override is global state, so only devices sharing
-    a ``plc_pec`` can batch together; WAF varies per device (the one
-    spec field :func:`repro.sim.batch.run_lifetime_batch` allows to
-    differ).  Returns one :func:`sensitivity_point`-shaped dict per WAF,
-    in ``params["wafs"]`` order.
+    params: ``plc_pec``, ``wafs``, ``capacity_gb``, ``mix``, ``days``,
+    ``workload_seed``.  The PLC endurance-table override is global state,
+    applied and restored inside the point, so only devices sharing a
+    ``plc_pec`` can batch together; WAF varies per device (the one spec
+    field :func:`repro.sim.batch.run_lifetime_batch` allows to differ).
+    Returns one dict per WAF, in ``params["wafs"]`` order: ``plc_pec``,
+    ``waf``, ``usable``, ``capacity_fraction``, ``sys_wear``,
+    ``quality`` and ``carbon_ok``.
     """
     from repro.flash.cell import CellTechnology
     from repro.flash.reliability import ENDURANCE_TABLE
     from repro.sim.baselines import build_sos, build_tlc_baseline
-    from repro.sim.batch import SummaryBatch, run_lifetime_batch
+    from repro.sim.batch import BatchPartition, SummaryBatch, run_lifetime_batch
 
     capacity = params["capacity_gb"]
     wafs = list(params["wafs"])
@@ -503,8 +446,13 @@ def sensitivity_batch_point(params: dict, seed: int) -> list[dict]:
         builds = []
         for waf in wafs:
             build = build_sos(capacity)
-            for part in build.device.partitions.values():
-                part.spec = dataclasses.replace(part.spec, waf=waf)
+            # a partition's WAF is state, not just spec: a fresh partition
+            # made from the swept spec carries it into the engine
+            partitions = build.device.partitions
+            for name, part in partitions.items():
+                partitions[name] = BatchPartition(
+                    dataclasses.replace(part.spec, waf=waf), 1
+                )
             builds.append(build)
         results = run_lifetime_batch(
             builds, SummaryBatch.from_volume_arrays([volumes] * len(wafs))
@@ -517,6 +465,10 @@ def sensitivity_batch_point(params: dict, seed: int) -> list[dict]:
                 {
                     "plc_pec": params["plc_pec"],
                     "waf": waf,
+                    # usable = acceptable media quality and bounded
+                    # capacity loss; §4.3's resuscitation makes capacity
+                    # shrink the *designed* response at pessimistic
+                    # calibrations
                     "usable": result.final.spare_quality >= 0.85
                     and capacity_fraction >= 0.75,
                     "capacity_fraction": capacity_fraction,

@@ -23,7 +23,8 @@ from repro.carbon.embodied import intensity_kg_per_gb, mixed_intensity_kg_per_gb
 from repro.ecc.policy import POLICIES, ProtectionLevel
 from repro.flash.cell import CellTechnology, native_mode, pseudo_mode
 
-from .lifetime import LifetimeDevice, PartitionSpec
+from .batch import BatchLifetimeDevice, BatchPartition
+from .lifetime import PartitionSpec
 
 __all__ = ["DeviceBuild", "build_tlc_baseline", "build_qlc_baseline", "build_plc_naive", "build_sos", "ALL_BUILDERS"]
 
@@ -33,7 +34,8 @@ class DeviceBuild:
     """A lifetime-model device plus its carbon bookkeeping."""
 
     name: str
-    device: LifetimeDevice
+    #: one-row epoch-engine state; runs update it in place
+    device: BatchLifetimeDevice
     capacity_gb: float
     intensity_kg_per_gb: float
 
@@ -41,6 +43,11 @@ class DeviceBuild:
     def embodied_kg(self) -> float:
         """Total embodied carbon of the device."""
         return self.capacity_gb * self.intensity_kg_per_gb
+
+
+def _device(*specs: PartitionSpec) -> BatchLifetimeDevice:
+    """A fresh one-device epoch-engine state with ``specs``' partitions."""
+    return BatchLifetimeDevice({spec.name: BatchPartition(spec, 1) for spec in specs})
 
 
 def build_tlc_baseline(capacity_gb: float = 64.0) -> DeviceBuild:
@@ -54,7 +61,7 @@ def build_tlc_baseline(capacity_gb: float = 64.0) -> DeviceBuild:
     )
     return DeviceBuild(
         name="tlc_baseline",
-        device=LifetimeDevice([spec]),
+        device=_device(spec),
         capacity_gb=capacity_gb,
         intensity_kg_per_gb=intensity_kg_per_gb(CellTechnology.TLC),
     )
@@ -71,7 +78,7 @@ def build_qlc_baseline(capacity_gb: float = 64.0) -> DeviceBuild:
     )
     return DeviceBuild(
         name="qlc_baseline",
-        device=LifetimeDevice([spec]),
+        device=_device(spec),
         capacity_gb=capacity_gb,
         intensity_kg_per_gb=intensity_kg_per_gb(CellTechnology.QLC),
     )
@@ -93,7 +100,7 @@ def build_plc_naive(capacity_gb: float = 64.0) -> DeviceBuild:
     )
     return DeviceBuild(
         name="plc_naive",
-        device=LifetimeDevice([spec]),
+        device=_device(spec),
         capacity_gb=capacity_gb,
         intensity_kg_per_gb=intensity_kg_per_gb(CellTechnology.PLC),
     )
@@ -132,7 +139,7 @@ def build_sos(
     )
     return DeviceBuild(
         name="sos",
-        device=LifetimeDevice([sys_spec, spare_spec]),
+        device=_device(sys_spec, spare_spec),
         capacity_gb=capacity_gb,
         intensity_kg_per_gb=intensity,
     )

@@ -1,26 +1,61 @@
-"""Batched fleet engine: whole device populations in one vectorized pass.
+"""The epoch engine: device populations stepped one simulated day at a time.
 
-The population experiments (E14 fleet replacement, E16 200-user wear,
-the A6 sensitivity grids) need *many* epoch-model devices, each cheap on
-its own: the per-device cost of :func:`repro.sim.engine.run_lifetime` is
-dominated by interpreter overhead in the daily loop, not by arithmetic.
-This module stacks N devices into one struct-of-arrays state -- every
-per-group array of :class:`repro.sim.lifetime.Partition` gains a leading
-device axis, shape ``(n_devices, n_groups)`` -- and steps the whole
-population through each simulated day as array operations over the
-device axis: write routing, wear accrual, scrub/refresh, the
-retire/resuscitate ladder, delete apportionment, and sampling.
+Every epoch-model lifetime result comes from this module.  The
+population experiments (E14 fleet replacement, E16 200-user wear, the
+A6 sensitivity grids, every fleet shard) step N devices at once, and a
+single device (:func:`repro.sim.engine.run_lifetime`: E3, E11, the
+A1/A2/A9 ablations) is the one-row case of the same code.  Each
+partition keeps one array per block-group field with a leading device
+axis, shape ``(n_devices, n_groups)``, and each simulated day is a
+handful of array operations over that state: write routing, wear
+accrual, scrub/refresh, the retire/resuscitate ladder, delete
+apportionment, and sampling.
 
-Equivalence contract with the scalar engine (pinned by tier-1 tests):
+A device build owns a one-row :class:`BatchLifetimeDevice` made from
+its :class:`~repro.sim.lifetime.PartitionSpec` list.
+:func:`run_lifetime_batch` stacks the builds' rows
+(:meth:`BatchLifetimeDevice.from_devices`), steps the stack, and hands
+each build its final row back (:meth:`BatchPartition.scatter_to`).
+
+Each day's :class:`~repro.workloads.traces.DailySummary` volumes map
+onto the partitions as follows:
+
+* single-partition baselines take everything on ``main``;
+* SOS routes media writes to SPARE (after the classifier demotes them)
+  and everything else to SYS.  The demotion detour -- new data lands on
+  SYS first, the daemon moves media later (§4.4) -- is modelled as the
+  media volume writing *once* to SYS and *once* to SPARE, scaled by the
+  classifier's demotion rate.
+
+Deletion volume keeps utilization stationary; per-day metrics are
+sampled at a configurable cadence.
+
+A precomputed :class:`~repro.faults.plan.FaultPlan` per device can be
+threaded through: infant-mortality deaths retire block groups,
+transient reads exercise the bounded-retry accounting, torn programs
+cost recovery rewrites, and cloud-outage windows defer the scrub pass
+(the epoch model's stand-in for the §4.3 repair path).  Fault days are
+indexed by *position* in the summary list, not the trace's ``day``
+field, so sliced or 1-indexed traces replay the same schedule.  With no
+plan (or an all-zero-rate plan) results are bit-identical to the
+fault-free run.
+
+Equivalence contract with the scalar per-device engine this replaced,
+kept as the test oracle in ``tests/sim/lifetime_oracle.py`` (pinned by
+tier-1 tests):
 
 * integer outputs (retired/resuscitated/refresh counts, fault counters,
-  sampled days) are **exactly** equal;
-* float outputs match within tight relative tolerance.  Elementwise
-  state updates replicate the scalar code's operation order, so fleets
-  whose groups all stay alive and data-holding (the wear-leveled
-  baselines without faults) are bit-identical end to end; once groups
-  retire, masked reductions group additions differently than the scalar
-  engine's compacted reductions and agreement is ~1e-12 relative.
+  sampled days, integer event fields) are **exactly** equal;
+* float outputs match within 1e-9 relative.  Elementwise state updates
+  replicate the oracle's operation order, so fleets whose groups all
+  stay alive and data-holding (the wear-leveled baselines without
+  faults) are bit-identical end to end; once groups retire, masked
+  reductions group additions differently than the oracle's compacted
+  reductions and agreement is ~1e-12 relative.
+
+Divisions run only on the lanes whose result is kept
+(``np.divide(..., where=...)``), so no lane computes 0/0 and numeric
+warnings stay errors.
 
 Devices in one batch must share their build topology (same partitions,
 same specs); only the write-amplification factor ``waf`` may vary per
@@ -30,15 +65,17 @@ populations batch per homogeneous sub-population (see
 
 Observability: one batched pass charges N logical span calls
 (``obs.span(name, calls=N)``) and bumps shared counters by N, so
-metric snapshots from a batched run merge/compare 1:1 against N scalar
-runs (modulo wall times and float histogram totals).  Trace events gain
-a ``device`` index field and are grouped by day rather than by device.
+metric snapshots from a batched run merge/compare 1:1 against N
+one-device runs (modulo wall times and float histogram totals).  Trace
+events carry a ``device`` index field (``0`` for a single device) and
+are grouped by day rather than by device.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -49,14 +86,17 @@ from repro.flash.reliability import endurance_pec
 from repro.obs import get_observer
 from repro.workloads.traces import DailySummary
 
-from .baselines import DeviceBuild
-from .engine import DaySample, LifetimeResult, SimConfig
 from .lifetime import (
     HOT_GROUP_FRACTION,
     WL_WRITE_OVERHEAD,
-    Partition,
+    DaySample,
+    LifetimeResult,
     PartitionSpec,
+    SimConfig,
 )
+
+if TYPE_CHECKING:
+    from .baselines import DeviceBuild
 
 __all__ = [
     "BatchLifetimeDevice",
@@ -135,13 +175,33 @@ class SummaryBatch:
         )
 
 
-class BatchPartition:
-    """N stacked copies of one :class:`Partition`, stepped together.
+#: per-device state of a :class:`BatchPartition`: every attribute's first
+#: axis is the device axis, so stacking rows is one concatenate and
+#: scattering them back one slice per attribute
+_ROW_STATE = (
+    "_capacity",
+    "_pec",
+    "_write_time",
+    "_live",
+    "_retired",
+    "_refreshes",
+    "_mode_idx",
+    "_cold_cursor",
+    "refresh_writes_gb",
+    "retired_count",
+    "resuscitated_count",
+    "_waf",
+)
 
-    State arrays mirror the scalar partition's SoA fields with a leading
-    device axis; per-group operating modes are tracked as indexes into a
+
+class BatchPartition:
+    """One partition of N devices, stepped together.
+
+    Block-group state is one array per field, shape ``(n_devices,
+    n_groups)``; per-group operating modes are tracked as indexes into a
     fixed *mode ladder* (``[spec.mode] + resuscitation candidates``), so
     heterogeneous post-resuscitation populations stay vectorizable.
+    A single device's partition is the ``n_devices=1`` case.
     """
 
     def __init__(
@@ -156,7 +216,7 @@ class BatchPartition:
         self.n_devices = n_devices
         g = spec.n_groups
         per_group = spec.capacity_gb / g
-        # float state stays float64 (the scalar-equivalence contract is
+        # float state stays float64 (the oracle-equivalence contract is
         # bit-level); the integer lanes are tightened -- refresh counts
         # fit int32 and mode indexes fit int8 -- so a shard's per-lane
         # footprint is dominated by the five float64 arrays
@@ -169,7 +229,7 @@ class BatchPartition:
         ladder = [spec.mode]
         for bits in spec.resuscitation_bits:
             if bits >= spec.mode.operating_bits:
-                continue  # scalar engine skips these for every group
+                continue  # never a density drop, for any group
             if any(m.operating_bits == bits for m in ladder):
                 continue
             ladder.append(CellMode(spec.mode.technology, bits))
@@ -191,50 +251,26 @@ class BatchPartition:
             if self._waf.shape != (n_devices,):
                 raise ValueError("waf must have shape (n_devices,)")
 
-    # -- scalar interop ---------------------------------------------------------
+    # -- stacking -----------------------------------------------------------------
 
     @classmethod
-    def from_partitions(cls, partitions: Sequence[Partition]) -> "BatchPartition":
-        """Stack scalar partitions (specs must match except ``waf``)."""
-        if not partitions:
+    def stack(cls, parts: Sequence["BatchPartition"]) -> "BatchPartition":
+        """Concatenate partitions' device rows (specs must match except ``waf``)."""
+        if not parts:
             raise ValueError("at least one partition required")
-        base = partitions[0].spec
+        base = parts[0].spec
         canonical = replace(base, waf=0.0)
-        for p in partitions[1:]:
-            if replace(p.spec, waf=0.0) != canonical:
+        for p in parts[1:]:
+            if p.spec != base and replace(p.spec, waf=0.0) != canonical:
                 raise ValueError(
                     "batched partitions must share their spec (only waf may vary)"
                 )
-        self = cls(
-            base,
-            len(partitions),
-            waf=np.array([p.spec.waf for p in partitions], dtype=float),
-        )
-        states = [p.export_group_state() for p in partitions]
-        self._capacity = np.stack([s["capacity_gb"] for s in states])
-        self._pec = np.stack([s["pec"] for s in states])
-        self._write_time = np.stack([s["write_time"] for s in states])
-        self._live = np.stack([s["live_gb"] for s in states])
-        self._retired = np.stack([s["retired"] for s in states])
-        self._refreshes = np.stack(
-            [s["refreshes"] for s in states]
-        ).astype(np.int32)
-        mode_bits = np.stack([s["mode_bits"] for s in states])
-        self._mode_idx = self._mode_idx_from_bits(mode_bits)
-        self._heterogeneous = bool((self._mode_idx != 0).any())
-        self._cold_cursor = np.array(
-            [p._cold_cursor for p in partitions], dtype=np.int64
-        )
-        self.refresh_writes_gb = np.array(
-            [p.refresh_writes_gb for p in partitions], dtype=float
-        )
-        self.retired_count = np.array(
-            [p.retired_count for p in partitions], dtype=np.int64
-        )
-        self.resuscitated_count = np.array(
-            [p.resuscitated_count for p in partitions], dtype=np.int64
-        )
-        return self
+        out = copy.copy(parts[0])
+        for name in _ROW_STATE:
+            setattr(out, name, np.concatenate([getattr(p, name) for p in parts]))
+        out.n_devices = int(out._pec.shape[0])
+        out._heterogeneous = any(p._heterogeneous for p in parts)
+        return out
 
     def _mode_idx_from_bits(self, mode_bits: np.ndarray) -> np.ndarray:
         """Map per-group operating bits onto mode-ladder indexes."""
@@ -253,12 +289,10 @@ class BatchPartition:
     def export_state(self) -> dict[str, np.ndarray]:
         """Whole-shard state as one dict of stacked arrays.
 
-        The vectorized analogue of per-device
-        :meth:`~repro.sim.lifetime.Partition.export_group_state`: every
-        array keeps its leading device axis, so a shard checkpoints (and
-        a fleet coordinator persists) N devices in one O(arrays) copy
-        instead of N python-level exports.  Round-trips exactly through
-        :meth:`import_state`.
+        Every array keeps its leading device axis, so a shard
+        checkpoints (and a fleet coordinator persists) N devices in one
+        O(arrays) copy.  Round-trips exactly through :meth:`import_state`,
+        which is also how tests stage state on a one-row partition.
         """
         return {
             "capacity_gb": self._capacity.copy(),
@@ -316,26 +350,17 @@ class BatchPartition:
         ).copy()
         self._waf = np.asarray(state["waf"], dtype=float).copy()
 
-    def scatter_to(self, partitions: Sequence[Partition]) -> None:
-        """Write per-device slices back into scalar partitions."""
-        if len(partitions) != self.n_devices:
-            raise ValueError("partition count must match n_devices")
-        for d, part in enumerate(partitions):
-            part.import_group_state(
-                {
-                    "capacity_gb": self._capacity[d],
-                    "pec": self._pec[d],
-                    "write_time": self._write_time[d],
-                    "live_gb": self._live[d],
-                    "retired": self._retired[d],
-                    "refreshes": self._refreshes[d],
-                    "mode_bits": self._ladder_bits[self._mode_idx[d]],
-                }
-            )
-            part._cold_cursor = int(self._cold_cursor[d])
-            part.refresh_writes_gb = float(self.refresh_writes_gb[d])
-            part.retired_count = int(self.retired_count[d])
-            part.resuscitated_count = int(self.resuscitated_count[d])
+    def scatter_to(self, partitions: Sequence["BatchPartition"]) -> None:
+        """Hand each partition its rows back, in :meth:`stack` order."""
+        bounds = np.cumsum([0] + [p.n_devices for p in partitions])
+        if bounds[-1] != self.n_devices:
+            raise ValueError("partition rows must add up to n_devices")
+        state = {name: getattr(self, name).copy() for name in _ROW_STATE}
+        heterogeneous = (self._mode_idx != 0).any(axis=1)
+        for part, start, stop in zip(partitions, bounds[:-1], bounds[1:]):
+            for name, array in state.items():
+                setattr(part, name, array[start:stop])
+            part._heterogeneous = bool(heterogeneous[start:stop].any())
 
     # -- per-device aggregates --------------------------------------------------
 
@@ -353,9 +378,9 @@ class BatchPartition:
         cap = np.where(alive, self._capacity, 0.0)
         total = cap.sum(axis=1)
         weighted = (np.where(alive, self._pec, 0.0) * cap).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = weighted / total
-        return np.where(total == 0.0, 0.0, out)
+        return np.divide(
+            weighted, total, out=np.zeros_like(total), where=total != 0.0
+        )
 
     def wear_used_fraction(self) -> np.ndarray:
         """Mean PEC over rated endurance of the operating mode."""
@@ -369,9 +394,9 @@ class BatchPartition:
         live = np.where(holders, self._live, 0.0)
         total = live.sum(axis=1)
         weighted = (quality * live).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = weighted / total
-        return np.where(total > 0.0, out, 1.0)
+        return np.divide(
+            weighted, total, out=np.ones_like(total), where=total > 0.0
+        )
 
     def expected_uncorrectable(
         self, now: float, page_bits: int = 4096 * 8
@@ -392,24 +417,26 @@ class BatchPartition:
         """Account per-group host+amplified writes where ``mask``.
 
         ``gb`` broadcasts to ``(n_devices, n_groups)``; lanes outside
-        ``mask`` keep their state (their junk arithmetic -- 0/0 on empty
-        groups -- is discarded by the ``where`` writes).  A lane inside
-        ``mask`` whose group is still empty -- a subnormal write's share
-        underflowed to 0.0 -- keeps its write time rather than the 0/0
-        blend, as in :meth:`Partition._absorb`.
+        ``mask`` keep their state.  A lane inside ``mask`` whose group is
+        still empty -- a subnormal write's share underflowed to 0.0 --
+        keeps its write time rather than blending 0/0.
         """
         cap = self._capacity
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inc = gb * waf / cap
-            new_live = np.minimum(cap, self._live + gb)
-            old_weight = np.maximum(0.0, new_live - gb) / new_live
-            blended = old_weight * self._write_time + (1.0 - old_weight) * now
+        inc = np.divide(gb * waf, cap, out=np.zeros_like(cap), where=mask)
+        new_live = np.minimum(cap, self._live + gb)
+        # blend write times: new bytes are written "now"
+        blend = mask & (new_live > 0.0)
+        old_weight = np.divide(
+            np.maximum(0.0, new_live - gb), new_live,
+            out=np.ones_like(new_live), where=blend,
+        )
+        blended = old_weight * self._write_time + (1.0 - old_weight) * now
         self._pec = np.where(mask, self._pec + inc, self._pec)
-        self._write_time = np.where(mask & (new_live > 0.0), blended, self._write_time)
+        self._write_time = np.where(blend, blended, self._write_time)
         self._live = np.where(mask, new_live, self._live)
 
     def host_write(self, gb: np.ndarray, now: float, churn: bool) -> None:
-        """Apply per-device host writes (vectorized ``Partition.host_write``)."""
+        """Apply per-device host writes; churn concentrates on hot groups if WL off."""
         gb = np.asarray(gb, dtype=float)
         alive = ~self._retired
         live_count = alive.sum(axis=1)
@@ -460,8 +487,9 @@ class BatchPartition:
         active = (total > 0.0) & (gb > 0.0)
         if not active.any():
             return
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fraction = np.minimum(1.0, gb / total)
+        fraction = np.minimum(
+            1.0, np.divide(gb, total, out=np.zeros_like(total), where=active)
+        )
         factor = np.where(active, 1.0 - fraction, 1.0)
         self._live = np.where(
             ~self._retired, self._live * factor[:, None], self._live
@@ -541,8 +569,10 @@ class BatchPartition:
         live = np.where(refresh, self._live, 0.0)
         gb = live.sum(axis=1)
         self.refresh_writes_gb += gb
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inc = live * self._waf[:, None] / self._capacity
+        inc = np.divide(
+            live * self._waf[:, None], self._capacity,
+            out=np.zeros_like(live), where=refresh,
+        )
         self._pec = np.where(refresh, self._pec + inc, self._pec)
         self._write_time = np.where(refresh, now, self._write_time)
         self._refreshes += refresh
@@ -611,7 +641,10 @@ class BatchPartition:
 
 
 class BatchLifetimeDevice:
-    """N devices of identical topology stepped day by day in lockstep."""
+    """N devices of identical topology stepped day by day in lockstep.
+
+    A device build's ``device`` is the one-row case.
+    """
 
     def __init__(self, partitions: dict[str, BatchPartition]) -> None:
         if not partitions:
@@ -624,15 +657,17 @@ class BatchLifetimeDevice:
         self.now_years = 0.0
 
     @classmethod
-    def from_devices(cls, devices: Sequence) -> "BatchLifetimeDevice":
-        """Stack scalar :class:`LifetimeDevice` instances."""
+    def from_devices(
+        cls, devices: Sequence["BatchLifetimeDevice"]
+    ) -> "BatchLifetimeDevice":
+        """Stack devices' rows into one batch (one concatenate per field)."""
         names = list(devices[0].partitions)
         for device in devices[1:]:
             if list(device.partitions) != names:
                 raise ValueError("all devices must share partition names/order")
         batch = cls(
             {
-                name: BatchPartition.from_partitions(
+                name: BatchPartition.stack(
                     [device.partitions[name] for device in devices]
                 )
                 for name in names
@@ -672,7 +707,13 @@ class BatchLifetimeDevice:
         writes: dict[str, tuple[np.ndarray, np.ndarray]],
         scrub_allowed: np.ndarray,
     ) -> None:
-        """Advance all devices one day (vectorized ``LifetimeDevice.step_day``)."""
+        """Advance all devices one day.
+
+        ``writes`` maps partition name -> per-device ``(new_gb, churn_gb)``
+        arrays; ``scrub_allowed`` is False for devices whose scrub pass
+        is deferred that day (repair source unreachable).  Scrub and
+        health maintenance follow the writes.
+        """
         dt = 1.0 / 365.0
         self.now_years += dt
         for name, (new_gb, churn_gb) in writes.items():
@@ -690,7 +731,7 @@ def _apply_day_faults_batch(
     position: int,
     d: int,
 ) -> None:
-    """Apply one device's scheduled faults for one day (scalar-sparse)."""
+    """Apply one device's scheduled faults for one day (sparse, per event)."""
     obs = get_observer()
     now = device.now_years
     for target, unit in plan.infant_deaths(position):
@@ -732,12 +773,11 @@ def run_lifetime_batch(
 ) -> list[LifetimeResult]:
     """Run N device builds through their daily workloads in one pass.
 
-    The population analogue of :func:`repro.sim.engine.run_lifetime`:
-    one :class:`LifetimeResult` per build, matching N scalar runs (see
-    the module docstring for the equivalence contract).  Builds must
-    share topology and specs (``waf`` may vary); each build's scalar
-    device is updated in place with its final state, as the scalar
-    engine does.
+    One :class:`LifetimeResult` per build, each the same as that build's
+    own :func:`repro.sim.engine.run_lifetime` (see the module docstring
+    for the contract with the oracle).  Builds must share topology and
+    specs (``waf`` may vary); each build's device is updated in place
+    with its final state.
     """
     config = config or SimConfig()
     if not builds:
@@ -775,29 +815,36 @@ def run_lifetime_batch(
         1 for p in device.partitions.values() if p.spec.scrub_enabled
     )
     n_days = summaries.n_days
+    days = summaries.day.tolist()
+    # (new_gb, churn_gb) per partition for every device and day, routed
+    # up front: each element is the same arithmetic as routing day by day
+    media = summaries.new_media_gb
+    if single:
+        routed = {"main": (media + summaries.new_other_gb, summaries.overwrite_gb)}
+    else:
+        demoted = media * config.media_demotion_rate
+        kept = media - demoted
+        routed = {
+            "sys": (summaries.new_other_gb + kept + demoted, summaries.overwrite_gb),
+            "spare": (demoted, np.zeros_like(demoted)),
+        }
+    everyone = np.ones(n, dtype=bool)
     obs = get_observer()
     with obs.span("engine.run", calls=n):
         for position in range(n_days):
-            media = summaries.new_media_gb[:, position]
-            other = summaries.new_other_gb[:, position]
-            overwrite = summaries.overwrite_gb[:, position]
-            if single:
-                writes = {"main": (media + other, overwrite)}
-            else:
-                demoted = media * config.media_demotion_rate
-                kept = media - demoted
-                sys_new = other + kept + demoted
-                writes = {
-                    "sys": (sys_new, overwrite),
-                    "spare": (demoted, np.zeros_like(demoted)),
-                }
+            day_value = days[position]
+            writes = {
+                name: (new[:, position], churn[:, position])
+                for name, (new, churn) in routed.items()
+            }
             obs.count("engine.days", n)
             if obs.enabled:
                 day_total = sum(new + churn for new, churn in writes.values())
                 for value in day_total:
                     obs.observe("engine.day_write_gb", float(value))
-            scrub_allowed = np.ones(n, dtype=bool)
+            scrub_allowed = everyone
             if has_faults:
+                scrub_allowed = everyone.copy()
                 for d, plan in enumerate(plans):
                     if plan is not None and plan.in_cloud_outage(position):
                         counters = results[d].faults
@@ -807,7 +854,6 @@ def run_lifetime_batch(
                         scrub_allowed[d] = False
             device.step_day(writes, scrub_allowed)
             if has_faults:
-                day_value = int(summaries.day[position])
                 for d, plan in enumerate(plans):
                     if plan is None:
                         continue
@@ -818,7 +864,8 @@ def run_lifetime_batch(
                     assert counters is not None
                     _apply_day_faults_batch(device, plan, counters, position, d)
             # deletions: apportion the day's volume across pressured
-            # partitions by live-data share (same rule as the scalar engine)
+            # partitions by live-data share, so multi-partition builds
+            # delete the same total volume as single-partition ones
             delete = summaries.delete_gb[:, position]
             pressured: dict[str, np.ndarray] = {}
             lives: dict[str, np.ndarray] = {}
@@ -826,9 +873,9 @@ def run_lifetime_batch(
             for name, partition in device.partitions.items():
                 cap = partition.capacity_gb()
                 live = partition.live_data_gb()
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    utilization = live / cap
-                utilization = np.where(cap > 0.0, utilization, 1.0)
+                utilization = np.divide(
+                    live, cap, out=np.ones_like(cap), where=cap > 0.0
+                )
                 mask = utilization > 0.85
                 pressured[name] = mask
                 lives[name] = live
@@ -838,10 +885,10 @@ def run_lifetime_batch(
                 mask = pressured[name] & apply_delete
                 if not mask.any():
                     continue
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    share = delete * lives[name] / live_total
-                partition.host_delete(np.where(mask, share, 0.0))
-            day_value = int(summaries.day[position])
+                partition.host_delete(np.divide(
+                    delete * lives[name], live_total,
+                    out=np.zeros(n), where=mask,
+                ))
             if day_value % config.sample_every_days == 0 or position == n_days - 1:
                 now = device.now_years
                 capacity = device.capacity_gb()
@@ -874,8 +921,7 @@ def run_lifetime_batch(
                             resuscitated_groups=int(resuscitated[d]),
                         )
                     )
-    # mirror the scalar engine's in-place device mutation: each build's
-    # device ends the run holding its final state
+    # each build's device ends the run holding its final state
     for name, partition in device.partitions.items():
         partition.scatter_to([b.device.partitions[name] for b in builds])
     for build in builds:

@@ -1,164 +1,26 @@
-"""Lifetime simulation engine: drive a device build with a workload.
+"""Single-device lifetime runs: the epoch engine's one-device case.
 
-Maps each day's :class:`~repro.workloads.traces.DailySummary` onto the
-device's partitions:
+:func:`run_lifetime` drives one device build through a daily workload
+(E3, E11 and the A1/A2/A9 ablations) by running it as a batch of one
+through :func:`repro.sim.batch.run_lifetime_batch`, the only epoch
+stepping code; write routing, fault plans, deletion and sampling are
+documented there.  Results match the population runs device for device,
+and trace events carry ``device: 0``.
 
-* single-partition baselines take everything on ``main``;
-* SOS routes media writes to SPARE (after the classifier demotes them)
-  and everything else to SYS.  The demotion detour -- new data lands on
-  SYS first, the daemon moves media later (§4.4) -- is modelled as the
-  media volume writing *once* to SYS and *once* to SPARE, scaled by the
-  classifier's demotion rate.
-
-Deletion volume keeps utilization stationary; per-day metrics are
-sampled at a configurable cadence.
-
-A precomputed :class:`~repro.faults.plan.FaultPlan` can be threaded
-through :func:`run_lifetime`: infant-mortality deaths retire block
-groups, transient reads exercise the bounded-retry accounting, torn
-programs cost recovery rewrites, and cloud-outage windows defer the
-scrub pass (the epoch model's stand-in for the §4.3 repair path).  Fault
-days are indexed by *position* in the summary list, not the trace's
-``day`` field, so sliced or 1-indexed traces replay the same schedule.
-With no plan (or an all-zero-rate plan) results are bit-identical to the
-fault-free engine.
+The scalar per-device engine this replaced is the test oracle in
+``tests/sim/lifetime_oracle.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.faults.plan import FaultPlan, FaultSummary
-from repro.obs import get_observer
+from repro.faults.plan import FaultPlan
 from repro.workloads.traces import DailySummary
 
 from .baselines import DeviceBuild
+from .batch import run_lifetime_batch
+from .lifetime import LifetimeResult, SimConfig
 
-__all__ = ["SimConfig", "DaySample", "LifetimeResult", "run_lifetime"]
-
-
-@dataclass(frozen=True, slots=True)
-class SimConfig:
-    """Engine parameters.
-
-    Attributes
-    ----------
-    media_demotion_rate:
-        Fraction of media bytes the classifier demotes to SPARE (SOS
-        only).  The default reflects the measured classifier operating
-        point (~0.8 of media is low-value).
-    sample_every_days:
-        Metric sampling cadence.
-    """
-
-    media_demotion_rate: float = 0.8
-    sample_every_days: int = 30
-
-
-@dataclass(frozen=True, slots=True)
-class DaySample:
-    """Sampled device state at one point in time."""
-
-    day: int
-    years: float
-    capacity_gb: float
-    sys_wear_fraction: float
-    spare_wear_fraction: float
-    spare_quality: float
-    sys_uncorrectable: float
-    retired_groups: int
-    resuscitated_groups: int
-
-
-@dataclass(slots=True)
-class LifetimeResult:
-    """Full output of one lifetime run."""
-
-    build_name: str
-    capacity_gb: float
-    intensity_kg_per_gb: float
-    samples: list[DaySample] = field(default_factory=list)
-    #: structured fault counters; None when the run had no fault plan
-    faults: FaultSummary | None = None
-
-    @property
-    def embodied_kg(self) -> float:
-        """Embodied carbon of the device under test."""
-        return self.capacity_gb * self.intensity_kg_per_gb
-
-    @property
-    def final(self) -> DaySample:
-        """Last sample (end-of-life state)."""
-        if not self.samples:
-            raise ValueError("no samples recorded")
-        return self.samples[-1]
-
-    def survived(self, min_capacity_fraction: float = 0.9, quality_floor: float = 0.8) -> bool:
-        """Did the device end its life usable?
-
-        Usable = capacity above ``min_capacity_fraction`` of the original
-        and (where applicable) SPARE quality above ``quality_floor``.
-        """
-        last = self.final
-        return (
-            last.capacity_gb >= min_capacity_fraction * self.capacity_gb
-            and last.spare_quality >= quality_floor
-        )
-
-
-def _route_writes(
-    build: DeviceBuild, summary: DailySummary, config: SimConfig
-) -> dict[str, tuple[float, float]]:
-    """Split a day's volumes across the build's partitions."""
-    if "main" in build.device.partitions:
-        new = summary.new_media_gb + summary.new_other_gb
-        return {"main": (new, summary.overwrite_gb)}
-    demoted = summary.new_media_gb * config.media_demotion_rate
-    kept = summary.new_media_gb - demoted
-    # demoted media writes SYS first (landing zone), then SPARE
-    sys_new = summary.new_other_gb + kept + demoted
-    return {
-        "sys": (sys_new, summary.overwrite_gb),
-        "spare": (demoted, 0.0),
-    }
-
-
-def _apply_day_faults(
-    device, plan: FaultPlan, summary_counters: FaultSummary, position: int
-) -> None:
-    """Apply one day's scheduled faults to the epoch device."""
-    obs = get_observer()
-    now = device.now_years
-    for target, unit in plan.infant_deaths(position):
-        partition = device.partitions.get(target)
-        if partition is not None and unit < partition.spec.n_groups:
-            if partition.retire_group(unit):
-                summary_counters.infant_deaths += 1
-                obs.event("block_retired", t=now, partition=target, group=int(unit),
-                          reason="infant_mortality")
-    for target, unit, attempts_needed in plan.transient_reads(position):
-        if target not in device.partitions:
-            continue
-        summary_counters.transient_reads += 1
-        retries = min(attempts_needed - 1, plan.config.max_read_retries)
-        summary_counters.read_retry_attempts += retries
-        if attempts_needed - 1 <= plan.config.max_read_retries:
-            summary_counters.reads_recovered += 1
-            obs.event("transient_read", t=now, partition=target, recovered=True,
-                      retries=int(retries))
-        else:
-            # retry budget exhausted: graceful degradation, count and go on
-            summary_counters.reads_unrecovered += 1
-            obs.event("transient_read", t=now, partition=target, recovered=False,
-                      retries=int(retries))
-    for target, unit in plan.torn_programs(position):
-        partition = device.partitions.get(target)
-        if partition is not None and unit < partition.spec.n_groups:
-            rewritten = partition.power_loss_rewrite(unit, device.now_years)
-            summary_counters.torn_programs += 1
-            summary_counters.torn_rewrite_gb += rewritten
-            obs.event("torn_program", t=now, partition=target, group=int(unit),
-                      rewrite_gb=float(rewritten))
+__all__ = ["run_lifetime"]
 
 
 def run_lifetime(
@@ -167,82 +29,8 @@ def run_lifetime(
     config: SimConfig | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> LifetimeResult:
-    """Run a device build through a daily workload, sampling metrics."""
-    config = config or SimConfig()
-    result = LifetimeResult(
-        build_name=build.name,
-        capacity_gb=build.capacity_gb,
-        intensity_kg_per_gb=build.intensity_kg_per_gb,
-        faults=FaultSummary() if fault_plan is not None else None,
-    )
-    device = build.device
-    spare = device.partitions.get("spare")
-    sys_part = device.partitions.get("sys") or device.partitions.get("main")
-    obs = get_observer()
-    with obs.span("engine.run"):
-        for position, summary in enumerate(summaries):
-            writes = _route_writes(build, summary, config)
-            obs.count("engine.days")
-            obs.observe(
-                "engine.day_write_gb",
-                sum(new + churn for new, churn in writes.values()),
-            )
-            scrub_allowed = True
-            if fault_plan is not None:
-                assert result.faults is not None
-                if fault_plan.in_cloud_outage(position):
-                    result.faults.cloud_outage_days += 1
-                    scrub_allowed = False
-                    result.faults.scrubs_deferred += sum(
-                        1 for p in device.partitions.values() if p.spec.scrub_enabled
-                    )
-            device.step_day(writes, scrub_allowed=scrub_allowed)
-            if fault_plan is not None:
-                if not scrub_allowed:
-                    obs.event("cloud_outage_day", t=device.now_years, day=summary.day)
-                _apply_day_faults(device, fault_plan, result.faults, position)
-            # deletions keep the working set stationary: the day's delete
-            # volume is apportioned across pressured partitions by live-data
-            # share, so multi-partition builds delete the same total volume
-            # as single-partition ones
-            pressured = []
-            for partition in device.partitions.values():
-                utilization = (
-                    partition.live_data_gb() / partition.capacity_gb()
-                    if partition.capacity_gb() > 0
-                    else 1.0
-                )
-                if utilization > 0.85:
-                    pressured.append(partition)
-            live_total = sum(p.live_data_gb() for p in pressured)
-            if live_total > 0:
-                for partition in pressured:
-                    partition.host_delete(
-                        summary.delete_gb * partition.live_data_gb() / live_total
-                    )
-            # sample the last summary by position: trace days may be sliced
-            # or 1-indexed, so the day value alone cannot identify the end
-            if summary.day % config.sample_every_days == 0 or position == len(summaries) - 1:
-                assert sys_part is not None
-                result.samples.append(
-                    DaySample(
-                        day=summary.day,
-                        years=device.now_years,
-                        capacity_gb=device.capacity_gb(),
-                        sys_wear_fraction=sys_part.wear_used_fraction(),
-                        spare_wear_fraction=(
-                            spare.wear_used_fraction() if spare else sys_part.wear_used_fraction()
-                        ),
-                        spare_quality=(
-                            spare.mean_quality(device.now_years)
-                            if spare
-                            else sys_part.mean_quality(device.now_years)
-                        ),
-                        sys_uncorrectable=sys_part.expected_uncorrectable(device.now_years),
-                        retired_groups=sum(p.retired_count for p in device.partitions.values()),
-                        resuscitated_groups=sum(
-                            p.resuscitated_count for p in device.partitions.values()
-                        ),
-                    )
-                )
-    return result
+    """Run a device build through a daily workload, sampling metrics.
+
+    The build's device is updated in place with its final state.
+    """
+    return run_lifetime_batch([build], [summaries], config, [fault_plan])[0]

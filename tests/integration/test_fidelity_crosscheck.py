@@ -15,7 +15,8 @@ from repro.flash.block import Block
 from repro.flash.cell import CellTechnology, native_mode
 from repro.flash.error_model import ErrorModel
 from repro.flash.geometry import Geometry
-from repro.sim.lifetime import Partition, PartitionSpec
+from repro.sim.batch import BatchPartition
+from repro.sim.lifetime import PartitionSpec
 
 GEOM = Geometry(page_size_bytes=4096, pages_per_block=16, blocks_per_plane=8,
                 planes_per_die=1, dies=1)
@@ -35,14 +36,15 @@ class TestRberAgreement:
             name="p", mode=mode, protection=POLICIES[ProtectionLevel.NONE],
             capacity_gb=1.0, n_groups=1,
         )
-        partition = Partition(spec)
-        group = partition.groups[0]
-        group.pec = 300
-        group.live_gb = 0.5
-        group.mean_write_time = 0.0
+        partition = BatchPartition(spec, 1)
+        state = partition.export_state()
+        state["pec"][0, 0] = 300
+        state["live_gb"][0, 0] = 0.5
+        state["write_time"][0, 0] = 0.0
+        partition.import_state(state)
 
         assert block.rber_now(0, now_years=1.2) == pytest.approx(
-            group.rber(now=1.2), rel=1e-9
+            partition._rber(now=1.2)[0, 0], rel=1e-9
         )
 
     def test_injected_error_rate_matches_model(self, make_rng):

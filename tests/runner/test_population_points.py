@@ -1,26 +1,37 @@
-"""Batched sweep points reproduce their per-device scalar counterparts.
+"""Batched sweep points reproduce per-device runs of the scalar oracle.
 
-The E16/E14 benches and the CLI ``population`` command moved from
-one-sweep-point-per-device to one-point-per-batched-chunk; these tests
-pin that the move is purely an execution-strategy change: wear values,
-percentiles, and the A6 sensitivity grid are unchanged, and chunk size
-never leaks into results.
+The E16/E14 benches, the A6 grid and the CLI ``population`` command run
+one sweep point per batched chunk; these tests pin that batching is
+purely an execution strategy: wear values, percentiles, and the A6
+sensitivity grid match the per-device scalar oracle
+(``tests/sim/lifetime_oracle.py``), and chunk size never leaks into
+results.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.flash.cell import CellTechnology
+from repro.flash.reliability import ENDURANCE_TABLE
 from repro.runner.points import (
     DEFAULT_MIX_WEIGHTS,
     assign_mixes,
     population_batch_grid,
     population_batch_point,
-    population_point,
     sensitivity_batch_point,
-    sensitivity_point,
 )
+from repro.sim.baselines import build_sos, build_tlc_baseline
+from repro.workloads.mobile import MobileWorkload, WorkloadConfig
+
+# the scalar oracle lives with the epoch-engine tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "sim"))
+import lifetime_oracle as oracle  # noqa: E402
 
 N_USERS = 12
 DAYS = 150
@@ -84,6 +95,10 @@ def _flatten(grid):
     ]
 
 
+def _summaries(mix: str, seed: int):
+    return MobileWorkload(WorkloadConfig(mix=mix, days=DAYS, seed=seed)).daily_summaries()
+
+
 def test_population_batch_matches_scalar_percentiles():
     grid = population_batch_grid(
         N_USERS, DAYS, 64.0, seed=606, mix_weights=DEFAULT_MIX_WEIGHTS, chunk=5
@@ -92,9 +107,9 @@ def test_population_batch_matches_scalar_percentiles():
         [np.asarray(population_batch_point(chunk, 0)) for chunk in grid]
     )
     scalar = np.array([
-        population_point(
-            {"mix": mix, "capacity_gb": 64.0, "days": DAYS, "workload_seed": seed}, 0
-        )
+        oracle.run_lifetime(
+            oracle.oracle_build(build_tlc_baseline(64.0)), _summaries(mix, seed)
+        ).final.sys_wear_fraction
         for mix, seed in _flatten(grid)
     ])
     # TLC populations are bit-identical, so the percentile regression is
@@ -139,6 +154,32 @@ def test_population_batch_point_supports_faults():
     assert faulted != plain  # the plan visibly perturbed the fleet
 
 
+def _oracle_sensitivity(plc_pec: float, waf: float) -> dict:
+    """One A6 point on the scalar oracle: SOS with every partition's spec
+    at ``waf`` under a PLC endurance override, one device at a time."""
+    original = ENDURANCE_TABLE[CellTechnology.PLC]
+    ENDURANCE_TABLE[CellTechnology.PLC] = dataclasses.replace(
+        original, rated_pec=plc_pec
+    )
+    try:
+        build = oracle.oracle_build(build_sos(64.0))
+        for part in build.device.partitions.values():
+            part.spec = dataclasses.replace(part.spec, waf=waf)
+        final = oracle.run_lifetime(build, _summaries("typical", 111)).final
+    finally:
+        ENDURANCE_TABLE[CellTechnology.PLC] = original
+    capacity_fraction = final.capacity_gb / 64.0
+    return {
+        "plc_pec": plc_pec,
+        "waf": waf,
+        "usable": final.spare_quality >= 0.85 and capacity_fraction >= 0.75,
+        "capacity_fraction": capacity_fraction,
+        "sys_wear": final.sys_wear_fraction,
+        "quality": final.spare_quality,
+        "carbon_ok": build.intensity_kg_per_gb < build_tlc_baseline(64.0).intensity_kg_per_gb,
+    }
+
+
 def test_sensitivity_batch_row_matches_scalar_grid():
     base = {"capacity_gb": 64.0, "mix": "typical", "days": DAYS,
             "workload_seed": 111}
@@ -146,10 +187,10 @@ def test_sensitivity_batch_row_matches_scalar_grid():
     for plc_pec in (300, 700):
         row = sensitivity_batch_point({**base, "plc_pec": plc_pec, "wafs": wafs}, 0)
         assert [p["waf"] for p in row] == wafs
+        # the swept WAF reaches the engine: wear differs across the row
+        assert row[0]["sys_wear"] < row[1]["sys_wear"]
         for point in row:
-            scalar = sensitivity_point(
-                {**base, "plc_pec": plc_pec, "waf": point["waf"]}, 0
-            )
+            scalar = _oracle_sensitivity(plc_pec, point["waf"])
             assert point.keys() == scalar.keys()
             for key, value in scalar.items():
                 assert point[key] == pytest.approx(value, rel=1e-9), (plc_pec, key)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.runner import Sweep, derive_seeds, run_sweep
-from repro.runner.points import lifetime_point, population_point
+from repro.runner.points import lifetime_point
 
 #: small but non-trivial lifetime grid (120 days keeps it fast)
 LIFETIME_GRID = tuple(
@@ -59,22 +59,17 @@ class TestDeterminism:
 
     def test_derived_seeds_feed_workloads(self):
         # no workload_seed in params: each point must get its own derived
-        # stream, so different builds on the same grid still see the same
-        # workload (same index ordering) across runs
-        wear = run_sweep(
-            Sweep(name="pop", fn=population_point, base_seed=3, grid=tuple(
-                {"mix": "typical", "capacity_gb": 64.0, "days": 90,
-                 "workload_seed": 1000 + u} for u in range(3)
-            )),
-            jobs=2,
-        ).values()
-        assert wear == run_sweep(
-            Sweep(name="pop", fn=population_point, base_seed=3, grid=tuple(
-                {"mix": "typical", "capacity_gb": 64.0, "days": 90,
-                 "workload_seed": 1000 + u} for u in range(3)
-            )),
-            jobs=1,
-        ).values()
+        # stream, the same one serial or parallel
+        sweep = Sweep(name="pop", fn=lifetime_point, base_seed=3, grid=tuple(
+            {"build": "tlc_baseline", "mix": "typical", "capacity_gb": 64.0,
+             "days": 90} for _ in range(3)
+        ))
+        wear = [r.final.sys_wear_fraction for r in run_sweep(sweep, jobs=2).values()]
+        assert wear == [
+            r.final.sys_wear_fraction for r in run_sweep(sweep, jobs=1).values()
+        ]
+        # identical params, distinct derived seeds: distinct workloads
+        assert len(set(wear)) == 3
 
 
 class TestCaching:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.sim.baselines import (
@@ -10,7 +11,8 @@ from repro.sim.baselines import (
     build_sos,
     build_tlc_baseline,
 )
-from repro.sim.engine import SimConfig, run_lifetime
+from repro.sim.engine import run_lifetime
+from repro.sim.lifetime import LifetimeResult, SimConfig
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
 from repro.workloads.traces import DailySummary
 
@@ -42,8 +44,8 @@ class TestBuilds:
 
     def test_sos_spare_wl_disabled(self):
         build = build_sos()
-        assert not build.device.partition("spare").spec.wear_leveling
-        assert build.device.partition("sys").spec.wear_leveling
+        assert not build.device.partitions["spare"].spec.wear_leveling
+        assert build.device.partitions["sys"].spec.wear_leveling
 
 
 class TestEngine:
@@ -93,8 +95,6 @@ class TestEngine:
         assert high.final.spare_wear_fraction > low.final.spare_wear_fraction
 
     def test_final_raises_without_samples(self):
-        from repro.sim.engine import LifetimeResult
-
         result = LifetimeResult(build_name="x", capacity_gb=1.0, intensity_kg_per_gb=0.1)
         with pytest.raises(ValueError):
             _ = result.final
@@ -106,9 +106,16 @@ def _delete_only_day(day: int, delete_gb: float) -> DailySummary:
 
 
 def _fill(partition, fraction: float) -> None:
-    for group in partition.live_groups():
-        group.live_gb = group.capacity_gb * fraction
-        group.mean_write_time = 0.0
+    """Stage live groups ``fraction`` full of data written at t=0."""
+    state = partition.export_state()
+    alive = ~state["retired"]
+    state["live_gb"] = np.where(alive, state["capacity_gb"] * fraction, state["live_gb"])
+    state["write_time"] = np.where(alive, 0.0, state["write_time"])
+    partition.import_state(state)
+
+
+def _live(partition) -> float:
+    return float(partition.live_data_gb()[0])
 
 
 class TestDeleteAccounting:
@@ -118,44 +125,44 @@ class TestDeleteAccounting:
 
     def test_single_partition_deletes_exactly_the_summary_volume(self):
         build = build_tlc_baseline(64.0)
-        partition = build.device.partition("main")
+        partition = build.device.partitions["main"]
         _fill(partition, 0.9)
-        before = partition.live_data_gb()
+        before = _live(partition)
         run_lifetime(build, [_delete_only_day(0, 5.0)])
-        assert before - partition.live_data_gb() == pytest.approx(5.0)
+        assert before - _live(partition) == pytest.approx(5.0)
 
     def test_two_pressured_partitions_delete_the_volume_once_total(self):
         build = build_sos(64.0)
         for name in ("sys", "spare"):
-            _fill(build.device.partition(name), 0.9)
-        before = sum(p.live_data_gb() for p in build.device.partitions.values())
+            _fill(build.device.partitions[name], 0.9)
+        before = sum(_live(p) for p in build.device.partitions.values())
         run_lifetime(build, [_delete_only_day(0, 5.0)])
-        after = sum(p.live_data_gb() for p in build.device.partitions.values())
+        after = sum(_live(p) for p in build.device.partitions.values())
         # the old per-partition loop removed 5 GB from EACH partition
         assert before - after == pytest.approx(5.0)
 
     def test_apportionment_follows_live_data_share(self):
         build = build_sos(64.0)
-        sys_part = build.device.partition("sys")
-        spare = build.device.partition("spare")
+        sys_part = build.device.partitions["sys"]
+        spare = build.device.partitions["spare"]
         _fill(sys_part, 0.9)
         _fill(spare, 0.95)
-        sys_before = sys_part.live_data_gb()
-        spare_before = spare.live_data_gb()
+        sys_before = _live(sys_part)
+        spare_before = _live(spare)
         run_lifetime(build, [_delete_only_day(0, 4.0)])
         sys_share = sys_before / (sys_before + spare_before)
-        assert sys_before - sys_part.live_data_gb() == pytest.approx(4.0 * sys_share)
-        assert spare_before - spare.live_data_gb() == pytest.approx(
+        assert sys_before - _live(sys_part) == pytest.approx(4.0 * sys_share)
+        assert spare_before - _live(spare) == pytest.approx(
             4.0 * (1 - sys_share)
         )
 
     def test_unpressured_partitions_keep_their_data(self):
         build = build_sos(64.0)
-        _fill(build.device.partition("sys"), 0.9)
-        _fill(build.device.partition("spare"), 0.2)  # below the 0.85 trigger
-        spare_before = build.device.partition("spare").live_data_gb()
+        _fill(build.device.partitions["sys"], 0.9)
+        _fill(build.device.partitions["spare"], 0.2)  # below the 0.85 trigger
+        spare_before = _live(build.device.partitions["spare"])
         run_lifetime(build, [_delete_only_day(0, 5.0)])
-        assert build.device.partition("spare").live_data_gb() == pytest.approx(
+        assert _live(build.device.partitions["spare"]) == pytest.approx(
             spare_before
         )
 

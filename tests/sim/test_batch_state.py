@@ -1,19 +1,23 @@
-"""Whole-shard state export/import on the batched fleet engine.
+"""Whole-shard state export/import, stacking and scattering on the
+epoch engine.
 
 The fleet layer checkpoints shards as stacked arrays; these tests pin
 that the roundtrip is lossless (continuing from imported state is
 bit-identical to never exporting), that the tightened integer lanes
-(int32 refreshes, int8 mode indexes) survive, and that malformed state
-is rejected instead of silently reshaped.
+(int32 refreshes, int8 mode indexes) survive, that builds' one-row
+devices stack into a batch and scatter back row for row, and that
+malformed state is rejected instead of silently reshaped.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.sim.baselines import build_sos, build_tlc_baseline
-from repro.sim.batch import BatchLifetimeDevice
+from repro.sim.batch import BatchLifetimeDevice, BatchPartition
 
 N = 4
 
@@ -118,3 +122,58 @@ def test_device_import_rejects_mismatched_partitions():
     state["partitions"] = {"nope": next(iter(state["partitions"].values()))}
     with pytest.raises(ValueError, match="partitions"):
         batch.import_state(state)
+
+
+
+def _with_waf(device, waf):
+    """A fresh device whose partitions run at ``waf`` (the A6 sweep axis)."""
+    for name, partition in device.partitions.items():
+        device.partitions[name] = BatchPartition(
+            dataclasses.replace(partition.spec, waf=waf), 1
+        )
+    return device
+
+
+def test_stack_and_scatter_round_trip_rows():
+    """Builds' one-row devices stack into one batch, each row keeping its
+    own WAF and modes, and ``scatter_to`` hands every row back unchanged."""
+    devices = [
+        _with_waf(build_sos(32.0).device, 1.5),
+        build_sos(32.0).device,
+        _with_waf(build_sos(32.0).device, 3.5),
+    ]
+    _step_days(devices[1], 40)
+    spare = devices[1].partitions["spare"]
+    state = spare.export_state()
+    state["mode_bits"][0, 4] = 3  # one resuscitated group
+    spare.import_state(state)
+    rows = [
+        {name: p.export_state() for name, p in device.partitions.items()}
+        for device in devices
+    ]
+    batch = BatchLifetimeDevice.from_devices(devices)
+    assert batch.n_devices == 3
+    assert batch.partitions["spare"]._heterogeneous
+    for name, partition in batch.partitions.items():
+        assert list(partition.export_state()["waf"]) == [1.5, 2.5, 3.5]
+        for field, array in partition.export_state().items():
+            expected = np.concatenate([row[name][field] for row in rows])
+            assert np.array_equal(array, expected), (name, field)
+    fresh = [build_sos(32.0).device for _ in range(3)]
+    for name, partition in batch.partitions.items():
+        partition.scatter_to([device.partitions[name] for device in fresh])
+    for device, row in zip(fresh, rows):
+        for name, partition in device.partitions.items():
+            assert partition.n_devices == 1
+            for field, array in partition.export_state().items():
+                assert np.array_equal(array, row[name][field]), (name, field)
+    assert [d.partitions["spare"]._heterogeneous for d in fresh] == [False, True, False]
+
+
+def test_stack_rejects_mismatched_specs():
+    parts = [build_sos(32.0).device.partitions["spare"],
+             build_sos(64.0).device.partitions["spare"]]
+    with pytest.raises(ValueError, match="share their spec"):
+        BatchPartition.stack(parts)
+    with pytest.raises(ValueError, match="add up"):
+        parts[0].scatter_to(parts)

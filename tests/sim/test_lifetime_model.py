@@ -1,13 +1,24 @@
-"""Epoch lifetime model: wear accounting, maintenance, WL policies."""
+"""Epoch lifetime model: wear accounting, maintenance, WL policies.
+
+Each test drives a one-device production partition
+(``BatchPartition(spec, 1)``) and stages block-group state through
+``export_state``/``import_state``.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.ecc.policy import POLICIES, ProtectionLevel
 from repro.flash.cell import CellTechnology, native_mode
+from repro.flash.error_model import ErrorModel, cached_error_model
 from repro.flash.reliability import endurance_pec
-from repro.sim.lifetime import LifetimeDevice, Partition, PartitionSpec
+from repro.sim.batch import BatchLifetimeDevice, BatchPartition
+from repro.sim.lifetime import PartitionSpec
+
+#: scrub allowed on the one device
+ALLOWED = np.ones(1, dtype=bool)
 
 
 def make_spec(**overrides) -> PartitionSpec:
@@ -22,135 +33,170 @@ def make_spec(**overrides) -> PartitionSpec:
     return PartitionSpec(**defaults)
 
 
+def make_partition(**overrides) -> BatchPartition:
+    return BatchPartition(make_spec(**overrides), 1)
+
+
+def write(partition: BatchPartition, gb: float, now: float, churn: bool) -> None:
+    partition.host_write(np.array([gb]), now, churn=churn)
+
+
+def groups(partition: BatchPartition, field: str) -> np.ndarray:
+    """One per-group state field of the partition's device."""
+    return partition.export_state()[field][0]
+
+
+def stage(partition: BatchPartition, field: str, index, value) -> None:
+    """Set one per-group field on some groups, through ``import_state``."""
+    state = partition.export_state()
+    state[field][0, index] = value
+    partition.import_state(state)
+
+
+def live_pecs(partition: BatchPartition) -> np.ndarray:
+    return groups(partition, "pec")[~groups(partition, "retired")]
+
+
+def worst_rber(partition: BatchPartition, now: float) -> float:
+    holders = ~groups(partition, "retired") & (groups(partition, "live_gb") > 0)
+    return float(partition._rber(now)[0][holders].max())
+
+
 class TestWearAccounting:
     def test_writes_raise_mean_pec_by_waf_over_capacity(self):
-        partition = Partition(make_spec(waf=2.0, wear_leveling=True))
-        partition.host_write(64.0, now=0.1, churn=False)  # one full device write
+        partition = make_partition(waf=2.0, wear_leveling=True)
+        write(partition, 64.0, now=0.1, churn=False)  # one full device write
         # WL adds 10% overhead: 64 GB * 2.0 * 1.1 / 64 GB = 2.2 cycles
-        assert partition.mean_pec() == pytest.approx(2.2, rel=1e-6)
+        assert partition.mean_pec()[0] == pytest.approx(2.2, rel=1e-6)
 
     def test_wl_spreads_wear_evenly(self):
-        partition = Partition(make_spec(wear_leveling=True))
+        partition = make_partition(wear_leveling=True)
         for day in range(50):
-            partition.host_write(5.0, now=day / 365, churn=True)
-        pecs = [g.pec for g in partition.live_groups()]
+            write(partition, 5.0, now=day / 365, churn=True)
+        pecs = live_pecs(partition)
         assert max(pecs) - min(pecs) < 1e-9
 
     def test_no_wl_concentrates_churn_on_hot_groups(self):
-        partition = Partition(make_spec(wear_leveling=False))
+        partition = make_partition(wear_leveling=False)
         for day in range(50):
-            partition.host_write(5.0, now=day / 365, churn=True)
-        pecs = sorted(g.pec for g in partition.live_groups())
+            write(partition, 5.0, now=day / 365, churn=True)
+        pecs = sorted(live_pecs(partition))
         assert pecs[-1] > 10 * (pecs[0] + 1e-12)
 
     def test_no_wl_total_wear_is_lower(self):
         """Disabling WL avoids the leveling write overhead (§4.3)."""
-        wl = Partition(make_spec(wear_leveling=True))
-        nowl = Partition(make_spec(wear_leveling=False))
+        wl = make_partition(wear_leveling=True)
+        nowl = make_partition(wear_leveling=False)
         for day in range(50):
-            wl.host_write(5.0, now=day / 365, churn=True)
-            nowl.host_write(5.0, now=day / 365, churn=True)
-        total_wl = sum(g.pec * g.capacity_gb for g in wl.groups)
-        total_nowl = sum(g.pec * g.capacity_gb for g in nowl.groups)
+            write(wl, 5.0, now=day / 365, churn=True)
+            write(nowl, 5.0, now=day / 365, churn=True)
+        total_wl = (groups(wl, "pec") * groups(wl, "capacity_gb")).sum()
+        total_nowl = (groups(nowl, "pec") * groups(nowl, "capacity_gb")).sum()
         assert total_nowl < total_wl
 
     def test_wear_used_fraction(self):
-        partition = Partition(make_spec(waf=1.0, wear_leveling=False))
+        partition = make_partition(waf=1.0, wear_leveling=False)
         rated = endurance_pec(native_mode(CellTechnology.PLC))
         # new-data appends round robin: each group gets equal share
         for _ in range(20):
-            partition.host_write(64.0 / 20, now=0.0, churn=False)
-        assert partition.wear_used_fraction() == pytest.approx(1.0 / rated, rel=0.01)
+            write(partition, 64.0 / 20, now=0.0, churn=False)
+        assert partition.wear_used_fraction()[0] == pytest.approx(1.0 / rated, rel=0.01)
 
 
 class TestDataAging:
     def test_unwritten_group_has_zero_age(self):
-        partition = Partition(make_spec())
-        assert partition.groups[0].data_age(now=5.0) == 0.0
+        partition = make_partition()
+        # an empty group's RBER is that of fresh data, however late
+        assert np.array_equal(partition._rber(5.0), partition._rber(0.0))
 
     def test_age_advances_without_writes(self):
-        partition = Partition(make_spec(wear_leveling=False))
-        partition.host_write(3.0, now=0.0, churn=False)
-        holder = next(g for g in partition.groups if g.live_gb > 0)
-        assert holder.data_age(now=2.0) == pytest.approx(2.0)
+        partition = make_partition(wear_leveling=False)
+        write(partition, 3.0, now=0.0, churn=False)
+        holder = int(np.flatnonzero(groups(partition, "live_gb") > 0)[0])
+        assert groups(partition, "write_time")[holder] == 0.0
+        model = cached_error_model(partition.spec.mode)
+        pec = groups(partition, "pec")[holder]
+        assert partition._rber(2.0)[0, holder] == pytest.approx(
+            model.rber(pec=pec, years_since_write=2.0), rel=1e-12
+        )
 
     def test_new_writes_blend_age_down(self):
-        partition = Partition(make_spec(wear_leveling=False, n_groups=1))
-        partition.host_write(3.0, now=0.0, churn=False)
-        partition.host_write(3.0, now=2.0, churn=False)
-        group = partition.groups[0]
-        assert 0.0 < group.data_age(now=2.0) < 2.0
+        partition = make_partition(wear_leveling=False, n_groups=1)
+        write(partition, 3.0, now=0.0, churn=False)
+        write(partition, 3.0, now=2.0, churn=False)
+        age = 2.0 - groups(partition, "write_time")[0]
+        assert 0.0 < age < 2.0
 
     def test_rber_grows_with_group_age(self):
-        partition = Partition(make_spec(wear_leveling=False))
-        partition.host_write(3.0, now=0.0, churn=False)
-        early = partition.worst_group_rber(now=0.1)
-        late = partition.worst_group_rber(now=2.0)
+        partition = make_partition(wear_leveling=False)
+        write(partition, 3.0, now=0.0, churn=False)
+        early = worst_rber(partition, now=0.1)
+        late = worst_rber(partition, now=2.0)
         assert late > early
 
 
 class TestMaintenance:
     def test_scrub_refreshes_endangered_groups(self):
-        spec = make_spec(
+        partition = make_partition(
             protection=POLICIES[ProtectionLevel.NONE],
             scrub_enabled=True,
             scrub_quality_floor=0.95,
             wear_leveling=False,
             max_rber=1.0,  # disable retirement for this test
         )
-        partition = Partition(spec)
-        partition.host_write(10.0, now=0.0, churn=False)
+        write(partition, 10.0, now=0.0, churn=False)
         # age until the quality forecast violates the floor
-        partition.maintain(now=3.0)
-        refreshed = [g for g in partition.groups if g.refreshes > 0]
-        assert refreshed
-        assert partition.refresh_writes_gb > 0
-        assert all(g.data_age(3.0) == 0.0 for g in refreshed)
+        partition.maintain(now=3.0, scrub_allowed=ALLOWED)
+        refreshed = groups(partition, "refreshes") > 0
+        assert refreshed.any()
+        assert partition.refresh_writes_gb[0] > 0
+        # refreshed data is fresh again
+        assert (groups(partition, "write_time")[refreshed] == 3.0).all()
 
     def test_health_check_retires_hopeless_groups(self):
-        spec = make_spec(max_rber=4e-4, resuscitation_bits=())
-        partition = Partition(spec)
-        for group in partition.groups[:3]:
-            group.pec = 1e6
-        partition.maintain(now=1.0)
-        assert partition.retired_count == 3
-        assert partition.capacity_gb() == pytest.approx(64.0 * 17 / 20)
+        partition = make_partition(max_rber=4e-4, resuscitation_bits=())
+        stage(partition, "pec", slice(0, 3), 1e6)
+        partition.maintain(now=1.0, scrub_allowed=ALLOWED)
+        assert partition.retired_count[0] == 3
+        assert partition.capacity_gb()[0] == pytest.approx(64.0 * 17 / 20)
 
     def test_health_check_resuscitates_with_ladder(self):
         """§4.3: worn PLC groups drop to pseudo-TLC, shrinking capacity
         by 2/5 instead of retiring outright."""
-        from repro.flash.error_model import ErrorModel
-
-        spec = make_spec(max_rber=4e-4, resuscitation_bits=(3, 1))
-        partition = Partition(spec)
+        partition = make_partition(max_rber=4e-4, resuscitation_bits=(3, 1))
         worn = ErrorModel(native_mode(CellTechnology.PLC)).pec_for_rber(4e-4, 1.0) + 30
-        partition.groups[0].pec = worn
-        partition.maintain(now=1.0)
-        assert partition.resuscitated_count == 1
-        assert partition.groups[0].mode.operating_bits == 3
-        assert partition.groups[0].capacity_gb == pytest.approx(64.0 / 20 * 3 / 5)
+        stage(partition, "pec", 0, worn)
+        partition.maintain(now=1.0, scrub_allowed=ALLOWED)
+        assert partition.resuscitated_count[0] == 1
+        assert groups(partition, "mode_bits")[0] == 3
+        assert groups(partition, "capacity_gb")[0] == pytest.approx(64.0 / 20 * 3 / 5)
 
     def test_delete_shrinks_live_data(self):
-        partition = Partition(make_spec())
-        partition.host_write(10.0, now=0.0, churn=False)
-        partition.host_delete(4.0)
-        assert partition.live_data_gb() == pytest.approx(6.0)
+        partition = make_partition()
+        write(partition, 10.0, now=0.0, churn=False)
+        partition.host_delete(np.array([4.0]))
+        assert partition.live_data_gb()[0] == pytest.approx(6.0)
 
 
 class TestDevice:
     def test_step_day_advances_time(self):
-        device = LifetimeDevice([make_spec()])
-        device.step_day({"main": (1.0, 0.5)})
+        device = BatchLifetimeDevice({"main": make_partition()})
+        device.step_day({"main": (np.array([1.0]), np.array([0.5]))}, ALLOWED)
         assert device.now_years == pytest.approx(1 / 365)
 
     def test_empty_partition_list_rejected(self):
         with pytest.raises(ValueError):
-            LifetimeDevice([])
+            BatchLifetimeDevice({})
 
     def test_multi_partition_routing(self):
-        sys_spec = make_spec(name="sys", capacity_gb=32.0)
-        spare_spec = make_spec(name="spare", capacity_gb=32.0, wear_leveling=False)
-        device = LifetimeDevice([sys_spec, spare_spec])
-        device.step_day({"sys": (2.0, 1.0), "spare": (1.0, 0.0)})
-        assert device.partition("sys").mean_pec() > 0
-        assert device.partition("spare").mean_pec() > 0
+        device = BatchLifetimeDevice({
+            "sys": make_partition(name="sys", capacity_gb=32.0),
+            "spare": make_partition(name="spare", capacity_gb=32.0, wear_leveling=False),
+        })
+        device.step_day(
+            {"sys": (np.array([2.0]), np.array([1.0])),
+             "spare": (np.array([1.0]), np.array([0.0]))},
+            ALLOWED,
+        )
+        assert device.partitions["sys"].mean_pec()[0] > 0
+        assert device.partitions["spare"].mean_pec()[0] > 0

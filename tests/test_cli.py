@@ -107,14 +107,6 @@ class TestFtlFidelity:
         assert "6 (2 shard(s) of <= 3, chunk 3)" in out
         assert "median wear" in out
 
-    def test_compare_scalar_rejects_ftl_fidelity(self, capsys):
-        code = main([
-            "population", "--fidelity", "ftl", "--compare-scalar",
-            "--devices", "4", "--years", "0.1",
-        ])
-        assert code == 2
-        assert "cannot be combined" in capsys.readouterr().out
-
 
 class TestExitCodes:
     """The 0 ok / 1 partial / 2 failed ladder scripts and CI gate on."""
