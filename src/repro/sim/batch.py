@@ -204,12 +204,7 @@ class BatchPartition:
     A single device's partition is the ``n_devices=1`` case.
     """
 
-    def __init__(
-        self,
-        spec: PartitionSpec,
-        n_devices: int,
-        waf: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, spec: PartitionSpec, n_devices: int) -> None:
         if n_devices <= 0:
             raise ValueError("n_devices must be positive")
         self.spec = spec
@@ -244,12 +239,7 @@ class BatchPartition:
         self.refresh_writes_gb = np.zeros(n_devices, dtype=float)
         self.retired_count = np.zeros(n_devices, dtype=np.int64)
         self.resuscitated_count = np.zeros(n_devices, dtype=np.int64)
-        if waf is None:
-            self._waf = np.full(n_devices, spec.waf, dtype=float)
-        else:
-            self._waf = np.asarray(waf, dtype=float).copy()
-            if self._waf.shape != (n_devices,):
-                raise ValueError("waf must have shape (n_devices,)")
+        self._waf = np.full(n_devices, spec.waf, dtype=float)
 
     # -- stacking -----------------------------------------------------------------
 

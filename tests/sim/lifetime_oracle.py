@@ -564,11 +564,8 @@ def from_partitions(partitions: Sequence[Partition]) -> BatchPartition:
             raise ValueError(
                 "batched partitions must share their spec (only waf may vary)"
             )
-    self = BatchPartition(
-        base,
-        len(partitions),
-        waf=np.array([p.spec.waf for p in partitions], dtype=float),
-    )
+    self = BatchPartition(base, len(partitions))
+    self._waf = np.array([p.spec.waf for p in partitions], dtype=float)
     states = [p.export_group_state() for p in partitions]
     self._capacity = np.stack([s["capacity_gb"] for s in states])
     self._pec = np.stack([s["pec"] for s in states])
