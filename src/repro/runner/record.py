@@ -14,10 +14,20 @@ The frame closes that hole -- every persisted record is::
 so a reader *detects* damage (wrong magic, short/long file, checksum
 mismatch) instead of deserializing it.  CRC32C (Castagnoli) detects
 every single-bit flip and every burst up to 32 bits -- the torn-write
-and bit-rot shapes the chaos suite injects -- and the hardware-backed
-``crc32c`` package is used when present, with a table-driven software
-fallback otherwise (records here are small: digests and point values,
-not data pages).
+and bit-rot shapes the chaos suite injects.  The result cache frames
+pickles with it and the column store frames every block, index and
+header of a store file (blocks of up to about 1 MiB), so it runs over
+real data volumes.
+
+The hardware-backed ``crc32c`` wheel is used when it is installed.
+Without it, the checksum is computed with numpy arrays.  The CRC
+register is linear over GF(2) in its start value and in the data, so
+each byte contributes a fixed word: byte ``i`` of a 1024-byte chunk
+contributes row ``1023-i`` of a ``(1024, 256)`` uint32 shift table,
+built on first use (1 MiB).  The contributions are gathered and
+XOR-reduced per chunk, and the chunk values are folded together with
+rows of the same table.  The classic one-byte-at-a-time table loop
+lives in the tests, as the oracle this must match bit for bit.
 
 :func:`unframe_record` raises :class:`RecordError` with a machine-
 readable ``reason`` tag; callers quarantine on it, they never guess.
@@ -25,7 +35,10 @@ readable ``reason`` tag; callers quarantine on it, they never guess.
 
 from __future__ import annotations
 
+import functools
 import struct
+
+import numpy as np
 
 __all__ = [
     "HEADER_SIZE",
@@ -55,35 +68,82 @@ class RecordError(ValueError):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
-def _make_table() -> list[int]:
-    # reflected Castagnoli polynomial, the iSCSI/ext4 metadata CRC
-    poly = 0x82F63B78
-    table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-        table.append(crc)
-    return table
+#: reflected Castagnoli polynomial, the iSCSI/ext4 metadata CRC
+_POLY = 0x82F63B78
 
+#: bytes per chunk of the array fallback, and rows of its shift table
+_CHUNK = 1024
+
+#: chunks gathered at once: the gather's temporaries (12 bytes per data
+#: byte) stay under 1 MiB whatever the record size
+_SLAB = 64
 
 try:  # hardware/SIMD implementation when the wheel is available
     from crc32c import crc32c as _crc32c_native  # type: ignore[import-not-found]
 except ImportError:
     _crc32c_native = None
 
-_TABLE = _make_table() if _crc32c_native is None else None
+
+@functools.cache
+def _shift_table() -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """The array fallback's tables, built on first use.
+
+    Returns ``(flat, offsets, fold)``.  ``flat`` is the ``(_CHUNK, 256)``
+    uint32 table, raveled: row ``k``, column ``b`` is the register left
+    by feeding byte ``b`` and then ``k`` zero bytes to a zero register,
+    so row 0 is the classic byte table.  ``offsets[i]`` is where the row
+    of chunk position ``i`` (row ``_CHUNK-1-i``) starts in ``flat``.
+    ``fold`` holds the last four rows as lists: a register advanced over
+    a whole chunk is the XOR of its four bytes looked up in them.
+    """
+    byte_crc = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        byte_crc = np.where(
+            byte_crc & 1, (byte_crc >> 1) ^ np.uint32(_POLY), byte_crc >> 1
+        )
+    table = np.empty((_CHUNK, 256), dtype=np.uint32)
+    table[0] = byte_crc
+    for k in range(1, _CHUNK):
+        prev = table[k - 1]
+        table[k] = (prev >> 8) ^ byte_crc[prev & 0xFF]
+    offsets = np.arange(_CHUNK - 1, -1, -1, dtype=np.intp) * 256
+    fold = [table[_CHUNK - 1 - j].tolist() for j in range(4)]
+    flat = table.ravel()
+    flat.flags.writeable = False
+    return flat, offsets, fold
+
+
+def _crc32c_arrays(data: bytes, crc: int) -> int:
+    """The numpy fallback of :func:`crc32c` (see the module docstring)."""
+    flat, offsets, (fold0, fold1, fold2, fold3) = _shift_table()
+    n = len(data)
+    register = crc ^ 0xFFFFFFFF
+    # XOR the start register into the first (up to) four data bytes:
+    # the run then starts from a zero register, so zero bytes in front
+    # of it change nothing and it can be padded to whole chunks.  Data
+    # shorter than the register only shifts the register's other bytes.
+    head = min(n, 4)
+    first = int.from_bytes(data[:head], "little") ^ (register & ((1 << 8 * head) - 1))
+    padded = b"".join(
+        (bytes(-n % _CHUNK), first.to_bytes(head, "little"), memoryview(data)[head:])
+    )
+    chunks = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _CHUNK)
+    state = 0
+    for start in range(0, len(chunks), _SLAB):
+        words = flat[offsets + chunks[start:start + _SLAB]]
+        for value in np.bitwise_xor.reduce(words, axis=1).tolist():
+            state = (
+                fold0[state & 0xFF] ^ fold1[(state >> 8) & 0xFF]
+                ^ fold2[(state >> 16) & 0xFF] ^ fold3[state >> 24] ^ value
+            )
+    return state ^ (register >> 8 * n) ^ 0xFFFFFFFF
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
     """CRC32C (Castagnoli) of ``data``, continuing from ``crc``."""
     if _crc32c_native is not None:
         return _crc32c_native(data, crc)
-    crc ^= 0xFFFFFFFF
-    table = _TABLE
-    for byte in data:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    return _crc32c_arrays(data, crc)
 
 
 def frame_record(payload: bytes) -> bytes:

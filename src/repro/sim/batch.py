@@ -477,8 +477,10 @@ class BatchPartition:
         active = (total > 0.0) & (gb > 0.0)
         if not active.any():
             return
-        fraction = np.minimum(
-            1.0, np.divide(gb, total, out=np.zeros_like(total), where=active)
+        # min(gb, total) / total, not min(1, gb / total): a subnormal
+        # total would overflow the ratio
+        fraction = np.divide(
+            np.minimum(gb, total), total, out=np.zeros_like(total), where=active
         )
         factor = np.where(active, 1.0 - fraction, 1.0)
         self._live = np.where(

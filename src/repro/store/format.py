@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import lzma
+import math
 import struct
 import zlib
 from typing import BinaryIO
@@ -290,8 +291,7 @@ def unpack_array(data: bytes, dtype: str, shape) -> np.ndarray:
         raise StoreError("unsupported-dtype", f"{dtype!r}: {err}")
     if dt.kind not in _SUPPORTED_KINDS:
         raise StoreError("unsupported-dtype", f"{dtype!r} (kind {dt.kind!r})")
-    shape = tuple(int(dim) for dim in shape)
-    expected = dt.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dt.itemsize
+    expected = dt.itemsize * math.prod(shape)
     if len(data) != expected:
         raise StoreError(
             "bad-column",

@@ -75,7 +75,8 @@ _LOG = logging.getLogger("repro.store")
 
 import zlib as _zlib
 
-#: decompressed block bodies kept hot for scans (tiny: blocks are ~1 MiB)
+#: decompressed blocks, with their parsed TOCs, kept hot for reads and
+#: scans (tiny: blocks are ~1 MiB)
 _BLOCK_CACHE_SLOTS = 4
 
 #: subdirectory (beside the store file) quarantined damage is moved to
@@ -187,7 +188,8 @@ class ColumnStore:
         self.corrupt_blocks = 0
         #: block frames appended since open
         self.appends = 0
-        self._block_cache: OrderedDict[int, bytes] = OrderedDict()
+        #: block ordinal -> (toc, data_start, body) of recently read blocks
+        self._block_cache: OrderedDict[int, tuple[dict, int, bytes]] = OrderedDict()
         self._broken = False
         if self.path.exists():
             self._load()
@@ -268,20 +270,22 @@ class ColumnStore:
             raise StoreError("bad-index", "footer does not name a terminal index frame")
         import json
 
-        index = json.loads(_zlib.decompress(payload))
-        self._blocks = [int(off) for off in index["blocks"]]
-        entries: dict[str, dict[str, _Entry]] = {}
-        for key, cols in index["entries"].items():
-            entries[key] = {
-                name: _Entry(
-                    block=int(spec[0]),
-                    offset=int(spec[1]),
-                    nbytes=int(spec[2]),
-                    dtype=str(spec[3]),
-                    shape=tuple(int(dim) for dim in spec[4]),
-                )
-                for name, spec in cols.items()
+        # the frame CRC vouches for the bytes, not for the writer: a
+        # malformed index is damage, answered by the recovery scan
+        try:
+            index = json.loads(_zlib.decompress(payload))
+            blocks = [int(off) for off in index["blocks"]]
+            entries = {
+                key: {
+                    name: _Entry(block, offset, nbytes, dtype, tuple(shape))
+                    for name, (block, offset, nbytes, dtype, shape) in cols.items()
+                }
+                for key, cols in index["entries"].items()
             }
+        except (_zlib.error, AttributeError, KeyError, IndexError, TypeError,
+                ValueError) as err:
+            raise StoreError("bad-index", f"malformed index: {err!r}")
+        self._blocks = blocks
         self._index = entries
         self._data_end = index_offset
 
@@ -551,7 +555,7 @@ class ColumnStore:
         if entry.block == -1:
             _, _, data, dtype, shape = self._pending[entry.offset]
             return unpack_array(data, dtype, shape)
-        data_start, body = self._block_body(entry.block)
+        _, data_start, body = self._block(entry.block)
         lo = data_start + entry.offset
         hi = lo + entry.nbytes
         if hi > len(body):
@@ -562,30 +566,34 @@ class ColumnStore:
             )
         return unpack_array(body[lo:hi], entry.dtype, entry.shape)
 
-    def _block_body(self, ordinal: int) -> tuple[int, bytes]:
-        """Decompressed body of one block (LRU-cached) + its data offset."""
+    def _block(self, ordinal: int) -> tuple[dict, int, bytes]:
+        """``(toc, data_start, body)`` of one block, LRU-cached.
+
+        A block is read, CRC-checked, decompressed and its TOC parsed
+        once per read from disk; only a block that passed all of that is
+        cached, so a damaged one is counted and raised on every access.
+        """
         cached = self._block_cache.get(ordinal)
         if cached is not None:
             self._block_cache.move_to_end(ordinal)
-            body = cached
-        else:
-            offset = self._blocks[ordinal]
-            size = self.path.stat().st_size
-            try:
-                with open(self.path, "rb") as fh:
-                    tag, payload, _ = read_frame(fh, offset, size)
-                if tag != TAG_BLOCK:
-                    raise StoreError("bad-block", f"frame at {offset} tagged {tag!r}")
-                body = decompress(self.codec, payload)
-            except StoreError:
-                self.corrupt_blocks += 1
-                get_observer().count("store.block_corrupt")
-                raise
-            self._block_cache[ordinal] = body
-            while len(self._block_cache) > _BLOCK_CACHE_SLOTS:
-                self._block_cache.popitem(last=False)
-        _, data_start = unpack_block_body(body)
-        return data_start, body
+            return cached
+        offset = self._blocks[ordinal]
+        size = self.path.stat().st_size
+        try:
+            with open(self.path, "rb") as fh:
+                tag, payload, _ = read_frame(fh, offset, size)
+            if tag != TAG_BLOCK:
+                raise StoreError("bad-block", f"frame at {offset} tagged {tag!r}")
+            body = decompress(self.codec, payload)
+            toc, data_start = unpack_block_body(body)
+        except StoreError:
+            self.corrupt_blocks += 1
+            get_observer().count("store.block_corrupt")
+            raise
+        block = self._block_cache[ordinal] = (toc, data_start, body)
+        while len(self._block_cache) > _BLOCK_CACHE_SLOTS:
+            self._block_cache.popitem(last=False)
+        return block
 
     def scan(self, columns=None) -> Iterator[tuple[str, str, np.ndarray]]:
         """Stream live ``(key, column, array)`` triples block by block.
@@ -602,12 +610,11 @@ class ColumnStore:
         wanted = None if columns is None else set(columns)
         for ordinal in range(len(self._blocks)):
             try:
-                data_start, body = self._block_body(ordinal)
+                toc, data_start, body = self._block(ordinal)
             except StoreError:
                 if self._block_is_live(ordinal):
                     raise
                 continue
-            toc, _ = unpack_block_body(body)
             for item in toc["entries"]:
                 key, name = str(item["key"]), str(item["column"])
                 if wanted is not None and name not in wanted:

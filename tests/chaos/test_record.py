@@ -6,24 +6,52 @@ the exact original payload (impossible for CRC32C over <2^31 bits to
 miss a one-byte change -- but the property allows it) or raises
 ``RecordError``.  What must never happen is a *different* payload
 coming back without an error.
+
+The checksum itself is pinned to the one-byte-at-a-time table loop in
+``crc_oracle.py``, bit for bit, at the lengths where the array form
+changes shape: shorter than the register, at and around whole chunks,
+and across a slab of chunks.
 """
 
 from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
+from crc_oracle import crc32c as oracle_crc32c
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runner.record import (
+    _CHUNK,
+    _SLAB,
     HEADER_SIZE,
     MAGIC,
     RecordError,
+    _crc32c_arrays,
     crc32c,
     frame_record,
     unframe_record,
 )
+
+#: record lengths: shorter than the 4-byte register; whole chunks, and
+#: one byte either side, up to and across the end of the first slab of
+#: chunks; several chunks plus a remainder, within and past one slab
+_LENGTHS = st.one_of(
+    st.integers(0, 3),
+    st.builds(
+        lambda chunks, delta: chunks * _CHUNK + delta,
+        st.sampled_from([1, 2, 3, _SLAB, _SLAB + 1]), st.sampled_from([-1, 0, 1]),
+    ),
+    st.builds(
+        lambda chunks, rest: chunks * _CHUNK + rest,
+        st.sampled_from([2, 5, _SLAB + 2]), st.integers(2, _CHUNK - 2),
+    ),
+)
+
+#: continuation values: the two extremes, and anything
+_CONTINUATIONS = st.one_of(st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 2**32 - 1))
 
 
 class TestCrc32c:
@@ -40,6 +68,15 @@ class TestCrc32c:
         for i in range(0, len(data), 7):
             running = crc32c(data[i:i + 7], running)
         assert running == crc32c(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_LENGTHS, st.integers(0, 2**32 - 1), _CONTINUATIONS)
+    def test_matches_the_table_loop_oracle(self, length, seed, crc):
+        # random bytes from a seed: hypothesis caps the bytes it draws
+        data = np.random.default_rng(seed).bytes(length)
+        want = oracle_crc32c(data, crc)
+        assert crc32c(data, crc) == want
+        assert _crc32c_arrays(data, crc) == want  # also where the wheel runs
 
 
 class TestFraming:

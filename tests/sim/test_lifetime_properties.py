@@ -60,6 +60,7 @@ def worst_rber(partition: BatchPartition, now: float) -> float:
 
 
 @given(days=write_days, wl=st.booleans())
+@example(days=[(5e-324, 0.0, 1.0)], wl=False)  # delete more than a subnormal total
 @settings(max_examples=60, deadline=None)
 def test_partition_invariants_hold_under_any_traffic(days, wl):
     """Capacity, live data, and wear invariants under arbitrary traffic."""

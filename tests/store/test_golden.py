@@ -93,9 +93,6 @@ def test_fixture_contains_a_superseded_entry():
 
 
 def _all_toc_entries(store):
-    from repro.store.format import unpack_block_body
-
     for ordinal in range(len(store._blocks)):
-        _, body = store._block_body(ordinal)
-        toc, _ = unpack_block_body(body)
+        toc, _, _ = store._block(ordinal)
         yield from toc["entries"]

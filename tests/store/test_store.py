@@ -13,12 +13,25 @@ each pinned on small stores:
 
 from __future__ import annotations
 
+import json
 import os
+import zlib
 
 import numpy as np
 import pytest
 
+import repro.store.store as store_module
+from repro.obs import observed
 from repro.store import CODECS, ColumnStore, StoreError
+from repro.store.format import (
+    TAG_BLOCK,
+    TAG_INDEX,
+    canon_json,
+    compress,
+    frame,
+    pack_footer,
+    read_frame,
+)
 
 ARRS = {
     "wear": np.linspace(0.0, 1.5, 17),
@@ -226,6 +239,57 @@ class TestDamage:
         with pytest.raises(StoreError):
             list(live_damaged.scan())
 
+    def test_malformed_block_toc_counts_as_corrupt_and_is_not_cached(self, path):
+        """A block frame whose CRC holds but whose TOC does not parse is
+        damage like a CRC failure: counted on every access, never cached."""
+        store = ColumnStore(path, codec="none", block_bytes=1)
+        store.put("k", {"x": np.arange(8.0)})
+        store.close()
+        start = store._blocks[0]
+        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            tag, body, end = read_frame(fh, start, len(raw))
+        assert tag == TAG_BLOCK
+        bad = body.replace(b'"entries"', b'"entriez"', 1)  # same length
+        path.write_bytes(raw[:start] + frame(TAG_BLOCK, compress("none", bad)) + raw[end:])
+        again = ColumnStore(path, mode="read")
+        assert not again.recovered  # the footer index still names the block
+        with observed() as obs:
+            for _ in range(2):
+                with pytest.raises(StoreError) as exc:
+                    again.get("k")
+                assert exc.value.reason == "bad-block"
+        assert again.corrupt_blocks == 2
+        assert obs.registry.snapshot()["counters"]["store.block_corrupt"] == 2
+        assert not again._block_cache
+
+    def test_malformed_footer_index_falls_back_to_recovery_scan(self, path):
+        """A CRC-valid index with a short entry is damage, not a crash:
+        the open rebuilds the index from the block TOCs."""
+        store = ColumnStore(path, block_bytes=1)
+        store.put("k", ARRS)
+        store.close()
+        raw = path.read_bytes()
+        index_offset = store._data_end
+        with open(path, "rb") as fh:
+            _, payload, _ = read_frame(fh, index_offset, len(raw))
+        index = json.loads(zlib.decompress(payload))
+        index["entries"]["k"]["wear"] = index["entries"]["k"]["wear"][:4]
+        path.write_bytes(
+            raw[:index_offset]
+            + frame(TAG_INDEX, zlib.compress(canon_json(index), 6))
+            + pack_footer(index_offset)
+        )
+        again = ColumnStore(path, mode="read")
+        assert again.recovered
+        _assert_same(again.get("k"), ARRS)
+        # the result cache opens its store in append mode: that quarantines
+        # the bad index and footer, and keeps serving the key
+        owner = ColumnStore(path)
+        assert owner.recovered and owner.tail_quarantined_bytes > 0
+        assert path.stat().st_size == index_offset
+        _assert_same(owner.get("k"), ARRS)
+
     def test_verify_clean_store_is_empty(self, path):
         store = ColumnStore(path, block_bytes=1)
         store.put("k", ARRS)
@@ -328,6 +392,48 @@ class TestCompact:
         assert report["dropped_entries"] == 1
         assert again.keys() == ["a"]
         assert ColumnStore(path, mode="read").verify() == []
+
+
+class TestBlockReads:
+    @pytest.mark.parametrize("block_bytes", [1 << 20, 4096])
+    def test_each_block_toc_is_parsed_once_per_read_from_disk(
+        self, path, monkeypatch, block_bytes
+    ):
+        """A warm compacted store parses a block's TOC when it reads the
+        block from disk, never again per entry or per key: the cost of a
+        resume stays linear in keys x columns."""
+        rng = np.random.default_rng(0)
+        columns = [f"c{j}" for j in range(6)]
+        writer = ColumnStore(path, block_bytes=block_bytes)
+        for i in range(100):
+            writer.put(f"k{i:03d}", {name: rng.random(10) for name in columns})
+        writer.compact()
+        counts = {"parses": 0, "block_reads": 0}
+        real_parse, real_read = store_module.unpack_block_body, store_module.read_frame
+
+        def parse(body):
+            counts["parses"] += 1
+            return real_parse(body)
+
+        def read(fh, offset, size):
+            tag, payload, end = real_read(fh, offset, size)
+            counts["block_reads"] += tag == TAG_BLOCK
+            return tag, payload, end
+
+        monkeypatch.setattr(store_module, "unpack_block_body", parse)
+        monkeypatch.setattr(store_module, "read_frame", read)
+        store = ColumnStore(path)
+        blocks = len(store._blocks)
+        for key in store.keys():
+            assert sorted(store.get(key)) == columns
+        for name in columns:
+            assert store.column_values(name).size == 1000
+        assert store.compact()["keys"] == 100
+        assert counts["parses"] == counts["block_reads"]
+        if blocks == 1:
+            assert counts["parses"] == 1
+        else:  # a scan of more blocks than the cache holds re-reads them
+            assert counts["parses"] <= (2 + len(columns)) * blocks
 
 
 class TestValidation:
