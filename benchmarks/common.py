@@ -12,7 +12,7 @@ import os
 
 from repro.analysis.claims import ClaimCheck, claims_table
 
-__all__ = ["report", "report_path", "run_once", "runner_jobs"]
+__all__ = ["report", "run_once", "runner_jobs"]
 
 
 def runner_jobs(default: int = 1) -> int:
@@ -23,11 +23,6 @@ def runner_jobs(default: int = 1) -> int:
     way -- the runner derives per-point seeds from point indices).
     """
     return int(os.environ.get("REPRO_JOBS", default))
-
-
-def report_path(name: str) -> str:
-    """Repo-root path for a benchmark artifact (e.g. BENCH_runner.json)."""
-    return os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), name)
 
 
 def report(title: str, body: str, checks: list[ClaimCheck]) -> None:

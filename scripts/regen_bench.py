@@ -8,6 +8,10 @@ Runs the recorded sweeps in one process and writes a single
 * ``cli-population-batch`` -- a 200-device population through the fleet
   layer (sharded, batched, streaming-reduced), as ``repro population``
   runs it;
+* ``runner-scaling`` (twice: ``jobs=1``, then ``jobs=2``) -- the small
+  A6-style sensitivity grid that ``benchmarks/test_bench_runner_scaling.py``
+  checks, serial vs fanned out; the regeneration aborts unless both
+  runs return identical points;
 * ``fleet-scaling-{1k,10k,100k,1m}`` -- the fleet-of-fleets scaling
   curve: 1k to 1M devices at 90 days each, sharded per the recipe in
   EXPERIMENTS.md.  Memory stays shard-bounded throughout (the 1M run is
@@ -48,12 +52,23 @@ from repro.runner import Sweep, run_sweep, write_bench_json
 from repro.runner.cache import ResultCache
 from repro.runner.record import frame_record
 from repro.store import ColumnStore
-from repro.runner.points import DEFAULT_MIX_WEIGHTS, lifetime_point
+from repro.runner.points import (
+    DEFAULT_MIX_WEIGHTS,
+    lifetime_point,
+    sensitivity_batch_point,
+)
 from repro.sim.baselines import ALL_BUILDERS
 
 POPULATION_USERS = 200
 POPULATION_YEARS = 2.5
 POPULATION_CHUNK = 50
+
+#: the runner-scaling grid: one batched A6 row per PLC-PEC point
+RUNNER_SCALING_GRID = tuple(
+    {"plc_pec": plc_pec, "wafs": [1.5, 3.5], "capacity_gb": 64.0,
+     "mix": "typical", "days": 365, "workload_seed": 111}
+    for plc_pec in (300, 700)
+)
 
 #: the 1k -> 1M scaling curve: (label, devices, shard_size, chunk).
 #: Shard sizes keep each sweep at <= 20 cache/restart units; chunk is
@@ -78,6 +93,23 @@ FTL_SCALING = (
     ("ftl-scaling-50", 50, 25, 25),
     ("ftl-scaling-200", 200, 50, 50),
 )
+
+
+def runner_scaling(results: list) -> None:
+    """The runner-scaling grid serially, then with ``jobs=2``.
+
+    The fan-out is only worth timing if it is also correct: the two
+    runs must return identical points or the regeneration aborts.
+    """
+    sweep = Sweep(name="runner-scaling", fn=sensitivity_batch_point,
+                  grid=RUNNER_SCALING_GRID, base_seed=111)
+    serial = run_sweep(sweep, jobs=1)
+    parallel = run_sweep(sweep, jobs=2)
+    if serial.values() != parallel.values():
+        raise AssertionError("parallel sweep diverged from serial")
+    results += [serial, parallel]
+    print(f"runner-scaling: serial {serial.total_wall_s:.2f} s vs jobs=2 "
+          f"{parallel.total_wall_s:.2f} s")
 
 
 def ftl_bench(results: list) -> dict:
@@ -227,6 +259,8 @@ def main(path: str) -> int:
     results.append(fleet.sweep)
     print(f"cli-population-batch: {fleet.sweep.total_wall_s:.2f} s "
           f"({POPULATION_USERS} devices, {days} days)")
+
+    runner_scaling(results)
 
     for label, devices, shard_size, chunk in FLEET_SCALING:
         plan = FleetPlan(n_devices=devices, days=FLEET_DAYS,

@@ -11,6 +11,8 @@ the same result regardless of grouping or order:
   bin counts merge element-wise; arbitrary split/merge orders preserve
   every bin count exactly (integer addition is associative and
   commutative, which is what makes parallel sweep rollups deterministic).
+  Float totals are summed exactly and rounded once per merge, so one
+  merge of a set of snapshots is the same in any order.
 
 Span timings (wall seconds per named phase) ride along in the snapshot
 under ``"spans"``; their call counts are deterministic but their wall
@@ -21,6 +23,7 @@ used when comparing serial and parallel runs.
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
 
 __all__ = [
     "Counter",
@@ -206,14 +209,14 @@ def _merge_into(merged: dict, snapshot: dict) -> None:
                 "bounds": list(hist["bounds"]),
                 "counts": list(hist["counts"]),
                 "count": hist["count"],
-                "total": hist["total"],
+                "total": Fraction(hist["total"]),
             }
             continue
         if seen["bounds"] != list(hist["bounds"]):
             raise ValueError(f"histogram '{name}' merged with mismatched bounds")
         seen["counts"] = [a + b for a, b in zip(seen["counts"], hist["counts"])]
         seen["count"] += hist["count"]
-        seen["total"] += hist["total"]
+        seen["total"] += Fraction(hist["total"])
     for name, span in snapshot.get("spans", {}).items():
         seen = merged["spans"].get(name)
         if seen is None:
@@ -230,7 +233,8 @@ def _sorted_snapshot(merged: dict) -> dict:
         "counters": dict(sorted(merged["counters"].items())),
         "gauges": dict(sorted(merged["gauges"].items())),
         "histograms": {
-            k: {**v, "bounds": list(v["bounds"]), "counts": list(v["counts"])}
+            k: {**v, "bounds": list(v["bounds"]), "counts": list(v["counts"]),
+                "total": float(v["total"])}
             for k, v in sorted(merged["histograms"].items())
         },
         "spans": {k: dict(v) for k, v in sorted(merged["spans"].items())},

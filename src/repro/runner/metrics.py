@@ -2,8 +2,8 @@
 
 ``BENCH_runner.json`` is the repo's recorded perf trajectory for the
 sweep runner: per-point compute wall times plus enough host context
-(CPU count, python version) to interpret them.  The scaling smoke
-benchmark and the CLI both emit it through :func:`write_bench_json`.
+(CPU count, python version) to interpret them.  ``scripts/regen_bench.py``
+and the CLI's ``--bench-json`` both emit it through :func:`write_bench_json`.
 
 A record is honest about *how* a sweep ran, not just how long: cache
 hits vs fresh computes, retry attempts absorbed per point, structured

@@ -244,6 +244,7 @@ def _population_batch_results(params: dict, seed: int) -> list:
     user order (see :func:`population_batch_point` for the params)."""
     from repro.sim.baselines import ALL_BUILDERS
     from repro.sim.batch import SummaryBatch, run_lifetime_batch
+    from repro.sim.lifetime import SimConfig
 
     days = params["days"]
     builder = ALL_BUILDERS[params.get("build", "tlc_baseline")]
@@ -261,8 +262,12 @@ def _population_batch_results(params: dict, seed: int) -> list:
             _fault_plan(build, params["faults"], days, ws)
             for build, ws in zip(builds, seeds)
         ]
+    # callers read only each result's ``.final``: sampling every ``days``
+    # days takes day 0 and the last day, and skips the 30-day samples'
+    # RBER and ECC passes over every group of the chunk
     return run_lifetime_batch(
-        builds, SummaryBatch.from_volume_arrays(volumes), fault_plans=plans
+        builds, SummaryBatch.from_volume_arrays(volumes),
+        config=SimConfig(sample_every_days=days), fault_plans=plans,
     )
 
 

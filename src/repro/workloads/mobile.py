@@ -13,16 +13,38 @@ consumes a low-single-digit percentage of rated endurance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.host.files import FileKind, MEDIA_KINDS
 
-from .apps import APP_PROFILES, USER_MIXES, AppProfile
+from .apps import APP_PROFILES, USER_MIXES
 from .traces import DailySummary, OpKind, TraceOp
 
 __all__ = ["WorkloadConfig", "MobileWorkload"]
+
+
+@functools.cache
+def _mix_table(mix: str) -> np.ndarray:
+    """Per-app coefficients of ``mix`` as a read-only ``(5, apps, 1)``
+    array, apps in mix order: write MB/day, overwrite share, media share,
+    non-media share and read MB/day, each volume scaled by the app's
+    activity factor."""
+    rows = []
+    for app_name, factor in USER_MIXES[mix].items():
+        profile = APP_PROFILES[app_name]
+        rows.append((
+            profile.write_mb_per_day * factor,
+            profile.overwrite_fraction,
+            profile.media_fraction,
+            1.0 - profile.media_fraction,
+            profile.read_mb_per_day * factor,
+        ))
+    table = np.array(rows).T[:, :, None]
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,87 +85,60 @@ class MobileWorkload:
         if self.config.mix not in USER_MIXES:
             raise ValueError(f"unknown user mix {self.config.mix!r}")
         self._rng = np.random.default_rng(self.config.seed)
-        self._mix = USER_MIXES[self.config.mix]
 
     # -- epoch-level ---------------------------------------------------------
 
     def daily_summaries(self) -> list[DailySummary]:
-        """Per-day aggregate volumes over the configured span."""
-        out = []
-        for day in range(self.config.days):
-            media = other = overwrite = read = 0.0
-            for app_name, factor in self._mix.items():
-                profile = APP_PROFILES[app_name]
-                vol_mb = self._day_volume_mb(profile, factor)
-                ow = vol_mb * profile.overwrite_fraction
-                fresh = vol_mb - ow
-                media += fresh * profile.media_fraction
-                other += fresh * (1.0 - profile.media_fraction)
-                overwrite += ow
-                read += self._day_read_mb(profile, factor)
-            delete = (media + other) * self.config.delete_fraction
-            out.append(
-                DailySummary(
-                    day=day,
-                    new_media_gb=media / 1024.0,
-                    new_other_gb=other / 1024.0,
-                    overwrite_gb=overwrite / 1024.0,
-                    read_gb=read / 1024.0,
-                    delete_gb=delete / 1024.0,
-                )
-            )
-        return out
+        """Per-day aggregate volumes over the configured span: the rows of
+        :meth:`daily_volume_arrays`, consuming the same RNG state."""
+        arrays = self.daily_volume_arrays()
+        columns = [arrays[field.name].tolist() for field in fields(DailySummary)]
+        return [DailySummary(*row) for row in zip(*columns)]
 
     def daily_volume_arrays(self) -> dict[str, np.ndarray]:
-        """Vectorized :meth:`daily_summaries`: one array per volume field.
+        """Per-day aggregate volumes as one array per field.
 
         Returns ``{"day", "new_media_gb", "new_other_gb", "overwrite_gb",
-        "read_gb", "delete_gb"}``, each of shape ``(days,)``, bit-identical
-        to the scalar generator's per-day values.  Identity holds because
-        ``Generator.lognormal(size=k)`` consumes the bit stream exactly
-        like ``k`` scalar draws, the scalar loop draws per (day, app) in
-        (write, read) order -- the C-order ravel of a ``(days, apps, 2)``
-        block -- and the per-app accumulation below preserves the scalar
-        loop's addition order elementwise.
+        "read_gb", "delete_gb"}``, each of shape ``(days,)``.  Every
+        (day, app) pair draws a write and then a read jitter, in day
+        order and the mix's app order -- the C-order ravel of a
+        ``(days, apps, 2)`` block, which ``Generator.lognormal(size=...)``
+        consumes exactly like as many scalar draws.  Each day's per-app
+        terms, scaled by :func:`_mix_table`'s coefficients, are summed in
+        app order, so the values are bit-identical to the per-(day, app)
+        scalar loop kept as the test oracle in
+        ``tests/workloads/test_workloads.py``.
 
-        Consumes the same RNG state as :meth:`daily_summaries`; use a
-        fresh workload instance per call, as the batched lifetime path
-        does (one instance per simulated device).
+        Consumes the workload's RNG; use a fresh workload instance per
+        call, as the batched lifetime path does (one instance per
+        simulated device).
         """
         days = self.config.days
-        apps = list(self._mix.items())
+        write, overwrite_share, media_share, other_share, read = _mix_table(
+            self.config.mix
+        )
+        # (2, apps, days): the transpose of the draw order
         jitter = self._rng.lognormal(0.0, self.config.daily_jitter_sigma,
-                                     size=(days, len(apps), 2))
-        media = np.zeros(days)
-        other = np.zeros(days)
-        overwrite = np.zeros(days)
-        read = np.zeros(days)
-        for j, (app_name, factor) in enumerate(apps):
-            profile = APP_PROFILES[app_name]
-            vol_mb = profile.write_mb_per_day * factor * jitter[:, j, 0]
-            ow = vol_mb * profile.overwrite_fraction
-            fresh = vol_mb - ow
-            media += fresh * profile.media_fraction
-            other += fresh * (1.0 - profile.media_fraction)
-            overwrite += ow
-            read += profile.read_mb_per_day * factor * jitter[:, j, 1]
+                                     size=(days, len(write), 2)).T
+        vol_mb = write * jitter[0]
+        ow = vol_mb * overwrite_share
+        fresh = vol_mb - ow
+        terms = np.stack(
+            (fresh * media_share, fresh * other_share, ow, read * jitter[1]),
+            axis=1,
+        )
+        # accumulate adds the app rows one at a time in mix order, as the
+        # oracle loop does; add.reduce is free to pair them differently
+        media, other, overwrite, read_mb = np.add.accumulate(terms, axis=0)[-1]
         delete = (media + other) * self.config.delete_fraction
         return {
             "day": np.arange(days, dtype=np.int64),
             "new_media_gb": media / 1024.0,
             "new_other_gb": other / 1024.0,
             "overwrite_gb": overwrite / 1024.0,
-            "read_gb": read / 1024.0,
+            "read_gb": read_mb / 1024.0,
             "delete_gb": delete / 1024.0,
         }
-
-    def _day_volume_mb(self, profile: AppProfile, factor: float) -> float:
-        jitter = self._rng.lognormal(0.0, self.config.daily_jitter_sigma)
-        return profile.write_mb_per_day * factor * jitter
-
-    def _day_read_mb(self, profile: AppProfile, factor: float) -> float:
-        jitter = self._rng.lognormal(0.0, self.config.daily_jitter_sigma)
-        return profile.read_mb_per_day * factor * jitter
 
     # -- op-level ----------------------------------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
+    SnapshotAccumulator,
     default_histogram_bounds,
     empty_snapshot,
     merge_snapshots,
@@ -94,6 +95,25 @@ class TestMerge:
         merged = merge_snapshots(a.snapshot(), b.snapshot())["histograms"]["h"]
         assert merged["counts"] == [1, 1, 1]
         assert merged["count"] == 3
+
+    def test_histogram_totals_do_not_depend_on_merge_order(self):
+        """Float totals are not associative ((0.1 + 0.2) + 0.3 != 0.1 +
+        (0.2 + 0.3)); a merge of shard snapshots arriving in any order,
+        as a parallel fleet's do, still gives one total."""
+        snaps = []
+        for value in (0.1, 0.2, 0.3):
+            registry = MetricsRegistry()
+            registry.histogram("h").observe(value)
+            snaps.append(registry.snapshot())
+        totals = set()
+        for order in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
+            accumulator = SnapshotAccumulator()
+            for i in order:
+                accumulator.add(snaps[i])
+            merged = merge_snapshots(*(snaps[i] for i in order))
+            assert accumulator.snapshot() == merged
+            totals.add(merged["histograms"]["h"]["total"])
+        assert totals == {0.6}
 
     def test_mismatched_histogram_bounds_raise(self):
         a, b = MetricsRegistry(), MetricsRegistry()

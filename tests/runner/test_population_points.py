@@ -21,12 +21,16 @@ from repro.flash.cell import CellTechnology
 from repro.flash.reliability import ENDURANCE_TABLE
 from repro.runner.points import (
     DEFAULT_MIX_WEIGHTS,
+    _fault_plan,
     assign_mixes,
     population_batch_grid,
+    population_batch_observables,
     population_batch_point,
     sensitivity_batch_point,
 )
-from repro.sim.baselines import build_sos, build_tlc_baseline
+from repro.sim.baselines import ALL_BUILDERS, build_sos, build_tlc_baseline
+from repro.sim.batch import SummaryBatch, run_lifetime_batch
+from repro.sim.lifetime import SimConfig
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
 
 # the scalar oracle lives with the epoch-engine tests
@@ -35,6 +39,8 @@ import lifetime_oracle as oracle  # noqa: E402
 
 N_USERS = 12
 DAYS = 150
+FAULTS = {"block_infant_mortality": 0.05, "transient_read_rate": 0.2,
+          "power_loss_rate": 0.05, "cloud_outage_rate": 0.02}
 
 
 def _sequential_mixes(seed: int, mix_weights: dict, n: int) -> list[str]:
@@ -146,12 +152,57 @@ def test_population_batch_point_supports_faults():
     grid = population_batch_grid(
         4, 90, 64.0, seed=17, mix_weights=DEFAULT_MIX_WEIGHTS, chunk=4
     )
-    faults = {"block_infant_mortality": 0.05, "transient_read_rate": 0.2,
-              "power_loss_rate": 0.05, "cloud_outage_rate": 0.02}
     plain = population_batch_point(grid[0], 0)
-    faulted = population_batch_point({**grid[0], "faults": faults}, 0)
+    faulted = population_batch_point({**grid[0], "faults": FAULTS}, 0)
     assert len(faulted) == len(plain) == 4
     assert faulted != plain  # the plan visibly perturbed the fleet
+
+
+@pytest.mark.parametrize("build,faults", [
+    pytest.param("tlc_baseline", None, id="tlc"),
+    pytest.param("sos", FAULTS, id="sos-faults"),
+])
+def test_population_points_match_finals_at_default_sampling(build, faults):
+    """The population points sample only a run's ends; every value they
+    return is bit-identical to the final sample of a run at the engine's
+    default 30-day cadence on the same builds, volumes and fault plans."""
+    days = 90
+    (chunk,) = population_batch_grid(
+        5, days, 64.0, seed=17, mix_weights=DEFAULT_MIX_WEIGHTS, chunk=5,
+        build=build,
+    )
+    params = {**chunk, "faults": faults}
+    volumes = [
+        MobileWorkload(WorkloadConfig(mix=mix, days=days, seed=ws)).daily_volume_arrays()
+        for mix, ws in zip(chunk["mixes"], chunk["workload_seeds"])
+    ]
+    builds = [ALL_BUILDERS[build](64.0) for _ in volumes]
+    plans = [
+        _fault_plan(b, faults, days, ws)
+        for b, ws in zip(builds, chunk["workload_seeds"])
+    ]
+    finals = [
+        result.final
+        for result in run_lifetime_batch(
+            builds, SummaryBatch.from_volume_arrays(volumes), SimConfig(), plans
+        )
+    ]
+    fields = {
+        "wear": ("sys_wear_fraction", np.float64),
+        "spare_wear": ("spare_wear_fraction", np.float64),
+        "capacity_gb": ("capacity_gb", np.float64),
+        "spare_quality": ("spare_quality", np.float64),
+        "retired_groups": ("retired_groups", np.int64),
+        "resuscitated_groups": ("resuscitated_groups", np.int64),
+    }
+    columns = population_batch_observables(params, 0)
+    assert columns.keys() == fields.keys()
+    for column, (field, dtype) in fields.items():
+        expected = np.array([getattr(f, field) for f in finals], dtype=dtype)
+        assert columns[column].dtype == dtype
+        assert columns[column].tobytes() == expected.tobytes(), column
+    wear = np.array(population_batch_point(params, 0))
+    assert wear.tobytes() == columns["wear"].tobytes()
 
 
 def _oracle_sensitivity(plc_pec: float, waf: float) -> dict:

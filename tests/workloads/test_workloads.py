@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.workloads.apps import APP_PROFILES, USER_MIXES, daily_write_gb
@@ -62,13 +63,50 @@ class TestGenerator:
         assert nominal * 0.8 <= mean <= nominal * 1.5
 
 
-class TestVolumeArrays:
-    """The batched generator path must not perturb a single bit."""
+def _scalar_summaries(
+    config: WorkloadConfig,
+) -> tuple[list[DailySummary], np.random.Generator]:
+    """The per-(day, app) scalar loop the array generator replaced, kept
+    as its oracle: the summaries, and the rng after their draws."""
+    rng = np.random.default_rng(config.seed)
+    out = []
+    for day in range(config.days):
+        media = other = overwrite = read = 0.0
+        for app_name, factor in USER_MIXES[config.mix].items():
+            profile = APP_PROFILES[app_name]
+            jitter = rng.lognormal(0.0, config.daily_jitter_sigma)
+            vol_mb = profile.write_mb_per_day * factor * jitter
+            ow = vol_mb * profile.overwrite_fraction
+            fresh = vol_mb - ow
+            media += fresh * profile.media_fraction
+            other += fresh * (1.0 - profile.media_fraction)
+            overwrite += ow
+            jitter = rng.lognormal(0.0, config.daily_jitter_sigma)
+            read += profile.read_mb_per_day * factor * jitter
+        delete = (media + other) * config.delete_fraction
+        out.append(
+            DailySummary(
+                day=day,
+                new_media_gb=media / 1024.0,
+                new_other_gb=other / 1024.0,
+                overwrite_gb=overwrite / 1024.0,
+                read_gb=read / 1024.0,
+                delete_gb=delete / 1024.0,
+            )
+        )
+    return out, rng
 
+
+class TestVolumeArrays:
+    """The array generator must not perturb a single bit of the scalar loop."""
+
+    @pytest.mark.parametrize("seed", [0, 42, 606])
+    @pytest.mark.parametrize("days", [1, 7, 90, 730])
     @pytest.mark.parametrize("mix", ["light", "typical", "heavy", "adversarial"])
-    def test_bit_identical_to_daily_summaries(self, mix):
-        config = WorkloadConfig(mix=mix, days=200, seed=42)
-        summaries = MobileWorkload(config).daily_summaries()
+    def test_bit_identical_to_daily_summaries(self, mix, days, seed):
+        config = WorkloadConfig(mix=mix, days=days, seed=seed)
+        summaries, _ = _scalar_summaries(config)
+        assert MobileWorkload(config).daily_summaries() == summaries
         arrays = MobileWorkload(config).daily_volume_arrays()
         assert list(arrays["day"]) == [s.day for s in summaries]
         for field in ("new_media_gb", "new_other_gb", "overwrite_gb",
@@ -79,12 +117,13 @@ class TestVolumeArrays:
 
     def test_consumes_same_rng_stream(self):
         """Drawing arrays leaves the generator's rng exactly where the
-        scalar path would, so mixed callers stay reproducible."""
-        a = MobileWorkload(WorkloadConfig(days=50, seed=9))
-        b = MobileWorkload(WorkloadConfig(days=50, seed=9))
-        a.daily_summaries()
-        b.daily_volume_arrays()
-        assert a._rng.bit_generator.state == b._rng.bit_generator.state
+        scalar loop leaves it, so ``ops()`` draws on reproducibly."""
+        for mix in USER_MIXES:
+            config = WorkloadConfig(mix=mix, days=50, seed=9)
+            _, rng = _scalar_summaries(config)
+            workload = MobileWorkload(config)
+            workload.daily_volume_arrays()
+            assert workload._rng.bit_generator.state == rng.bit_generator.state, mix
 
 
 class TestOps:
