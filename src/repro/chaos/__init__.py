@@ -8,7 +8,9 @@ storage exhibits:
 * :mod:`repro.chaos.fs` -- a seeded filesystem shim
   (:class:`ChaosFs`) threaded through every durable write, firing
   ``ENOSPC``, ``EIO``, torn partial writes, and failed renames at
-  SeedSequence-derived points;
+  SeedSequence-derived points, and the one durable writer
+  (:func:`write_durably`, :func:`quarantine`) the cache and the
+  journal share;
 * :mod:`repro.chaos.crash` -- labeled crash points
   (:func:`crash_point`) that an armed process dies at via
   ``os._exit``, exactly like a power cut;
@@ -39,13 +41,16 @@ from .crash import (
 )
 from .fs import (
     CHAOS_FS_ENV,
+    DURABILITY_LEVELS,
     REAL_FS,
     ChaosFs,
     FaultSpec,
     RealFs,
     chaos_fs,
     get_fs,
+    quarantine,
     set_fs,
+    write_durably,
 )
 
 __all__ = [
@@ -54,6 +59,7 @@ __all__ = [
     "CRASH_POINT_ENV",
     "CRASH_POINTS",
     "ChaosFs",
+    "DURABILITY_LEVELS",
     "FaultSpec",
     "MATRIX_TARGETS",
     "MatrixReport",
@@ -65,8 +71,10 @@ __all__ = [
     "crash_point",
     "disarm",
     "get_fs",
+    "quarantine",
     "rearm_from_env",
     "run_crash_matrix",
     "run_target",
     "set_fs",
+    "write_durably",
 ]

@@ -74,6 +74,11 @@ MATRIX_TARGETS: dict[str, tuple[str, ...]] = {
         "store.compact.rename",
     ),
 }
+# the sweep and the fleet run over a 2-worker pool, and again in-process
+# at jobs=1, the path the benchmarks and the claim suite take
+MATRIX_TARGETS.update(
+    {f"{name}-inproc": MATRIX_TARGETS[name] for name in ("sweep", "fleet")}
+)
 
 _TIMEOUT_S = 120.0
 
@@ -89,10 +94,10 @@ def matrix_point(params: dict, seed: int) -> dict:
 def run_target(name: str, state_dir: str | Path) -> dict:
     """Execute one matrix target against ``state_dir``; returns its
     canonical output payload (plain data, no wall-clock fields)."""
-    if name == "sweep":
-        return _target_sweep(Path(state_dir))
-    if name == "fleet":
-        return _target_fleet(Path(state_dir))
+    if name in ("sweep", "sweep-inproc"):
+        return _target_sweep(Path(state_dir), jobs=2 if name == "sweep" else 1)
+    if name in ("fleet", "fleet-inproc"):
+        return _target_fleet(Path(state_dir), jobs=2 if name == "fleet" else 1)
     if name == "journal":
         return _target_journal(Path(state_dir))
     if name == "store":
@@ -102,8 +107,8 @@ def run_target(name: str, state_dir: str | Path) -> dict:
     )
 
 
-def _target_sweep(state_dir: Path) -> dict:
-    """A 2-worker sweep through the result cache's crash points."""
+def _target_sweep(state_dir: Path, jobs: int) -> dict:
+    """A sweep through the result cache's crash points."""
     from repro.runner.sweep import Sweep, run_sweep
 
     sweep = Sweep(
@@ -112,11 +117,11 @@ def _target_sweep(state_dir: Path) -> dict:
         grid=tuple({"i": i} for i in range(8)),
         base_seed=20260807,
     )
-    result = run_sweep(sweep, jobs=2, cache_dir=state_dir / "cache")
+    result = run_sweep(sweep, jobs=jobs, cache_dir=state_dir / "cache")
     return {"values": [p.value for p in result.points]}
 
 
-def _target_fleet(state_dir: Path) -> dict:
+def _target_fleet(state_dir: Path, jobs: int) -> dict:
     """A sharded fleet: cache crash points plus the reduction one.
 
     ``mean`` is deliberately absent from the output: the digest's
@@ -130,7 +135,7 @@ def _target_fleet(state_dir: Path) -> dict:
     plan = FleetPlan(
         n_devices=40, days=30, capacity_gb=64.0, seed=7, shard_size=10, chunk=10
     )
-    fleet = run_fleet(plan, jobs=2, cache_dir=state_dir / "cache")
+    fleet = run_fleet(plan, jobs=jobs, cache_dir=state_dir / "cache")
     summary = fleet.summary()
     keys = (
         "devices", "requested_devices", "missing_devices", "shards",

@@ -19,12 +19,18 @@ With chaos disabled nothing changes: :data:`REAL_FS` is a stateless
 singleton whose methods are one-line ``os`` calls, and
 :func:`get_fs` returns it without allocation -- the transparency guard
 in ``tests/chaos`` pins that the hooks cost nothing when idle.
+
+The one durable writer sits on top of the shim: :func:`write_durably`
+holds the tmp-write/fsync/rename protocol of every rung of
+:data:`DURABILITY_LEVELS`, and :func:`quarantine` moves a damaged file
+aside; the result cache and the job journal both call them.
 """
 
 from __future__ import annotations
 
 import errno
 import os
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -32,15 +38,20 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
+from .crash import crash_point
+
 __all__ = [
     "CHAOS_FS_ENV",
     "ChaosFs",
+    "DURABILITY_LEVELS",
     "FaultSpec",
     "RealFs",
     "REAL_FS",
     "chaos_fs",
     "get_fs",
+    "quarantine",
     "set_fs",
+    "write_durably",
 ]
 
 #: Environment variable that installs a ChaosFs at import time, e.g.
@@ -270,3 +281,65 @@ def chaos_fs(fs: RealFs) -> Iterator[RealFs]:
         yield fs
     finally:
         set_fs(previous)
+
+
+# -- the durable writer -------------------------------------------------------
+
+#: the durability ladder, weakest to strongest
+DURABILITY_LEVELS = ("none", "rename", "fsync")
+
+
+def write_durably(
+    fs: RealFs, path: Path, data: bytes, durability: str, label: str
+) -> None:
+    """Persist ``data`` as ``path`` under one rung of the ladder.
+
+    ``none`` writes in place: a crash can tear the file, and the
+    reader's checksum or parser must catch it.  ``rename`` writes a
+    ``*.tmp`` sibling and replaces, so a reader sees the old bytes or
+    the new ones, never a torn mix.  ``fsync`` also syncs the file
+    before the rename and the directory after it, so a power cut cannot
+    lose an acknowledged write.  The crash points
+    ``<label>.pre_rename`` and ``<label>.post_rename`` bracket the
+    rename.  A failed write removes its tmp file and raises.
+    """
+    if durability == "none":
+        with fs.open_write(path) as fh:
+            fs.write(fh, data)
+        return
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fs.write(fh, data)
+            if durability == "fsync":
+                fs.fsync(fh)
+        crash_point(f"{label}.pre_rename")
+        fs.replace(tmp_name, path)
+        if durability == "fsync":
+            fs.fsync_dir(path.parent)
+        crash_point(f"{label}.post_rename")
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def quarantine(path: Path, corrupt_dir: Path) -> Path:
+    """Move one damaged file into ``corrupt_dir``; returns where it is.
+
+    The move happens once, so a restart cannot find the same damage
+    again.  When it fails (disk trouble, a concurrent delete) the file
+    stays and ``path`` comes back: the next write of that name
+    replaces it.
+    """
+    dest = corrupt_dir / path.name
+    try:
+        corrupt_dir.mkdir(exist_ok=True)
+        os.replace(path, dest)
+    except OSError:
+        return path
+    return dest

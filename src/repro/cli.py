@@ -912,6 +912,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_faults)
 
+    from repro.chaos import MATRIX_TARGETS
+
     p = sub.add_parser("chaos", help="fs/crash fault-injection utilities")
     chaos_sub = p.add_subparsers(dest="chaos_command", required=True)
     p = chaos_sub.add_parser("labels", help="list the crash-point registry")
@@ -919,7 +921,7 @@ def main(argv: list[str] | None = None) -> int:
     p = chaos_sub.add_parser(
         "target", help="run one deterministic matrix workload (driver-facing)"
     )
-    p.add_argument("target", choices=("fleet", "journal", "store", "sweep"))
+    p.add_argument("target", choices=sorted(MATRIX_TARGETS))
     p.add_argument("--state-dir", required=True,
                    help="cache/journal directory the workload persists into")
     p.set_defaults(func=_cmd_chaos_target)
@@ -929,7 +931,7 @@ def main(argv: list[str] | None = None) -> int:
              "assert the resumed output is bit-identical",
     )
     p.add_argument("targets", nargs="*", metavar="TARGET",
-                   help="targets to run: fleet, journal, store, sweep "
+                   help=f"targets to run: {', '.join(sorted(MATRIX_TARGETS))} "
                         "(default: all)")
     p.add_argument("--base-dir", default=None,
                    help="working directory for matrix state "

@@ -12,7 +12,9 @@ per-point wall times for the ``BENCH_runner.json`` perf baseline.
 * :mod:`repro.runner.points`  -- picklable experiment point functions
 """
 
-from .cache import DURABILITY_LEVELS, CacheEntry, ResultCache, stable_key
+from repro.chaos import DURABILITY_LEVELS
+
+from .cache import CacheEntry, ResultCache, stable_key
 from .metrics import BENCH_SCHEMA, bench_record, write_bench_json
 from .record import RecordError, crc32c, frame_record, unframe_record
 from .sweep import (

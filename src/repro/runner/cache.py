@@ -23,7 +23,8 @@ hand-wave:
   default) writes tmp-then-``os.replace`` so readers never see a torn
   record, ``fsync`` additionally syncs the file *and its parent
   directory* before/after the rename so a power cut cannot lose an
-  acknowledged store;
+  acknowledged store (:func:`repro.chaos.fs.write_durably`, shared with
+  the job journal);
 * **ENOSPC degrades, it does not kill** -- the first full-disk error
   flips the cache into read-through *passthrough* mode: cached hits are
   still served, new stores are dropped (counted), and the sweep keeps
@@ -58,25 +59,20 @@ import hashlib
 import json
 import logging
 import math
-import os
 import pickle
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.chaos import crash_point, get_fs
+from repro.chaos import DURABILITY_LEVELS, get_fs, quarantine, write_durably
 from repro.obs import get_observer
 
 from .record import RecordError, frame_record, unframe_record
 
-__all__ = ["CacheEntry", "DURABILITY_LEVELS", "ResultCache", "stable_key"]
+__all__ = ["CacheEntry", "ResultCache", "stable_key"]
 
 _LOG = logging.getLogger("repro.runner.cache")
-
-#: the durability ladder, weakest to strongest
-DURABILITY_LEVELS = ("none", "rename", "fsync")
 
 #: Exceptions that mean "this payload cannot serve a hit".  Beyond
 #: torn-pickle errors (UnpicklingError/EOFError), a *stale* pickle whose
@@ -157,9 +153,9 @@ class ResultCache:
     to opt a construction into the sweep (what the sweep coordinator
     does, once per :func:`~repro.runner.sweep.run_sweep` call).
 
-    ``durability`` picks a rung of :data:`DURABILITY_LEVELS`; ``fs``
-    overrides the process-global :func:`repro.chaos.get_fs` layer (the
-    chaos suite injects faults through it).
+    ``durability`` picks a rung of :data:`repro.chaos.DURABILITY_LEVELS`;
+    ``fs`` overrides the process-global :func:`repro.chaos.get_fs` layer
+    (the chaos suite injects faults through it).
     """
 
     #: age (seconds) past which an orphaned ``*.tmp`` file is fair game
@@ -177,7 +173,6 @@ class ResultCache:
         *,
         scan_stale_tmp: bool = False,
         durability: str = "rename",
-        store_codec: str = "zlib",
         fs=None,
     ) -> None:
         if durability not in DURABILITY_LEVELS:
@@ -187,7 +182,6 @@ class ResultCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.durability = durability
-        self.store_codec = store_codec
         self.fs = fs if fs is not None else get_fs()
         #: latched by the first ENOSPC: serve hits, drop new stores
         self.passthrough = False
@@ -239,9 +233,10 @@ class ResultCache:
             # skeleton pickle becomes visible -- the sweep's
             # persist-before-proceed invariant holds at the store too.
             # compact() repacks into properly sized blocks afterwards.
+            # A new store is zlib; an existing one keeps its own codec.
             self._store = ColumnStore(
-                path, mode="append", codec=self.store_codec,
-                block_bytes=1, durability=self.durability, fs=self.fs,
+                path, mode="append", block_bytes=1,
+                durability=self.durability, fs=self.fs,
             )
         except (OSError, StoreError) as err:
             self._store_failed = True
@@ -344,14 +339,7 @@ class ResultCache:
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move one damaged record to ``corrupt/``, once, loudly."""
-        dest = self.root / self.CORRUPT_DIR / path.name
-        try:
-            dest.parent.mkdir(exist_ok=True)
-            os.replace(path, dest)
-        except OSError:
-            # cannot move (disk trouble, concurrent delete): leave it --
-            # the next store of this key overwrites it anyway
-            dest = path
+        dest = quarantine(path, self.root / self.CORRUPT_DIR)
         self.corrupt_quarantined += 1
         get_observer().count("cache.corrupt_quarantined")
         _LOG.warning(
@@ -376,12 +364,10 @@ class ResultCache:
         if self.passthrough:  # a store append just latched ENOSPC
             return
         framed = frame_record(pickle.dumps(payload))
-        path = self._path(key)
         try:
-            if self.durability == "none":
-                self._write_in_place(path, framed)
-            else:
-                self._write_rename(path, framed)
+            write_durably(
+                self.fs, self._path(key), framed, self.durability, "cache.store"
+            )
         except OSError as err:
             self._degrade(err)
 
@@ -416,31 +402,6 @@ class ResultCache:
             )
             return whole
         return {"value": skeleton, "wall_s": wall_s, "columns": sorted(columns)}
-
-    def _write_in_place(self, path: Path, framed: bytes) -> None:
-        fs = self.fs
-        with fs.open_write(path) as fh:
-            fs.write(fh, framed)
-
-    def _write_rename(self, path: Path, framed: bytes) -> None:
-        fs = self.fs
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fs.write(fh, framed)
-                if self.durability == "fsync":
-                    fs.fsync(fh)
-            crash_point("cache.store.pre_rename")
-            fs.replace(tmp_name, path)
-            if self.durability == "fsync":
-                fs.fsync_dir(self.root)
-            crash_point("cache.store.post_rename")
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
 
     def _degrade(self, err: OSError) -> None:
         """Fold one failed store into the degradation state."""

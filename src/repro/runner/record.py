@@ -41,6 +41,7 @@ import struct
 import numpy as np
 
 __all__ = [
+    "HEADER",
     "HEADER_SIZE",
     "MAGIC",
     "RecordError",
@@ -51,8 +52,9 @@ __all__ = [
 
 MAGIC = b"RPR1"
 
-_HEADER = struct.Struct("<4sQI")
-HEADER_SIZE = _HEADER.size  # 16 bytes
+#: magic, payload length, payload CRC32C; repro.store frames with it too
+HEADER = struct.Struct("<4sQI")
+HEADER_SIZE = HEADER.size  # 16 bytes
 
 
 class RecordError(ValueError):
@@ -148,7 +150,7 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 
 def frame_record(payload: bytes) -> bytes:
     """Wrap ``payload`` in the self-describing header."""
-    return _HEADER.pack(MAGIC, len(payload), crc32c(payload)) + payload
+    return HEADER.pack(MAGIC, len(payload), crc32c(payload)) + payload
 
 
 def unframe_record(data: bytes) -> bytes:
@@ -161,7 +163,7 @@ def unframe_record(data: bytes) -> bytes:
         raise RecordError(
             "truncated-header", f"{len(data)} byte(s) < header size {HEADER_SIZE}"
         )
-    magic, length, crc = _HEADER.unpack_from(data)
+    magic, length, crc = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise RecordError("bad-magic", f"got {magic!r}, want {MAGIC!r}")
     payload = data[HEADER_SIZE:]

@@ -6,9 +6,13 @@ concerns the ad-hoc benchmark loops used to interleave:
 
 * **parallelism** -- points fan out over a
   :class:`concurrent.futures.ProcessPoolExecutor` (``jobs`` workers);
-  ``jobs=1`` runs serially in-process, with bit-identical results,
-  because per-point seeds are derived from the point *index* via
-  :meth:`numpy.random.SeedSequence.spawn`, never from execution order;
+  ``jobs=1`` runs the same coordinator in this process, one point at a
+  time, with bit-identical results, because per-point seeds are derived
+  from the point *index* via :meth:`numpy.random.SeedSequence.spawn`,
+  never from execution order.  In-process there is no worker to kill or
+  lose: ``timeout_s`` does not apply, a hard crash of ``fn`` takes the
+  caller with it, and a retrying point waits out its backoff at the
+  back of the queue while the other points run;
 * **caching** -- with a ``cache_dir``, each point's result is persisted
   under a stable hash of (sweep name, code-version tag, params, seed)
   *as soon as it completes*, so a crashed or aborted sweep resumes from
@@ -45,7 +49,9 @@ import os
 import signal
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,9 +96,9 @@ class SweepCrashError(RuntimeError):
 class SweepCancelled(RuntimeError):
     """The sweep's ``should_stop`` hook asked for teardown mid-run.
 
-    Raised from the coordinator (or the serial loop) once the request is
-    observed; every in-flight worker pool is killed first, so no stray
-    point keeps computing after the exception propagates.  Points that
+    Raised from the coordinator once the request is observed; every
+    in-flight worker pool is killed first, so no stray point keeps
+    computing after the exception propagates.  Points that
     completed before the cancel are already persisted to the cache --
     re-running the same sweep resumes from them.
     """
@@ -340,7 +346,7 @@ def _die_with_parent() -> None:  # pragma: no cover - exercised via subprocess
 def _execute_point(
     fn: Callable[[dict, int], Any], params: dict, seed: int, collect_obs: bool = False
 ) -> tuple[Any, float, dict | None]:
-    """Run one point, timing the call (runs inside worker processes).
+    """Run one point, timing the call (in a worker, or in-process at jobs=1).
 
     With ``collect_obs`` a fresh observer is installed for the call and
     its snapshot/events come back as plain data, so the coordinator can
@@ -354,6 +360,25 @@ def _execute_point(
         value = fn(params, seed)
     payload = {"metrics": obs.registry.snapshot(), "events": obs.events}
     return value, time.perf_counter() - start, payload
+
+
+class _InProcessExecutor(Executor):
+    """The ``jobs=1`` executor: each point runs in this process at submit.
+
+    ``submit`` returns an already-completed future, so the coordinator
+    loop is the same at every ``jobs``.  ``fn``'s ``Exception`` is
+    stored in the future, as a worker's would be; a ``BaseException``
+    (Ctrl-C, ``SystemExit``) propagates.  The future is done before the
+    coordinator waits on it, so no per-point timeout can fire.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def _finish_point(
@@ -389,10 +414,11 @@ class _PointState:
 
 
 class _Coordinator:
-    """Streams completions from a worker pool, surviving faults.
+    """Streams completions from an executor, surviving faults.
 
-    One instance drives the parallel portion of one :func:`run_sweep`
-    call.  The loop invariants:
+    One instance drives the computed points of one :func:`run_sweep`
+    call: over a worker pool for ``jobs > 1``, in this process for
+    ``jobs=1``.  The loop invariants:
 
     * a point is in exactly one place: the ready queue, in flight, the
       results dict, or the errors dict;
@@ -439,7 +465,8 @@ class _Coordinator:
         self._queue: deque[int] = deque()
         self._states: dict[int, _PointState] = {}
         self._inflight: dict[Future, _PointState] = {}
-        self._executor: ProcessPoolExecutor | None = None
+        self._executor: Executor | None = None
+        self._capacity = jobs
         self._isolate = False
 
     # -- public ----------------------------------------------------------------
@@ -448,6 +475,10 @@ class _Coordinator:
         """Execute all pending points; fills ``results`` and ``errors``."""
         self._states = {i: _PointState(i) for i in pending}
         self._queue = deque(pending)
+        # no more workers than points; the executor kind follows the
+        # requested jobs, so jobs=2 over one pending point still runs
+        # it in a worker that may crash without taking this process
+        self._capacity = min(self.jobs, len(pending))
         try:
             while self._queue or self._inflight:
                 self._check_cancelled()
@@ -477,11 +508,14 @@ class _Coordinator:
         if not self._queue:
             return
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=_worker_init
+            self._executor = (
+                ProcessPoolExecutor(
+                    max_workers=self._capacity, initializer=_worker_init
+                )
+                if self.jobs > 1 else _InProcessExecutor()
             )
         now = time.monotonic()
-        capacity = 1 if self._isolate else self.jobs
+        capacity = 1 if self._isolate else self._capacity
         # one pass over the queue: submit what is ready, keep the rest
         for _ in range(len(self._queue)):
             if len(self._inflight) >= capacity:
@@ -647,66 +681,6 @@ class _Coordinator:
         self._executor = None
 
 
-def _run_serial(
-    sweep: Sweep,
-    seeds: list[int],
-    keys: list[str],
-    cache: ResultCache | None,
-    pending: Sequence[int],
-    retries: int,
-    retry_backoff_s: float,
-    keep_going: bool,
-    results: dict[int, PointResult],
-    errors: dict[int, PointError],
-    collect_obs: bool = False,
-    on_point: Callable[[PointResult], None] | None = None,
-    keep_values: bool = True,
-    should_stop: Callable[[], bool] | None = None,
-) -> None:
-    """In-process execution (``jobs=1``): retries, ``keep_going``, and
-    cancellation (between points and between retry attempts) apply;
-    per-point timeouts and crash survival need worker processes, so
-    they do not (a hard crash of ``fn`` takes the caller with it)."""
-    for index in pending:
-        attempts = 0
-        while True:
-            if should_stop is not None and should_stop():
-                raise SweepCancelled(
-                    f"sweep '{sweep.name}' cancelled at point {index}"
-                )
-            attempts += 1
-            try:
-                value, wall_s, obs_payload = _execute_point(
-                    sweep.fn, sweep.grid[index], seeds[index], collect_obs
-                )
-            except Exception as exc:
-                if attempts <= retries:
-                    time.sleep(
-                        full_jitter_backoff(retry_backoff_s, attempts, seeds[index])
-                    )
-                    continue
-                if keep_going:
-                    errors[index] = PointError(
-                        index=index, params=sweep.grid[index], seed=seeds[index],
-                        kind="error", message=repr(exc), attempts=attempts,
-                    )
-                    break
-                raise
-            else:
-                if cache is not None:
-                    cache.store(keys[index], value, wall_s)
-                crash_point("sweep.point.post_persist")
-                results[index] = _finish_point(
-                    PointResult(
-                        index=index, params=sweep.grid[index], seed=seeds[index],
-                        value=value, wall_s=wall_s, cached=False,
-                        attempts=attempts, obs=obs_payload,
-                    ),
-                    on_point, keep_values,
-                )
-                break
-
-
 def run_sweep(
     sweep: Sweep,
     jobs: int = 1,
@@ -728,7 +702,10 @@ def run_sweep(
     sweep:
         The sweep definition.
     jobs:
-        Worker processes; ``1`` runs serially in-process.
+        Worker processes.  ``1`` runs the same coordinator in this
+        process: ``timeout_s`` does not apply, a hard crash of ``fn``
+        takes the caller with it, and a failed point waits out its
+        retry backoff at the back of the queue while the others run.
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables
         caching.  Completed points are persisted as they finish, so an
@@ -762,15 +739,16 @@ def run_sweep(
         returned :class:`SweepResult` then carries ``value=None`` points
         (timings, params, and obs payloads are kept).
     should_stop:
-        Cooperative cancellation hook, polled by the scheduling loop
-        (every tick in parallel runs; between points and retry attempts
-        serially).  Returning True raises :class:`SweepCancelled` after
-        killing every in-flight worker, so cancellation genuinely tears
+        Cooperative cancellation hook, polled once per turn of the
+        scheduling loop: before every point at ``jobs=1``, and at least
+        every ~50 ms while the loop waits, so a cancel also cuts a retry
+        backoff short.  Returning True raises :class:`SweepCancelled`
+        after killing every in-flight worker, so cancellation genuinely tears
         down running shards; already-completed points stay in the cache
         and a re-run of the same sweep resumes from them.
     durability:
         Cache write policy (``none``/``rename``/``fsync``); see
-        :data:`repro.runner.cache.DURABILITY_LEVELS`.  The default
+        :data:`repro.chaos.fs.DURABILITY_LEVELS`.  The default
         ``rename`` keeps benchmarks honest (no fsync stalls) while
         readers still never observe a torn record.
     """
@@ -796,7 +774,6 @@ def run_sweep(
     )
 
     results: dict[int, PointResult] = {}
-    errors: dict[int, PointError] = {}
     pending: list[int] = []
     for i in range(n):
         entry = cache.load(keys[i]) if cache is not None else None
@@ -813,35 +790,27 @@ def run_sweep(
     obs.count("sweep.cache_hits", len(results))
     obs.count("sweep.cache_misses", len(pending))
 
-    pool_rebuilds = 0
+    coordinator = _Coordinator(
+        sweep, seeds, keys, cache, jobs, retries, retry_backoff_s, timeout_s,
+        keep_going, collect_obs, on_point, keep_values, should_stop,
+    )
     with obs.span("sweep.run"):
         try:
-            if jobs == 1 or not pending:
-                _run_serial(sweep, seeds, keys, cache, pending, retries,
-                            retry_backoff_s, keep_going, results, errors,
-                            collect_obs, on_point, keep_values, should_stop)
-            else:
-                coordinator = _Coordinator(
-                    sweep, seeds, keys, cache, min(jobs, len(pending)),
-                    retries, retry_backoff_s, timeout_s, keep_going,
-                    collect_obs, on_point, keep_values, should_stop,
-                )
-                coordinator.run(pending)
-                results.update(coordinator.results)
-                errors.update(coordinator.errors)
-                pool_rebuilds = coordinator.pool_rebuilds
+            coordinator.run(pending)
         finally:
             # flush + index the column store even on cancel/abort: the
             # points persisted so far stay O(1) to reopen on resume
             if cache is not None:
                 cache.finalize()
 
+    results.update(coordinator.results)
+    errors = coordinator.errors
     return SweepResult(
         name=sweep.name,
         jobs=jobs,
         total_wall_s=time.perf_counter() - start,
         points=[results[i] for i in range(n) if i in results],
         errors=[errors[i] for i in sorted(errors)],
-        pool_rebuilds=pool_rebuilds,
+        pool_rebuilds=coordinator.pool_rebuilds,
         storage=cache.storage_report() if cache is not None else {},
     )

@@ -70,7 +70,7 @@ class GatewayConfig:
     #: per-point timeout handed to each job's sweep
     timeout_s: float | None = None
     #: durability rung for the job journal and every job's result cache
-    #: (one of :data:`repro.runner.cache.DURABILITY_LEVELS`)
+    #: (one of :data:`repro.chaos.fs.DURABILITY_LEVELS`)
     durability: str = "rename"
     #: submissions per second a client may sustain...
     rate_per_s: float = 10.0

@@ -32,16 +32,14 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.chaos import crash_point, get_fs
+from repro.chaos import DURABILITY_LEVELS, get_fs, quarantine, write_durably
 from repro.obs import get_observer
-from repro.runner.cache import DURABILITY_LEVELS, stable_key
+from repro.runner.cache import stable_key
 
 _LOG = logging.getLogger("repro.serve.jobs")
 
@@ -284,8 +282,9 @@ class JobRecord:
 class JobStore:
     """Crash journal: one atomically replaced JSON file per job.
 
-    The write protocol is the result cache's: serialize to a temp file
-    in the same directory, then replace -- a reader sees either the old
+    Writes share the result cache's writer,
+    :func:`repro.chaos.fs.write_durably`: serialize to a temp file in
+    the same directory, then replace -- a reader sees either the old
     record or the new one, never a torn hybrid.  Hardened the same way
     the cache is:
 
@@ -350,10 +349,7 @@ class JobStore:
             record.to_dict(), sort_keys=True, default=float
         ).encode("utf-8")
         try:
-            if self.durability == "none":
-                self._write_in_place(path, payload)
-            else:
-                self._write_rename(record.job_id, path, payload)
+            write_durably(self.fs, path, payload, self.durability, "journal.save")
         except OSError as err:
             self.save_failures += 1
             self.degraded = True
@@ -366,33 +362,6 @@ class JobStore:
             return False
         self.degraded = False
         return True
-
-    def _write_in_place(self, path: Path, payload: bytes) -> None:
-        fs = self.fs
-        with fs.open_write(path) as fh:
-            fs.write(fh, payload)
-
-    def _write_rename(self, job_id: str, path: Path, payload: bytes) -> None:
-        fs = self.fs
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f"{job_id}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                fs.write(handle, payload)
-                if self.durability == "fsync":
-                    fs.fsync(handle)
-            crash_point("journal.save.pre_rename")
-            fs.replace(tmp_name, path)
-            if self.durability == "fsync":
-                fs.fsync_dir(self.root)
-            crash_point("journal.save.post_rename")
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     def load(self, job_id: str) -> JobRecord | None:
         path = self._path(job_id)
@@ -407,12 +376,7 @@ class JobStore:
 
     def _quarantine(self, path: Path, err: Exception) -> None:
         """Move one unparseable journal entry aside, once, loudly."""
-        dest = self.root / self.CORRUPT_DIR / path.name
-        try:
-            dest.parent.mkdir(exist_ok=True)
-            os.replace(path, dest)
-        except OSError:
-            dest = path  # cannot move; at least it is counted this run
+        dest = quarantine(path, self.root / self.CORRUPT_DIR)
         self.corrupt_skipped += 1
         get_observer().count("journal.corrupt_skipped")
         _LOG.warning(
@@ -564,7 +528,7 @@ def _execute_sweep(
 
     p = spec.params
     if p["fn"] == "crash":
-        # crash points os._exit their process; serially that process is
+        # crash points os._exit their process; at jobs=1 that process is
         # the gateway itself -- always contain them in a worker pool
         jobs = max(jobs, 2)
     sweep = Sweep(

@@ -9,7 +9,7 @@ for the pinned v1 layout and :mod:`repro.store.store` for the
 append/recover/compact machinery.
 """
 
-from .columns import COLUMN_SENTINEL, column_paths, join_value, split_value
+from .columns import COLUMN_SENTINEL, join_value, split_value
 from .format import CODECS, FORMAT, StoreError
 from .store import ColumnStore, StoreStats
 
@@ -20,7 +20,6 @@ __all__ = [
     "FORMAT",
     "StoreError",
     "StoreStats",
-    "column_paths",
     "join_value",
     "split_value",
 ]

@@ -94,21 +94,3 @@ def join_value(skeleton, columns: dict[str, np.ndarray]):
         return [join_value(val, columns) for val in skeleton]
     return skeleton
 
-
-def column_paths(skeleton) -> list[str]:
-    """Every column a skeleton references (placeholder paths), sorted."""
-    out: list[str] = []
-
-    def walk(obj):
-        if isinstance(obj, dict):
-            if set(obj) == {COLUMN_SENTINEL}:
-                out.append(obj[COLUMN_SENTINEL])
-                return
-            for val in obj.values():
-                walk(val)
-        elif isinstance(obj, list):
-            for val in obj:
-                walk(val)
-
-    walk(skeleton)
-    return sorted(out)

@@ -49,7 +49,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from repro.runner.record import MAGIC, crc32c, frame_record
+from repro.runner.record import HEADER, HEADER_SIZE, MAGIC, crc32c, frame_record
 
 __all__ = [
     "CODECS",
@@ -83,9 +83,6 @@ TAG_INDEX = b"I"
 FOOTER_MAGIC = b"RCSF"
 _FOOTER = struct.Struct("<4sQI")  # magic, index frame offset, CRC32C
 FOOTER_SIZE = _FOOTER.size  # 16 bytes
-
-_FRAME_HEADER = struct.Struct("<4sQI")  # repro.runner.record's framing
-_FRAME_HEADER_SIZE = _FRAME_HEADER.size
 
 #: uint32 length prefix of a block body's TOC.
 _TOC_LEN = struct.Struct("<I")
@@ -172,20 +169,20 @@ def read_frame(
     CRC is checked *before* the payload is interpreted, so damaged
     bytes never reach a decompressor or JSON parser.
     """
-    if offset + _FRAME_HEADER_SIZE > file_size:
+    if offset + HEADER_SIZE > file_size:
         raise StoreError(
             "truncated-header",
-            f"frame at {offset} needs {_FRAME_HEADER_SIZE} header byte(s), "
+            f"frame at {offset} needs {HEADER_SIZE} header byte(s), "
             f"file ends at {file_size}",
         )
     fh.seek(offset)
-    header = fh.read(_FRAME_HEADER_SIZE)
-    if len(header) != _FRAME_HEADER_SIZE:
+    header = fh.read(HEADER_SIZE)
+    if len(header) != HEADER_SIZE:
         raise StoreError("truncated-header", f"short read at {offset}")
-    magic, length, crc = _FRAME_HEADER.unpack(header)
+    magic, length, crc = HEADER.unpack(header)
     if magic != MAGIC:
         raise StoreError("bad-magic", f"got {magic!r} at {offset}, want {MAGIC!r}")
-    end = offset + _FRAME_HEADER_SIZE + length
+    end = offset + HEADER_SIZE + length
     if end > file_size:
         raise StoreError(
             "length-mismatch",

@@ -245,13 +245,16 @@ class ColumnStore:
             raise StoreError("bad-header", f"first frame tagged {tag!r}")
         import json
 
-        header = json.loads(payload)
-        if header.get("format") != FORMAT:
+        # the frame CRC vouches for the bytes, not for the writer
+        try:
+            header = json.loads(payload)
+            fmt, codec = header.get("format"), header.get("codec")
+        except (AttributeError, ValueError) as err:
+            raise StoreError("bad-header", f"malformed header: {err!r}")
+        if fmt != FORMAT:
             raise StoreError(
-                "format-mismatch",
-                f"file says {header.get('format')!r}, this build reads {FORMAT!r}",
+                "format-mismatch", f"file says {fmt!r}, this build reads {FORMAT!r}"
             )
-        codec = header.get("codec")
         if codec not in ("none", "zlib", "lzma"):
             raise StoreError("unknown-codec", repr(codec))
         self.codec = codec

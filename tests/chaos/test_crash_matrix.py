@@ -1,9 +1,11 @@
 """The crash matrix, end to end: kill at every label, resume identically.
 
 The fast test keeps one full target (the journal -- no worker pool, a
-handful of subprocess runs) in the tier-1 loop; the complete matrix over
-the pool-spawning sweep and fleet targets is the ``slow``-marked
-acceptance test the CI chaos step runs.
+handful of subprocess runs) in the tier-1 loop; the complete matrix is
+the ``slow``-marked acceptance test the CI chaos step runs.  It kills
+the sweep and the fleet twice: over a 2-worker pool (``sweep``,
+``fleet``) and in-process at ``jobs=1`` (``sweep-inproc``,
+``fleet-inproc``), the path the benchmarks and the claim suite take.
 """
 
 from __future__ import annotations

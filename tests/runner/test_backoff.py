@@ -6,7 +6,9 @@ capacity*: other ready points keep getting submitted and their
 completions keep streaming while the flaky point waits out its delays.
 The regression these tests guard against is a coordinator that blocks
 on the backoff timer (sleeping the loop instead of requeueing), which
-would serialize the whole sweep behind its slowest retrier.
+would serialize the whole sweep behind its slowest retrier.  The same
+loop runs in-process at ``jobs=1``, so the stall and cancel tests run
+at both ``jobs=1`` and ``jobs=2``.
 
 Retry delays are *full-jitter*: each attempt waits a deterministic
 ``U(0, base * 2**(attempt-1))`` draw derived from the point's seed, so
@@ -20,12 +22,15 @@ from __future__ import annotations
 
 import time
 
-from repro.runner import Sweep, full_jitter_backoff, run_sweep
+import pytest
+
+from repro.runner import Sweep, SweepCancelled, full_jitter_backoff, run_sweep
 from repro.runner.faultfns import flaky_point, sleepy_point
 from repro.runner.sweep import derive_seeds
 
 
-def test_backoff_does_not_stall_other_completions(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_backoff_does_not_stall_other_completions(tmp_path, jobs):
     """Healthy points all complete while the flaky point is still
     backing off, and their completions stream through ``on_point``
     well before the flaky point's final success."""
@@ -46,7 +51,7 @@ def test_backoff_does_not_stall_other_completions(tmp_path):
 
     result = run_sweep(
         Sweep(name="backoff-stream", fn=flaky_point, grid=grid, base_seed=3),
-        jobs=2,
+        jobs=jobs,
         retries=3,
         retry_backoff_s=backoff_s,
         keep_going=True,
@@ -75,6 +80,43 @@ def test_backoff_does_not_stall_other_completions(tmp_path):
     )
     # completion order: all healthy indices streamed before the retrier
     assert [i for i, _ in completed][-1] == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cancel_lands_during_a_retry_backoff(tmp_path, jobs):
+    """A cancel requested while a point waits out its retry backoff ends
+    the sweep within about one scheduling tick, not after the delay, and
+    the retry never runs."""
+    backoff_s, base_seed = 2.0, 0
+    delay = full_jitter_backoff(backoff_s, 1, derive_seeds(base_seed, 1)[0])
+    assert delay >= 1.0  # seed chosen so the backoff dwarfs a tick
+    first_attempt = tmp_path / "attempts-0-0"
+    polls: list[float] = []
+
+    def should_stop() -> bool:
+        # fire 0.2s after the first attempt failed: by then the point
+        # is waiting out its backoff, whatever process ran it
+        if not first_attempt.exists():
+            return False
+        polls.append(time.monotonic())
+        return polls[-1] - polls[0] >= 0.2
+
+    grid = ({"index": 0, "fail_times": 1, "scratch": str(tmp_path)},)
+    with pytest.raises(SweepCancelled):
+        run_sweep(
+            Sweep(name="backoff-cancel", fn=flaky_point, grid=grid,
+                  base_seed=base_seed),
+            jobs=jobs,
+            retries=1,
+            retry_backoff_s=backoff_s,
+            should_stop=should_stop,
+        )
+    landed = time.monotonic() - polls[0]
+    assert landed < 0.5, (
+        f"cancel landed {landed:.2f}s after the failure, inside a "
+        f"{delay:.2f}s backoff -- the loop slept through it"
+    )
+    assert not (tmp_path / "attempts-0-1").exists()  # the retry never ran
 
 
 def test_backoff_wall_time_not_serialized(tmp_path):

@@ -18,6 +18,7 @@ import pytest
 from repro.runner.cache import ResultCache
 from repro.runner.record import unframe_record
 from repro.store import COLUMN_SENTINEL, ColumnStore
+from repro.store.format import TAG_HEADER, frame
 
 KEY = "a" * 64
 VALUE = {
@@ -171,6 +172,18 @@ class TestDegradation:
         loaded = ResultCache(tmp_path).load(KEY)
         assert loaded.value["obs"]["wear"].tobytes() == VALUE["obs"]["wear"].tobytes()
 
+    @pytest.mark.parametrize(
+        "header", [b"[1, 2]", b"not json"], ids=["list", "not-json"]
+    )
+    def test_malformed_store_header_degrades_to_whole_pickles(self, tmp_path, header):
+        # a header frame that passes its CRC but holds no JSON object
+        (tmp_path / ResultCache.STORE_FILE).write_bytes(frame(TAG_HEADER, header))
+        cache = ResultCache(tmp_path)
+        cache.store(KEY, {"a": np.arange(3.0)}, wall_s=0.1)
+        assert cache.storage_report()["store"]["failed"] is True
+        assert "columns" not in _payload(cache, KEY)
+        assert cache.load(KEY).value["a"].tobytes() == np.arange(3.0).tobytes()
+
     def test_unopenable_store_degrades_to_whole_pickles(self, tmp_path):
         # a directory where the store file should be: open fails forever
         (tmp_path / ResultCache.STORE_FILE).mkdir()
@@ -186,9 +199,24 @@ class TestDegradation:
 class TestStoreCodecChoice:
     @pytest.mark.parametrize("codec", ["none", "lzma"])
     def test_cache_store_codec_is_respected(self, tmp_path, codec):
-        cache = ResultCache(tmp_path, store_codec=codec)
-        cache.store(KEY, VALUE, wall_s=0.5)
+        """A store re-encoded by ``repro store compact --codec`` keeps
+        serving the cache, and new keys append in the store's codec."""
+        writer = ResultCache(tmp_path)
+        writer.store(KEY, VALUE, wall_s=0.5)
+        writer.finalize()
+        store_path = tmp_path / ResultCache.STORE_FILE
+        ColumnStore(store_path).compact(codec=codec)
+        cache = ResultCache(tmp_path)
+        hit = cache.load(KEY)
+        assert hit.value["obs"]["wear"].tobytes() == VALUE["obs"]["wear"].tobytes()
+        other = "b" * 64
+        cache.store(other, VALUE, wall_s=0.5)
         cache.finalize()
-        store = ColumnStore(tmp_path / ResultCache.STORE_FILE, mode="read")
-        assert store.codec == codec
-        assert ResultCache(tmp_path).load(KEY) is not None
+        assert cache.storage_report()["store"]["codec"] == codec
+        # every block must decode with the codec the header names
+        store = ColumnStore(store_path, mode="read")
+        assert store.codec == codec and store.verify() == []
+        assert store.keys() == sorted([KEY, other])
+        again = ResultCache(tmp_path).load(other)
+        assert again.value["obs"]["retired"].tobytes() == \
+            VALUE["obs"]["retired"].tobytes()

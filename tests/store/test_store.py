@@ -320,6 +320,21 @@ class TestDamage:
             ColumnStore(path, mode="read")
         assert exc.value.reason == "format-mismatch"
 
+    @pytest.mark.parametrize("mode", ["append", "read"])
+    @pytest.mark.parametrize(
+        "payload", [b"[1, 2]", b"not json"], ids=["list", "not-json"]
+    )
+    def test_malformed_header_is_a_store_error(self, path, mode, payload):
+        # the CRC vouches for the bytes, not for the writer: a header
+        # frame that checks out but holds no JSON object is refused
+        from repro.store.format import TAG_HEADER, frame
+
+        path.write_bytes(frame(TAG_HEADER, payload))
+        with pytest.raises(StoreError) as exc:
+            ColumnStore(path, mode=mode)
+        assert exc.value.reason == "bad-header"
+        assert path.read_bytes() == frame(TAG_HEADER, payload)
+
 
 class TestCompact:
     def test_compact_drops_superseded_and_shrinks(self, path):
