@@ -29,8 +29,7 @@ import pytest
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
-from repro.fleet import FleetPlan, run_fleet
-from repro.runner.points import DEFAULT_MIX_WEIGHTS
+from repro.fleet import DEFAULT_MIX_WEIGHTS, FleetPlan, run_fleet
 
 from .common import report, run_once, runner_jobs
 

@@ -47,16 +47,12 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.fleet import FleetPlan, run_fleet
+from repro.fleet import DEFAULT_MIX_WEIGHTS, FleetPlan, run_fleet
 from repro.runner import Sweep, run_sweep, write_bench_json
 from repro.runner.cache import ResultCache
 from repro.runner.record import frame_record
 from repro.store import ColumnStore
-from repro.runner.points import (
-    DEFAULT_MIX_WEIGHTS,
-    lifetime_point,
-    sensitivity_batch_point,
-)
+from repro.runner.points import lifetime_point, sensitivity_batch_point
 from repro.sim.baselines import ALL_BUILDERS
 
 POPULATION_USERS = 200

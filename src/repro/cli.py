@@ -147,6 +147,8 @@ def _run_exit_code(completed: int, failed: int) -> int:
 
 
 def _cmd_lifetime(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+
     from repro.obs import (
         merge_snapshots,
         observed,
@@ -176,19 +178,7 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     try:
-        if collect:
-            with observed(trace=False) as coordinator_obs:
-                outcome = run_sweep(
-                    sweep,
-                    jobs=args.jobs,
-                    cache_dir=args.cache_dir,
-                    retries=args.retries,
-                    timeout_s=args.timeout,
-                    keep_going=args.keep_going,
-                    durability=args.durability,
-                    collect_obs=True,
-                )
-        else:
+        with observed(trace=False) if collect else nullcontext() as coordinator_obs:
             outcome = run_sweep(
                 sweep,
                 jobs=args.jobs,
@@ -197,6 +187,7 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
                 timeout_s=args.timeout,
                 keep_going=args.keep_going,
                 durability=args.durability,
+                collect_obs=collect,
             )
     finally:
         if profiler is not None:
@@ -798,6 +789,30 @@ def _cmd_classify(args: argparse.Namespace) -> None:
                        title=f"classifiers on a {args.files}-file corpus"))
 
 
+def _add_runner_flags(p: argparse.ArgumentParser, unit: str) -> None:
+    """The sweep-runner flags of a command whose runner unit is ``unit``."""
+    p.add_argument("--jobs", type=int, default=1,
+                   help=f"worker processes for the {unit} sweep (1 = serial)")
+    p.add_argument("--cache-dir", default=None,
+                   help=f"{unit} result cache directory (default: no cache); "
+                        f"an interrupted run resumes from completed {unit}s")
+    p.add_argument("--retries", type=int, default=0,
+                   help=f"re-attempts per failed {unit} (exponential backoff)")
+    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                   help=f"per-{unit} wall-clock limit (parallel runs only)")
+    p.add_argument("--keep-going", action="store_true",
+                   help=f"report failed {unit}s as structured errors instead "
+                        "of aborting the run")
+    p.add_argument("--durability", default="rename",
+                   choices=("none", "rename", "fsync"),
+                   help="cache write durability: none (in place; CRC catches "
+                        "crash-torn records), rename (atomic tmp+rename, "
+                        "default), fsync (rename + fsync of file and parent "
+                        "dir)")
+    p.add_argument("--bench-json", default=None, metavar="PATH",
+                   help=f"write per-{unit} wall times (BENCH_runner.json format)")
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -827,25 +842,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--years", type=int, default=3)
     p.add_argument("--capacity-gb", type=float, default=64.0)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the device sweep (1 = serial)")
-    p.add_argument("--cache-dir", default=None,
-                   help="sweep result cache directory (default: no cache)")
-    p.add_argument("--bench-json", default=None, metavar="PATH",
-                   help="write per-point wall times (BENCH_runner.json format)")
-    p.add_argument("--retries", type=int, default=0,
-                   help="re-attempts per failed point (exponential backoff)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-point wall-clock limit (parallel runs only)")
-    p.add_argument("--keep-going", action="store_true",
-                   help="report failed points as structured errors instead "
-                        "of aborting the sweep")
-    p.add_argument("--durability", default="rename",
-                   choices=("none", "rename", "fsync"),
-                   help="cache write durability: none (in place; CRC catches "
-                        "crash-torn records), rename (atomic tmp+rename, "
-                        "default), fsync (rename + fsync of file and parent "
-                        "dir)")
+    _add_runner_flags(p, "point")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write the deterministic JSONL event trace here")
     p.add_argument("--metrics-json", default=None, metavar="PATH",
@@ -879,29 +876,12 @@ def main(argv: list[str] | None = None) -> int:
                    help="fleets up to this size keep per-device wear values "
                         "(bit-exact quantiles); larger fleets use histogram "
                         "estimates")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the shard sweep (1 = serial)")
-    p.add_argument("--cache-dir", default=None,
-                   help="shard result cache directory (default: no cache); "
-                        "an interrupted fleet resumes from completed shards")
-    p.add_argument("--retries", type=int, default=0,
-                   help="re-attempts per failed shard (exponential backoff)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-shard wall-clock limit (parallel runs only)")
-    p.add_argument("--keep-going", action="store_true",
-                   help="report failed shards as structured errors instead "
-                        "of aborting the fleet")
-    p.add_argument("--durability", default="rename",
-                   choices=("none", "rename", "fsync"),
-                   help="shard cache write durability (see lifetime "
-                        "--durability)")
     p.add_argument("--fidelity", default="epoch", choices=("epoch", "ftl"),
                    help="device simulation fidelity: 'epoch' runs the batched "
                         "lifetime model, 'ftl' replays every device through "
                         "the page-mapped FTL (GC, wear leveling, per-block "
                         "PEC) on the analytic fast path")
-    p.add_argument("--bench-json", default=None, metavar="PATH",
-                   help="write per-point wall times (BENCH_runner.json format)")
+    _add_runner_flags(p, "shard")
     p.set_defaults(func=_cmd_population)
 
     p = sub.add_parser("faults", help="fault-injection utilities")

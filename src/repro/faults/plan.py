@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.ftl.bad_blocks import infant_mortality_deaths
 
-__all__ = ["FaultConfig", "FaultEvent", "FaultPlan", "FaultSummary"]
+__all__ = ["FaultConfig", "FaultEvent", "FaultPlan", "FaultSummary", "plan_for_build"]
 
 #: Target name reserved for device-wide cloud connectivity events.
 CLOUD_TARGET = "cloud"
@@ -330,3 +330,24 @@ def _merge_windows(windows: list[tuple[int, int]]) -> tuple[tuple[int, int], ...
         else:
             merged.append((start, end))
     return tuple(merged)
+
+
+def plan_for_build(build, fault_params: Mapping | None, days: int, seed: int):
+    """The :class:`FaultPlan` for ``build`` from plain-data params.
+
+    The schedule targets every partition of the build (units = block
+    groups) and is generated *before* the run, so it depends only on
+    ``(fault_params, seed, days, build shape)`` -- never on worker
+    placement or completion order.  Omitted or all-zero params give
+    None: the exact fault-free run.
+    """
+    if not fault_params:
+        return None
+    config = FaultConfig.from_params(fault_params)
+    if config.is_zero:
+        return None
+    targets = {
+        name: partition.spec.n_groups
+        for name, partition in build.device.partitions.items()
+    }
+    return FaultPlan.generate(config, seed=seed, horizon_days=days, targets=targets)

@@ -10,6 +10,11 @@ streaming, associatively mergeable digests (:class:`WearDigest`,
 :class:`repro.obs.SnapshotAccumulator`) so peak memory follows the
 shard size while the fleet scales to millions of devices.
 
+The package owns device populations end to end: the default mix
+(:data:`DEFAULT_MIX_WEIGHTS`), per-device identity
+(:func:`assign_mixes`) and the chunk functions live here, and every
+population number in the repo runs through :func:`run_fleet`.
+
 Invariants pinned by ``tests/fleet``:
 
 * **shard invariance** -- the same plan re-sharded (any
@@ -23,18 +28,20 @@ Invariants pinned by ``tests/fleet``:
   are cached and folded, so the coordinator never holds the fleet.
 """
 
-from .plan import DEFAULT_EXACT_CAP, FleetPlan
+from .plan import DEFAULT_EXACT_CAP, DEFAULT_MIX_WEIGHTS, FleetPlan, assign_mixes
 from .points import fleet_shard_point
 from .reduce import WEAR_BIN_WIDTH, WEAR_N_BINS, WearDigest
 from .run import FleetResult, fleet_store_keys, fleet_wear_from_store, run_fleet
 
 __all__ = [
     "DEFAULT_EXACT_CAP",
+    "DEFAULT_MIX_WEIGHTS",
     "FleetPlan",
     "FleetResult",
     "WEAR_BIN_WIDTH",
     "WEAR_N_BINS",
     "WearDigest",
+    "assign_mixes",
     "fleet_shard_point",
     "fleet_store_keys",
     "fleet_wear_from_store",

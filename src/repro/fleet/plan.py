@@ -28,13 +28,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.runner.points import DEFAULT_MIX_WEIGHTS
+import numpy as np
 
-__all__ = ["DEFAULT_EXACT_CAP", "FleetPlan"]
+__all__ = ["DEFAULT_EXACT_CAP", "DEFAULT_MIX_WEIGHTS", "FleetPlan", "assign_mixes"]
 
 #: Fleets at or below this many devices keep raw per-device wear values
 #: (bit-exact quantiles); larger fleets reduce to histogram estimates.
 DEFAULT_EXACT_CAP = 100_000
+
+#: population intensity mix: mostly light/typical, thin heavy tail.
+#: The default of every :class:`FleetPlan`, so every "realistic fleet"
+#: in the repo (E14, E16, ``repro population``) means the same fleet.
+DEFAULT_MIX_WEIGHTS = {
+    "light": 0.35,
+    "typical": 0.45,
+    "heavy": 0.18,
+    "adversarial": 0.02,
+}
 
 
 def _canonical_weights(mix_weights) -> tuple[tuple[str, float], ...]:
@@ -46,6 +56,57 @@ def _canonical_weights(mix_weights) -> tuple[tuple[str, float], ...]:
     if not pairs:
         raise ValueError("mix_weights must name at least one mix")
     return tuple((str(name), float(weight)) for name, weight in pairs)
+
+
+def assign_mixes(
+    seed: int,
+    mix_weights,
+    start: int,
+    count: int,
+) -> list[str]:
+    """Intensity-mix assignment for devices ``start .. start+count-1``.
+
+    The population convention: device ``u``'s mix is the ``u``-th draw
+    of the ``numpy.random.default_rng(seed)`` stream through
+    ``rng.choice(len(mixes), p=weights)`` -- one PCG64 state step per
+    device.  This function reproduces those draws **bit-identically**
+    (pinned by tests against the sequential loop) but derives them from
+    the *global* device index: ``PCG64.advance(start)`` jumps straight
+    to device ``start``'s draw in O(1), and the block of ``count``
+    uniforms then resolves through the same normalized-CDF searchsorted
+    that ``Generator.choice`` uses internally.
+
+    Two properties follow, and the fleet sharding layer leans on both:
+
+    * **chunk/shard invariance** -- a device's mix depends only on
+      ``(seed, mix_weights, global index)``, never on how the
+      population is cut into shards or how large it is;
+    * **shard-local construction** -- a shard worker materializes its
+      own slice of the assignment in O(shard) time and memory, so
+      nobody ever builds (or ships) the million-entry global list.
+
+    ``mix_weights`` is a name->weight mapping or a sequence of
+    ``(name, weight)`` pairs; **order matters** (it fixes which CDF
+    interval each name owns), which is why sharded grids carry the
+    weights as an ordered list of pairs.
+    """
+    if count < 0 or start < 0:
+        raise ValueError("start and count must be non-negative")
+    pairs = _canonical_weights(mix_weights)
+    names = [name for name, _ in pairs]
+    weights = np.array([weight for _, weight in pairs], dtype=float)
+    if (weights < 0).any() or weights.sum() <= 0:
+        raise ValueError("mix weights must be non-negative with a positive sum")
+    if count == 0:
+        return []
+    # the exact normalization chain of Generator.choice(p=weights/sum):
+    # choice re-normalizes its (already normalized) p via the CDF
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    uniforms = np.random.Generator(
+        np.random.PCG64(seed).advance(start)
+    ).random(count)
+    return [names[i] for i in cdf.searchsorted(uniforms, side="right")]
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +152,7 @@ class FleetPlan:
         Device simulation fidelity: ``"epoch"`` (default) runs the
         batched epoch-level lifetime model; ``"ftl"`` replays each
         device through the page-mapped FTL
-        (:func:`repro.runner.points.ftl_population_observables`).
+        (:func:`repro.fleet.points.ftl_population_observables`).
         Per-device identity (mix, workload seed) is the same under
         either fidelity.
     """
@@ -158,7 +219,6 @@ class FleetPlan:
         device interval, so a shard's cache key -- and its simulated
         devices -- survive re-sharding of everything around it.
         """
-        exact = self.exact
         weights = [[name, weight] for name, weight in self.mix_weights]
         grid = []
         for start in range(0, self.n_devices, self.shard_size):
@@ -172,7 +232,6 @@ class FleetPlan:
                 "build": self.build,
                 "workload_seed_base": self.workload_seed_base,
                 "chunk": self.chunk,
-                "exact": exact,
             }
             if self.faults:
                 params["faults"] = dict(self.faults)

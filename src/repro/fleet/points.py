@@ -1,23 +1,145 @@
-"""The shard point function: one fleet shard per sweep point.
+"""The shard point function and the chunk functions it steps.
 
-Lives at module scope so worker processes can unpickle it by reference
-(the same contract as :mod:`repro.runner.points`).  A shard point is
-the composition this package exists for: it derives its slice of the
-population *locally* (mix assignment and workload seeds from global
-device indices), steps the slice through the batched fleet engine in
-``chunk``-device passes, and reduces the per-device wear values to a
-:class:`~repro.fleet.reduce.WearDigest` -- so the value flowing back to
+:func:`fleet_shard_point` lives at module scope so worker processes can
+unpickle it by reference.  A shard point is the composition this
+package exists for: it derives its slice of the population *locally*
+(mix assignment and workload seeds from global device indices), steps
+the slice through one of the two chunk functions in ``chunk``-device
+passes -- :func:`population_batch_observables` (the batched epoch
+engine) or :func:`ftl_population_observables` (the page-mapped FTL) --
+and reduces the per-device wear values to a
+:class:`~repro.fleet.reduce.WearDigest`, so the value flowing back to
 the coordinator (and into the result cache) is O(digest), not
 O(devices).
+
+A chunk function takes plain-data params: ``mixes`` and
+``workload_seeds`` (parallel per-device lists), ``capacity_gb``,
+``days``, and for the epoch engine an optional ``build``
+(``ALL_BUILDERS`` key, default ``tlc_baseline``) and ``faults``
+(plain-data FaultConfig mapping; each device's plan is seeded by its
+workload seed).  Every device is a pure function of its own entries,
+so any chunking of a population produces bit-identical columns.
 """
 
 from __future__ import annotations
 
-from repro.obs import get_observer
+import numpy as np
 
+from repro.obs import get_observer
+from repro.workloads.mobile import MobileWorkload, WorkloadConfig
+
+from .plan import assign_mixes
 from .reduce import WearDigest
 
-__all__ = ["fleet_shard_point"]
+__all__ = [
+    "fleet_shard_point",
+    "ftl_population_observables",
+    "population_batch_observables",
+]
+
+
+def population_batch_observables(params: dict) -> dict:
+    """End-of-life observables of one chunk on the batched epoch engine.
+
+    One vectorized :func:`repro.sim.batch.run_lifetime_batch` pass over
+    the chunk's devices.  Every final-day observable worth distribution
+    queries comes back as one float64/int64 array per column, in device
+    order -- exactly the shape the columnar result store packs into
+    compressed blocks.
+    """
+    from repro.sim.baselines import ALL_BUILDERS
+    from repro.sim.batch import SummaryBatch, run_lifetime_batch
+    from repro.sim.lifetime import SimConfig
+
+    days = params["days"]
+    builder = ALL_BUILDERS[params.get("build", "tlc_baseline")]
+    seeds = list(params["workload_seeds"])
+    volumes = [
+        MobileWorkload(
+            WorkloadConfig(mix=mix, days=days, seed=ws)
+        ).daily_volume_arrays()
+        for mix, ws in zip(params["mixes"], seeds)
+    ]
+    builds = [builder(params["capacity_gb"]) for _ in volumes]
+    plans = None
+    if params.get("faults"):
+        from repro.faults.plan import plan_for_build
+
+        plans = [
+            plan_for_build(build, params["faults"], days, ws)
+            for build, ws in zip(builds, seeds)
+        ]
+    # only each result's ``.final`` is read: sampling every ``days`` days
+    # takes day 0 and the last day, and skips the 30-day samples' RBER
+    # and ECC passes over every group of the chunk
+    finals = [
+        result.final
+        for result in run_lifetime_batch(
+            builds, SummaryBatch.from_volume_arrays(volumes),
+            config=SimConfig(sample_every_days=days), fault_plans=plans,
+        )
+    ]
+    return {
+        "wear": np.array([f.sys_wear_fraction for f in finals], dtype=np.float64),
+        "spare_wear": np.array(
+            [f.spare_wear_fraction for f in finals], dtype=np.float64
+        ),
+        "capacity_gb": np.array([f.capacity_gb for f in finals], dtype=np.float64),
+        "spare_quality": np.array([f.spare_quality for f in finals], dtype=np.float64),
+        "retired_groups": np.array([f.retired_groups for f in finals], dtype=np.int64),
+        "resuscitated_groups": np.array(
+            [f.resuscitated_groups for f in finals], dtype=np.int64
+        ),
+    }
+
+
+def ftl_population_observables(params: dict) -> dict:
+    """End-of-life observables of one chunk at FTL fidelity.
+
+    The page-level sibling of :func:`population_batch_observables`:
+    each device is replayed through the page-mapped FTL
+    (:func:`repro.ftl.replay.replay` on the analytic chip fast path)
+    instead of the epoch-level lifetime model.
+
+    Columns (device order): ``wear`` (mean PEC-over-rated across live
+    blocks -- the digest input), ``max_wear``, and int64 activity
+    counters ``gc_erases``, ``gc_migrations``, ``wl_migrations``,
+    ``host_writes``, ``retired_blocks``.
+    """
+    from repro.ftl.replay import FtlReplayConfig, replay
+
+    mixes = list(params["mixes"])
+    seeds = list(params["workload_seeds"])
+    if len(mixes) != len(seeds):
+        raise ValueError("mixes and workload_seeds must be parallel lists")
+    results = [
+        replay(
+            FtlReplayConfig(
+                mix=mix,
+                days=int(params["days"]),
+                capacity_gb=float(params["capacity_gb"]),
+                seed=int(ws),
+            )
+        )
+        for mix, ws in zip(mixes, seeds)
+    ]
+    return {
+        "wear": np.array([r.mean_wear for r in results], dtype=np.float64),
+        "max_wear": np.array([r.max_wear for r in results], dtype=np.float64),
+        "gc_erases": np.array([r.stats.gc_erases for r in results], dtype=np.int64),
+        "gc_migrations": np.array(
+            [r.stats.gc_migrations for r in results], dtype=np.int64
+        ),
+        "wl_migrations": np.array(
+            [r.stats.wl_migrations for r in results], dtype=np.int64
+        ),
+        "host_writes": np.array(
+            [r.stats.host_writes for r in results], dtype=np.int64
+        ),
+        "retired_blocks": np.array(
+            [r.retired_blocks for r in results], dtype=np.int64
+        ),
+    }
 
 
 def fleet_shard_point(params: dict, seed: int) -> dict:
@@ -26,28 +148,20 @@ def fleet_shard_point(params: dict, seed: int) -> dict:
     params (see :meth:`repro.fleet.plan.FleetPlan.shard_grid`):
     ``start``, ``count``, ``pop_seed``, ``mix_weights`` (ordered
     ``[name, weight]`` pairs), ``capacity_gb``, ``days``, ``build``,
-    ``workload_seed_base``, ``chunk``, ``exact``, optional ``faults``,
-    optional ``fidelity`` (``"ftl"`` replays each device through the
-    page-mapped FTL instead of the epoch lifetime model).
+    ``workload_seed_base``, ``chunk``, optional ``faults``, optional
+    ``fidelity`` (``"ftl"`` replays each device through the page-mapped
+    FTL instead of the epoch lifetime model).
 
     Returns ``{"devices", "start", "wear", "obs"}``: ``wear`` is a
     serialized histogram-only :class:`WearDigest`, and ``obs`` holds the
     shard's end-of-life observable *columns* (float64/int64 arrays in
     device order, ``wear``/``spare_wear``/``capacity_gb``/... -- see
-    :func:`repro.runner.points.population_batch_observables`).  The
-    result cache lifts those arrays into its column store, and the
-    fleet layer takes exact per-device wear from the ``wear`` column --
-    so one persisted value serves both streaming reduction and off-disk
-    distribution queries, without duplicating the values in the digest.
+    :func:`population_batch_observables`).  The result cache lifts those
+    arrays into its column store, and the fleet layer takes exact
+    per-device wear from the ``wear`` column -- so one persisted value
+    serves both streaming reduction and off-disk distribution queries,
+    without duplicating the values in the digest.
     """
-    import numpy as np
-
-    from repro.runner.points import (
-        assign_mixes,
-        ftl_population_observables,
-        population_batch_observables,
-    )
-
     start = int(params["start"])
     count = int(params["count"])
     chunk = int(params["chunk"])
@@ -75,7 +189,7 @@ def fleet_shard_point(params: dict, seed: int) -> dict:
         }
         if params.get("faults"):
             batch_params["faults"] = params["faults"]
-        chunk_obs = observe(batch_params, seed)
+        chunk_obs = observe(batch_params)
         digest.add_many(chunk_obs["wear"])
         parts.append(chunk_obs)
     obs_columns = {

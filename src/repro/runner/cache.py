@@ -43,6 +43,16 @@ approximate.  The coordinator calls :meth:`ResultCache.finalize` once
 per sweep to flush and index the store; everything stays recoverable
 without it.
 
+A store file has **one appender**: a second appender would truncate
+the first one's blocks and index different bytes at the same offsets.
+So the cache takes an exclusive ``flock`` on its directory before it
+opens the store for append, and :meth:`ResultCache.finalize` releases
+it.  A cache that finds the lock taken (another sweep, thread or
+process on the same directory) stores whole-value pickles and joins
+skeletons through a read-only store; a skeleton it cannot join is a
+plain miss, never a quarantine, since the appender may simply not have
+written it yet.
+
 All file I/O routes through the :mod:`repro.chaos` filesystem layer, so
 the chaos suite can fire ENOSPC/EIO/torn-write/failed-rename at seeded
 points; with chaos disabled the layer is a stateless pass-through.
@@ -55,12 +65,15 @@ scan the directory -- a worker-side open stays O(1).
 from __future__ import annotations
 
 import errno
+import fcntl
 import hashlib
 import json
 import logging
 import math
+import os
 import pickle
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -124,6 +137,12 @@ def _jsonable(obj: Any) -> Any:
             out[key] = _jsonable(value)
         return out
     raise TypeError(f"value {obj!r} of type {type(obj).__name__} is not cache-keyable")
+
+
+def _unlock(fd: int) -> None:
+    # LOCK_UN first: forked workers hold duplicates of the descriptor
+    fcntl.flock(fd, fcntl.LOCK_UN)
+    os.close(fd)
 
 
 def stable_key(obj: Any) -> str:
@@ -198,10 +217,15 @@ class ResultCache:
         #: column appends that failed and fell back to whole pickles
         self.column_errors = 0
         #: the lazily-opened ColumnStore (None until an array value
-        #: arrives or a skeleton is loaded); False = open failed, the
-        #: cache latched back to whole-value pickles
+        #: arrives or a skeleton is loaded): ``mode="append"`` while this
+        #: cache holds the directory lock, ``mode="read"`` otherwise
         self._store = None
+        #: open failed: the cache latched back to whole-value pickles
         self._store_failed = False
+        #: releases the directory's append lock (None: not held)
+        self._lock = None
+        #: the store's stats at the last finalize, for storage_report
+        self._store_stats = None
         if scan_stale_tmp:
             self.remove_stale_tmp()
 
@@ -213,17 +237,18 @@ class ResultCache:
     def _get_store(self, create: bool):
         """The cache's ColumnStore, opened (or created) lazily.
 
-        Returns None when there is nothing to open (``create=False`` and
-        no file) or when opening failed -- the latter latches
+        Opened for append when this cache holds the directory lock, read
+        only otherwise.  Returns None when there is nothing to open (no
+        file, and no ``create`` by the lock holder) or when opening
+        failed -- the latter latches
         ``_store_failed`` so the cache degrades to whole-value pickles
         instead of retrying a broken store on every point.
         """
-        if self._store is not None:
+        if self._store is not None or self._store_failed:
             return self._store
-        if self._store_failed:
-            return None
         path = self.root / self.STORE_FILE
-        if not create and not path.exists():
+        appender = self._take_lock()
+        if not path.exists() and not (create and appender):
             return None
         from repro.store import ColumnStore, StoreError
 
@@ -235,7 +260,7 @@ class ResultCache:
             # compact() repacks into properly sized blocks afterwards.
             # A new store is zlib; an existing one keeps its own codec.
             self._store = ColumnStore(
-                path, mode="append", block_bytes=1,
+                path, mode="append" if appender else "read", block_bytes=1,
                 durability=self.durability, fs=self.fs,
             )
         except (OSError, StoreError) as err:
@@ -250,19 +275,42 @@ class ResultCache:
             return None
         return self._store
 
+    def _take_lock(self) -> bool:
+        """Take the directory's append lock without blocking; True if held."""
+        if self._lock is None:
+            try:
+                fd = os.open(self.root, os.O_RDONLY)
+            except OSError:
+                return False
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                os.close(fd)
+                return False
+            # a cache dropped without finalize() still lets go of the lock
+            self._lock = weakref.finalize(self, _unlock, fd)
+        return True
+
     def finalize(self) -> None:
-        """Flush and index the column store (no-op without one).
+        """Flush and index the column store, then release the append lock.
 
         The sweep coordinator calls this once per run; a cache that
         never sees it stays fully recoverable (the store rebuilds its
         index from block TOCs), finalizing just makes reopening O(1).
+        The store's stats stay in :meth:`storage_report`; a later load
+        or store reopens it.
         """
-        if self._store is None:
-            return
-        try:
-            self._store.checkpoint()
-        except OSError as err:
-            self._degrade(err)
+        store, self._store = self._store, None
+        if store is not None:
+            if store.mode == "append":
+                try:
+                    store.checkpoint()
+                except OSError as err:
+                    self._degrade(err)
+            self._store_stats = store.stats()
+        if self._lock is not None:
+            self._lock()
+            self._lock = None
 
     # -- reads -----------------------------------------------------------------
 
@@ -334,7 +382,8 @@ class ResultCache:
                 reason = "store-skeleton-mismatch"
         self.column_misses += 1
         get_observer().count("cache.column_misses")
-        self._quarantine(path, reason)
+        if self._lock is not None:
+            self._quarantine(path, reason)
         return None
 
     def _quarantine(self, path: Path, reason: str) -> None:
@@ -386,7 +435,7 @@ class ResultCache:
         if not columns:
             return whole
         store = self._get_store(create=True)
-        if store is None:
+        if store is None or store.mode != "append":
             return whole
         try:
             store.put(key, columns)
@@ -442,8 +491,8 @@ class ResultCache:
             "corrupt_quarantined": self.corrupt_quarantined,
             "invalid_payloads": self.invalid_payloads,
         }
-        if self._store is not None:
-            stats = self._store.stats()
+        stats = self._store.stats() if self._store is not None else self._store_stats
+        if stats is not None:
             report["store"] = {
                 "codec": stats.codec,
                 "file_bytes": stats.file_bytes,

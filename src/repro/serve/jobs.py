@@ -66,10 +66,9 @@ TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 #: import arbitrary modules.  The faultfns entries are deliberate:
 #: they are the fault-injection doubles the robustness tests (and any
 #: operator rehearsing failure drills) drive through a live gateway.
+#: Device populations are ``population`` jobs, never sweep fns.
 SWEEP_POINT_FNS: dict[str, str] = {
     "lifetime": "repro.runner.points:lifetime_point",
-    "population_batch": "repro.runner.points:population_batch_point",
-    "ftl_population": "repro.runner.points:ftl_population_point",
     "flaky": "repro.runner.faultfns:flaky_point",
     "crash": "repro.runner.faultfns:crash_point",
     "sleepy": "repro.runner.faultfns:sleepy_point",
@@ -82,6 +81,9 @@ _MAX_DEVICES = 10_000_000
 def _resolve_point_fn(name: str) -> Callable[[dict, int], Any]:
     import importlib
 
+    if name not in SWEEP_POINT_FNS:
+        # a journaled job can outlive its fn: it fails, the gateway runs on
+        raise ValueError(f"sweep fn {name!r} is no longer registered")
     target = SWEEP_POINT_FNS[name]
     module_name, _, attr = target.partition(":")
     return getattr(importlib.import_module(module_name), attr)

@@ -61,7 +61,7 @@ Devices in one batch must share their build topology (same partitions,
 same specs); only the write-amplification factor ``waf`` may vary per
 device, which is what the A6 sensitivity grid sweeps.  Heterogeneous
 populations batch per homogeneous sub-population (see
-``runner.points``).
+``repro.fleet.points``).
 
 Observability: one batched pass charges N logical span calls
 (``obs.span(name, calls=N)``) and bumps shared counters by N, so

@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fleet import FleetPlan, run_fleet
+from repro.fleet import FleetPlan, assign_mixes, run_fleet
 from repro.ftl.replay import FtlReplayConfig, replay
-from repro.runner.points import assign_mixes
 
 N_DEVICES = 10
 DAYS = 30

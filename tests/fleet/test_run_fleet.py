@@ -11,10 +11,12 @@ The load-bearing claims, each pinned here on a small fast fleet:
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from repro.fleet import FleetPlan, fleet_shard_point, run_fleet
+from repro.fleet import FleetPlan, fleet_shard_point, fleet_store_keys, run_fleet
 from repro.obs import strip_timings
 
 N_DEVICES = 30
@@ -92,6 +94,22 @@ class TestCrashResume:
         assert resumed.sweep.cached_count == plan.n_shards - 1
         assert resumed.sweep.computed_count == 1
         assert np.array_equal(np.asarray(resumed.wear_values()), golden_wear)
+
+
+    def test_concurrent_fleets_share_one_cache_dir(self, tmp_path):
+        """Two fleets running at once on one cache directory (a gateway
+        runs two jobs in threads): warm reruns hit every shard, serve
+        each fleet its own wear, and quarantine nothing."""
+        plans = [_plan(seed=seed, days=30, shard_size=3, chunk=3) for seed in (606, 607)]
+        isolated = [run_fleet(plan).wear_values() for plan in plans]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(lambda plan: run_fleet(plan, cache_dir=tmp_path), plans,
+                          timeout=300))
+        for plan, expected in zip(plans, isolated):
+            warm = run_fleet(plan, cache_dir=tmp_path)
+            assert warm.sweep.cached_count == plan.n_shards
+            assert warm.wear_values() == expected
+            assert warm.sweep.storage["corrupt_quarantined"] == 0
 
 
 class TestStreamingReduction:
@@ -260,6 +278,13 @@ class TestPlanValidation:
         ):
             with pytest.raises(ValueError):
                 _plan(**bad)
+
+    def test_shard_keys_survive_growth_past_exact_cap(self):
+        """Exactness is the plan's, not the shard's: a fleet that grows
+        past ``exact_cap`` keeps every existing shard's cache key."""
+        small = fleet_store_keys(_plan(n_devices=20, exact_cap=20))
+        grown = fleet_store_keys(_plan(n_devices=30, exact_cap=20))
+        assert grown[:2] == small
 
     def test_faults_canonicalized(self):
         plan = _plan(faults={"b": 1.0, "a": 2.0})

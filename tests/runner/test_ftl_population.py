@@ -1,10 +1,10 @@
-"""FTL-fidelity population points: per-device identity and chunking.
+"""FTL-fidelity population chunks: per-device identity and chunking.
 
-``ftl_population_observables`` replays each device through the
-page-mapped FTL; these tests pin that a device's outcome is a pure
-function of its ``(mix, workload seed, days, capacity)`` identity --
-so any chunking of a population concatenates to the same columns --
-and that the point wrapper returns the ``wear`` column unchanged.
+The fleet's chunk function ``ftl_population_observables`` replays each
+device through the page-mapped FTL; these tests pin that a device's
+outcome is a pure function of its ``(mix, workload seed, days,
+capacity)`` identity -- so any chunking of a population concatenates to
+the same columns.
 """
 
 from __future__ import annotations
@@ -12,11 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.fleet.points import ftl_population_observables
 from repro.ftl.replay import FtlReplayConfig, replay
-from repro.runner.points import (
-    ftl_population_observables,
-    ftl_population_point,
-)
 
 DAYS = 20
 MIXES = ["light", "typical", "heavy", "typical", "light", "heavy"]
@@ -33,9 +30,9 @@ def _params(lo: int, hi: int) -> dict:
 
 
 def test_columns_are_chunk_invariant():
-    whole = ftl_population_observables(_params(0, 6), seed=0)
+    whole = ftl_population_observables(_params(0, 6))
     pieces = [
-        ftl_population_observables(_params(lo, hi), seed=0)
+        ftl_population_observables(_params(lo, hi))
         for lo, hi in ((0, 1), (1, 4), (4, 6))
     ]
     for name, column in whole.items():
@@ -44,7 +41,7 @@ def test_columns_are_chunk_invariant():
 
 
 def test_devices_match_direct_replay():
-    obs = ftl_population_observables(_params(0, 3), seed=77)
+    obs = ftl_population_observables(_params(0, 3))
     for u in range(3):
         direct = replay(
             FtlReplayConfig(mix=MIXES[u], days=DAYS, capacity_gb=64.0,
@@ -57,14 +54,8 @@ def test_devices_match_direct_replay():
         assert obs["host_writes"][u] == direct.stats.host_writes
 
 
-def test_point_returns_the_wear_column():
-    params = _params(0, 3)
-    assert ftl_population_point(params, seed=0) == \
-        ftl_population_observables(params, seed=0)["wear"].tolist()
-
-
 def test_column_dtypes_fit_the_result_store():
-    obs = ftl_population_observables(_params(0, 2), seed=0)
+    obs = ftl_population_observables(_params(0, 2))
     assert obs["wear"].dtype == np.float64
     assert obs["max_wear"].dtype == np.float64
     for name in ("gc_erases", "gc_migrations", "wl_migrations",
@@ -77,5 +68,4 @@ def test_mismatched_device_lists_are_rejected():
         ftl_population_observables(
             {"mixes": ["light"], "workload_seeds": [1, 2],
              "capacity_gb": 64.0, "days": 5},
-            seed=0,
         )

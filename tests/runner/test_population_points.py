@@ -1,11 +1,12 @@
-"""Batched sweep points reproduce per-device runs of the scalar oracle.
+"""Fleet population chunks reproduce per-device runs of the scalar oracle.
 
-The E16/E14 benches, the A6 grid and the CLI ``population`` command run
-one sweep point per batched chunk; these tests pin that batching is
-purely an execution strategy: wear values, percentiles, and the A6
-sensitivity grid match the per-device scalar oracle
-(``tests/sim/lifetime_oracle.py``), and chunk size never leaks into
-results.
+The E16/E14 benches and the CLI ``population`` command run device
+populations as :mod:`repro.fleet` shards, each stepping its devices
+through the batched epoch engine in chunks; the A6 grid batches its WAF
+row the same way.  These tests pin that batching is purely an execution
+strategy: wear values, percentiles, and the A6 sensitivity grid match
+the per-device scalar oracle (``tests/sim/lifetime_oracle.py``), and
+chunk size never leaks into results.
 """
 
 from __future__ import annotations
@@ -17,17 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.faults.plan import plan_for_build
 from repro.flash.cell import CellTechnology
 from repro.flash.reliability import ENDURANCE_TABLE
-from repro.runner.points import (
-    DEFAULT_MIX_WEIGHTS,
-    _fault_plan,
-    assign_mixes,
-    population_batch_grid,
-    population_batch_observables,
-    population_batch_point,
-    sensitivity_batch_point,
-)
+from repro.fleet import DEFAULT_MIX_WEIGHTS, FleetPlan, assign_mixes, fleet_shard_point
+from repro.fleet.points import population_batch_observables
+from repro.runner.points import sensitivity_batch_point
 from repro.sim.baselines import ALL_BUILDERS, build_sos, build_tlc_baseline
 from repro.sim.batch import SummaryBatch, run_lifetime_batch
 from repro.sim.lifetime import SimConfig
@@ -93,12 +89,22 @@ class TestAssignMixes:
             assign_mixes(1, DEFAULT_MIX_WEIGHTS, -1, 5)
 
 
-def _flatten(grid):
-    return [
-        (mix, seed)
-        for chunk in grid
-        for mix, seed in zip(chunk["mixes"], chunk["workload_seeds"])
-    ]
+def _plan(n_devices: int, days: int, chunk: int, **overrides) -> FleetPlan:
+    """A fleet whose every shard is one chunk-function pass."""
+    return FleetPlan(n_devices=n_devices, days=days, capacity_gb=64.0,
+                     shard_size=chunk, chunk=chunk, **overrides)
+
+
+def _identity(plan: FleetPlan) -> list[tuple[str, int]]:
+    """Device ``u``'s ``(mix, workload seed)``, straight from the plan."""
+    mixes = assign_mixes(plan.seed, plan.mix_weights, 0, plan.n_devices)
+    return [(mix, plan.workload_seed_base + u) for u, mix in enumerate(mixes)]
+
+
+def _shard_obs(plan: FleetPlan) -> dict:
+    """The fleet's observable columns, stitched across its shards."""
+    parts = [fleet_shard_point(params, 0)["obs"] for params in plan.shard_grid()]
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
 def _summaries(mix: str, seed: int):
@@ -106,17 +112,13 @@ def _summaries(mix: str, seed: int):
 
 
 def test_population_batch_matches_scalar_percentiles():
-    grid = population_batch_grid(
-        N_USERS, DAYS, 64.0, seed=606, mix_weights=DEFAULT_MIX_WEIGHTS, chunk=5
-    )
-    batched = np.concatenate(
-        [np.asarray(population_batch_point(chunk, 0)) for chunk in grid]
-    )
+    plan = _plan(N_USERS, DAYS, chunk=5, seed=606)
+    batched = _shard_obs(plan)["wear"]
     scalar = np.array([
         oracle.run_lifetime(
             oracle.oracle_build(build_tlc_baseline(64.0)), _summaries(mix, seed)
         ).final.sys_wear_fraction
-        for mix, seed in _flatten(grid)
+        for mix, seed in _identity(plan)
     ])
     # TLC populations are bit-identical, so the percentile regression is
     # an exact-equality claim, not a tolerance claim
@@ -128,32 +130,17 @@ def test_population_batch_matches_scalar_percentiles():
 def test_population_batch_grid_chunk_invariant():
     wear = {}
     for chunk in (1, 4, 7, N_USERS):  # 7: a ragged final chunk
-        grid = population_batch_grid(
-            N_USERS, DAYS, 64.0, seed=606,
-            mix_weights=DEFAULT_MIX_WEIGHTS, chunk=chunk,
-        )
-        assert sum(len(g["mixes"]) for g in grid) == N_USERS
-        wear[chunk] = np.concatenate(
-            [np.asarray(population_batch_point(g, 0)) for g in grid]
-        )
+        plan = _plan(N_USERS, DAYS, chunk=chunk, seed=606)
+        assert sum(p["count"] for p in plan.shard_grid()) == N_USERS
+        wear[chunk] = _shard_obs(plan)["wear"]
     assert np.array_equal(wear[1], wear[4])
     assert np.array_equal(wear[4], wear[7])
     assert np.array_equal(wear[7], wear[N_USERS])
 
 
-def test_population_batch_grid_validates_chunk():
-    with pytest.raises(ValueError):
-        population_batch_grid(
-            4, 30, 64.0, seed=1, mix_weights=DEFAULT_MIX_WEIGHTS, chunk=0
-        )
-
-
 def test_population_batch_point_supports_faults():
-    grid = population_batch_grid(
-        4, 90, 64.0, seed=17, mix_weights=DEFAULT_MIX_WEIGHTS, chunk=4
-    )
-    plain = population_batch_point(grid[0], 0)
-    faulted = population_batch_point({**grid[0], "faults": FAULTS}, 0)
+    plain = _shard_obs(_plan(4, 90, chunk=4, seed=17))["wear"].tolist()
+    faulted = _shard_obs(_plan(4, 90, chunk=4, seed=17, faults=FAULTS))["wear"].tolist()
     assert len(faulted) == len(plain) == 4
     assert faulted != plain  # the plan visibly perturbed the fleet
 
@@ -163,23 +150,20 @@ def test_population_batch_point_supports_faults():
     pytest.param("sos", FAULTS, id="sos-faults"),
 ])
 def test_population_points_match_finals_at_default_sampling(build, faults):
-    """The population points sample only a run's ends; every value they
+    """Population chunks sample only a run's ends; every value they
     return is bit-identical to the final sample of a run at the engine's
     default 30-day cadence on the same builds, volumes and fault plans."""
     days = 90
-    (chunk,) = population_batch_grid(
-        5, days, 64.0, seed=17, mix_weights=DEFAULT_MIX_WEIGHTS, chunk=5,
-        build=build,
-    )
-    params = {**chunk, "faults": faults}
+    plan = _plan(5, days, chunk=5, seed=17, build=build, faults=faults)
+    identity = _identity(plan)
     volumes = [
         MobileWorkload(WorkloadConfig(mix=mix, days=days, seed=ws)).daily_volume_arrays()
-        for mix, ws in zip(chunk["mixes"], chunk["workload_seeds"])
+        for mix, ws in identity
     ]
     builds = [ALL_BUILDERS[build](64.0) for _ in volumes]
     plans = [
-        _fault_plan(b, faults, days, ws)
-        for b, ws in zip(builds, chunk["workload_seeds"])
+        plan_for_build(b, faults, days, ws)
+        for b, (_, ws) in zip(builds, identity)
     ]
     finals = [
         result.final
@@ -195,14 +179,18 @@ def test_population_points_match_finals_at_default_sampling(build, faults):
         "retired_groups": ("retired_groups", np.int64),
         "resuscitated_groups": ("resuscitated_groups", np.int64),
     }
-    columns = population_batch_observables(params, 0)
+    columns = _shard_obs(plan)
     assert columns.keys() == fields.keys()
     for column, (field, dtype) in fields.items():
         expected = np.array([getattr(f, field) for f in finals], dtype=dtype)
         assert columns[column].dtype == dtype
         assert columns[column].tobytes() == expected.tobytes(), column
-    wear = np.array(population_batch_point(params, 0))
-    assert wear.tobytes() == columns["wear"].tobytes()
+    chunk = population_batch_observables({
+        "mixes": [mix for mix, _ in identity],
+        "workload_seeds": [ws for _, ws in identity],
+        "capacity_gb": 64.0, "days": days, "build": build, "faults": faults,
+    })
+    assert chunk["wear"].tobytes() == columns["wear"].tobytes()
 
 
 def _oracle_sensitivity(plc_pec: float, waf: float) -> dict:

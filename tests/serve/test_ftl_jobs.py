@@ -1,15 +1,13 @@
 """FTL-fidelity jobs through the gateway's validation + execution core.
 
-The gateway exposes the page-level fleet bridge two ways: a
-``population`` job with ``fidelity: "ftl"`` (a full sharded fleet) and
-a ``sweep`` job naming the registered ``ftl_population`` point.  Both
-must validate strictly off the wire and produce results identical to
-driving the underlying engines directly.
+The gateway exposes the page-level fleet bridge as a ``population`` job
+with ``fidelity: "ftl"`` (a full sharded fleet).  It must validate
+strictly off the wire and produce results identical to driving the
+fleet engine directly.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.fleet import FleetPlan, run_fleet
@@ -47,16 +45,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="epoch"):
             _population_spec(faults={"flaky": 0.5})
 
-    def test_ftl_population_sweep_fn_is_registered(self):
-        spec = JobSpec.from_wire(
-            {"client": "t", "kind": "sweep",
-             "params": {"fn": "ftl_population",
-                        "grid": [{"mixes": ["light"],
-                                  "workload_seeds": [1000],
-                                  "capacity_gb": 64.0, "days": 5}]}}
-        )
-        assert spec.params["fn"] == "ftl_population"
-
 
 class TestExecution:
     def test_ftl_population_job_end_to_end(self, tmp_path):
@@ -79,26 +67,3 @@ class TestExecution:
         stats = direct.summary()
         for quantile in ("median", "p90", "p99", "max"):
             assert result[quantile] == stats[quantile]
-
-    def test_ftl_sweep_job_end_to_end(self, tmp_path):
-        from repro.runner.points import ftl_population_point
-
-        grid = [
-            {"mixes": ["light", "heavy"], "workload_seeds": [1000, 1001],
-             "capacity_gb": 64.0, "days": 10},
-            {"mixes": ["typical"], "workload_seeds": [1002],
-             "capacity_gb": 64.0, "days": 10},
-        ]
-        spec = JobSpec.from_wire(
-            {"client": "t", "kind": "sweep",
-             "params": {"fn": "ftl_population", "grid": grid,
-                        "base_seed": 3}}
-        )
-        result = execute_job(
-            JobRecord.fresh(spec), cache_dir=tmp_path / "cache", jobs=1
-        )
-        assert result["complete"] is True
-        assert result["errors"] == []
-        values = result["values"]
-        assert values[0] == ftl_population_point(grid[0], 0)
-        assert values[1] == ftl_population_point(grid[1], 0)

@@ -359,3 +359,36 @@ class TestFairShare:
                 assert finished_at[solo_id] < finished_at[hog_ids[-1]]
 
         run_async(scenario())
+
+
+class TestJournalRecovery:
+    def test_journaled_job_naming_a_removed_fn_fails_and_the_gateway_runs_on(
+        self, tmp_path, gateway_harness, run_async
+    ):
+        """A job journaled before its sweep fn left the registry is
+        re-run after recovery: it fails, the journal records why, and
+        the gateway keeps serving."""
+        from repro.serve import JobRecord, JobSpec, JobStore
+
+        config = _config(tmp_path)
+        stale = JobRecord.fresh(JobSpec(
+            client="c", kind="sweep",
+            params={"fn": "population_batch", "grid": [{"index": 0}], "base_seed": 0},
+        ))
+        stale.state = "running"
+        JobStore(config.state_dir / "jobs").save(stale)
+
+        async def scenario():
+            async with gateway_harness(config) as (_, client):
+                failed = await client.wait(stale.job_id, timeout_s=30)
+                assert failed["state"] == "failed"
+                assert "population_batch" in failed["error"]
+                status, body, _ = await client.submit("c", "sweep", _sleepy(0.01))
+                assert status == 202
+                done = await client.wait(body["job_id"], timeout_s=30)
+                assert done["state"] == "done"
+
+        run_async(scenario())
+        journaled = JobStore(config.state_dir / "jobs").load(stale.job_id)
+        assert journaled.state == "failed"
+        assert "no longer registered" in journaled.error

@@ -76,10 +76,7 @@ class TestJobSpec:
         function, it can never carry one."""
         from repro.serve import SWEEP_POINT_FNS
 
-        assert set(SWEEP_POINT_FNS) == {
-            "lifetime", "population_batch", "ftl_population",
-            "flaky", "crash", "sleepy",
-        }
+        assert set(SWEEP_POINT_FNS) == {"lifetime", "flaky", "crash", "sleepy"}
         for target in SWEEP_POINT_FNS.values():
             assert target.startswith("repro.runner.")
 

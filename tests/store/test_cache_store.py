@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import errno
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -220,3 +222,82 @@ class TestStoreCodecChoice:
         again = ResultCache(tmp_path).load(other)
         assert again.value["obs"]["retired"].tobytes() == \
             VALUE["obs"]["retired"].tobytes()
+
+
+class TestOneAppender:
+    def test_interleaved_caches_on_one_directory_load_bit_identical(self, tmp_path):
+        """Two caches storing array values into one directory in turn
+        (two sweeps sharing a cache dir): a fresh cache loads every key
+        bit-identical and quarantines nothing."""
+        caches = [ResultCache(tmp_path), ResultCache(tmp_path)]
+        values = {}
+        for i in range(8):
+            key = f"{i:064x}"
+            values[key] = {"obs": {"wear": np.full(4, i / 8.0),
+                                   "retired": np.arange(3, dtype=np.int64) + i}}
+            caches[i % 2].store(key, values[key], wall_s=0.0)
+        for cache in caches:
+            cache.finalize()
+        fresh = ResultCache(tmp_path)
+        for key, value in values.items():
+            loaded = fresh.load(key)
+            assert loaded is not None, key
+            for name, want in value["obs"].items():
+                assert loaded.value["obs"][name].tobytes() == want.tobytes(), key
+        assert fresh.corrupt_quarantined == 0
+
+    def test_second_cache_stores_whole_pickles_and_reads_the_store(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        writer.store(KEY, VALUE, wall_s=1.5)
+        other = ResultCache(tmp_path)
+        other.store("b" * 64, VALUE, wall_s=1.5)
+        assert "columns" not in _payload(other, "b" * 64)
+        assert other.load(KEY).value["obs"]["wear"].tobytes() == \
+            VALUE["obs"]["wear"].tobytes()
+        writer.finalize()
+        # the lock is free again: the next cache appends
+        again = ResultCache(tmp_path)
+        again.store("c" * 64, VALUE, wall_s=1.5)
+        assert _payload(again, "c" * 64)["columns"] == ["obs.retired", "obs.wear"]
+
+    def test_unjoinable_skeleton_is_a_plain_miss_without_the_lock(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        writer.store("b" * 64, VALUE, wall_s=1.5)  # takes the lock
+        reader = ResultCache(tmp_path)
+        assert reader.load("b" * 64) is not None  # opens a read-only store
+        writer.store(KEY, VALUE, wall_s=1.5)
+        # the reader's read-only store predates KEY: a miss, not damage
+        assert reader.load(KEY) is None
+        assert reader.corrupt_quarantined == 0
+        assert (tmp_path / f"{KEY}.pkl").exists()
+
+    def test_caches_in_threads_on_one_directory_stay_bit_identical(self, tmp_path):
+        """More writer threads than cores, switching often: whichever
+        cache holds the lock, every key loads back bit-identical."""
+
+        def write(worker: int) -> None:
+            cache = ResultCache(tmp_path)
+            for i in range(6):
+                cache.store(f"{worker:032x}{i:032x}",
+                            {"obs": {"wear": np.full(4, worker + i / 8.0)}}, wall_s=0.0)
+            cache.finalize()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        fresh = ResultCache(tmp_path)
+        for worker in range(4):
+            for i in range(6):
+                loaded = fresh.load(f"{worker:032x}{i:032x}")
+                assert loaded is not None
+                assert loaded.value["obs"]["wear"].tobytes() == \
+                    np.full(4, worker + i / 8.0).tobytes()
+        assert fresh.corrupt_quarantined == 0
