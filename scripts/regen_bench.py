@@ -25,11 +25,13 @@ cache granularity of one sweep point per device) -- the ``>= 5x``
 smaller claim, as a number.
 
 A top-level ``ftl_bench`` section records the page-level FTL's perf
-claims: single-device replay throughput on the bit-exact + scalar-GC
-path vs the analytic + vectorized path (the ``>= 5x`` replay speedup,
-with an equivalence self-check -- both paths must land identical
-``FtlStats``), and the first FTL fleet-scaling curve
-(``ftl-scaling-{10,50,200}`` sweeps, devices/s at 90 days each).
+claims: single-device replay throughput on the bit-exact chip with
+per-page host ops (the ``scalar`` row) vs the analytic chip with batched
+host ops (the ``vectorized`` row), both picking GC victims with the one
+production selector (the ``>= 5x`` replay speedup, with an equivalence
+self-check -- both paths must land identical ``FtlStats``), and the
+first FTL fleet-scaling curve (``ftl-scaling-{10,50,200}`` sweeps,
+devices/s at 90 days each).
 
 The scaling rows record the sharding throughput as part of the perf
 trajectory: compare ``total_wall_s`` across sweeps.

@@ -22,17 +22,15 @@ Two representations coexist per page:
   corrupt real page bytes (the seed behaviour, unchanged);
 * **analytic** -- :meth:`Block.program_analytic_many`/:meth:`Block.read_analytic_many`
   keep every piece of wear/retention/read-disturb book-keeping (and the
-  same sequential-programming rules) but never allocate payload bytes or
-  consume the corruption RNG; reads return the pages' RBERs so callers
-  can accrue expected errors instead of injecting them.  Valid only for
-  content-independent protection (no codec, no parity) -- the FTL
-  enforces that.  The analytic operations are batch-only: one page is a
-  batch of one.
+  same sequential-programming rules) but never allocate payload bytes,
+  consume the corruption RNG or evaluate an RBER: nothing on the
+  analytic path reads one.  Valid only for content-independent
+  protection (no codec, no parity) -- the FTL enforces that.  The
+  analytic operations are batch-only: one page is a batch of one.
 
 Per-page metadata (written-at time, reads since write, PEC at write) lives
-in flat numpy arrays either way, so an analytic read evaluates a whole
-batch's RBER in one vectorized
-:meth:`~repro.flash.error_model.ErrorModel.rber_many` call.
+in flat numpy arrays either way, so a page's RBER stays computable on
+demand from the state both paths keep (:meth:`Block.rber_now`).
 
 Chip-wide per-block state (PEC, retirement, usable pages, last write time)
 lives in a shared :class:`BlockArrays` owned by the chip; ``Block.pec`` and
@@ -142,8 +140,6 @@ class _BlockStats:
     programs: int = 0
     reads: int = 0
     injected_bit_errors: int = 0
-    #: analytic-path accrual: sum over reads of RBER x page bits
-    expected_bit_errors: float = 0.0
 
 
 class Block:
@@ -327,7 +323,7 @@ class Block:
         ).copy()
         self._record_program(page_index)
 
-    def program_analytic_many(self, count: int) -> None:
+    def program_analytic_many(self, count: int) -> int:
         """Program the next ``count`` pages analytically in one step.
 
         Same ordering/capacity rules and wear book-keeping as ``count``
@@ -335,10 +331,11 @@ class Block:
         order, so no page indices are needed), but no payload bytes: the
         pages are marked programmed and per-page metadata updates
         collapse to array slice assignments.  Reads of these pages must
-        go through :meth:`read_analytic_many`.
+        go through :meth:`read_analytic_many`.  Returns the index of the
+        first page of the run.
         """
         if count <= 0:
-            return
+            return self._next_page
         if self.retired:
             raise ProgramError("block is retired")
         lo = self._next_page
@@ -354,6 +351,7 @@ class Block:
         self._next_page += count
         self.stats.programs += count
         self._arrays.last_write_years[self._index] = self._now_years
+        return lo
 
     def is_programmed(self, page_index: int) -> bool:
         """Whether the page has been programmed since the last erase."""
@@ -389,37 +387,21 @@ class Block:
         self.stats.reads += 1
         return self._corrupt(data, rber)
 
-    def read_analytic_many(
-        self, page_indices: np.ndarray, now_years: float | None = None
-    ) -> np.ndarray:
-        """Read many pages of this block analytically: no bytes, no RNG.
+    def read_analytic_many(self, page_indices: np.ndarray) -> None:
+        """Read many pages of this block analytically: no bytes, no RNG, no RBER.
 
-        Performs the read book-keeping of :meth:`read` (read-disturb
-        counters, block stats) and accrues ``rber x page bits`` into
-        ``stats.expected_bit_errors`` in lieu of injected errors.  One
-        :meth:`~repro.flash.error_model.ErrorModel.rber_many` call
-        evaluates every page's RBER; returns the RBERs.  Used by analytic
+        Performs the read book-keeping of :meth:`read` -- each occurrence
+        of a page bumps its read-disturb counter, and ``stats.reads``
+        counts every read -- without materializing or corrupting bytes.
+        Nothing on the analytic path reads an RBER; :meth:`rber_now`
+        computes one on demand from the same counters.  Used by analytic
         GC migration, where a victim's whole live set is read at once.
         """
         idx = np.asarray(page_indices, dtype=np.int64)
-        if idx.size == 0:
-            return np.zeros(0, dtype=np.float64)
         if not self._programmed[idx].all():
             raise ProgramError("read_analytic_many on unprogrammed page(s)")
-        now = self._now_years if now_years is None else now_years
-        ages = np.maximum(0.0, now - self._written_at[idx])
-        rbers = self._error_model.rber_many(
-            float(self.pec), ages, self._reads[idx].astype(np.float64)
-        )
-        # np.add.at: duplicate page indices (one page read twice in a
-        # batch) must bump the read-disturb counter once per occurrence.
-        # Their RBERs all use the pre-batch count -- an ulp-level
-        # difference in expected_bit_errors vs sequential reads, never
-        # in any mapping, wear, or FtlStats observable.
         np.add.at(self._reads, idx, 1)
         self.stats.reads += idx.size
-        self.stats.expected_bit_errors += float(rbers.sum()) * self.page_capacity_bytes * 8
-        return rbers
 
     def read_clean(self, page_index: int) -> bytes:
         """Read a page without error injection (oracle view for tests)."""

@@ -4,6 +4,11 @@ The chip exposes physical (block, page) addressing plus the management
 hooks SOS needs: per-block operating-mode reconfiguration, retirement,
 and a shared retention clock.  Logical addressing, allocation, and
 garbage collection live above this layer in :mod:`repro.ftl`.
+
+Pages are read either bit-exactly (:meth:`FlashChip.read`: real bytes,
+injected errors) or analytically (:meth:`FlashChip.read_analytic_many`:
+the read-disturb and read-count book-keeping only, for streams whose
+protection never inspects content).
 """
 
 from __future__ import annotations
@@ -64,11 +69,6 @@ class FlashChip:
             )
             for i in range(geometry.total_blocks)
         ]
-        # per-block operating-mode ids (index into _mode_registry), kept
-        # in sync by reconfigure_block; lets batched reads test mode
-        # homogeneity without touching Block objects
-        self._mode_registry: list[CellMode] = [mode]
-        self._mode_ids = np.zeros(geometry.total_blocks, dtype=np.int64)
         self._now_years = 0.0
 
     # -- capacity ----------------------------------------------------------
@@ -108,54 +108,23 @@ class FlashChip:
         block_index, page_index = addr
         return self.blocks[block_index].read(page_index, self._now_years)
 
-    def read_analytic_many(self, flats: np.ndarray) -> np.ndarray:
-        """Batched analytic read of flattened page indices at chip time.
+    def read_analytic_many(self, flats: np.ndarray) -> None:
+        """Batched analytic read of flattened page indices.
 
-        The cross-block hot path: per-page metadata gathers from the
-        shared :class:`PageArrays`, one vectorized RBER evaluation with
-        per-block PEC broadcast from :class:`BlockArrays`, and bulk
-        scatter of read-disturb counters and block stats.  When touched
-        blocks span more than one operating mode (rare: mixed-density
-        devices), falls back to per-block calls -- same results, just
-        slower.
+        The cross-block hot path: one scatter of read-disturb counters on
+        the shared :class:`PageArrays` (a page listed twice is read
+        twice) and one per-block tally into each touched block's
+        ``stats.reads``.  No bytes, no RNG and no RBER: a page's RBER
+        stays computable from the counters on demand
+        (:meth:`Block.rber_now`).
         """
         flats = np.asarray(flats, dtype=np.int64)
-        if flats.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        pa = self.pages
-        if not pa.programmed[flats].all():
+        if not self.pages.programmed[flats].all():
             raise ProgramError("read_analytic_many on unprogrammed page(s)")
-        ppb = self.geometry.pages_per_block
-        block_idx = flats // ppb
-        uniq, inverse, counts = np.unique(
-            block_idx, return_inverse=True, return_counts=True
-        )
-        mode_ids = self._mode_ids[uniq]
-        if mode_ids.size > 1 and (mode_ids != mode_ids[0]).any():
-            out = np.empty(flats.size, dtype=np.float64)
-            pages_in = flats % ppb
-            for k, b in enumerate(uniq.tolist()):
-                sel = inverse == k
-                out[sel] = self.blocks[b].read_analytic_many(
-                    pages_in[sel], self._now_years
-                )
-            return out
-        model = self.blocks[int(uniq[0])].error_model
-        ages = np.maximum(0.0, self._now_years - pa.written_at[flats])
-        rbers = model.rber_many(
-            self.arrays.pec[block_idx].astype(np.float64),
-            ages,
-            pa.reads[flats].astype(np.float64),
-        )
-        np.add.at(pa.reads, flats, 1)
-        page_bits = self.geometry.page_size_bytes * 8
-        err_sums = np.bincount(inverse, weights=rbers)
-        blocks = self.blocks
-        for k, b in enumerate(uniq.tolist()):
-            stats = blocks[b].stats
-            stats.reads += int(counts[k])
-            stats.expected_bit_errors += float(err_sums[k]) * page_bits
-        return rbers
+        np.add.at(self.pages.reads, flats, 1)
+        counts = np.bincount(flats // self.geometry.pages_per_block)
+        for b in np.flatnonzero(counts).tolist():
+            self.blocks[b].stats.reads += int(counts[b])
 
     def read_clean(self, addr: PhysicalAddress) -> bytes:
         """Oracle read without error injection (testing/repair reference)."""
@@ -167,12 +136,6 @@ class FlashChip:
     def reconfigure_block(self, block_index: int, mode: CellMode) -> None:
         """Change one block's operating density (must be erased & empty)."""
         self.blocks[block_index].reconfigure(mode)
-        try:
-            mode_id = self._mode_registry.index(mode)
-        except ValueError:
-            mode_id = len(self._mode_registry)
-            self._mode_registry.append(mode)
-        self._mode_ids[block_index] = mode_id
 
     def retire_block(self, block_index: int) -> None:
         """Permanently retire a worn-out block."""

@@ -75,8 +75,15 @@ class _Stream:
         self.codec = PageCodec(config.protection, page_size)
         self.free: list[int] = list(block_indices)
         self.open_block: int | None = None
+        #: per-block "free or open" flags aligned with ``block_arr``; the
+        #: Ftl flips a block's flag whenever it enters or leaves the free
+        #: pool or the open slot, so the GC candidates are the unflagged
+        #: blocks with no per-choice rebuild
+        self.held = np.ones(self.block_arr.size, dtype=bool)
+        self._slot = {b: i for i, b in enumerate(self.block_arr.tolist())}
         self.leveler = WearLeveler(config.wear_leveling)
-        self.timing = TimingModel(config.mode)
+        #: nominal NAND latencies of the stream's mode (fixed per stream)
+        self.times = TimingModel(config.mode).times()
         #: §4.2 "additional redundancy (e.g., parity)": reserve the last
         #: page of each block for an XOR of the block's data pages
         self.parity_enabled = config.protection.block_parity
@@ -84,6 +91,10 @@ class _Stream:
         #: set by the Ftl: True when this stream runs the analytic chip
         #: fast path (transparent codec, no parity, Ftl(analytic=True))
         self.analytic = False
+
+    def hold(self, block_index: int, held: bool) -> None:
+        """Mark a block as in (True) or out of the free pool/open slot."""
+        self.held[self._slot[block_index]] = held
 
     def reset_parity(self) -> None:
         """Clear the running parity accumulator (new open block)."""
@@ -120,9 +131,9 @@ class Ftl:
         Opt into the analytic chip fast path for eligible streams.  A
         stream is eligible when its protection never inspects page
         content: a transparent codec (``ProtectionLevel.NONE``) and no
-        block parity.  Eligible streams skip byte materialization and
-        error-injection RNG entirely (expected bit errors accrue
-        analytically on the blocks); BCH/Hamming- or parity-protected
+        block parity.  Eligible streams skip byte materialization,
+        error injection and RBER evaluation entirely (reads keep only
+        the read-disturb book-keeping); BCH/Hamming- or parity-protected
         streams always keep the bit-exact path, even under
         ``analytic=True``.  ``FtlStats`` is pinned identical between the
         two paths on eligible streams -- reads just return empty
@@ -246,7 +257,7 @@ class Ftl:
             self.read_many([lpn], stream.name)
             return PageReadResult(payload=b"", corrected_bits=0, uncorrectable_codewords=0)
         raw = self.chip.read(addr)
-        self.stats.read_time_us += stream.timing.times().read_us
+        self.stats.read_time_us += stream.times.read_us
         result = stream.codec.decode(raw)
         if result.uncorrectable_codewords > 0 and stream.parity_enabled:
             recovered = self._parity_reconstruct(stream, addr)
@@ -277,7 +288,7 @@ class Ftl:
             for lpn in arr.tolist():
                 self.write(lpn, b"", stream_name)
             return
-        self._program_runs(stream, arr, during_gc=False)
+        self._program_runs(stream, arr, "host_writes")
 
     def read_many(self, lpns, stream_name: str) -> int:
         """Read many logical pages, skipping unmapped LPNs; returns reads.
@@ -286,8 +297,7 @@ class Ftl:
         Every mapped LPN must currently live in ``stream_name`` (batch
         callers own their placement; this is not checked per LPN).  On
         an analytic stream the mapped set resolves to physical pages in
-        one lookup and each touched block evaluates its RBERs in a
-        single vectorized call.
+        one lookup and the chip records the reads in one batched call.
         """
         stream = self._streams[stream_name]
         arr = np.asarray(lpns, dtype=np.int64)
@@ -301,7 +311,7 @@ class Ftl:
         mapped = arr[self.page_map.is_mapped_many(arr)]
         if mapped.size:
             self.chip.read_analytic_many(self.page_map.lookup_flat_many(mapped))
-            self.stats.read_time_us += stream.timing.times().read_us * int(mapped.size)
+            self.stats.read_time_us += stream.times.read_us * int(mapped.size)
         self.stats.host_reads += int(mapped.size)
         return int(mapped.size)
 
@@ -333,9 +343,7 @@ class Ftl:
         victim = stream.leveler.pick_cold_victim(candidates, self.page_map)
         if victim is None:
             return 0
-        migrated = self._migrate_block(stream, victim)
-        self.stats.wl_migrations += migrated
-        return migrated
+        return self._migrate_block(stream, victim, "wl_migrations")
 
     def check_stream_health(self, stream_name: str) -> None:
         """Assess free blocks; retire or resuscitate unreliable ones.
@@ -352,6 +360,7 @@ class Ftl:
         if stream.open_block is not None:
             verdict = assess_block(self.chip.blocks[stream.open_block], policy)
             if not verdict.healthy:
+                stream.hold(stream.open_block, False)
                 stream.open_block = None
         obs = get_observer()
         for block_index in list(stream.free):
@@ -371,6 +380,7 @@ class Ftl:
                 )
             elif verdict.retire:
                 stream.free.remove(block_index)
+                stream.hold(block_index, False)
                 self.chip.retire_block(block_index)
                 self.stats.blocks_retired += 1
                 obs.event(
@@ -395,13 +405,15 @@ class Ftl:
             return False
         if stream.open_block == block_index:
             stream.open_block = None
+        stream.hold(block_index, False)
         if block_index in stream.free:
             stream.free.remove(block_index)
         elif any(True for _ in self.page_map.live_lpns(block_index)):
             # rescue live data onto the write path (appends victim to the
             # free list as a side effect; pull it back out before retiring)
-            self._migrate_block(stream, block_index)
+            self._migrate_block(stream, block_index, "gc_migrations")
             stream.free.remove(block_index)
+            stream.hold(block_index, False)
         else:
             self.page_map.on_erase(block_index)
         self.chip.retire_block(block_index)
@@ -433,7 +445,7 @@ class Ftl:
     def _program(self, stream: _Stream, addr: tuple[int, int], encoded: bytes) -> None:
         """Program an encoded page, maintaining parity and timing."""
         self.chip.program(addr, encoded)
-        self.stats.program_time_us += stream.timing.times().program_us
+        self.stats.program_time_us += stream.times.program_us
         if stream.parity_enabled:
             page_size = self.chip.geometry.page_size_bytes
             stream.accumulate_parity(encoded.ljust(page_size, b"\x00"))
@@ -447,7 +459,7 @@ class Ftl:
             return  # partially written block: parity stays unsealed
         page_index = block.usable_pages - 1
         self.chip.program((stream.open_block, page_index), stream.parity_bytes())
-        self.stats.program_time_us += stream.timing.times().program_us
+        self.stats.program_time_us += stream.times.program_us
 
     def _parity_reconstruct(self, stream: _Stream, addr: tuple[int, int]):
         """Rebuild one page from the XOR of its block's other pages.
@@ -468,7 +480,7 @@ class Ftl:
             if not block.is_programmed(page):
                 return None
             data = self.chip.read((block_index, page))
-            self.stats.read_time_us += stream.timing.times().read_us
+            self.stats.read_time_us += stream.times.read_us
             for i, byte in enumerate(data):
                 acc[i] ^= byte
         return stream.codec.decode(bytes(acc))
@@ -483,7 +495,9 @@ class Ftl:
         if block.free_pages != block.usable_pages:
             block.erase()
             self.page_map.on_erase(block_index)
-            self.stats.erase_time_us += stream.timing.times().erase_us
+            self.stats.erase_time_us += stream.times.erase_us
+        if stream.open_block is not None:
+            stream.hold(stream.open_block, False)
         stream.open_block = block_index
         stream.reset_parity()
 
@@ -500,82 +514,81 @@ class Ftl:
             victim = self._select_gc_victim(stream)
             if victim is None:
                 break
-            self._migrate_block(stream, victim)
+            self._migrate_block(stream, victim, "gc_migrations")
             self.stats.gc_erases += 1
 
     def _select_gc_victim(self, stream: _Stream) -> int | None:
         """One victim choice among the stream's closed blocks.
 
-        Masks the stream's (sorted) block array by open/free/retired
-        status and reduces to an argmin over the shared chip state
-        arrays (ties to the lowest block index).
+        The candidates are the stream's (sorted) blocks outside the free
+        pool and the open slot, read off ``stream.held``; the selector
+        drops retired ones and reduces to an argmin over the shared chip
+        state arrays (ties to the lowest block index).
         """
-        blocks = stream.block_arr
-        mask = ~self.chip.arrays.retired[blocks]
-        if stream.open_block is not None:
-            mask &= blocks != stream.open_block
-        if stream.free:
-            # block_arr is sorted, and the free pool is tiny: probe
-            # each free block's slot instead of a full isin sweep
-            free = np.asarray(stream.free, dtype=np.int64)
-            slots = np.searchsorted(blocks, free)
-            hit = (slots < blocks.size) & (blocks[np.minimum(slots, blocks.size - 1)] == free)
-            mask[slots[hit]] = False
         return select_victim_arrays(
-            blocks[mask],
+            stream.block_arr[~stream.held],
             self.page_map,
             stream.config.gc_policy,
             self.chip.now_years,
             self.chip.arrays,
         )
 
-    def _migrate_block(self, stream: _Stream, victim_index: int) -> int:
-        """Move a block's live pages to the write path, then free it."""
+    def _migrate_block(self, stream: _Stream, victim_index: int, counter: str) -> int:
+        """Move a block's live pages to the write path, then free it.
+
+        Each moved page counts once, under the ``FtlStats`` field
+        ``counter`` that names the migration's cause.
+        """
         migrated = 0
         if stream.analytic:
-            migrated = self._migrate_block_analytic(stream, victim_index)
+            migrated = self._migrate_block_analytic(stream, victim_index, counter)
         else:
             for _page_index, lpn in self.page_map.live_lpns(victim_index):
                 addr = self.page_map.lookup(lpn)
                 if addr is None or addr[0] != victim_index:
                     continue
                 raw = self.chip.read(addr)
-                self.stats.read_time_us += stream.timing.times().read_us
+                self.stats.read_time_us += stream.times.read_us
                 result = stream.codec.decode(raw)
                 encoded = stream.codec.encode(result.payload)
                 new_addr = self._allocate_page(stream, during_gc=True)
                 self._program(stream, new_addr, encoded)
                 self.page_map.record_write(lpn, new_addr)
                 migrated += 1
-                self.stats.gc_migrations += 1
+                setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         victim = self.chip.blocks[victim_index]
         victim.erase()
         self.page_map.on_erase(victim_index)
-        self.stats.erase_time_us += stream.timing.times().erase_us
+        self.stats.erase_time_us += stream.times.erase_us
         stream.free.append(victim_index)
+        stream.hold(victim_index, True)
         return migrated
 
-    def _migrate_block_analytic(self, stream: _Stream, victim_index: int) -> int:
+    def _migrate_block_analytic(
+        self, stream: _Stream, victim_index: int, counter: str
+    ) -> int:
         """Analytic-mode migration: no byte materialization.
 
-        The victim's live pages are "read" in one vectorized batch (wear
-        and expected-error bookkeeping only -- migration never inspects
-        content on a transparent codec), then rewritten through
-        :meth:`_program_runs`.  Safe to batch the reads up front:
-        destination programs go to the open block, never the victim, and
-        per-page read counts are independent, so the chip-side accruals
-        match the interleaved scalar order exactly (time counters are
-        integer-valued microseconds -- scaled adds equal repeated adds).
+        The victim's live pages are "read" in one batch (read-disturb
+        book-keeping only -- migration never inspects content on a
+        transparent codec), then rewritten through :meth:`_program_runs`.
+        Safe to batch the reads up front: destination programs go to the
+        open block, never the victim, and per-page read counts are
+        independent, so the chip-side accruals match the interleaved
+        scalar order exactly (time counters are integer-valued
+        microseconds -- scaled adds equal repeated adds).
         """
         pages, lpns = self.page_map.live_lpns_arrays(victim_index)
         if not lpns.size:
             return 0
-        self.chip.blocks[victim_index].read_analytic_many(pages, self.chip.now_years)
-        self.stats.read_time_us += stream.timing.times().read_us * int(lpns.size)
-        self._program_runs(stream, lpns, during_gc=True)
+        self.chip.blocks[victim_index].read_analytic_many(pages)
+        self.stats.read_time_us += stream.times.read_us * int(lpns.size)
+        self._program_runs(stream, lpns, counter, victim=victim_index)
         return int(lpns.size)
 
-    def _program_runs(self, stream: _Stream, lpns: np.ndarray, during_gc: bool) -> None:
+    def _program_runs(
+        self, stream: _Stream, lpns: np.ndarray, counter: str, victim: int | None = None
+    ) -> None:
         """Program ``lpns`` in order onto an analytic stream's write path.
 
         Writes split into open-block-sized runs; each run programs its
@@ -584,13 +597,15 @@ class Ftl:
         boundaries the per-page sequence would hit -- so mapping state,
         wear, GC victims, and ``FtlStats`` are identical to it (NAND
         time counters are integer-valued microseconds, so ``n`` equal
-        float adds equal one ``n``-scaled add exactly).  Counters
-        advance per run, so an ``OutOfSpaceError`` leaves every landed
-        page accounted.  GC migration (``during_gc``) rewrites distinct
-        LPNs and counts as ``gc_migrations``, host writes as
-        ``host_writes``.
+        float adds equal one ``n``-scaled add exactly).  The ``FtlStats``
+        field ``counter`` advances per run, so an ``OutOfSpaceError``
+        leaves every landed page accounted.  A migration names its
+        ``victim``: its LPNs are the victim's distinct live pages, moved
+        with :meth:`PageMap.migrate`, and opening a block mid-way runs
+        no nested GC.
         """
-        program_us = stream.timing.times().program_us
+        program_us = stream.times.program_us
+        during_gc = victim is not None
         pos = 0
         while pos < lpns.size:
             if (
@@ -600,15 +615,12 @@ class Ftl:
                 self._open_new_block(stream, during_gc)
             block = self.chip.blocks[stream.open_block]  # type: ignore[index]
             run = min(block.free_pages, lpns.size - pos)
-            start_page = block.usable_pages - block.free_pages
-            block.program_analytic_many(run)
+            start_page = block.program_analytic_many(run)
             self.stats.program_time_us += program_us * run
-            self.page_map.record_writes(
-                lpns[pos: pos + run], stream.open_block, start_page,
-                assume_unique=during_gc,
-            )
+            run_lpns = lpns[pos: pos + run]
             if during_gc:
-                self.stats.gc_migrations += run
+                self.page_map.migrate(run_lpns, victim, stream.open_block, start_page)
             else:
-                self.stats.host_writes += run
+                self.page_map.record_writes(run_lpns, stream.open_block, start_page)
+            setattr(self.stats, counter, getattr(self.stats, counter) + run)
             pos += run

@@ -70,7 +70,8 @@ def select_victim_arrays(
     *invocation*, and a disarmed observer skips span construction
     entirely, keeping "observability off is free" on this hot path.
     """
-    idx = np.asarray(candidate_indices, dtype=np.int64)
+    idx = np.array(candidate_indices, dtype=np.int64)
+    idx.sort()
     obs = get_observer()
     if not obs.enabled:
         return _argmin_victim(idx, page_map, policy, now_years, block_arrays)[0]
@@ -82,6 +83,10 @@ def select_victim_arrays(
     return best
 
 
+#: greedy score of an ineligible block: above any valid-page count
+_NEVER = np.iinfo(np.int64).max
+
+
 def _argmin_victim(
     idx: np.ndarray,
     page_map: PageMap,
@@ -89,23 +94,22 @@ def _argmin_victim(
     now_years: float,
     arrays: BlockArrays,
 ) -> tuple[int | None, int]:
+    """Victim and eligible count among sorted block indices ``idx``."""
     if idx.size == 0:
         return None, 0
-    idx = np.sort(idx)
     valid = page_map.valid_counts(idx)
     usable = arrays.usable_pages[idx]
     eligible = ~arrays.retired[idx] & (valid < usable)
-    considered = int(eligible.sum())
+    considered = int(np.count_nonzero(eligible))
     if not considered:
         return None, 0
     if policy is GcPolicy.GREEDY:
-        scores = valid.astype(np.float64)
-    else:
-        # op order pinned to the scalar oracle's scorer (IEEE elementwise)
-        u = valid / np.maximum(1, usable)
-        age = np.maximum(0.0, now_years - arrays.last_write_years[idx])
-        wear_ratio = arrays.pec[idx] / arrays.rated_pec[idx]
-        wear_penalty = 1.0 / (1.0 + np.maximum(0.0, wear_ratio - 1.0))
-        scores = -(((1.0 - u) / (1.0 + u)) * (age + 1e-6) * wear_penalty)
-    scores = np.where(eligible, scores, np.inf)
-    return int(idx[np.argmin(scores)]), considered
+        # integer valid counts order exactly as their float scores do
+        return int(idx[np.where(eligible, valid, _NEVER).argmin()]), considered
+    # op order pinned to the scalar oracle's scorer (IEEE elementwise)
+    u = valid / np.maximum(1, usable)
+    age = np.maximum(0.0, now_years - arrays.last_write_years[idx])
+    wear_ratio = arrays.pec[idx] / arrays.rated_pec[idx]
+    wear_penalty = 1.0 / (1.0 + np.maximum(0.0, wear_ratio - 1.0))
+    scores = -(((1.0 - u) / (1.0 + u)) * (age + 1e-6) * wear_penalty)
+    return int(idx[np.where(eligible, scores, np.inf).argmin()]), considered

@@ -158,56 +158,60 @@ class PageMap:
         self._mapped -= 1
         return (block_index, int(flat) % self.pages_per_block)
 
-    def record_writes(
-        self,
-        lpns: np.ndarray,
-        block_index: int,
-        start_page: int,
-        assume_unique: bool = False,
-    ) -> None:
+    def record_writes(self, lpns: np.ndarray, block_index: int, start_page: int) -> None:
         """Batched :meth:`record_write` for LPNs landing on consecutive pages.
 
         Equivalent to ``record_write(lpns[i], (block_index, start_page+i))``
         for each ``i`` in order.  Duplicate LPNs within the batch behave
         like sequential overwrites: only the last occurrence's page ends
         up live (earlier pages are programmed-but-dead, exactly as the
-        scalar sequence leaves them).  Callers that can guarantee
-        distinct LPNs (GC migration rewrites a block's live set, one
-        entry per LPN) pass ``assume_unique=True`` to skip the
-        duplicate resolution sort.
+        scalar sequence leaves them).  The duplicate resolution runs only
+        when one sort shows the batch repeats an LPN.
         """
         lpns = np.asarray(lpns, dtype=np.int64)
         n = lpns.size
         if n == 0:
             return
-        if assume_unique:
-            # callers asserting uniqueness hold already-mapped LPNs
-            # (migration), so range checks and table growth are moot
-            uniq = lpns
-            last_pos = np.arange(n)
-        else:
-            if int(lpns.min()) < 0:
-                raise ValueError("LPNs must be non-negative")
-            top = int(lpns.max())
-            if top >= self._l2p.size:
-                self._grow(top)
+        ordered = np.sort(lpns)
+        if int(ordered[0]) < 0:
+            raise ValueError("LPNs must be non-negative")
+        if int(ordered[-1]) >= self._l2p.size:
+            self._grow(int(ordered[-1]))
+        lo = block_index * self.pages_per_block + start_page
+        if (ordered[1:] == ordered[:-1]).any():
             # last occurrence of each unique LPN wins (scalar overwrite order)
             uniq, rev_first = np.unique(lpns[::-1], return_index=True)
-            last_pos = n - 1 - rev_first
+            live_flats = lo + n - 1 - rev_first
+        else:
+            uniq, live_flats = lpns, np.arange(lo, lo + n)
         old = self._l2p[uniq]
-        had_old = old >= 0
-        old_flats = old[had_old]
+        old_flats = old[old >= 0]
         # distinct LPNs map to distinct flats, but several may share a
         # block: per-block decrements must accumulate
         np.subtract.at(self._valid, old_flats // self.pages_per_block, 1)
         self._p2l[old_flats] = -1
-        self._mapped += int(uniq.size - had_old.sum())
-        live_flats = (
-            block_index * self.pages_per_block + start_page + last_pos
-        )
+        self._mapped += int(uniq.size - old_flats.size)
         self._p2l[live_flats] = uniq
         self._l2p[uniq] = live_flats
         self._valid[block_index] += uniq.size
+
+    def migrate(
+        self, lpns: np.ndarray, victim: int, block_index: int, start_page: int
+    ) -> None:
+        """Re-point live LPNs of block ``victim`` onto consecutive pages.
+
+        GC migration's map update: ``lpns`` are distinct and every one is
+        live in ``victim``, so the result equals :meth:`record_writes`
+        of the same run while needing no range check, no duplicate
+        resolution and a single valid-count decrement.
+        """
+        n = lpns.size
+        lo = block_index * self.pages_per_block + start_page
+        self._p2l[self._l2p[lpns]] = -1
+        self._p2l[lo: lo + n] = lpns
+        self._l2p[lpns] = np.arange(lo, lo + n)
+        self._valid[victim] -= n
+        self._valid[block_index] += n
 
     def invalidate_many(self, lpns: np.ndarray) -> np.ndarray:
         """Batched :meth:`invalidate`; returns the LPNs actually freed.

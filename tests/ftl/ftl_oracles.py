@@ -218,9 +218,7 @@ class DictPageMap:
             self._usage[addr[0]].valid_count -= 1
         return addr
 
-    def record_writes(
-        self, lpns, block_index: int, start_page: int, assume_unique: bool = False
-    ) -> None:
+    def record_writes(self, lpns, block_index: int, start_page: int) -> None:
         """Batched :meth:`record_write` (reference: the literal scalar loop)."""
         for i, lpn in enumerate(np.asarray(lpns, dtype=np.int64)):
             if lpn < 0:

@@ -31,15 +31,16 @@ def make_ftl(seed=0, sys_protection=ProtectionLevel.STRONG,
     return Ftl(chip, streams, blocks), chip
 
 
-def make_analytic_ftl(blocks=6, pages_per_block=4):
-    """A one-stream device on the analytic chip path."""
+def make_analytic_ftl(blocks=6, pages_per_block=4, analytic=True):
+    """A one-stream unprotected device, on the analytic chip path unless
+    ``analytic=False`` (then the same device runs bit-exact)."""
     geometry = Geometry(page_size_bytes=512, pages_per_block=pages_per_block,
                         blocks_per_plane=blocks, planes_per_die=1, dies=1)
     chip = FlashChip(geometry, CellTechnology.TLC, seed=0)
     stream = StreamConfig("data", native_mode(CellTechnology.TLC),
                           POLICIES[ProtectionLevel.NONE])
-    ftl = Ftl(chip, [stream], {"data": list(range(blocks))}, analytic=True)
-    assert ftl.stream("data").analytic
+    ftl = Ftl(chip, [stream], {"data": list(range(blocks))}, analytic=analytic)
+    assert ftl.stream("data").analytic is analytic
     return ftl
 
 
@@ -234,6 +235,19 @@ class TestWearLevelingIntegration:
         # data survives the migration
         assert ftl.read(0).payload[:64] is not None
 
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "bit-exact"])
+    def test_wl_pass_counts_each_moved_page_once(self, analytic):
+        """A WL migration is counted as ``wl_migrations`` only, so
+        ``(host + gc + wl) / host`` is the write amplification."""
+        ftl = make_analytic_ftl(blocks=8, analytic=analytic)
+        ftl.write_many(np.arange(10), "data")
+        ftl.chip.blocks[ftl.stream("data").free[-1]].pec = 100
+        gc_before, wl_before = ftl.stats.gc_migrations, ftl.stats.wl_migrations
+        moved = ftl.run_wear_leveling("data")
+        assert moved > 0
+        assert ftl.stats.gc_migrations == gc_before
+        assert ftl.stats.wl_migrations == wl_before + moved
+
 
 class TestForceRetire:
     """Fault-injection path: retire a specific block outright."""
@@ -327,3 +341,21 @@ class TestAnalyticPath:
         assert single.page_map.all_mapped_lpns() == batched.page_map.all_mapped_lpns()
         assert single.chip.arrays.pec.tolist() == batched.chip.arrays.pec.tolist()
         assert single.chip.pages.reads.tolist() == batched.chip.pages.reads.tolist()
+
+    def test_read_disturb_book_keeping_matches_bit_exact_device(self):
+        """Analytic reads keep the counters a bit-exact read bumps: per
+        page read-disturb counts, per block read tallies, and wear."""
+        rng = np.random.default_rng(11)
+        fast, exact = make_analytic_ftl(), make_analytic_ftl(analytic=False)
+        for _ in range(8):
+            writes, reads = rng.integers(0, 14, 12), rng.integers(0, 14, 20)
+            for ftl in (fast, exact):
+                ftl.write_many(writes, "data")
+                ftl.read_many(reads, "data")
+        assert fast.stats.gc_erases > 0 and fast.chip.pages.reads.any()
+        assert fast.stats == exact.stats
+        assert fast.chip.pages.reads.tolist() == exact.chip.pages.reads.tolist()
+        assert fast.chip.arrays.pec.tolist() == exact.chip.arrays.pec.tolist()
+        assert [b.stats.reads for b in fast.chip.blocks] == [
+            b.stats.reads for b in exact.chip.blocks
+        ]

@@ -4,9 +4,11 @@
 implementation, kept verbatim as the semantic oracle.  Hypothesis drives
 both maps through the same *legal* operation sequences -- an embedded
 allocator guarantees every ``record_write`` lands on a freshly
-programmed page and every ``on_erase`` hits a fully dead block, exactly
-the discipline the FTL enforces -- and every observable (lookups, valid counts, live scans,
-mapped totals, freed-trim returns) must agree at every step.
+programmed page, every ``migrate`` moves a block's whole live set to
+fresh pages of another block and every ``on_erase`` hits a fully dead
+block, exactly the discipline the FTL enforces -- and every observable
+(lookups, valid counts, live scans, mapped totals, freed-trim returns)
+must agree at every step.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ LPN_SPACE = 14  # < BLOCKS * PAGES so overwrite pressure builds
 
 op_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["write", "trim", "batch_write", "batch_trim", "erase"]),
+        st.sampled_from(
+            ["write", "trim", "batch_write", "batch_trim", "migrate", "erase"]
+        ),
         st.integers(min_value=0, max_value=LPN_SPACE - 1),
         st.lists(
             st.integers(min_value=0, max_value=LPN_SPACE - 1),
@@ -47,10 +51,11 @@ class _Allocator:
     def __init__(self) -> None:
         self.next_page = [0] * BLOCKS
 
-    def place(self, count: int) -> tuple[int, int] | None:
-        """(block, start_page) of a fresh ``count``-page run, or None."""
+    def place(self, count: int, exclude: int = -1) -> tuple[int, int] | None:
+        """(block, start_page) of a fresh ``count``-page run outside block
+        ``exclude``, or None."""
         for block in range(BLOCKS):
-            if self.next_page[block] + count <= PAGES:
+            if block != exclude and self.next_page[block] + count <= PAGES:
                 start = self.next_page[block]
                 self.next_page[block] += count
                 return block, start
@@ -108,6 +113,16 @@ def test_pagemap_matches_dict_reference(ops):
             freed_fast = fast.invalidate_many(np.asarray(lpns))
             freed_ref = ref.invalidate_many(np.asarray(lpns))
             assert freed_fast.tolist() == freed_ref.tolist()
+        elif kind == "migrate":
+            # GC's move: the whole live set of one block, in page order
+            victim = lpn % BLOCKS
+            _pages, live = ref.live_lpns_arrays(victim)
+            placed = alloc.place(live.size, exclude=victim) if live.size else None
+            if placed is None:
+                continue
+            block, start = placed
+            fast.migrate(live, victim, block, start)
+            ref.record_writes(live, block, start)
         else:  # erase
             block = alloc.erasable(ref)
             if block is None:
@@ -127,25 +142,31 @@ def test_pagemap_matches_dict_reference(ops):
     )
 )
 @settings(max_examples=40, deadline=None)
-def test_record_writes_assume_unique_matches_general_path(lpns):
-    """The migration fast path is state-identical to the general one."""
+def test_migrate_matches_general_path(lpns):
+    """The migration primitive is state-identical to ``record_writes``."""
     general = PageMap(BLOCKS, PAGES)
-    trusted = PageMap(BLOCKS, PAGES)
-    # pre-map every LPN (assume_unique callers hold already-mapped LPNs)
-    for i, lpn in enumerate(range(LPN_SPACE)):
-        addr = (i // PAGES, i % PAGES)
-        general.record_write(lpn, addr)
-        trusted.record_write(lpn, addr)
+    migrated = PageMap(BLOCKS, PAGES)
+    # every LPN lives in block 0 or 1; the moved ones all in one victim
+    victim = 1
+    for i, lpn in enumerate(lpns):
+        general.record_write(lpn, (victim, i))
+        migrated.record_write(lpn, (victim, i))
+    others = [lpn for lpn in range(LPN_SPACE) if lpn not in lpns][:PAGES]
+    for i, lpn in enumerate(others):
+        general.record_write(lpn, (0, i))
+        migrated.record_write(lpn, (0, i))
     block, start = BLOCKS - 1, 0
     arr = np.asarray(lpns, dtype=np.int64)
     general.record_writes(arr, block, start)
-    trusted.record_writes(arr, block, start, assume_unique=True)
-    assert general.all_mapped_lpns() == trusted.all_mapped_lpns()
+    migrated.migrate(arr, victim, block, start)
+    assert general.all_mapped_lpns() == migrated.all_mapped_lpns()
+    assert general.mapped_count() == migrated.mapped_count()
     for lpn in range(LPN_SPACE):
-        assert general.lookup(lpn) == trusted.lookup(lpn)
+        assert general.lookup(lpn) == migrated.lookup(lpn)
     for b in range(BLOCKS):
-        assert general.valid_pages(b) == trusted.valid_pages(b)
-        assert general.live_lpns(b) == trusted.live_lpns(b)
+        assert general.valid_pages(b) == migrated.valid_pages(b)
+        assert general.live_lpns(b) == migrated.live_lpns(b)
+    assert migrated.valid_pages(victim) == 0
 
 
 @pytest.mark.parametrize("cls", [PageMap, DictPageMap])
