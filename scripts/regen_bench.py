@@ -25,10 +25,12 @@ cache granularity of one sweep point per device) -- the ``>= 5x``
 smaller claim, as a number.
 
 A top-level ``ftl_bench`` section records the page-level FTL's perf
-claims: single-device replay throughput on the bit-exact chip with
-per-page host ops (the ``scalar`` row) vs the analytic chip with batched
-host ops (the ``vectorized`` row), both picking GC victims with the one
-production selector (the ``>= 5x`` replay speedup, with an equivalence
+claims: single-device replay throughput on the bit-exact chip (the
+``scalar`` row: real page bytes, each page programmed, read and migrated
+one at a time) vs the analytic chip (the ``vectorized`` row: array
+book-keeping only), both running the same batched host ops through the
+one FTL write path and picking GC victims with the one production
+selector (the ``>= 5x`` replay speedup, with an equivalence
 self-check -- both paths must land identical ``FtlStats``), and the
 first FTL fleet-scaling curve (``ftl-scaling-{10,50,200}`` sweeps,
 devices/s at 90 days each).
@@ -113,9 +115,11 @@ def runner_scaling(results: list) -> None:
 def ftl_bench(results: list) -> dict:
     """FTL replay throughput (bit-exact vs analytic) + fleet curve.
 
-    The ``scalar`` row replays on the bit-exact chip (per-page host ops),
-    the ``vectorized`` row on the analytic chip (batched host ops); both
-    select GC victims with the one production selector.  Best-of-3 per
+    The ``scalar`` row replays on the bit-exact chip (page bytes, one
+    page at a time inside each batched host op), the ``vectorized`` row
+    on the analytic chip (one array update per open-block run); both
+    place pages through the one FTL write path and select GC victims with
+    the one production selector.  Best-of-3 per
     path so one scheduler hiccup can't misstate the speedup; the two
     paths must agree on ``FtlStats`` exactly or the regeneration aborts
     (the perf claim is only meaningful if the fast path is also the

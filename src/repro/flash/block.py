@@ -19,7 +19,7 @@ is exactly the degradation SOS exploits and guards against.
 Two representations coexist per page:
 
 * **bit-exact** -- :meth:`Block.program`/:meth:`Block.read` materialize and
-  corrupt real page bytes (the seed behaviour, unchanged);
+  corrupt real page bytes;
 * **analytic** -- :meth:`Block.program_analytic_many`/:meth:`Block.read_analytic_many`
   keep every piece of wear/retention/read-disturb book-keeping (and the
   same sequential-programming rules) but never allocate payload bytes,
@@ -29,14 +29,16 @@ Two representations coexist per page:
   analytic operations are batch-only: one page is a batch of one.
 
 Per-page metadata (written-at time, reads since write, PEC at write) lives
-in flat numpy arrays either way, so a page's RBER stays computable on
+in flat numpy arrays either way -- :meth:`Block.program` books its page as
+``program_analytic_many(1)`` -- so a page's RBER stays computable on
 demand from the state both paths keep (:meth:`Block.rber_now`).
 
 Chip-wide per-block state (PEC, retirement, usable pages, last write time)
-lives in a shared :class:`BlockArrays` owned by the chip; ``Block.pec`` and
-``Block.retired`` are array-backed properties, so both direct attribute
-writes (tests do ``block.pec = 100_000``) and the vectorized GC victim
-selector observe the same numbers with no mirroring step.
+and the retention clock live in a shared :class:`BlockArrays` owned by the
+chip; ``Block.pec`` and ``Block.retired`` are array-backed properties, so
+both direct attribute writes (tests do ``block.pec = 100_000``) and the
+vectorized GC victim selector observe the same numbers with no mirroring
+step, and advancing the chip's clock is one assignment.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class BlockArrays:
     per-candidate Python attribute walks.
     """
 
-    __slots__ = ("pec", "rated_pec", "usable_pages", "retired", "last_write_years")
+    __slots__ = ("pec", "rated_pec", "usable_pages", "retired", "last_write_years",
+                 "now_years")
 
     def __init__(self, n_blocks: int) -> None:
         self.pec = np.zeros(n_blocks, dtype=np.int64)
@@ -74,10 +77,12 @@ class BlockArrays:
         self.usable_pages = np.zeros(n_blocks, dtype=np.int64)
         self.retired = np.zeros(n_blocks, dtype=bool)
         #: newest programmed page's write time per block; 0.0 when empty.
-        #: Maintained on program/erase, equal to
-        #: :meth:`Block.last_write_time_years` because pages program
-        #: sequentially under a monotonic clock.
+        #: Maintained on program/erase: pages program sequentially under a
+        #: monotonic clock, so the last program is the newest.
         self.last_write_years = np.zeros(n_blocks, dtype=np.float64)
+        #: the retention clock every block in these rows reads (simulation
+        #: years); moved forward only by ``advance_time``
+        self.now_years = 0.0
 
 
 class PageArrays:
@@ -156,8 +161,9 @@ class Block:
         Source of randomness for error injection.  Deterministic when
         seeded by the caller.
     arrays:
-        Shared :class:`BlockArrays` this block's row lives in (the chip
-        passes its own); standalone blocks allocate a private 1-row set.
+        Shared :class:`BlockArrays` this block's row and clock live in (the
+        chip passes its own); standalone blocks allocate a private 1-row
+        set, and with it a private clock.
     index:
         This block's row in ``arrays``.
     """
@@ -288,40 +294,21 @@ class Block:
         self._next_page = 0
         self._arrays.last_write_years[self._index] = 0.0
 
-    def _check_programmable(self, page_index: int) -> None:
-        if self.retired:
-            raise ProgramError("block is retired")
+    def program(self, page_index: int, data: bytes) -> None:
+        """Program one page.  Pages must be written in order, once each."""
         if page_index != self._next_page:
             raise ProgramError(
                 f"out-of-order program: expected page {self._next_page}, got {page_index}"
             )
-        if page_index >= self.usable_pages:
-            raise ProgramError(
-                f"page {page_index} beyond usable range "
-                f"({self.usable_pages} pages in mode {self._mode.name})"
-            )
-
-    def _record_program(self, page_index: int) -> None:
-        self._written_at[page_index] = self._now_years
-        self._reads[page_index] = 0
-        self._pec_at_write[page_index] = self.pec
-        self._programmed[page_index] = True
-        self._next_page += 1
-        self.stats.programs += 1
-        self._arrays.last_write_years[self._index] = self._now_years
-
-    def program(self, page_index: int, data: bytes) -> None:
-        """Program one page.  Pages must be written in order, once each."""
-        self._check_programmable(page_index)
         if len(data) > self.page_capacity_bytes:
             raise ProgramError(
                 f"payload {len(data)}B exceeds page capacity "
                 f"{self.page_capacity_bytes}B in mode {self._mode.name}"
             )
+        self.program_analytic_many(1)
         self._data[page_index] = np.frombuffer(
             data.ljust(self.page_capacity_bytes, b"\x00"), dtype=np.uint8
         ).copy()
-        self._record_program(page_index)
 
     def program_analytic_many(self, count: int) -> int:
         """Program the next ``count`` pages analytically in one step.
@@ -344,13 +331,14 @@ class Block:
                 f"programming {count} pages from page {lo} exceeds usable range "
                 f"({self.usable_pages} pages in mode {self._mode.name})"
             )
-        self._written_at[lo: lo + count] = self._now_years
+        now = self._arrays.now_years
+        self._written_at[lo: lo + count] = now
         self._reads[lo: lo + count] = 0
         self._pec_at_write[lo: lo + count] = self.pec
         self._programmed[lo: lo + count] = True
         self._next_page += count
         self.stats.programs += count
-        self._arrays.last_write_years[self._index] = self._now_years
+        self._arrays.last_write_years[self._index] = now
         return lo
 
     def is_programmed(self, page_index: int) -> bool:
@@ -362,22 +350,13 @@ class Block:
         """Pages still programmable before the next erase."""
         return self.usable_pages - self._next_page
 
-    def read(self, page_index: int, now_years: float | None = None) -> bytes:
-        """Read a page, injecting bit errors per the block's error model.
-
-        Parameters
-        ----------
-        page_index:
-            Page to read.
-        now_years:
-            Simulation time of the read; defaults to the block clock set
-            via :meth:`advance_time`.
-        """
+    def read(self, page_index: int) -> bytes:
+        """Read a page, injecting bit errors per the block's error model,
+        at the time on the clock the block reads (:meth:`advance_time`)."""
         data = self._data[page_index]
         if data is None:
             raise ProgramError(f"page {page_index} is not programmed")
-        now = self._now_years if now_years is None else now_years
-        age = max(0.0, now - float(self._written_at[page_index]))
+        age = max(0.0, self._arrays.now_years - float(self._written_at[page_index]))
         rber = self._error_model.rber(
             pec=self.pec,
             years_since_write=age,
@@ -414,7 +393,7 @@ class Block:
         """Predicted RBER for a page at the current stress point."""
         if not self._programmed[page_index]:
             raise ProgramError(f"page {page_index} is not programmed")
-        now = self._now_years if now_years is None else now_years
+        now = self._arrays.now_years if now_years is None else now_years
         age = max(0.0, now - float(self._written_at[page_index]))
         return self._error_model.rber(self.pec, age, int(self._reads[page_index]))
 
@@ -426,21 +405,14 @@ class Block:
         """Live book-keeping view of one page (written time, read count)."""
         return PageState(self, page_index)
 
-    def last_write_time_years(self) -> float:
-        """Simulation time of the newest programmed page (0.0 if empty)."""
-        if not self._programmed.any():
-            return 0.0
-        return float(self._written_at[self._programmed].max())
-
     # -- time ------------------------------------------------------------
 
-    _now_years: float = 0.0
-
     def advance_time(self, now_years: float) -> None:
-        """Move the block clock forward (retention errors accumulate)."""
-        if now_years < self._now_years:
+        """Move the clock this block reads forward (retention errors
+        accumulate).  A chip's blocks share the chip's one clock."""
+        if now_years < self._arrays.now_years:
             raise ValueError("time cannot move backwards")
-        self._now_years = now_years
+        self._arrays.now_years = now_years
 
     # -- internals ---------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 The chip exposes physical (block, page) addressing plus the management
 hooks SOS needs: per-block operating-mode reconfiguration, retirement,
-and a shared retention clock.  Logical addressing, allocation, and
+and one retention clock, held in the shared :class:`BlockArrays` that
+every block reads.  Logical addressing, allocation, and
 garbage collection live above this layer in :mod:`repro.ftl`.
 
 Pages are read either bit-exactly (:meth:`FlashChip.read`: real bytes,
@@ -69,14 +70,13 @@ class FlashChip:
             )
             for i in range(geometry.total_blocks)
         ]
-        self._now_years = 0.0
 
     # -- capacity ----------------------------------------------------------
 
     @property
     def now_years(self) -> float:
         """Current simulation time on the chip's retention clock."""
-        return self._now_years
+        return self.arrays.now_years
 
     def usable_capacity_bytes(self) -> int:
         """Bytes currently addressable (live blocks at their modes)."""
@@ -106,7 +106,7 @@ class FlashChip:
     def read(self, addr: PhysicalAddress) -> bytes:
         """Read one physical page with error injection at chip time."""
         block_index, page_index = addr
-        return self.blocks[block_index].read(page_index, self._now_years)
+        return self.blocks[block_index].read(page_index)
 
     def read_analytic_many(self, flats: np.ndarray) -> None:
         """Batched analytic read of flattened page indices.
@@ -142,12 +142,10 @@ class FlashChip:
         self.blocks[block_index].retire()
 
     def advance_time(self, now_years: float) -> None:
-        """Advance the chip retention clock (monotonic)."""
-        if now_years < self._now_years:
+        """Advance the chip retention clock (monotonic); every block reads it."""
+        if now_years < self.arrays.now_years:
             raise ValueError("time cannot move backwards")
-        self._now_years = now_years
-        for block in self.blocks:
-            block.advance_time(now_years)
+        self.arrays.now_years = now_years
 
     def mean_pec(self) -> float:
         """Average PEC over live blocks (wear summary)."""

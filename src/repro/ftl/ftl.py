@@ -1,4 +1,4 @@
-"""Page-mapped flash translation layer over a bit-exact flash chip.
+"""Page-mapped flash translation layer over a flash chip.
 
 The FTL owns the chip and exposes logical-page reads/writes routed to
 named streams, implementing the device half of the paper's co-design:
@@ -16,6 +16,11 @@ named streams, implementing the device half of the paper's co-design:
 Data written through a stream is encoded with the stream's protection
 policy; reads decode and report corrected/uncorrectable counts so callers
 (the SOS scrubber, the media layer) can observe degradation.
+
+A stream runs bit-exact (real page bytes, injected errors) or analytic
+(book-keeping only; see ``Ftl(analytic=)``).  Both fidelities place pages
+through one open-block run loop and migrate victims through one
+migration, so they run the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ class _Stream:
         #: §4.2 "additional redundancy (e.g., parity)": reserve the last
         #: page of each block for an XOR of the block's data pages
         self.parity_enabled = config.protection.block_parity
-        self._parity_acc = bytearray(page_size)
+        self._parity_acc = np.zeros(page_size, dtype=np.uint8)
         #: set by the Ftl: True when this stream runs the analytic chip
         #: fast path (transparent codec, no parity, Ftl(analytic=True))
         self.analytic = False
@@ -98,16 +103,16 @@ class _Stream:
 
     def reset_parity(self) -> None:
         """Clear the running parity accumulator (new open block)."""
-        self._parity_acc = bytearray(len(self._parity_acc))
+        self._parity_acc.fill(0)
 
     def accumulate_parity(self, encoded: bytes) -> None:
-        """Fold one programmed page into the running parity."""
-        for i, b in enumerate(encoded):
-            self._parity_acc[i] ^= b
+        """Fold one programmed page into the running parity (a page
+        shorter than the accumulator is zero-padded, which XOR ignores)."""
+        self._parity_acc[: len(encoded)] ^= np.frombuffer(encoded, dtype=np.uint8)
 
     def parity_bytes(self) -> bytes:
         """Current parity page contents."""
-        return bytes(self._parity_acc)
+        return self._parity_acc.tobytes()
 
     @property
     def name(self) -> str:
@@ -229,14 +234,8 @@ class Ftl:
                 f"payload {len(payload)}B exceeds stream '{stream_name}' "
                 f"logical page size {stream.codec.payload_bytes}B"
             )
-        if stream.analytic:
-            self.write_many([lpn], stream_name)
-            return
-        encoded = stream.codec.encode(payload)
-        addr = self._allocate_page(stream)
-        self._program(stream, addr, encoded)
-        self.page_map.record_write(lpn, addr)
-        self.stats.host_writes += 1
+        encoded = None if stream.analytic else [stream.codec.encode(payload)]
+        self._program_runs(stream, np.array([lpn], dtype=np.int64), "host_writes", encoded)
 
     def read(self, lpn: int) -> PageReadResult:
         """Read and decode one logical page.
@@ -278,17 +277,16 @@ class Ftl:
     def write_many(self, lpns, stream_name: str) -> None:
         """Write many logical pages with empty payloads, in order.
 
-        Equivalent to ``write(lpn, b"", stream_name)`` per LPN.  On an
-        analytic stream the batch is the vectorized hot path
-        (:meth:`_program_runs`); other streams take the per-page path.
+        Equivalent to ``write(lpn, b"", stream_name)`` per LPN, and one
+        :meth:`_program_runs` call on either fidelity: an analytic stream
+        places each open-block run in a few array operations, a bit-exact
+        one programs the empty payload's encoding (made once per call)
+        page by page.
         """
         stream = self._streams[stream_name]
         arr = np.asarray(lpns, dtype=np.int64)
-        if not stream.analytic:
-            for lpn in arr.tolist():
-                self.write(lpn, b"", stream_name)
-            return
-        self._program_runs(stream, arr, "host_writes")
+        encoded = None if stream.analytic else [stream.codec.encode(b"")] * arr.size
+        self._program_runs(stream, arr, "host_writes", encoded)
 
     def read_many(self, lpns, stream_name: str) -> int:
         """Read many logical pages, skipping unmapped LPNs; returns reads.
@@ -426,29 +424,12 @@ class Ftl:
 
     # -- internals ---------------------------------------------------------------
 
-    def _allocate_page(self, stream: _Stream, during_gc: bool = False) -> tuple[int, int]:
-        """Next programmable page in the stream's open block.
-
-        Parity-protected streams reserve each block's last page; when the
-        open block reaches it, the parity page is sealed in and a new
-        block is opened.
-        """
-        reserved = 1 if stream.parity_enabled else 0
-        block = None if stream.open_block is None else self.chip.blocks[stream.open_block]
-        if block is None or block.free_pages <= reserved:
-            self._seal_parity(stream)
-            self._open_new_block(stream, during_gc)
-            block = self.chip.blocks[stream.open_block]  # type: ignore[index]
-        page_index = block.usable_pages - block.free_pages
-        return (stream.open_block, page_index)  # type: ignore[return-value]
-
     def _program(self, stream: _Stream, addr: tuple[int, int], encoded: bytes) -> None:
         """Program an encoded page, maintaining parity and timing."""
         self.chip.program(addr, encoded)
         self.stats.program_time_us += stream.times.program_us
         if stream.parity_enabled:
-            page_size = self.chip.geometry.page_size_bytes
-            stream.accumulate_parity(encoded.ljust(page_size, b"\x00"))
+            stream.accumulate_parity(encoded)
 
     def _seal_parity(self, stream: _Stream) -> None:
         """Write the parity page into the open block's reserved slot."""
@@ -472,8 +453,7 @@ class Ftl:
         parity_index = block.usable_pages - 1
         if not block.is_programmed(parity_index):
             return None
-        page_size = self.chip.geometry.page_size_bytes
-        acc = bytearray(page_size)
+        acc = np.zeros(self.chip.geometry.page_size_bytes, dtype=np.uint8)
         for page in range(block.usable_pages):
             if page == failed_page:
                 continue
@@ -481,11 +461,10 @@ class Ftl:
                 return None
             data = self.chip.read((block_index, page))
             self.stats.read_time_us += stream.times.read_us
-            for i, byte in enumerate(data):
-                acc[i] ^= byte
-        return stream.codec.decode(bytes(acc))
+            acc ^= np.frombuffer(data, dtype=np.uint8)
+        return stream.codec.decode(acc.tobytes())
 
-    def _open_new_block(self, stream: _Stream, during_gc: bool = False) -> None:
+    def _open_new_block(self, stream: _Stream, during_gc: bool) -> None:
         if not during_gc and len(stream.free) <= stream.config.gc_free_block_threshold:
             self._garbage_collect(stream)
         if not stream.free:
@@ -536,91 +515,85 @@ class Ftl:
     def _migrate_block(self, stream: _Stream, victim_index: int, counter: str) -> int:
         """Move a block's live pages to the write path, then free it.
 
-        Each moved page counts once, under the ``FtlStats`` field
-        ``counter`` that names the migration's cause.
+        The whole live set is read first -- one batched read-disturb
+        update on an analytic stream; on a bit-exact one a chip read,
+        decode and re-encode per page, in page order, so uncorrected
+        errors travel with the data -- then :meth:`_program_runs` places
+        it.  That equals interleaving reads with programs: only reads draw
+        from the chip RNG, and the victim is never the open block, so
+        nothing touches its pages between two of its reads.  Each moved
+        page counts once, under the ``FtlStats`` field ``counter`` that
+        names the migration's cause.
         """
-        migrated = 0
+        pages, lpns = self.page_map.live_lpns_arrays(victim_index)
         if stream.analytic:
-            migrated = self._migrate_block_analytic(stream, victim_index, counter)
+            self.chip.blocks[victim_index].read_analytic_many(pages)
+            encoded = None
         else:
-            for _page_index, lpn in self.page_map.live_lpns(victim_index):
-                addr = self.page_map.lookup(lpn)
-                if addr is None or addr[0] != victim_index:
-                    continue
-                raw = self.chip.read(addr)
-                self.stats.read_time_us += stream.times.read_us
-                result = stream.codec.decode(raw)
-                encoded = stream.codec.encode(result.payload)
-                new_addr = self._allocate_page(stream, during_gc=True)
-                self._program(stream, new_addr, encoded)
-                self.page_map.record_write(lpn, new_addr)
-                migrated += 1
-                setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            codec = stream.codec
+            encoded = [
+                codec.encode(codec.decode(self.chip.read((victim_index, page))).payload)
+                for page in pages.tolist()
+            ]
+        self.stats.read_time_us += stream.times.read_us * int(lpns.size)
+        self._program_runs(stream, lpns, counter, encoded, victim=victim_index)
         victim = self.chip.blocks[victim_index]
         victim.erase()
         self.page_map.on_erase(victim_index)
         self.stats.erase_time_us += stream.times.erase_us
         stream.free.append(victim_index)
         stream.hold(victim_index, True)
-        return migrated
-
-    def _migrate_block_analytic(
-        self, stream: _Stream, victim_index: int, counter: str
-    ) -> int:
-        """Analytic-mode migration: no byte materialization.
-
-        The victim's live pages are "read" in one batch (read-disturb
-        book-keeping only -- migration never inspects content on a
-        transparent codec), then rewritten through :meth:`_program_runs`.
-        Safe to batch the reads up front: destination programs go to the
-        open block, never the victim, and per-page read counts are
-        independent, so the chip-side accruals match the interleaved
-        scalar order exactly (time counters are integer-valued
-        microseconds -- scaled adds equal repeated adds).
-        """
-        pages, lpns = self.page_map.live_lpns_arrays(victim_index)
-        if not lpns.size:
-            return 0
-        self.chip.blocks[victim_index].read_analytic_many(pages)
-        self.stats.read_time_us += stream.times.read_us * int(lpns.size)
-        self._program_runs(stream, lpns, counter, victim=victim_index)
         return int(lpns.size)
 
     def _program_runs(
-        self, stream: _Stream, lpns: np.ndarray, counter: str, victim: int | None = None
+        self, stream: _Stream, lpns: np.ndarray, counter: str,
+        encoded: list[bytes] | None, victim: int | None = None,
     ) -> None:
-        """Program ``lpns`` in order onto an analytic stream's write path.
+        """Program ``lpns`` in order: the one loop that opens blocks and
+        places pages, on both fidelities.
 
-        Writes split into open-block-sized runs; each run programs its
-        pages and updates the page map in a handful of array operations,
-        and blocks open (with any GC that triggers) at exactly the page
-        boundaries the per-page sequence would hit -- so mapping state,
-        wear, GC victims, and ``FtlStats`` are identical to it (NAND
-        time counters are integer-valued microseconds, so ``n`` equal
-        float adds equal one ``n``-scaled add exactly).  The ``FtlStats``
-        field ``counter`` advances per run, so an ``OutOfSpaceError``
-        leaves every landed page accounted.  A migration names its
-        ``victim``: its LPNs are the victim's distinct live pages, moved
-        with :meth:`PageMap.migrate`, and opening a block mid-way runs
-        no nested GC.
+        Writes split into open-block runs of ``free_pages - reserved``
+        pages (a parity stream keeps each block's last page for parity,
+        sealed before the next block opens).  On a bit-exact stream
+        ``encoded[i]`` is the page for ``lpns[i]``, programmed one
+        :meth:`_program` at a time; on an analytic one (``encoded`` None)
+        a run is one ``program_analytic_many`` slice.  Blocks open (with
+        any GC that triggers) at exactly the page boundaries a
+        page-at-a-time sequence would hit, so mapping state, wear, GC
+        victims and ``FtlStats`` equal it (NAND times are integer-valued
+        microseconds: ``n`` equal float adds equal one scaled add).  The
+        page map and the ``FtlStats`` field ``counter`` advance per run,
+        so an ``OutOfSpaceError`` leaves every landed page mapped and
+        counted.  A migration names its ``victim``: its LPNs are the
+        victim's distinct live pages, moved with :meth:`PageMap.migrate`,
+        and opening a block mid-way runs no nested GC.
         """
         program_us = stream.times.program_us
+        reserved = 1 if stream.parity_enabled else 0
         during_gc = victim is not None
         pos = 0
         while pos < lpns.size:
+            block_index = stream.open_block
             if (
-                stream.open_block is None
-                or self.chip.blocks[stream.open_block].free_pages <= 0
+                block_index is None
+                or self.chip.blocks[block_index].free_pages <= reserved
             ):
+                self._seal_parity(stream)
                 self._open_new_block(stream, during_gc)
-            block = self.chip.blocks[stream.open_block]  # type: ignore[index]
-            run = min(block.free_pages, lpns.size - pos)
-            start_page = block.program_analytic_many(run)
-            self.stats.program_time_us += program_us * run
+                block_index = stream.open_block
+            block = self.chip.blocks[block_index]  # type: ignore[index]
+            run = min(block.free_pages - reserved, lpns.size - pos)
+            if encoded is None:
+                start_page = block.program_analytic_many(run)
+                self.stats.program_time_us += program_us * run
+            else:
+                start_page = block.usable_pages - block.free_pages
+                for i in range(run):
+                    self._program(stream, (block_index, start_page + i), encoded[pos + i])
             run_lpns = lpns[pos: pos + run]
             if during_gc:
-                self.page_map.migrate(run_lpns, victim, stream.open_block, start_page)
+                self.page_map.migrate(run_lpns, victim, block_index, start_page)
             else:
-                self.page_map.record_writes(run_lpns, stream.open_block, start_page)
+                self.page_map.record_writes(run_lpns, block_index, start_page)
             setattr(self.stats, counter, getattr(self.stats, counter) + run)
             pos += run

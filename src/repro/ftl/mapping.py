@@ -126,24 +126,6 @@ class PageMap:
 
     # -- updates ---------------------------------------------------------------
 
-    def record_write(self, lpn: int, addr: PhysicalAddress) -> None:
-        """Point ``lpn`` at a freshly programmed page, invalidating any old copy."""
-        if lpn < 0:
-            raise ValueError("LPNs must be non-negative")
-        if lpn >= self._l2p.size:
-            self._grow(lpn)
-        old = self._l2p[lpn]
-        if old >= 0:
-            self._valid[old // self.pages_per_block] -= 1
-            self._p2l[old] = -1
-        else:
-            self._mapped += 1
-        block_index, page_index = addr
-        flat = block_index * self.pages_per_block + page_index
-        self._p2l[flat] = lpn
-        self._valid[block_index] += 1
-        self._l2p[lpn] = flat
-
     def invalidate(self, lpn: int) -> PhysicalAddress | None:
         """Drop the mapping for ``lpn`` (trim); returns the freed address."""
         if lpn < 0 or lpn >= self._l2p.size:
@@ -159,14 +141,16 @@ class PageMap:
         return (block_index, int(flat) % self.pages_per_block)
 
     def record_writes(self, lpns: np.ndarray, block_index: int, start_page: int) -> None:
-        """Batched :meth:`record_write` for LPNs landing on consecutive pages.
+        """Point ``lpns`` at freshly programmed consecutive pages.
 
-        Equivalent to ``record_write(lpns[i], (block_index, start_page+i))``
-        for each ``i`` in order.  Duplicate LPNs within the batch behave
-        like sequential overwrites: only the last occurrence's page ends
-        up live (earlier pages are programmed-but-dead, exactly as the
-        scalar sequence leaves them).  The duplicate resolution runs only
-        when one sort shows the batch repeats an LPN.
+        ``lpns[i]`` lands on ``(block_index, start_page + i)``; any older
+        copy of it is invalidated.  The map's one write update, for a
+        single page as for an open-block run.  Duplicate LPNs within the
+        batch behave like sequential overwrites: only the last
+        occurrence's page ends up live (earlier pages are
+        programmed-but-dead, as writing them one at a time leaves them).
+        The duplicate resolution runs only when one sort shows the batch
+        repeats an LPN.
         """
         lpns = np.asarray(lpns, dtype=np.int64)
         n = lpns.size

@@ -32,6 +32,22 @@ __all__ = ["BlockUsage", "DictPageMap", "select_victim"]
 # -- GC victim selection --------------------------------------------------
 
 
+def last_write_time_years(block: Block) -> float:
+    """Simulation time of a block's newest programmed page (0.0 if empty).
+
+    The per-page definition of the age the production selector reads from
+    ``BlockArrays.last_write_years``.
+    """
+    return max(
+        (
+            block.page_info(page).written_at_years
+            for page in range(block.geometry.pages_per_block)
+            if block.is_programmed(page)
+        ),
+        default=0.0,
+    )
+
+
 def _greedy_score(block_index: int, block: Block, page_map: PageMap, now: float) -> float:
     """Lower is better: valid page count (ties broken by index upstream)."""
     return float(page_map.valid_pages(block_index))
@@ -52,7 +68,7 @@ def _cost_benefit_score(
     u = page_map.valid_pages(block_index) / usable
     if u >= 1.0:
         return float("inf")  # nothing to reclaim
-    age = max(0.0, now - block.last_write_time_years())
+    age = max(0.0, now - last_write_time_years(block))
     wear_penalty = 1.0 / (1.0 + max(0.0, block.wear_ratio - 1.0))
     score = ((1.0 - u) / (1.0 + u)) * (age + 1e-6) * wear_penalty
     return -score

@@ -34,7 +34,7 @@ def make_candidates(valid_counts: list[int], rng_seed: int = 0):
         for p in range(8):
             block.program(p, b"x")
         for p in range(valid):
-            page_map.record_write(b * 100 + p, (b, p))
+            page_map.record_writes([b * 100 + p], b, p)
         blocks.append((b, block))
     return blocks, page_map, arrays
 
@@ -80,7 +80,7 @@ class TestCostBenefit:
         for p in range(8):
             candidates[1][1].program(p, b"y")
         for p in range(4):
-            page_map.record_write(100 + p, (1, p))
+            page_map.record_writes([100 + p], 1, p)
         victim = pick(candidates, page_map, arrays, GcPolicy.COST_BENEFIT, now_years=2.0)
         assert victim == 0
 

@@ -44,7 +44,7 @@ def _random_state(seed: int) -> tuple[FlashChip, PageMap, float]:
         chip.advance_time(float(write_times[block]))
         chip.blocks[block].program_analytic_many(int(pages_per[block]))
         for page in range(int(pages_per[block])):
-            page_map.record_write(lpn, (block, page))
+            page_map.record_writes([lpn], block, page)
             lpn += 1
     now = 2.5
     chip.advance_time(now)
@@ -78,7 +78,7 @@ def test_ties_break_to_lowest_block_index(policy):
     lpn = 0
     for block in range(GEOM.total_blocks):
         for page in range(2):
-            page_map.record_write(lpn, (block, page))
+            page_map.record_writes([lpn], block, page)
             lpn += 1
     reversed_candidates = [
         (i, chip.blocks[i]) for i in reversed(range(GEOM.total_blocks))

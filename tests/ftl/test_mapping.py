@@ -20,40 +20,40 @@ class TestBasics:
         assert not page_map.is_mapped(42)
 
     def test_record_write_maps(self, page_map):
-        page_map.record_write(7, (1, 3))
+        page_map.record_writes([7], 1, 3)
         assert page_map.lookup(7) == (1, 3)
         assert page_map.valid_pages(1) == 1
         assert page_map.mapped_count() == 1
 
     def test_overwrite_invalidates_old_copy(self, page_map):
-        page_map.record_write(7, (1, 3))
-        page_map.record_write(7, (2, 0))
+        page_map.record_writes([7], 1, 3)
+        page_map.record_writes([7], 2, 0)
         assert page_map.lookup(7) == (2, 0)
         assert page_map.valid_pages(1) == 0
         assert page_map.valid_pages(2) == 1
 
     def test_invalidate_returns_freed_address(self, page_map):
-        page_map.record_write(7, (1, 3))
+        page_map.record_writes([7], 1, 3)
         assert page_map.invalidate(7) == (1, 3)
         assert page_map.invalidate(7) is None
         assert page_map.valid_pages(1) == 0
 
     def test_live_lpns_reflects_current_mapping_only(self, page_map):
-        page_map.record_write(1, (0, 0))
-        page_map.record_write(2, (0, 1))
-        page_map.record_write(1, (0, 2))  # moved within the block
+        page_map.record_writes([1], 0, 0)
+        page_map.record_writes([2], 0, 1)
+        page_map.record_writes([1], 0, 2)  # moved within the block
         live = dict((lpn, page) for page, lpn in
                     [(p, l) for p, l in page_map.live_lpns(0)])
         assert live == {2: 1, 1: 2}
 
     def test_erase_with_valid_pages_is_a_bug(self, page_map):
-        page_map.record_write(5, (3, 0))
+        page_map.record_writes([5], 3, 0)
         with pytest.raises(RuntimeError):
             page_map.on_erase(3)
 
     def test_erase_after_migration_ok(self, page_map):
-        page_map.record_write(5, (3, 0))
-        page_map.record_write(5, (2, 0))
+        page_map.record_writes([5], 3, 0)
+        page_map.record_writes([5], 2, 0)
         page_map.on_erase(3)
         assert page_map.valid_pages(3) == 0
 
@@ -78,7 +78,7 @@ def test_valid_counts_always_consistent(ops):
             block = i % 3
             if next_page[block] >= 32:
                 continue
-            page_map.record_write(lpn, (block, next_page[block]))
+            page_map.record_writes([lpn], block, next_page[block])
             next_page[block] += 1
         else:
             page_map.invalidate(lpn)

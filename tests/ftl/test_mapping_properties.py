@@ -3,8 +3,7 @@
 ``DictPageMap`` (``tests/ftl/ftl_oracles.py``) is the pre-vectorization
 implementation, kept verbatim as the semantic oracle.  Hypothesis drives
 both maps through the same *legal* operation sequences -- an embedded
-allocator guarantees every ``record_write`` lands on a freshly
-programmed page, every ``migrate`` moves a block's whole live set to
+allocator guarantees every write lands on freshly programmed pages, every ``migrate`` moves a block's whole live set to
 fresh pages of another block and every ``on_erase`` hits a fully dead
 block, exactly the discipline the FTL enforces -- and every observable
 (lookups, valid counts, live scans, mapped totals, freed-trim returns)
@@ -98,7 +97,9 @@ def test_pagemap_matches_dict_reference(ops):
             placed = alloc.place(1)
             if placed is None:
                 continue
-            fast.record_write(lpn, placed)
+            # a one-page write: the production map's one write update
+            # against the oracle's scalar one
+            fast.record_writes(np.asarray([lpn]), *placed)
             ref.record_write(lpn, placed)
         elif kind == "trim":
             assert fast.invalidate(lpn) == ref.invalidate(lpn)
@@ -148,13 +149,10 @@ def test_migrate_matches_general_path(lpns):
     migrated = PageMap(BLOCKS, PAGES)
     # every LPN lives in block 0 or 1; the moved ones all in one victim
     victim = 1
-    for i, lpn in enumerate(lpns):
-        general.record_write(lpn, (victim, i))
-        migrated.record_write(lpn, (victim, i))
     others = [lpn for lpn in range(LPN_SPACE) if lpn not in lpns][:PAGES]
-    for i, lpn in enumerate(others):
-        general.record_write(lpn, (0, i))
-        migrated.record_write(lpn, (0, i))
+    for page_map in (general, migrated):
+        page_map.record_writes(np.asarray(lpns), victim, 0)
+        page_map.record_writes(np.asarray(others), 0, 0)
     block, start = BLOCKS - 1, 0
     arr = np.asarray(lpns, dtype=np.int64)
     general.record_writes(arr, block, start)
@@ -173,7 +171,7 @@ def test_migrate_matches_general_path(lpns):
 def test_on_erase_with_valid_pages_is_a_caller_bug(cls):
     """Erasing a block that still holds live data must raise, not corrupt."""
     page_map = cls(BLOCKS, PAGES)
-    page_map.record_write(3, (1, 0))
+    page_map.record_writes(np.asarray([3]), 1, 0)
     with pytest.raises(RuntimeError, match="valid pages"):
         page_map.on_erase(1)
     # the live mapping survived the refused erase

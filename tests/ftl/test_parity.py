@@ -13,8 +13,7 @@ from repro.ftl.ftl import Ftl
 from repro.ftl.streams import StreamConfig
 
 
-@pytest.fixture
-def parity_ftl():
+def _parity_device():
     chip = FlashChip(SMALL_GEOMETRY, CellTechnology.PLC, seed=21)
     streams = [
         StreamConfig("sys", pseudo_mode(CellTechnology.PLC, 4),
@@ -22,6 +21,11 @@ def parity_ftl():
     ]
     ftl = Ftl(chip, streams, {"sys": list(range(SMALL_GEOMETRY.total_blocks))})
     return ftl, chip
+
+
+@pytest.fixture
+def parity_ftl():
+    return _parity_device()
 
 
 class TestParityLayout:
@@ -59,6 +63,33 @@ class TestParityLayout:
             for i, byte in enumerate(block.read_clean(page)):
                 acc[i] ^= byte
         assert bytes(acc) == block.read_clean(block.usable_pages - 1)
+
+    def test_batched_writes_match_per_page_writes(self, make_rng):
+        """Open-block runs keep each block's last page for its parity:
+        ``write_many`` batches that repeat LPNs and run GC leave the same
+        pages, parity, mapping, wear and stats as one write per LPN."""
+        # fill 240 of the 320 data pages, then overwrite at random: GC
+        # migrates live pages around each block's parity page
+        space = 240
+        lpns = np.concatenate([np.arange(space), make_rng(8).integers(0, space, 720)])
+        (per_page, chip_a), (batched, chip_b) = _parity_device(), _parity_device()
+        for lpn in lpns.tolist():
+            per_page.write(lpn, b"", "sys")
+        for batch in np.array_split(lpns, 4):
+            batched.write_many(batch, "sys")
+        assert batched.stats == per_page.stats
+        assert batched.stats.gc_migrations > 0
+        assert chip_b.arrays.pec.tolist() == chip_a.arrays.pec.tolist()
+        assert [batched.page_map.lookup(lpn) for lpn in range(space)] == [
+            per_page.page_map.lookup(lpn) for lpn in range(space)
+        ]
+        sealed = 0
+        for block_a, block_b in zip(chip_a.blocks, chip_b.blocks):
+            assert block_b.free_pages == block_a.free_pages
+            for page in range(block_a.usable_pages - block_a.free_pages):
+                assert block_b.read_clean(page) == block_a.read_clean(page)
+            sealed += block_a.free_pages == 0
+        assert sealed > 0
 
 
 class TestParityRecovery:

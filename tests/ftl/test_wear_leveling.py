@@ -21,7 +21,7 @@ def make_pool(pecs: list[int], valid: list[int]):
         block.pec = pec
         for p in range(v):
             block.program(p, b"x")
-            page_map.record_write(i * 10 + p, (i, p))
+            page_map.record_writes([i * 10 + p], i, p)
         candidates.append((i, block))
     return candidates, page_map
 
