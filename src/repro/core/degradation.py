@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.flash.error_model import ErrorModel
 from repro.ftl.ftl import Ftl
 from repro.media.quality import FRAME_SENSITIVITY, FrameType
 
@@ -86,10 +85,9 @@ class DegradationMonitor:
         block = self.ftl.chip.blocks[block_index]
         now = self.ftl.chip.now_years
         rber_now = block.rber_now(page_index, now)
-        model = ErrorModel(block.mode)
         page = block.page_info(page_index)
         age_at_horizon = (now + self.horizon_years) - page.written_at_years
-        rber_future = model.rber(
+        rber_future = block.error_model.rber(
             pec=block.pec,
             years_since_write=max(0.0, age_at_horizon),
             reads_since_write=page.reads_since_write,

@@ -235,18 +235,20 @@ class SOSDevice:
 
     def snapshot(self) -> DeviceSnapshot:
         """Summarize current wear/capacity/placement state."""
-        sys_blocks = [self.chip.blocks[i] for i in self.ftl.stream("sys").blocks]
-        spare_blocks = [self.chip.blocks[i] for i in self.ftl.stream("spare").blocks]
-        live_sys = [b.pec for b in sys_blocks if not b.retired]
-        live_spare = [b.pec for b in spare_blocks if not b.retired]
         spare_files = self.placement.spare_files(list(self.filesystem.live_files()))
         return DeviceSnapshot(
             now_years=self.now_years,
             capacity_pages=self.filesystem.capacity_pages(),
             used_pages=self.filesystem.used_pages(),
-            sys_mean_pec=sum(live_sys) / len(live_sys) if live_sys else 0.0,
-            spare_mean_pec=sum(live_spare) / len(live_spare) if live_spare else 0.0,
+            sys_mean_pec=self._mean_live_pec("sys"),
+            spare_mean_pec=self._mean_live_pec("spare"),
             blocks_retired=self.ftl.stats.blocks_retired,
             blocks_resuscitated=self.ftl.stats.blocks_resuscitated,
             spare_file_count=len(spare_files),
         )
+
+    def _mean_live_pec(self, stream_name: str) -> float:
+        """Mean PEC over a stream's non-retired blocks (0.0 if none)."""
+        blocks = self.ftl.stream(stream_name).block_arr
+        pec = self.chip.arrays.pec[blocks[~self.chip.arrays.retired[blocks]]]
+        return int(pec.sum()) / pec.size if pec.size else 0.0

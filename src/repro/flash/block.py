@@ -20,30 +20,34 @@ Two representations coexist per page:
 
 * **bit-exact** -- :meth:`Block.program`/:meth:`Block.read` materialize and
   corrupt real page bytes;
-* **analytic** -- :meth:`Block.program_analytic_many`/:meth:`Block.read_analytic_many`
-  keep every piece of wear/retention/read-disturb book-keeping (and the
-  same sequential-programming rules) but never allocate payload bytes,
+* **analytic** -- :meth:`Block.program_analytic_many` and the chip's
+  :meth:`~repro.flash.chip.FlashChip.read_analytic_many` keep every piece
+  of wear/retention/read-disturb book-keeping (and the same
+  sequential-programming rules) but never allocate payload bytes,
   consume the corruption RNG or evaluate an RBER: nothing on the
   analytic path reads one.  Valid only for content-independent
   protection (no codec, no parity) -- the FTL enforces that.  The
   analytic operations are batch-only: one page is a batch of one.
 
 Per-page metadata (written-at time, reads since write, PEC at write) lives
-in flat numpy arrays either way -- :meth:`Block.program` books its page as
-``program_analytic_many(1)`` -- so a page's RBER stays computable on
-demand from the state both paths keep (:meth:`Block.rber_now`).
+in the chip's flat :class:`PageArrays` either way -- :meth:`Block.program`
+books its page as ``program_analytic_many(1)`` -- so a page's RBER stays
+computable on demand from the state both paths keep
+(:meth:`Block.rber_now`).
 
 Chip-wide per-block state (PEC, retirement, usable pages, last write time)
 and the retention clock live in a shared :class:`BlockArrays` owned by the
 chip; ``Block.pec`` and ``Block.retired`` are array-backed properties, so
 both direct attribute writes (tests do ``block.pec = 100_000``) and the
-vectorized GC victim selector observe the same numbers with no mirroring
-step, and advancing the chip's clock is one assignment.
+vectorized GC and wear-leveling selectors observe the same numbers with
+no mirroring step, and advancing the chip's clock is one assignment.
+The two array sets are the only record of per-block and per-page state;
+besides its views into them a :class:`Block` keeps only its mode (with
+the error model derived from it), its page payloads and its write
+pointer.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,13 +144,6 @@ class PageState:
         return int(self._block._pec_at_write[self._page_index])
 
 
-@dataclass(slots=True)
-class _BlockStats:
-    programs: int = 0
-    reads: int = 0
-    injected_bit_errors: int = 0
-
-
 class Block:
     """One erase block with real page payloads and stochastic bit errors.
 
@@ -181,7 +178,6 @@ class Block:
         self._rng = rng
         self._arrays = arrays if arrays is not None else BlockArrays(1)
         self._index = index if arrays is not None else 0
-        self.stats = _BlockStats()
         self._mode = mode
         self._error_model = ErrorModel(mode)
         n_pages = geometry.pages_per_block
@@ -318,8 +314,8 @@ class Block:
         order, so no page indices are needed), but no payload bytes: the
         pages are marked programmed and per-page metadata updates
         collapse to array slice assignments.  Reads of these pages must
-        go through :meth:`read_analytic_many`.  Returns the index of the
-        first page of the run.
+        go through the chip's ``read_analytic_many``.  Returns the index
+        of the first page of the run.
         """
         if count <= 0:
             return self._next_page
@@ -337,7 +333,6 @@ class Block:
         self._pec_at_write[lo: lo + count] = self.pec
         self._programmed[lo: lo + count] = True
         self._next_page += count
-        self.stats.programs += count
         self._arrays.last_write_years[self._index] = now
         return lo
 
@@ -363,24 +358,7 @@ class Block:
             reads_since_write=int(self._reads[page_index]),
         )
         self._reads[page_index] += 1
-        self.stats.reads += 1
         return self._corrupt(data, rber)
-
-    def read_analytic_many(self, page_indices: np.ndarray) -> None:
-        """Read many pages of this block analytically: no bytes, no RNG, no RBER.
-
-        Performs the read book-keeping of :meth:`read` -- each occurrence
-        of a page bumps its read-disturb counter, and ``stats.reads``
-        counts every read -- without materializing or corrupting bytes.
-        Nothing on the analytic path reads an RBER; :meth:`rber_now`
-        computes one on demand from the same counters.  Used by analytic
-        GC migration, where a victim's whole live set is read at once.
-        """
-        idx = np.asarray(page_indices, dtype=np.int64)
-        if not self._programmed[idx].all():
-            raise ProgramError("read_analytic_many on unprogrammed page(s)")
-        np.add.at(self._reads, idx, 1)
-        self.stats.reads += idx.size
 
     def read_clean(self, page_index: int) -> bytes:
         """Read a page without error injection (oracle view for tests)."""
@@ -426,5 +404,4 @@ class Block:
         positions = self._rng.integers(0, nbits, size=nerrors)
         for pos in np.unique(positions):
             noisy[pos >> 3] ^= np.uint8(1 << (pos & 7))
-        self.stats.injected_bit_errors += int(np.unique(positions).size)
         return noisy.tobytes()

@@ -8,8 +8,10 @@ garbage collection live above this layer in :mod:`repro.ftl`.
 
 Pages are read either bit-exactly (:meth:`FlashChip.read`: real bytes,
 injected errors) or analytically (:meth:`FlashChip.read_analytic_many`:
-the read-disturb and read-count book-keeping only, for streams whose
-protection never inspects content).
+the pages' read-disturb counters only, for streams whose protection
+never inspects content).  Per-block and per-page state lives only in
+the chip's :class:`BlockArrays` and :class:`PageArrays`; chip-wide
+summaries (capacity, retirement, wear) reduce over those arrays.
 """
 
 from __future__ import annotations
@@ -80,9 +82,8 @@ class FlashChip:
 
     def usable_capacity_bytes(self) -> int:
         """Bytes currently addressable (live blocks at their modes)."""
-        return sum(
-            b.page_capacity_bytes * b.usable_pages for b in self.blocks if not b.retired
-        )
+        live_pages = self.arrays.usable_pages[~self.arrays.retired].sum()
+        return self.geometry.page_size_bytes * int(live_pages)
 
     def live_blocks(self) -> Iterator[tuple[int, Block]]:
         """Iterate (index, block) over non-retired blocks."""
@@ -90,7 +91,7 @@ class FlashChip:
 
     def retired_count(self) -> int:
         """Number of retired (worn-out) blocks."""
-        return sum(1 for b in self.blocks if b.retired)
+        return int(np.count_nonzero(self.arrays.retired))
 
     # -- NAND operations ---------------------------------------------------
 
@@ -111,20 +112,16 @@ class FlashChip:
     def read_analytic_many(self, flats: np.ndarray) -> None:
         """Batched analytic read of flattened page indices.
 
-        The cross-block hot path: one scatter of read-disturb counters on
-        the shared :class:`PageArrays` (a page listed twice is read
-        twice) and one per-block tally into each touched block's
-        ``stats.reads``.  No bytes, no RNG and no RBER: a page's RBER
-        stays computable from the counters on demand
-        (:meth:`Block.rber_now`).
+        The one analytic read, for host reads and GC migration alike: one
+        scatter of read-disturb counters on the shared
+        :class:`PageArrays` (a page listed twice is read twice).  No
+        bytes, no RNG and no RBER: a page's RBER stays computable from
+        the counters on demand (:meth:`Block.rber_now`).
         """
         flats = np.asarray(flats, dtype=np.int64)
         if not self.pages.programmed[flats].all():
             raise ProgramError("read_analytic_many on unprogrammed page(s)")
         np.add.at(self.pages.reads, flats, 1)
-        counts = np.bincount(flats // self.geometry.pages_per_block)
-        for b in np.flatnonzero(counts).tolist():
-            self.blocks[b].stats.reads += int(counts[b])
 
     def read_clean(self, addr: PhysicalAddress) -> bytes:
         """Oracle read without error injection (testing/repair reference)."""

@@ -10,7 +10,7 @@ from .ftl import Ftl, FtlStats, OutOfSpaceError
 from .gc import GcPolicy, select_victim_arrays
 from .mapping import PageMap
 from .streams import StreamConfig
-from .wear_leveling import WearLeveler, WearLevelerConfig
+from .wear_leveling import WearLevelerConfig, pick_cold_victim
 from .zones import ZoneClass, ZonedDevice, ZoneError, ZoneInfo, ZoneState
 
 __all__ = [
@@ -24,8 +24,8 @@ __all__ = [
     "select_victim_arrays",
     "PageMap",
     "StreamConfig",
-    "WearLeveler",
     "WearLevelerConfig",
+    "pick_cold_victim",
     "ZoneClass",
     "ZonedDevice",
     "ZoneError",

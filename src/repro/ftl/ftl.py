@@ -38,7 +38,7 @@ from .bad_blocks import assess_block
 from .gc import select_victim_arrays
 from .mapping import PageMap
 from .streams import StreamConfig
-from .wear_leveling import WearLeveler
+from .wear_leveling import pick_cold_victim
 
 __all__ = ["Ftl", "FtlStats", "OutOfSpaceError"]
 
@@ -86,7 +86,6 @@ class _Stream:
         #: blocks with no per-choice rebuild
         self.held = np.ones(self.block_arr.size, dtype=bool)
         self._slot = {b: i for i, b in enumerate(self.block_arr.tolist())}
-        self.leveler = WearLeveler(config.wear_leveling)
         #: nominal NAND latencies of the stream's mode (fixed per stream)
         self.times = TimingModel(config.mode).times()
         #: §4.2 "additional redundancy (e.g., parity)": reserve the last
@@ -208,12 +207,10 @@ class Ftl:
         """Host-visible data pages a stream can hold (excl. retired
         blocks and per-block parity reservations)."""
         stream = self._streams[stream_name]
+        arrays = self.chip.arrays
+        live = stream.block_arr[~arrays.retired[stream.block_arr]]
         reserved = 1 if stream.parity_enabled else 0
-        return sum(
-            max(0, self.chip.blocks[i].usable_pages - reserved)
-            for i in stream.blocks
-            if not self.chip.blocks[i].retired
-        )
+        return int(np.maximum(0, arrays.usable_pages[live] - reserved).sum())
 
     def stream_live_pages(self, stream_name: str) -> int:
         """Live (mapped) logical pages currently in a stream."""
@@ -335,10 +332,12 @@ class Ftl:
         stream = self._streams[stream_name]
         # include free blocks: their wear counts toward the spread even
         # though only data-holding blocks can be nominated for migration
-        candidates = [
-            (i, self.chip.blocks[i]) for i in stream.blocks if i != stream.open_block
-        ]
-        victim = stream.leveler.pick_cold_victim(candidates, self.page_map)
+        blocks = stream.block_arr
+        if stream.open_block is not None:
+            blocks = blocks[blocks != stream.open_block]
+        victim = pick_cold_victim(
+            stream.config.wear_leveling, blocks, self.chip.arrays, self.page_map
+        )
         if victim is None:
             return 0
         return self._migrate_block(stream, victim, "wl_migrations")
@@ -515,8 +514,9 @@ class Ftl:
     def _migrate_block(self, stream: _Stream, victim_index: int, counter: str) -> int:
         """Move a block's live pages to the write path, then free it.
 
-        The whole live set is read first -- one batched read-disturb
-        update on an analytic stream; on a bit-exact one a chip read,
+        The whole live set is read first -- on an analytic stream one
+        chip ``read_analytic_many`` of the victim's live pages, the same
+        read a host ``read_many`` makes; on a bit-exact one a chip read,
         decode and re-encode per page, in page order, so uncorrected
         errors travel with the data -- then :meth:`_program_runs` places
         it.  That equals interleaving reads with programs: only reads draw
@@ -527,7 +527,9 @@ class Ftl:
         """
         pages, lpns = self.page_map.live_lpns_arrays(victim_index)
         if stream.analytic:
-            self.chip.blocks[victim_index].read_analytic_many(pages)
+            self.chip.read_analytic_many(
+                victim_index * self.chip.geometry.pages_per_block + pages
+            )
             encoded = None
         else:
             codec = stream.codec

@@ -150,19 +150,26 @@ class PageMap:
         occurrence's page ends up live (earlier pages are
         programmed-but-dead, as writing them one at a time leaves them).
         The duplicate resolution runs only when one sort shows the batch
-        repeats an LPN.
+        repeats an LPN; a single LPN (every bit-exact host write) needs
+        no sort at all.
         """
         lpns = np.asarray(lpns, dtype=np.int64)
         n = lpns.size
         if n == 0:
             return
-        ordered = np.sort(lpns)
-        if int(ordered[0]) < 0:
+        if n == 1:
+            least = most = int(lpns[0])
+            repeats = False
+        else:
+            ordered = np.sort(lpns)
+            least, most = int(ordered[0]), int(ordered[-1])
+            repeats = bool((ordered[1:] == ordered[:-1]).any())
+        if least < 0:
             raise ValueError("LPNs must be non-negative")
-        if int(ordered[-1]) >= self._l2p.size:
-            self._grow(int(ordered[-1]))
+        if most >= self._l2p.size:
+            self._grow(most)
         lo = block_index * self.pages_per_block + start_page
-        if (ordered[1:] == ordered[:-1]).any():
+        if repeats:
             # last occurrence of each unique LPN wins (scalar overwrite order)
             uniq, rev_first = np.unique(lpns[::-1], return_index=True)
             live_flats = lo + n - 1 - rev_first
@@ -172,7 +179,9 @@ class PageMap:
         old_flats = old[old >= 0]
         # distinct LPNs map to distinct flats, but several may share a
         # block: per-block decrements must accumulate
-        np.subtract.at(self._valid, old_flats // self.pages_per_block, 1)
+        self._valid -= np.bincount(
+            old_flats // self.pages_per_block, minlength=self.total_blocks
+        )
         self._p2l[old_flats] = -1
         self._mapped += int(uniq.size - old_flats.size)
         self._p2l[live_flats] = uniq

@@ -9,18 +9,27 @@ Harmful") **disables** preemptive wear leveling on the SPARE partition:
 every preemptive migration costs an extra program/erase on data that may
 be deleted before its block would ever have worn naturally, which *reduces*
 total lifetime under typical personal workloads.  Experiment E7 measures
-exactly this trade-off, so the leveler is a pluggable, per-stream policy.
+exactly this trade-off, so leveling is a per-stream policy.
+
+Victim nomination has one implementation, :func:`pick_cold_victim`: like
+GC's :func:`~repro.ftl.gc.select_victim_arrays`, it reduces over the
+chip's shared per-block state columns and the page map's valid counts.
+The per-block scan it replaced is a test oracle in
+``tests/ftl/ftl_oracles.py``; ``tests/ftl/test_wear_leveling_vectorized.py``
+pins the two to the same victim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.flash.block import Block
+import numpy as np
+
+from repro.flash.block import BlockArrays
 
 from .mapping import PageMap
 
-__all__ = ["WearLevelerConfig", "WearLeveler"]
+__all__ = ["WearLevelerConfig", "pick_cold_victim"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,35 +49,34 @@ class WearLevelerConfig:
     pec_spread_threshold: int = 20
 
 
-class WearLeveler:
-    """Detects wear imbalance and nominates cold blocks for migration."""
+def pick_cold_victim(
+    config: WearLevelerConfig,
+    blocks: np.ndarray,
+    arrays: BlockArrays,
+    page_map: PageMap,
+) -> int | None:
+    """Nominate the least-worn block holding valid data for forced GC.
 
-    def __init__(self, config: WearLevelerConfig) -> None:
-        self.config = config
-        self.migrations_triggered = 0
-
-    def pick_cold_victim(
-        self, candidates: list[tuple[int, Block]], page_map: PageMap
-    ) -> int | None:
-        """Nominate the least-worn block holding valid data for forced GC.
-
-        Returns the block index to migrate, or None when leveling is
-        disabled or the wear spread is within threshold.  The caller
-        migrates the victim's valid pages to the hot write path; the freed
-        low-PEC block then absorbs future hot writes, equalizing wear.
-        """
-        if not self.config.enabled:
-            return None
-        live = [(i, b) for i, b in candidates if not b.retired]
-        if len(live) < 2:
-            return None
-        pecs = [b.pec for _, b in live]
-        if max(pecs) - min(pecs) <= self.config.pec_spread_threshold:
-            return None
-        # coldest = least-worn block that still holds valid data
-        holders = [(i, b) for i, b in live if page_map.valid_pages(i) > 0]
-        if not holders:
-            return None
-        victim_index, _ = min(holders, key=lambda item: item[1].pec)
-        self.migrations_triggered += 1
-        return victim_index
+    ``blocks`` are the candidate block indices (an int array, any
+    order); the non-retired ones are live.  Returns None when leveling
+    is disabled, fewer than two candidates are live, the PEC spread
+    across live candidates is within ``config.pec_spread_threshold``,
+    or no live candidate holds valid data.  Otherwise returns the live
+    candidate with the lowest PEC among those holding valid data, ties
+    to the lowest block index.  The caller migrates the victim's valid
+    pages to the hot write path; the freed low-PEC block then absorbs
+    future hot writes, equalizing wear.
+    """
+    if not config.enabled:
+        return None
+    live = blocks[~arrays.retired[blocks]]
+    if live.size < 2:
+        return None
+    pec = arrays.pec[live]
+    if int(pec.max()) - int(pec.min()) <= config.pec_spread_threshold:
+        return None
+    holds = page_map.valid_counts(live) > 0
+    if not holds.any():
+        return None
+    holders, holder_pec = live[holds], pec[holds]
+    return int(holders[holder_pec == holder_pec.min()].min())

@@ -138,4 +138,4 @@ def measure_quality(media: MediaObject, readback: bytes) -> QualityReport:
 
 def _bit_errors(a: bytes, b: bytes) -> int:
     """Hamming distance in bits between equal-length byte strings."""
-    return sum((x ^ y).bit_count() for x, y in zip(a, b))
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).bit_count()

@@ -142,4 +142,3 @@ class TestErrorInjection:
         for _ in range(5):
             block.read(0)
         assert block.page_info(0).reads_since_write == 5
-        assert block.stats.reads == 5

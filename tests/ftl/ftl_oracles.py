@@ -1,12 +1,15 @@
 """Reference implementations the FTL's production paths are pinned to.
 
 ``repro.ftl`` has one production implementation per decision: the
-masked-argmin GC selector (:func:`repro.ftl.gc.select_victim_arrays`)
-and the numpy :class:`repro.ftl.mapping.PageMap`.  The simpler designs
-they replaced live here, unchanged, as the semantic references:
+masked-argmin GC selector (:func:`repro.ftl.gc.select_victim_arrays`),
+the array wear-leveling selector
+(:func:`repro.ftl.wear_leveling.pick_cold_victim`) and the numpy
+:class:`repro.ftl.mapping.PageMap`.  The simpler designs they replaced
+live here, unchanged, as the semantic references:
 
 * :func:`select_victim` -- the per-candidate scalar GC scan with the
   two classic scorers (greedy and cost-benefit);
+* :func:`scan_cold_victim` -- the per-block wear-leveling scan;
 * :class:`DictPageMap` -- the ``dict[int, PhysicalAddress]`` + per-block
   :class:`BlockUsage` page map.
 
@@ -24,9 +27,10 @@ from repro.flash.block import Block
 from repro.flash.chip import PhysicalAddress
 from repro.ftl.gc import GcPolicy
 from repro.ftl.mapping import PageMap
+from repro.ftl.wear_leveling import WearLevelerConfig
 from repro.obs import get_observer
 
-__all__ = ["BlockUsage", "DictPageMap", "select_victim"]
+__all__ = ["BlockUsage", "DictPageMap", "scan_cold_victim", "select_victim"]
 
 
 # -- GC victim selection --------------------------------------------------
@@ -140,6 +144,39 @@ def _scan_candidates(
             best_score = score
             best_index = block_index
     return best_index, considered
+
+
+# -- wear leveling ----------------------------------------------------------
+
+
+def scan_cold_victim(
+    config: WearLevelerConfig,
+    candidates: list[tuple[int, Block]],
+    page_map: PageMap,
+) -> int | None:
+    """Nominate the least-worn block holding valid data for forced GC.
+
+    None when leveling is disabled, fewer than two candidates are live
+    (not retired), the PEC spread across live candidates is within
+    ``config.pec_spread_threshold``, or no live candidate holds valid
+    data.  Ties go to the first least-worn holder in ``candidates``
+    order: the lowest block index for ascending candidates, which every
+    stream's are.
+    """
+    if not config.enabled:
+        return None
+    live = [(i, b) for i, b in candidates if not b.retired]
+    if len(live) < 2:
+        return None
+    pecs = [b.pec for _, b in live]
+    if max(pecs) - min(pecs) <= config.pec_spread_threshold:
+        return None
+    # coldest = least-worn block that still holds valid data
+    holders = [(i, b) for i, b in live if page_map.valid_pages(i) > 0]
+    if not holders:
+        return None
+    victim_index, _ = min(holders, key=lambda item: item[1].pec)
+    return victim_index
 
 
 # -- page map ---------------------------------------------------------------

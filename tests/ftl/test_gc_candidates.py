@@ -176,7 +176,6 @@ def _observables(ftl: Ftl) -> dict:
         "page_reads": chip.pages.reads.tolist(),
         "pec": chip.arrays.pec.tolist(),
         "retired": chip.arrays.retired.tolist(),
-        "block_reads": [block.stats.reads for block in chip.blocks],
         "mapping": [ftl.page_map.lookup(lpn) for lpn in range(LPN_SPACE)],
         "free": list(stream.free),
         "open_block": stream.open_block,

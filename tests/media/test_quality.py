@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from repro.media.codec import FrameType, make_media_object
 from repro.media.quality import (
+    _bit_errors,
     frame_quality,
     gop_quality,
     measure_quality,
     quality_to_psnr_db,
 )
+
+
+def bit_errors_oracle(a: bytes, b: bytes) -> int:
+    """Per-byte XOR popcount: the reference ``_bit_errors`` is pinned to."""
+    return sum((x ^ y).bit_count() for x, y in zip(a, b))
 
 
 class TestFrameQuality:
@@ -105,6 +111,25 @@ class TestMeasurement:
         q_i = measure_quality(media, bytes(noisy_i)).quality
         q_b = measure_quality(media, bytes(noisy_b)).quality
         assert q_i < q_b
+
+
+class TestBitErrors:
+    @given(
+        size=st.sampled_from([0, 1, 2, 3, 4096, 9000]),
+        seed=st.integers(0, 2**32 - 1),
+        flip_rate=st.sampled_from([0.0, 1e-3, 0.1, 0.5, 1.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_byte_oracle(self, size, seed, flip_rate):
+        """Empty, single-byte and multi-KB strings, from no flipped bit
+        to every bit flipped, count the same as the per-byte loop."""
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 256, size, dtype=np.uint8)
+        flips = np.packbits(rng.random(size * 8) < flip_rate)
+        ref, got = a.tobytes(), (a ^ flips).tobytes()
+        expected = bit_errors_oracle(ref, got)
+        assert expected == int(np.unpackbits(flips).sum())
+        assert _bit_errors(ref, got) == expected
 
 
 class TestPsnrMapping:
