@@ -18,10 +18,24 @@ the paper cites:
   exceeding it;
 * ground-truth labels: ``critical`` (belongs on SYS) and
   ``user_would_delete`` (the auto-delete target).
+
+The draw order is the contract: a seed names one corpus, and every
+trained placement classifier and auto-delete ranker (each bit-exact
+``SOSDevice`` trains both at bring-up) depends on it.  Per file, in
+order: the kind (one ``random()``, mapped through the CDF
+``Generator.choice`` builds from ``_KIND_WEIGHTS``), the log-normal
+size, then either the system file's four draws or
+:func:`_sample_user_file`'s draws followed by the two label-noise
+draws.  Scalars are clamped with ``min``/``max`` and per-kind constants
+come from tables built at import, so the loop makes no numpy call per
+file beyond the draws themselves.  The per-file loop this replaced
+(``rng.choice`` with ``p=``, ``np.clip``) is the test oracle in
+``tests/classify/classify_oracles.py``, pinned field by field.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,17 +119,34 @@ _KIND_SIZE_MEAN: dict[FileKind, float] = {
 }
 
 
-def _sample_kind(rng: np.random.Generator) -> FileKind:
-    kinds = list(_KIND_WEIGHTS)
-    weights = np.array([_KIND_WEIGHTS[k] for k in kinds])
-    return kinds[rng.choice(len(kinds), p=weights / weights.sum())]
+#: kinds in draw order
+_KINDS: tuple[FileKind, ...] = tuple(_KIND_WEIGHTS)
+
+
+def _kind_cdf() -> list[float]:
+    """The CDF ``rng.choice(len(_KINDS), p=...)`` searches, built the
+    same way (``p.cumsum()``, then ``/= cdf[-1]``), so a
+    ``bisect_right`` of one ``rng.random()`` draws the same kind."""
+    weights = np.array([_KIND_WEIGHTS[k] for k in _KINDS])
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+_KIND_CDF = _kind_cdf()
+
+#: per-kind log of the mean size (the log-normal's ``mean``), as
+#: ``np.log`` computes it
+_KIND_LOG_SIZE_MEAN: dict[FileKind, float] = {
+    kind: float(np.log(size)) for kind, size in _KIND_SIZE_MEAN.items()
+}
 
 
 def _sample_user_file(
     rng: np.random.Generator, kind: FileKind, config: CorpusConfig
 ) -> tuple[FileAttributes, float]:
     """Sample (attributes, latent_value) for a non-system file."""
-    value = float(np.clip(rng.normal(_KIND_VALUE_MEAN[kind], 0.22), 0.0, 1.0))
+    value = min(max(rng.normal(_KIND_VALUE_MEAN[kind], 0.22), 0.0), 1.0)
 
     favorite = rng.random() < 0.25 * value
     known_faces = kind in (FileKind.PHOTO, FileKind.VIDEO) and rng.random() < (
@@ -125,15 +156,15 @@ def _sample_user_file(
     shared = kind is FileKind.MESSAGE_MEDIA or rng.random() < 0.25 * (1.0 - value)
     duplicates = int(rng.poisson(2.0 * (1.0 - value)))
     # valued files are accessed more and more recently
-    created = float(rng.uniform(0.0, config.now_years))
+    created = rng.uniform(0.0, config.now_years)
     age = config.now_years - created
-    idle = float(np.clip(rng.exponential(0.1 + age * (1.0 - value)), 0.0, age))
+    idle = min(max(rng.exponential(0.1 + age * (1.0 - value)), 0.0), age)
     access_count = int(rng.poisson(1.0 + 25.0 * value * (age + 0.1)))
     modify_count = int(rng.poisson(0.5 if kind is not FileKind.DOCUMENT else 3.0 * value))
-    sensitivity = float(np.clip(rng.beta(1.2, 8.0) + 0.35 * value * rng.random(), 0.0, 1.0))
+    sensitivity = min(max(rng.beta(1.2, 8.0) + 0.35 * value * rng.random(), 0.0), 1.0)
     # favorites/faces feed back into value: explicit signals mean more
-    value = float(np.clip(value + 0.15 * favorite + 0.12 * known_faces
-                          - 0.10 * screenshot - 0.05 * min(duplicates, 3), 0.0, 1.0))
+    value = min(max(value + 0.15 * favorite + 0.12 * known_faces
+                    - 0.10 * screenshot - 0.05 * min(duplicates, 3), 0.0), 1.0)
     attrs = FileAttributes(
         created_years=created,
         last_access_years=config.now_years - idle,
@@ -158,13 +189,13 @@ def generate_corpus(
     rng = np.random.default_rng(seed)
     corpus: list[LabelledFile] = []
     for file_id in range(1, config.n_files + 1):
-        kind = _sample_kind(rng)
-        size = int(rng.lognormal(np.log(_KIND_SIZE_MEAN[kind]), 0.8))
+        kind = _KINDS[bisect_right(_KIND_CDF, rng.random())]
+        size = int(rng.lognormal(_KIND_LOG_SIZE_MEAN[kind], 0.8))
         if kind in SYSTEM_KINDS:
-            created = float(rng.uniform(0.0, config.now_years))
+            created = rng.uniform(0.0, config.now_years)
             attrs = FileAttributes(
                 created_years=created,
-                last_access_years=config.now_years - float(rng.exponential(0.02)),
+                last_access_years=config.now_years - rng.exponential(0.02),
                 access_count=int(rng.poisson(200)),
                 modify_count=int(rng.poisson(5)),
                 cloud_backed=False,

@@ -88,13 +88,10 @@ class ClassifierDaemon:
                 moved += 1
             self._last_review[record.file_id] = now
             reviewed += 1
-        spare_lpns = [
-            lpn
-            for record in self.filesystem.live_files()
-            for lpn in record.extents
-            if self.scrubber.monitor.ftl.stream_of(lpn) == self.scrubber.monitor.spare_stream
-        ]
-        scrub_report = self.scrubber.scrub(spare_lpns)
+        monitor = self.scrubber.monitor
+        extents = [lpn for record in self.filesystem.live_files() for lpn in record.extents]
+        spare_lpns, _ = monitor.ftl.resident(extents, monitor.spare_stream)
+        scrub_report = self.scrubber.scrub(spare_lpns.tolist())
         trim_event = self.trim.enforce()
         report = DaemonRunReport(
             at_years=now,

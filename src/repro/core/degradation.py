@@ -6,6 +6,17 @@ requires prediction, not just observation: the monitor combines each
 block's analytic RBER forecast with the media quality model to estimate
 where every SPARE-resident page will be at the end of a look-ahead
 window, flagging pages that will fall below the quality floor.
+
+A scan is batched: one residency query on the FTL
+(:meth:`~repro.ftl.ftl.Ftl.resident`) picks the SPARE-resident pages
+in input order, and one gather each reads their blocks' PEC and their
+write times and read counts from the chip's arrays.  The RBER stays
+two scalar :meth:`~repro.flash.error_model.ErrorModel.rber` calls per
+page (now and at the horizon), not ``rber_many``, whose vectorized
+power can round differently, so a forecast is bit-identical to the
+per-page computation.  :meth:`DegradationMonitor.forecast_page` is a
+one-LPN scan; the per-LPN loop the scan replaced is the test oracle
+in ``tests/core/core_oracles.py``.
 """
 
 from __future__ import annotations
@@ -76,37 +87,37 @@ class DegradationMonitor:
 
     def forecast_page(self, lpn: int) -> PageForecast | None:
         """Forecast one page; None when the LPN is not SPARE-resident."""
-        if self.ftl.stream_of(lpn) != self.spare_stream:
-            return None
-        addr = self.ftl.page_map.lookup(lpn)
-        if addr is None:
-            return None
-        block_index, page_index = addr
-        block = self.ftl.chip.blocks[block_index]
-        now = self.ftl.chip.now_years
-        rber_now = block.rber_now(page_index, now)
-        page = block.page_info(page_index)
-        age_at_horizon = (now + self.horizon_years) - page.written_at_years
-        rber_future = block.error_model.rber(
-            pec=block.pec,
-            years_since_write=max(0.0, age_at_horizon),
-            reads_since_write=page.reads_since_write,
-        )
-        return PageForecast(
-            lpn=lpn,
-            block_index=block_index,
-            rber_now=rber_now,
-            rber_at_horizon=rber_future,
-            quality_at_horizon=self.quality_from_rber(rber_future),
-        )
+        forecasts = self.scan([lpn])
+        return forecasts[0] if forecasts else None
 
     def scan(self, lpns: list[int]) -> list[PageForecast]:
-        """Forecast every SPARE-resident page among ``lpns``."""
+        """Forecast every SPARE-resident page among ``lpns``, in input
+        order (a repeated LPN is forecast each time it appears)."""
+        resident, flats = self.ftl.resident(lpns, self.spare_stream)
+        chip = self.ftl.chip
+        blocks = flats // chip.geometry.pages_per_block
+        now = chip.now_years
+        horizon_end = now + self.horizon_years
         forecasts = []
-        for lpn in lpns:
-            forecast = self.forecast_page(lpn)
-            if forecast is not None:
-                forecasts.append(forecast)
+        for lpn, block_index, pec, written_at, reads in zip(
+            resident.tolist(),
+            blocks.tolist(),
+            chip.arrays.pec[blocks].tolist(),
+            chip.pages.written_at[flats].tolist(),
+            chip.pages.reads[flats].tolist(),
+        ):
+            model = chip.blocks[block_index].error_model
+            rber_now = model.rber(pec, max(0.0, now - written_at), reads)
+            rber_future = model.rber(pec, max(0.0, horizon_end - written_at), reads)
+            forecasts.append(
+                PageForecast(
+                    lpn=lpn,
+                    block_index=block_index,
+                    rber_now=rber_now,
+                    rber_at_horizon=rber_future,
+                    quality_at_horizon=self.quality_from_rber(rber_future),
+                )
+            )
         return forecasts
 
     def endangered(self, lpns: list[int], quality_floor: float) -> list[PageForecast]:

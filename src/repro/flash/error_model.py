@@ -115,14 +115,7 @@ class ErrorModel:
         reads_since_write:
             Reads issued to the block since the page was written.
         """
-        if pec < 0 or years_since_write < 0 or reads_since_write < 0:
-            raise ValueError("stress parameters must be non-negative")
-        wear_ratio = pec / self._rated_pec
-        wear = 1.0 + _WEAR_KNEE_MULTIPLIER * wear_ratio**self._growth
-        retention = 1.0 + (years_since_write / self._retention_horizon_years) * (
-            1.0 + wear_ratio
-        )
-        disturb = 1.0 + reads_since_write / READ_DISTURB_SCALE
+        wear, retention, disturb = self._factors(pec, years_since_write, reads_since_write)
         return RberBreakdown(
             baseline=self._baseline,
             wear_factor=wear,
@@ -133,8 +126,27 @@ class ErrorModel:
     def rber(
         self, pec: float, years_since_write: float = 0.0, reads_since_write: float = 0.0
     ) -> float:
-        """Raw bit error rate at the given stress point (capped at 0.5)."""
-        return min(0.5, self.breakdown(pec, years_since_write, reads_since_write).total)
+        """Raw bit error rate at the given stress point (capped at 0.5).
+
+        The product :attr:`RberBreakdown.total` forms, in the same order,
+        without building the breakdown.
+        """
+        wear, retention, disturb = self._factors(pec, years_since_write, reads_since_write)
+        return min(0.5, self._baseline * wear * retention * disturb)
+
+    def _factors(
+        self, pec: float, years_since_write: float, reads_since_write: float
+    ) -> tuple[float, float, float]:
+        """(wear, retention, read-disturb) factors of one stress point."""
+        if pec < 0 or years_since_write < 0 or reads_since_write < 0:
+            raise ValueError("stress parameters must be non-negative")
+        wear_ratio = pec / self._rated_pec
+        wear = 1.0 + _WEAR_KNEE_MULTIPLIER * wear_ratio**self._growth
+        retention = 1.0 + (years_since_write / self._retention_horizon_years) * (
+            1.0 + wear_ratio
+        )
+        disturb = 1.0 + reads_since_write / READ_DISTURB_SCALE
+        return wear, retention, disturb
 
     def rber_many(
         self,
@@ -144,8 +156,13 @@ class ErrorModel:
     ) -> np.ndarray:
         """Vectorized :meth:`rber` over arrays of stress points.
 
-        Elementwise identical to the scalar form; used by the epoch model
-        to evaluate whole partitions of block groups in one call.  Unlike
+        The same formula as the scalar form, but not always the same
+        bits: numpy's vectorized ``power`` can round differently from
+        Python's ``**``, so an element may differ from :meth:`rber` by a
+        few ulp (up to ~7e-16 relative; ``tests/flash/test_error_model.py``
+        pins the two within 1e-15).  Used by the epoch model to evaluate
+        whole partitions of block groups in one call; code that must
+        match the scalar form bit for bit calls :meth:`rber`.  Unlike
         the scalar form, inputs are not validated -- callers must pass
         non-negative stress values (negative wear would silently produce
         nonsense through the power law).

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.flash.block import Block
 from repro.flash.cell import CellMode
-from repro.flash.error_model import ErrorModel
+from repro.flash.error_model import ErrorModel, cached_error_model
 
 __all__ = [
     "BlockHealthPolicy",
@@ -65,9 +65,9 @@ class BlockVerdict:
     retire: bool = False
 
 
-def _mode_is_reliable(mode: CellMode, pec: int, policy: BlockHealthPolicy) -> bool:
-    """Whether a block at ``pec`` can hold data for the retention horizon."""
-    model = ErrorModel(mode)
+def _is_reliable(model: ErrorModel, pec: int, policy: BlockHealthPolicy) -> bool:
+    """Whether a block at ``pec`` under ``model`` can hold data for the
+    retention horizon."""
     predicted = model.rber(pec=pec, years_since_write=policy.retention_horizon_years)
     return predicted <= policy.max_rber
 
@@ -78,16 +78,19 @@ def assess_block(block: Block, policy: BlockHealthPolicy) -> BlockVerdict:
     The assessment uses the block's accrued PEC and the *predicted* RBER at
     the policy's retention horizon -- i.e. "if I write data here today,
     will it still be readable at the end of the horizon?", which is the
-    question an allocation-time health check must answer.
+    question an allocation-time health check must answer.  The block's
+    own mode is judged by the block's error model; a resuscitation
+    candidate by the shared model of that mode, whose cache key covers
+    the endurance tables, so a table override gets a fresh model.
     """
     if block.retired:
         return BlockVerdict(healthy=False, retire=True)
-    if _mode_is_reliable(block.mode, block.pec, policy):
+    if _is_reliable(block.error_model, block.pec, policy):
         return BlockVerdict(healthy=True)
     for mode in policy.resuscitation_modes:
         if mode.operating_bits >= block.mode.operating_bits:
             continue  # only consider strictly lower densities
-        if _mode_is_reliable(mode, block.pec, policy):
+        if _is_reliable(cached_error_model(mode), block.pec, policy):
             return BlockVerdict(healthy=False, resuscitate_to=mode)
     return BlockVerdict(healthy=False, retire=True)
 

@@ -70,13 +70,19 @@ class FtlStats:
 class _Stream:
     """Runtime state for one configured stream."""
 
-    def __init__(self, config: StreamConfig, block_indices: list[int], page_size: int) -> None:
+    def __init__(
+        self, config: StreamConfig, block_indices: list[int], page_size: int,
+        total_blocks: int,
+    ) -> None:
         self.config = config
         self.blocks = list(block_indices)
         #: sorted block indices as an array: the GC victim selector's
         #: candidate universe (sorted => argmin tie-breaks on lowest
         #: block index) and the live-page count's summation range
         self.block_arr = np.sort(np.asarray(block_indices, dtype=np.int64))
+        #: per-chip-block ownership mask: the residency query's filter
+        self.owns = np.zeros(total_blocks, dtype=bool)
+        self.owns[self.block_arr] = True
         self.codec = PageCodec(config.protection, page_size)
         self.free: list[int] = list(block_indices)
         self.open_block: int | None = None
@@ -176,7 +182,9 @@ class Ftl:
             for block_index in indices:
                 if chip.blocks[block_index].mode != config.mode:
                     chip.reconfigure_block(block_index, config.mode)
-            stream = _Stream(config, indices, chip.geometry.page_size_bytes)
+            stream = _Stream(
+                config, indices, chip.geometry.page_size_bytes, chip.geometry.total_blocks
+            )
             stream.analytic = (
                 analytic and stream.codec.transparent and not stream.parity_enabled
             )
@@ -202,6 +210,23 @@ class Ftl:
         """Which stream currently holds an LPN."""
         addr = self.page_map.lookup(lpn)
         return None if addr is None else self._block_stream[addr[0]].name
+
+    def resident(self, lpns, stream_name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The LPNs among ``lpns`` whose live copy sits in ``stream_name``,
+        with the flattened physical page of each.
+
+        The batched form of keeping each ``lpn`` with ``stream_of(lpn) ==
+        stream_name``: one page-map gather plus the stream's block
+        ownership mask.  Input order is kept and a repeated LPN is kept
+        each time it appears; negative, out-of-map and unmapped LPNs are
+        dropped.
+        """
+        arr = np.asarray(lpns, dtype=np.int64)
+        flats = self.page_map.locate_many(arr)
+        mapped = np.flatnonzero(flats >= 0)
+        owns = self._streams[stream_name].owns
+        kept = mapped[owns[flats[mapped] // self.chip.geometry.pages_per_block]]
+        return arr[kept], flats[kept]
 
     def stream_capacity_pages(self, stream_name: str) -> int:
         """Host-visible data pages a stream can hold (excl. retired

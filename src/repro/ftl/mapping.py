@@ -103,10 +103,15 @@ class PageMap:
 
     def is_mapped_many(self, lpns: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`is_mapped` over an LPN array."""
+        return self.locate_many(lpns) >= 0
+
+    def locate_many(self, lpns: np.ndarray) -> np.ndarray:
+        """Flattened physical index of each LPN's live copy, in input
+        order; -1 where the LPN is unmapped, negative or beyond the map."""
         lpns = np.asarray(lpns, dtype=np.int64)
-        out = np.zeros(lpns.size, dtype=bool)
+        out = np.full(lpns.size, -1, dtype=np.int64)
         in_range = (lpns >= 0) & (lpns < self._l2p.size)
-        out[in_range] = self._l2p[lpns[in_range]] >= 0
+        out[in_range] = self._l2p[lpns[in_range]]
         return out
 
     def lookup_flat_many(self, lpns: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from classify_oracles import generate_corpus as oracle_corpus
 
 from repro.classify.corpus import CorpusConfig, generate_corpus
 from repro.host.files import MEDIA_KINDS, SYSTEM_KINDS
@@ -75,3 +78,32 @@ class TestDeterminism:
         a = generate_corpus(CorpusConfig(n_files=100), seed=7)
         b = generate_corpus(CorpusConfig(n_files=100), seed=8)
         assert any(fa.latent_value != fb.latent_value for fa, fb in zip(a, b))
+
+
+def _fields(obj) -> tuple:
+    """Every field of a (nested) dataclass with its type; floats by
+    ``.hex()``, so equal tuples mean bit-identical values."""
+    out = []
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            out.append((field.name, _fields(value)))
+        elif isinstance(value, float):
+            out.append((field.name, "float", value.hex()))
+        else:
+            out.append((field.name, type(value).__name__, value))
+    return tuple(out)
+
+
+class TestOracle:
+    """The table-driven sampler draws the per-file oracle's corpus."""
+
+    @pytest.mark.parametrize("n_files", [0, 1, 100, 5000])
+    @pytest.mark.parametrize("seed", [0, 7, 42, 55, 505, 808])
+    def test_every_field_matches_per_file_oracle(self, seed, n_files):
+        config = CorpusConfig(n_files=n_files)
+        got = generate_corpus(config, seed=seed)
+        want = oracle_corpus(config, seed=seed)
+        assert len(got) == len(want) == n_files
+        for g, w in zip(got, want):
+            assert _fields(g) == _fields(w)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from core_oracles import spare_filter
 
 from repro.core.sos_device import SOSDevice
 from repro.core.config import default_config
@@ -104,3 +105,56 @@ class TestPipeline:
         device.run_daemon()
         device.run_daemon()
         assert len(device.daemon.runs) == 2
+
+
+class TestSpareFilterOracle:
+    """The daemon scrubs exactly the per-LPN ``stream_of`` filter's list."""
+
+    def test_scrub_list_matches_stream_of_filter(self, device, monkeypatch):
+        for i in range(5):
+            add_junk_photo(device, f"junk{i}")
+        add_keeper(device, "keeper")
+        device.create_file("/system/kernel", FileKind.OS_SYSTEM, size_bytes=900)
+        device.advance_time(0.05)
+        seen = []
+        scrub = device.scrubber.scrub
+
+        def spy(lpns):
+            extents = [
+                lpn for record in device.filesystem.live_files() for lpn in record.extents
+            ]
+            seen.append((lpns, spare_filter(device.ftl, "spare", extents), extents))
+            return scrub(lpns)
+
+        monkeypatch.setattr(device.scrubber, "scrub", spy)
+        device.run_daemon()
+        device.run_daemon()
+        assert len(seen) == 2
+        for lpns, want, extents in seen:
+            assert lpns == want
+            assert all(type(lpn) is int for lpn in lpns)
+            assert want and len(want) < len(extents)
+
+    def test_residency_query_matches_filter_on_odd_lpns(self, device):
+        for i in range(3):
+            add_junk_photo(device, f"junk{i}")
+        device.create_file("/system/kernel", FileKind.OS_SYSTEM, size_bytes=900)
+        device.advance_time(0.05)
+        device.run_daemon()
+        spare = spare_filter(
+            device.ftl, "spare",
+            [lpn for r in device.filesystem.live_files() for lpn in r.extents],
+        )
+        sys_lpns = [
+            lpn for r in device.filesystem.live_files() for lpn in r.extents
+            if device.ftl.stream_of(lpn) == "sys"
+        ]
+        assert spare and sys_lpns
+        assert not device.ftl.page_map.is_mapped(10_000)
+        lpns = [-3, spare[0], 2**40, 10_000] + spare[::-1] + sys_lpns + [spare[0], -1]
+        got, flats = device.ftl.resident(lpns, "spare")
+        assert got.tolist() == spare_filter(device.ftl, "spare", lpns)
+        ppb = device.chip.geometry.pages_per_block
+        assert [(f // ppb, f % ppb) for f in flats.tolist()] == [
+            device.ftl.page_map.lookup(lpn) for lpn in got.tolist()
+        ]

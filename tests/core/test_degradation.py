@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
+from core_oracles import forecast_page as oracle_forecast_page
+from core_oracles import scan as oracle_scan
 
 from repro.core.config import default_config
 from repro.core.degradation import DegradationMonitor
@@ -104,3 +107,81 @@ class TestEndangered:
         layer.write_page(31, b"spare")
         forecasts = monitor.scan([30, 31])
         assert [f.lpn for f in forecasts] == [31]
+
+
+def _bits(forecasts) -> list[tuple]:
+    """Forecasts as tuples with every float by ``.hex()``."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else (type(v).__name__, v)
+              for v in dataclasses.astuple(f))
+        for f in forecasts
+    ]
+
+
+class TestScanOracle:
+    """The batched scan equals the per-LPN forecast loop, bit for bit."""
+
+    SYS = list(range(100, 110))
+    SPARE = list(range(200, 216))
+
+    @pytest.fixture
+    def worn(self):
+        device = build_partitions(default_config())
+        layer = BlockLayer(device.ftl)
+        monitor = DegradationMonitor(device.ftl, horizon_years=0.5)
+        for lpn in self.SYS:
+            layer.write_page(lpn, b"sys")
+        for i, lpn in enumerate(self.SPARE):
+            # spread the write times, so pages age differently
+            device.chip.advance_time(0.01 * i)
+            layer.relocate(lpn, Placement.SPARE)
+            layer.write_page(lpn, b"spare")
+        for lpn in self.SPARE[::3]:
+            for _ in range(1 + lpn % 4):
+                device.ftl.read(lpn)
+        # every block worn past its rated PEC, each by a different amount
+        for i, block in enumerate(device.chip.blocks):
+            block.pec = 2 * block.rated_pec + 37 * i
+        device.chip.advance_time(0.4)
+        return device, monitor
+
+    def lpns(self, device) -> list[int]:
+        beyond = 2**40  # past the end of the L2P array
+        unmapped = 150
+        assert not device.ftl.page_map.is_mapped(unmapped)
+        return (
+            [-1, self.SPARE[5], -7, beyond, self.SYS[0], unmapped]
+            + self.SPARE[::-1]
+            + [self.SYS[3], self.SPARE[2], self.SPARE[2], beyond, self.SPARE[0]]
+            + self.SYS
+            + [self.SPARE[9], -1]
+        )
+
+    def test_scan_matches_per_lpn_loop(self, worn):
+        device, monitor = worn
+        lpns = self.lpns(device)
+        got = monitor.scan(lpns)
+        want = oracle_scan(monitor, lpns)
+        # every SPARE occurrence is forecast, repeats included, in order
+        assert [f.lpn for f in got] == [lpn for lpn in lpns if lpn in self.SPARE]
+        assert got == want
+        assert _bits(got) == _bits(want)
+
+    def test_scan_forecasts_worn_pages_as_endangered(self, worn):
+        _, monitor = worn
+        forecasts = monitor.scan(self.SPARE)
+        assert all(f.below_floor(0.85) for f in forecasts)
+        assert len({f.rber_now for f in forecasts}) > 1
+
+    def test_forecast_page_matches_oracle_per_lpn(self, worn):
+        device, monitor = worn
+        for lpn in self.lpns(device):
+            got = monitor.forecast_page(lpn)
+            want = oracle_forecast_page(monitor, lpn)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _bits([got]) == _bits([want])
+
+    def test_empty_scan(self, worn):
+        _, monitor = worn
+        assert monitor.scan([]) == []
