@@ -68,8 +68,6 @@ class SOSConfig:
     scrub_quality_floor: float = 0.85
     #: §4.5: trim until this fraction of capacity is free, then resume
     trim_free_target: float = 0.03
-    #: classifier daemon period (years; ~daily = 1/365)
-    daemon_period_years: float = 1.0 / 365.0
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.classify.classifier import FileClassifier
 from repro.host.filesystem import FileSystem
+from repro.host.hints import Placement
 
 from .placement import PlacementEngine
 from .scrubber import Scrubber, ScrubReport
@@ -88,9 +89,8 @@ class ClassifierDaemon:
                 moved += 1
             self._last_review[record.file_id] = now
             reviewed += 1
-        monitor = self.scrubber.monitor
         extents = [lpn for record in self.filesystem.live_files() for lpn in record.extents]
-        spare_lpns, _ = monitor.ftl.resident(extents, monitor.spare_stream)
+        spare_lpns, _ = self.scrubber.monitor.ftl.resident(extents, Placement.SPARE.value)
         scrub_report = self.scrubber.scrub(spare_lpns.tolist())
         trim_event = self.trim.enforce()
         report = DaemonRunReport(

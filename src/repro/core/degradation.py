@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from repro.ftl.ftl import Ftl
+from repro.host.hints import Placement
 from repro.media.quality import FRAME_SENSITIVITY, FrameType
 
 __all__ = ["PageForecast", "DegradationMonitor"]
@@ -52,28 +53,18 @@ class DegradationMonitor:
     ----------
     ftl:
         Device FTL (block wear and mapping source).
-    spare_stream:
-        Name of the approximate partition.
     horizon_years:
         Look-ahead window for forecasts.
-    sensitivity:
-        BER -> quality exponent used as the page-level proxy.  Defaults to
-        the P-frame constant: pessimistic for B-frames, optimistic for
-        I-frames, which is why SOS keeps I-frames off SPARE (hybrid
-        layout).
     """
 
-    def __init__(
-        self,
-        ftl: Ftl,
-        spare_stream: str = "spare",
-        horizon_years: float = 0.5,
-        sensitivity: float = FRAME_SENSITIVITY[FrameType.P],
-    ) -> None:
+    #: BER -> quality exponent used as the page-level proxy: the P-frame
+    #: constant, pessimistic for B-frames and optimistic for I-frames,
+    #: which is why SOS keeps I-frames off SPARE (hybrid layout)
+    sensitivity = FRAME_SENSITIVITY[FrameType.P]
+
+    def __init__(self, ftl: Ftl, horizon_years: float = 0.5) -> None:
         self.ftl = ftl
-        self.spare_stream = spare_stream
         self.horizon_years = horizon_years
-        self.sensitivity = sensitivity
 
     def quality_from_rber(self, rber: float) -> float:
         """Page-level quality proxy at a given bit error rate."""
@@ -93,7 +84,7 @@ class DegradationMonitor:
     def scan(self, lpns: list[int]) -> list[PageForecast]:
         """Forecast every SPARE-resident page among ``lpns``, in input
         order (a repeated LPN is forecast each time it appears)."""
-        resident, flats = self.ftl.resident(lpns, self.spare_stream)
+        resident, flats = self.ftl.resident(lpns, Placement.SPARE.value)
         chip = self.ftl.chip
         blocks = flats // chip.geometry.pages_per_block
         now = chip.now_years

@@ -18,6 +18,7 @@ from repro.flash.cell import CellMode, CellTechnology
 from repro.flash.chip import FlashChip
 from repro.ftl.ftl import Ftl
 from repro.ftl.streams import StreamConfig
+from repro.host.hints import Placement
 
 from .config import SOSConfig
 
@@ -35,12 +36,12 @@ class PartitionedDevice:
     @property
     def sys_blocks(self) -> int:
         """Block count of the SYS partition."""
-        return len(self.ftl.stream("sys").blocks)
+        return len(self.ftl.stream(Placement.SYS.value).blocks)
 
     @property
     def spare_blocks(self) -> int:
         """Block count of the SPARE partition."""
-        return len(self.ftl.stream("spare").blocks)
+        return len(self.ftl.stream(Placement.SPARE.value).blocks)
 
 
 def build_partitions(config: SOSConfig) -> PartitionedDevice:
@@ -48,7 +49,8 @@ def build_partitions(config: SOSConfig) -> PartitionedDevice:
 
     Blocks are interleaved between partitions (round-robin by fraction)
     rather than split contiguously, approximating how real devices stripe
-    partitions across planes/dies for parallelism.
+    partitions across planes/dies for parallelism.  Each stream is named
+    by its :class:`~repro.host.hints.Placement` value.
     """
     chip = FlashChip(config.geometry, config.technology, seed=config.seed)
     total = config.geometry.total_blocks
@@ -66,7 +68,7 @@ def build_partitions(config: SOSConfig) -> PartitionedDevice:
     sys_blocks = [i for i in range(total) if i not in spare_set]
     streams = [
         StreamConfig(
-            name="sys",
+            name=Placement.SYS.value,
             mode=config.sys_mode,
             protection=config.sys_protection,
             gc_policy=config.sys_gc,
@@ -74,7 +76,7 @@ def build_partitions(config: SOSConfig) -> PartitionedDevice:
             health=config.sys_health(),
         ),
         StreamConfig(
-            name="spare",
+            name=Placement.SPARE.value,
             mode=config.spare_mode,
             protection=config.spare_protection,
             gc_policy=config.spare_gc,
@@ -82,7 +84,10 @@ def build_partitions(config: SOSConfig) -> PartitionedDevice:
             health=config.spare_health(),
         ),
     ]
-    ftl = Ftl(chip, streams, {"sys": sys_blocks, "spare": sorted(spare_set)})
+    ftl = Ftl(
+        chip, streams,
+        {Placement.SYS.value: sys_blocks, Placement.SPARE.value: sorted(spare_set)},
+    )
     return PartitionedDevice(chip=chip, ftl=ftl, config=config)
 
 

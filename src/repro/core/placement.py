@@ -5,7 +5,8 @@ on SYS (pseudo-QLC) by default; once the classifier deems a file
 non-critical with sufficient confidence, every page of the file is
 relocated to SPARE.  Promotions (SPARE -> SYS) happen when a re-evaluation
 raises a file's criticality -- user preferences "tend to change over
-time" (§4.4) -- or when the scrubber rescues degraded-but-valuable data.
+time" (§4.4).  The engine keeps no placement record of its own: a file is
+on SPARE when the FTL's page map holds every one of its pages there.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ from repro.host.block_layer import BlockLayer
 from repro.host.files import FileRecord
 from repro.host.hints import Placement, PlacementHint
 
-__all__ = ["PlacementEngine", "PlacementStats"]
+__all__ = ["MIN_DEMOTE_CONFIDENCE", "PlacementEngine", "PlacementStats"]
+
+#: hints demoting to SPARE below this confidence are ignored -- a second
+#: conservative gate on top of the classifier threshold
+MIN_DEMOTE_CONFIDENCE = 0.6
 
 
 @dataclass(slots=True)
@@ -37,33 +42,29 @@ class PlacementEngine:
     Parameters
     ----------
     block_layer:
-        Host block layer with sticky per-LPN placement.
-    min_demote_confidence:
-        Hints demoting to SPARE below this confidence are ignored --
-        a second conservative gate on top of the classifier threshold.
+        Host block layer over the SYS/SPARE FTL.
     """
 
-    def __init__(self, block_layer: BlockLayer, min_demote_confidence: float = 0.6) -> None:
+    def __init__(self, block_layer: BlockLayer) -> None:
         self.block_layer = block_layer
-        self.min_demote_confidence = min_demote_confidence
         self.stats = PlacementStats()
-        self._file_placement: dict[int, Placement] = {}
 
     def placement_of(self, file: FileRecord) -> Placement:
-        """Current placement of a file (default SYS)."""
-        return self._file_placement.get(file.file_id, Placement.SYS)
+        """SPARE when the page map holds every extent of a file on SPARE
+        (one residency query), else SYS."""
+        if file.extents:
+            resident, _ = self.block_layer.ftl.resident(file.extents, Placement.SPARE.value)
+            if resident.size == len(file.extents):
+                return Placement.SPARE
+        return Placement.SYS
 
     def apply_hint(self, file: FileRecord, hint: PlacementHint) -> bool:
         """Apply one hint; returns True when pages actually moved."""
         if hint.file_id != file.file_id:
             raise ValueError("hint/file mismatch")
-        current = self.placement_of(file)
-        if hint.placement is current:
+        if hint.placement is self.placement_of(file):
             return False
-        if (
-            hint.placement is Placement.SPARE
-            and hint.confidence < self.min_demote_confidence
-        ):
+        if hint.placement is Placement.SPARE and hint.confidence < MIN_DEMOTE_CONFIDENCE:
             self.stats.hints_ignored_low_confidence += 1
             return False
         if hint.placement is Placement.SPARE and not self._spare_has_room(
@@ -74,7 +75,6 @@ class PlacementEngine:
         for lpn in file.extents:
             self.block_layer.relocate(lpn, hint.placement)
             self.stats.pages_moved += 1
-        self._file_placement[file.file_id] = hint.placement
         if hint.placement is Placement.SPARE:
             self.stats.demotions += 1
         else:
@@ -88,23 +88,13 @@ class PlacementEngine:
         the stream never deadlocks mid-relocation.
         """
         ftl = self.block_layer.ftl
-        spare = self.block_layer.spare_stream
+        spare = Placement.SPARE.value
         capacity = ftl.stream_capacity_pages(spare)
         live = ftl.stream_live_pages(spare)
         reserve_blocks = ftl.stream(spare).config.gc_free_block_threshold + 2
         reserve = reserve_blocks * ftl.chip.geometry.pages_per_block
         return capacity - live - reserve >= pages_needed
 
-    def promote(self, file: FileRecord) -> None:
-        """Force a file back to SYS (scrubber rescue path)."""
-        self.apply_hint(
-            file, PlacementHint(file.file_id, Placement.SYS, confidence=1.0)
-        )
-
-    def forget(self, file: FileRecord) -> None:
-        """Drop placement state for a deleted file."""
-        self._file_placement.pop(file.file_id, None)
-
     def spare_files(self, files) -> list[FileRecord]:
-        """Subset of ``files`` currently placed on SPARE."""
+        """Subset of ``files`` the page map holds wholly on SPARE."""
         return [f for f in files if self.placement_of(f) is Placement.SPARE]

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.host.block_layer import BlockLayer
+from repro.host.hints import Placement
 from repro.obs import get_observer
 
 from .degradation import DegradationMonitor, PageForecast
@@ -101,14 +102,14 @@ class Scrubber:
             resuscitated_before = ftl.stats.blocks_resuscitated
             # health first: rescues must land on healthy blocks, so a worn
             # open block is abandoned before any rewrite happens
-            ftl.check_stream_health(self.monitor.spare_stream)
+            ftl.check_stream_health(Placement.SPARE.value)
             forecasts = self.monitor.scan(lpns)
             report.pages_scanned = len(forecasts)
             endangered = [f for f in forecasts if f.below_floor(self.quality_floor)]
             report.pages_endangered = len(endangered)
             for forecast in endangered:
                 self._rescue(forecast, report)
-            ftl.check_stream_health(self.monitor.spare_stream)
+            ftl.check_stream_health(Placement.SPARE.value)
             report.blocks_retired = ftl.stats.blocks_retired - retired_before
             report.blocks_resuscitated = ftl.stats.blocks_resuscitated - resuscitated_before
         obs.count("scrub.pages_scanned", report.pages_scanned)
@@ -123,7 +124,7 @@ class Scrubber:
         clean = self._fetch_with_retry(lpn, report)
         if clean is not None:
             # repair: rewrite the clean copy at the SPARE write head
-            ftl.write(lpn, clean, self.monitor.spare_stream)
+            ftl.write(lpn, clean, Placement.SPARE.value)
             report.pages_repaired_from_cloud += 1
             obs.event("cloud_repair", t=now, lpn=lpn, outcome="repaired")
             return
@@ -133,7 +134,7 @@ class Scrubber:
             report.repairs_failed += 1
             obs.event("cloud_repair", t=now, lpn=lpn, outcome="failed")
         # relocate best-effort: accrued errors travel with the data
-        ftl.relocate(lpn, self.monitor.spare_stream)
+        ftl.relocate(lpn, Placement.SPARE.value)
         report.pages_relocated += 1
         obs.event("page_relocated", t=now, lpn=lpn)
 

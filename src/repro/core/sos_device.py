@@ -26,6 +26,7 @@ from repro.faults.plan import FaultPlan, FaultSummary
 from repro.host.block_layer import BlockLayer
 from repro.host.files import FileAttributes, FileKind, FileRecord
 from repro.host.filesystem import FileSystem
+from repro.host.hints import Placement
 
 from .config import SOSConfig, default_config
 from .daemon import ClassifierDaemon, DaemonRunReport
@@ -46,8 +47,14 @@ class _BackupAwareBlockLayer(BlockLayer):
         super().__init__(ftl)
         self._backup = backup
 
-    def write_page(self, lpn: int, payload: bytes, file: FileRecord | None = None) -> None:
-        super().write_page(lpn, payload, file)
+    def write_page(
+        self,
+        lpn: int,
+        payload: bytes,
+        file: FileRecord | None = None,
+        placement: Placement | None = None,
+    ) -> None:
+        super().write_page(lpn, payload, file, placement)
         if file is not None and file.attributes.cloud_backed:
             self._backup.store_page(lpn, payload)
 
@@ -199,9 +206,7 @@ class SOSDevice:
         return self.filesystem.create(path, kind, size_bytes, attributes, content)
 
     def delete_file(self, path: str) -> None:
-        """Delete a file and forget its placement/backup state."""
-        record = self.filesystem.lookup(path)
-        self.placement.forget(record)
+        """Delete a file: its pages are trimmed and leave the backup."""
         self.filesystem.delete(path)
 
     def as_ufs(self):
@@ -214,9 +219,9 @@ class SOSDevice:
         from repro.host.ufs import LunConfig, UfsDevice
 
         return UfsDevice(self.ftl, [
-            LunConfig(lun_id=0, name="system", stream="sys",
+            LunConfig(lun_id=0, name="system", stream=Placement.SYS.value,
                       reliable_writes=True, bootable=True),
-            LunConfig(lun_id=1, name="userdata", stream="spare",
+            LunConfig(lun_id=1, name="userdata", stream=Placement.SPARE.value,
                       reliable_writes=False),
         ])
 
@@ -240,8 +245,8 @@ class SOSDevice:
             now_years=self.now_years,
             capacity_pages=self.filesystem.capacity_pages(),
             used_pages=self.filesystem.used_pages(),
-            sys_mean_pec=self._mean_live_pec("sys"),
-            spare_mean_pec=self._mean_live_pec("spare"),
+            sys_mean_pec=self._mean_live_pec(Placement.SYS.value),
+            spare_mean_pec=self._mean_live_pec(Placement.SPARE.value),
             blocks_retired=self.ftl.stats.blocks_retired,
             blocks_resuscitated=self.ftl.stats.blocks_resuscitated,
             spare_file_count=len(spare_files),

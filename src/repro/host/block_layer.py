@@ -1,10 +1,13 @@
-"""Host block layer: routes logical pages to device streams with hints.
+"""Host block layer: logical-page I/O with per-write placement hints.
 
-Figure 2's middle box.  The block layer owns the default placement rule
-("new file data will first be written to high-endurance pseudo-QLC
-memory", §4.4) and carries per-write classification hints from host to
-device -- the "LBA hints" of §4.3.  Re-placement decisions made later by
-the classifier daemon go through :meth:`relocate`.
+Figure 2's middle box.  §4.3 sends classification "for each stored data
+block ... using LBA hints": here the hint rides on the write itself
+(``write_page(..., placement=)``), and the FTL's page map is the only
+record of where a page lives.  A write without a hint rewrites the page
+in the partition that holds it, and a page the map does not hold is
+new data, which lands on SYS (§4.4: "new file data will first be
+written to high-endurance pseudo-QLC memory").  Re-placement decisions
+made later by the classifier daemon go through :meth:`relocate`.
 """
 
 from __future__ import annotations
@@ -23,70 +26,56 @@ class BlockLayer:
     Parameters
     ----------
     ftl:
-        Device FTL with (at least) ``sys_stream`` and ``spare_stream``.
-    sys_stream, spare_stream:
-        Stream names for the two partitions.
+        Device FTL with one stream per :class:`Placement`, named by its
+        value (``"sys"`` and ``"spare"``).
     """
 
-    def __init__(self, ftl: Ftl, sys_stream: str = "sys", spare_stream: str = "spare") -> None:
+    def __init__(self, ftl: Ftl) -> None:
         self.ftl = ftl
-        self.sys_stream = sys_stream
-        self.spare_stream = spare_stream
-        #: sticky placement decisions by LPN (set by the daemon)
-        self._placement: dict[int, Placement] = {}
         # the device-visible logical page size is the smaller of the two
         # partitions' payload capacities so data can move freely between them
-        self.page_bytes = min(
-            ftl.logical_page_bytes(sys_stream), ftl.logical_page_bytes(spare_stream)
-        )
-
-    # -- placement -----------------------------------------------------------
+        self.page_bytes = min(ftl.logical_page_bytes(p.value) for p in Placement)
 
     def placement_of(self, lpn: int) -> Placement:
-        """Current placement decision for an LPN (default SYS)."""
-        return self._placement.get(lpn, Placement.SYS)
-
-    def stream_for(self, placement: Placement) -> str:
-        """Stream name implementing a placement."""
-        return self.sys_stream if placement is Placement.SYS else self.spare_stream
+        """The partition holding an LPN (an unmapped LPN counts as SYS)."""
+        return Placement(self.ftl.stream_of(lpn) or Placement.SYS.value)
 
     # -- I/O --------------------------------------------------------------------
 
-    def write_page(self, lpn: int, payload: bytes, file: FileRecord | None = None) -> None:
-        """Write a page, honouring its sticky placement (default SYS)."""
-        placement = self.placement_of(lpn)
-        self.ftl.write(lpn, payload, self.stream_for(placement))
+    def write_page(
+        self,
+        lpn: int,
+        payload: bytes,
+        file: FileRecord | None = None,
+        placement: Placement | None = None,
+    ) -> None:
+        """Write a page into ``placement``'s partition; without a hint,
+        where the page lives now (SYS for a new page)."""
+        stream = self.ftl.stream_of(lpn) if placement is None else placement.value
+        self.ftl.write(lpn, payload, stream or Placement.SYS.value)
 
     def read_page(self, lpn: int) -> bytes:
         """Read a page's decoded payload (may carry residual errors)."""
         return self.ftl.read(lpn).payload
 
-    def read_page_audited(self, lpn: int):
-        """Read with full ECC audit info (for the scrubber)."""
-        return self.ftl.read(lpn)
-
     def trim_page(self, lpn: int) -> None:
         """Host discard of a page."""
-        self._placement.pop(lpn, None)
         self.ftl.trim(lpn)
 
     def relocate(self, lpn: int, placement: Placement) -> None:
-        """Move an LPN to the partition implementing ``placement``.
+        """Move a written LPN to the partition implementing ``placement``.
 
-        No-op when already there.  The relocation reads through the
-        current partition's ECC and re-encodes with the target's, so a
-        SPARE->SYS rescue also refreshes/strengthens protection.
+        No-op when it is already there or unmapped (nothing to move).
+        The relocation reads through the current partition's ECC and
+        re-encodes with the target's, so a SPARE->SYS rescue also
+        refreshes/strengthens protection.
         """
-        if self.placement_of(lpn) is placement:
-            return
-        self._placement[lpn] = placement
-        if self.ftl.page_map.is_mapped(lpn):
-            self.ftl.relocate(lpn, self.stream_for(placement))
+        current = self.ftl.stream_of(lpn)
+        if current is not None and current != placement.value:
+            self.ftl.relocate(lpn, placement.value)
 
     # -- capacity -----------------------------------------------------------------
 
     def capacity_pages(self) -> int:
         """Current total capacity in logical pages (capacity variance)."""
-        return self.ftl.stream_capacity_pages(self.sys_stream) + self.ftl.stream_capacity_pages(
-            self.spare_stream
-        )
+        return sum(self.ftl.stream_capacity_pages(p.value) for p in Placement)

@@ -171,14 +171,6 @@ class FileSystem:
         cap = self.capacity_pages()
         return self.used_pages() / cap if cap else 1.0
 
-    def over_capacity_pages(self) -> int:
-        """Pages by which live data exceeds (shrunken) capacity; >=0.
-
-        Nonzero after device capacity loss -- the trigger for §4.5's
-        auto-delete/trim fallback.
-        """
-        return max(0, self.used_pages() - self.capacity_pages())
-
     # -- internals ------------------------------------------------------------------
 
     def _alloc_lpn(self) -> int:

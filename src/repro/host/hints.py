@@ -3,7 +3,10 @@
 §4.3: "classification information is sent to the storage device for each
 stored data block ... using LBA hints from the host."  We model the hint
 channel as a small enum (which partition) plus a structured record the
-classifier daemon emits per file.
+classifier daemon emits per file.  A :class:`Placement`'s value is the
+name of the FTL stream implementing that partition: the enum is the one
+home of the partition names, and the FTL's page map is the one record of
+which partition holds a page.
 """
 
 from __future__ import annotations

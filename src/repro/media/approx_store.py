@@ -85,11 +85,10 @@ class ApproximateStore:
         critical = media.critical_ranges()
         for offset in range(0, media.size_bytes, page_bytes):
             chunk = media.data[offset: offset + page_bytes]
-            placement = self._placement_for(offset, len(chunk), critical, layout)
+            placement = self._partition_for(offset, len(chunk), critical, layout)
             lpn = self._next_lpn
             self._next_lpn += 1
-            self.block_layer.relocate(lpn, placement)  # set sticky placement
-            self.block_layer.write_page(lpn, chunk)
+            self.block_layer.write_page(lpn, chunk, placement=placement)
             lpns.append(lpn)
             placements.append(placement)
         return StoredMedia(media=media, layout=layout, lpns=lpns, placements=placements)
@@ -141,7 +140,7 @@ class ApproximateStore:
     # -- internals -------------------------------------------------------------
 
     @staticmethod
-    def _placement_for(
+    def _partition_for(
         offset: int,
         length: int,
         critical_ranges: list[tuple[int, int]],

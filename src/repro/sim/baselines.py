@@ -50,38 +50,32 @@ def _device(*specs: PartitionSpec) -> BatchLifetimeDevice:
     return BatchLifetimeDevice({spec.name: BatchPartition(spec, 1) for spec in specs})
 
 
-def build_tlc_baseline(capacity_gb: float = 64.0) -> DeviceBuild:
-    """Conventional TLC personal device."""
+def _native_build(name: str, technology: CellTechnology, capacity_gb: float) -> DeviceBuild:
+    """One wear-leveled, strongly protected partition of native-density
+    ``technology`` cells: the conventional-management builds."""
     spec = PartitionSpec(
         name="main",
-        mode=native_mode(CellTechnology.TLC),
+        mode=native_mode(technology),
         protection=POLICIES[ProtectionLevel.STRONG],
         capacity_gb=capacity_gb,
         wear_leveling=True,
     )
     return DeviceBuild(
-        name="tlc_baseline",
+        name=name,
         device=_device(spec),
         capacity_gb=capacity_gb,
-        intensity_kg_per_gb=intensity_kg_per_gb(CellTechnology.TLC),
+        intensity_kg_per_gb=intensity_kg_per_gb(technology),
     )
+
+
+def build_tlc_baseline(capacity_gb: float = 64.0) -> DeviceBuild:
+    """Conventional TLC personal device."""
+    return _native_build("tlc_baseline", CellTechnology.TLC, capacity_gb)
 
 
 def build_qlc_baseline(capacity_gb: float = 64.0) -> DeviceBuild:
     """Conventional QLC device (the vendor density roadmap)."""
-    spec = PartitionSpec(
-        name="main",
-        mode=native_mode(CellTechnology.QLC),
-        protection=POLICIES[ProtectionLevel.STRONG],
-        capacity_gb=capacity_gb,
-        wear_leveling=True,
-    )
-    return DeviceBuild(
-        name="qlc_baseline",
-        device=_device(spec),
-        capacity_gb=capacity_gb,
-        intensity_kg_per_gb=intensity_kg_per_gb(CellTechnology.QLC),
-    )
+    return _native_build("qlc_baseline", CellTechnology.QLC, capacity_gb)
 
 
 def build_plc_naive(capacity_gb: float = 64.0) -> DeviceBuild:
@@ -91,19 +85,7 @@ def build_plc_naive(capacity_gb: float = 64.0) -> DeviceBuild:
     short-retention medium with everything else -- the configuration
     §4.2 exists to avoid.
     """
-    spec = PartitionSpec(
-        name="main",
-        mode=native_mode(CellTechnology.PLC),
-        protection=POLICIES[ProtectionLevel.STRONG],
-        capacity_gb=capacity_gb,
-        wear_leveling=True,
-    )
-    return DeviceBuild(
-        name="plc_naive",
-        device=_device(spec),
-        capacity_gb=capacity_gb,
-        intensity_kg_per_gb=intensity_kg_per_gb(CellTechnology.PLC),
-    )
+    return _native_build("plc_naive", CellTechnology.PLC, capacity_gb)
 
 
 def build_sos(

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from repro.core.degradation import DegradationMonitor, PageForecast
 from repro.ftl.ftl import Ftl
+from repro.host.hints import Placement
 
 __all__ = ["forecast_page", "scan", "spare_filter"]
 
 
 def forecast_page(monitor: DegradationMonitor, lpn: int) -> PageForecast | None:
     """Forecast one page; None when the LPN is not SPARE-resident."""
-    if monitor.ftl.stream_of(lpn) != monitor.spare_stream:
+    if monitor.ftl.stream_of(lpn) != Placement.SPARE.value:
         return None
     addr = monitor.ftl.page_map.lookup(lpn)
     if addr is None:

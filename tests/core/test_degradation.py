@@ -36,8 +36,7 @@ class TestScoping:
 
     def test_spare_pages_forecast(self, setup):
         _, layer, monitor = setup
-        layer.relocate(2, Placement.SPARE)
-        layer.write_page(2, b"spare data")
+        layer.write_page(2, b"spare data", placement=Placement.SPARE)
         forecast = monitor.forecast_page(2)
         assert forecast is not None
         assert forecast.lpn == 2
@@ -47,8 +46,7 @@ class TestScoping:
 class TestForecastShape:
     def test_wear_raises_forecast_rber(self, setup):
         device, layer, monitor = setup
-        layer.relocate(3, Placement.SPARE)
-        layer.write_page(3, b"d")
+        layer.write_page(3, b"d", placement=Placement.SPARE)
         before = monitor.forecast_page(3)
         addr = device.ftl.page_map.lookup(3)
         device.chip.blocks[addr[0]].pec = 600
@@ -81,8 +79,7 @@ class TestEndangered:
         lpns = []
         for i in range(5):
             lpn = 10 + i
-            layer.relocate(lpn, Placement.SPARE)
-            layer.write_page(lpn, b"x")
+            layer.write_page(lpn, b"x", placement=Placement.SPARE)
             lpns.append(lpn)
         assert monitor.endangered(lpns, quality_floor=0.85) == []
 
@@ -91,8 +88,7 @@ class TestEndangered:
         lpns = []
         for i in range(5):
             lpn = 20 + i
-            layer.relocate(lpn, Placement.SPARE)
-            layer.write_page(lpn, b"x")
+            layer.write_page(lpn, b"x", placement=Placement.SPARE)
             lpns.append(lpn)
         for block in device.chip.blocks:
             if block.mode.operating_bits == 5:
@@ -103,8 +99,7 @@ class TestEndangered:
     def test_scan_covers_only_spare(self, setup):
         _, layer, monitor = setup
         layer.write_page(30, b"sys")
-        layer.relocate(31, Placement.SPARE)
-        layer.write_page(31, b"spare")
+        layer.write_page(31, b"spare", placement=Placement.SPARE)
         forecasts = monitor.scan([30, 31])
         assert [f.lpn for f in forecasts] == [31]
 
@@ -134,8 +129,7 @@ class TestScanOracle:
         for i, lpn in enumerate(self.SPARE):
             # spread the write times, so pages age differently
             device.chip.advance_time(0.01 * i)
-            layer.relocate(lpn, Placement.SPARE)
-            layer.write_page(lpn, b"spare")
+            layer.write_page(lpn, b"spare", placement=Placement.SPARE)
         for lpn in self.SPARE[::3]:
             for _ in range(1 + lpn % 4):
                 device.ftl.read(lpn)

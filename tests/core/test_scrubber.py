@@ -24,8 +24,7 @@ def setup():
 
 
 def write_spare(layer, lpn, payload=b"payload"):
-    layer.relocate(lpn, Placement.SPARE)
-    layer.write_page(lpn, payload)
+    layer.write_page(lpn, payload, placement=Placement.SPARE)
 
 
 def wear_spare_blocks(device, pec):

@@ -1,4 +1,4 @@
-"""Block layer: default placement, sticky relocation, capacity."""
+"""Block layer: default placement, per-write placement, relocation, capacity."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from repro.ecc.policy import POLICIES, ProtectionLevel
 from repro.flash.cell import CellTechnology, native_mode, pseudo_mode
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import SMALL_GEOMETRY
-from repro.ftl.ftl import Ftl
+from repro.ftl.ftl import Ftl, OutOfSpaceError
 from repro.ftl.streams import StreamConfig
 from repro.host.block_layer import BlockLayer
 from repro.host.hints import Placement, PlacementHint
@@ -51,10 +51,44 @@ class TestPlacement:
         layer.relocate(1, Placement.SYS)
         assert layer.ftl.stats.host_writes == writes_before
 
-    def test_relocate_unwritten_lpn_sets_placement_only(self, layer):
+    def test_relocate_unwritten_lpn_is_left_alone(self, layer):
+        """An unmapped LPN has nothing to move: no write, no record."""
         layer.relocate(9, Placement.SPARE)
+        assert layer.ftl.stats.host_writes == 0
+        assert layer.ftl.stream_of(9) is None
         layer.write_page(9, b"later")
+        assert layer.ftl.stream_of(9) == "sys"
+
+    def test_write_with_placement_goes_there(self, layer):
+        """§4.3's per-write hint: the write itself names the partition."""
+        layer.write_page(9, b"later", placement=Placement.SPARE)
         assert layer.ftl.stream_of(9) == "spare"
+        assert layer.placement_of(9) is Placement.SPARE
+        layer.write_page(9, b"again", placement=Placement.SYS)
+        assert layer.ftl.stream_of(9) == "sys"
+        assert layer.read_page(9)[:5] == b"again"
+
+    def test_failed_relocate_keeps_page_map_placement(self, layer):
+        """A relocation SPARE cannot absorb leaves the page, and its
+        placement, where the page map holds it; once space is freed the
+        same relocation moves the page."""
+        ftl = layer.ftl
+        layer.write_page(1, b"data")
+        filler = 1000
+        with pytest.raises(OutOfSpaceError):
+            while True:  # fill SPARE until the FTL refuses a write
+                ftl.write(filler, b"x", "spare")
+                filler += 1
+        with pytest.raises(OutOfSpaceError):
+            layer.relocate(1, Placement.SPARE)
+        assert ftl.stream_of(1) == "sys"
+        assert layer.placement_of(1) is Placement.SYS
+        for lpn in range(1000, 1000 + 2 * ftl.chip.geometry.pages_per_block):
+            ftl.trim(lpn)
+        layer.relocate(1, Placement.SPARE)
+        assert ftl.stream_of(1) == "spare"
+        assert layer.placement_of(1) is Placement.SPARE
+        assert layer.read_page(1)[:4] == b"data"
 
     def test_trim_forgets_placement(self, layer):
         layer.write_page(1, b"data")
@@ -76,7 +110,7 @@ class TestIO:
 
     def test_audited_read_reports_ecc_activity(self, layer, rng):
         layer.write_page(5, rng.bytes(layer.page_bytes))
-        result = layer.read_page_audited(5)
+        result = layer.ftl.read(5)
         assert result.uncorrectable_codewords == 0
 
     def test_capacity_sums_both_streams(self, layer):

@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ecc.policy import POLICIES, ProtectionLevel
+from repro.flash.cell import CellTechnology, native_mode
 from repro.sim.baselines import (
+    ALL_BUILDERS,
     build_plc_naive,
     build_qlc_baseline,
     build_sos,
     build_tlc_baseline,
 )
 from repro.sim.engine import run_lifetime
-from repro.sim.lifetime import LifetimeResult, SimConfig
+from repro.sim.lifetime import LifetimeResult, PartitionSpec, SimConfig
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
 from repro.workloads.traces import DailySummary
 
@@ -46,6 +49,46 @@ class TestBuilds:
         build = build_sos()
         assert not build.device.partitions["spare"].spec.wear_leveling
         assert build.device.partitions["sys"].spec.wear_leveling
+
+
+class TestNativeBuildPins:
+    """The conventional builds share one helper; each keeps its spec,
+    capacity and carbon intensity."""
+
+    @pytest.mark.parametrize(
+        ("name", "technology", "intensity_hex"),
+        [
+            ("tlc_baseline", CellTechnology.TLC, "0x1.47ae147ae147bp-3"),
+            ("qlc_baseline", CellTechnology.QLC, "0x1.eb851eb851eb8p-4"),
+            ("plc_naive", CellTechnology.PLC, "0x1.89374bc6a7efap-4"),
+        ],
+    )
+    @pytest.mark.parametrize("capacity_gb", [64.0, 8.5])
+    def test_build_is_pinned(self, name, technology, intensity_hex, capacity_gb):
+        build = ALL_BUILDERS[name](capacity_gb)
+        assert build.name == name
+        assert build.capacity_gb == capacity_gb
+        assert build.intensity_kg_per_gb.hex() == intensity_hex
+        assert list(build.device.partitions) == ["main"]
+        assert build.device.partitions["main"].spec == PartitionSpec(
+            name="main",
+            mode=native_mode(technology),
+            protection=POLICIES[ProtectionLevel.STRONG],
+            capacity_gb=capacity_gb,
+            waf=2.5,
+            wear_leveling=True,
+            max_rber=5e-3,
+            health_horizon_years=1.0,
+            resuscitation_bits=(),
+            scrub_enabled=False,
+            scrub_quality_floor=0.85,
+            quality_sensitivity=800.0,
+            n_groups=20,
+        )
+
+    def test_default_capacity(self):
+        for name in ("tlc_baseline", "qlc_baseline", "plc_naive"):
+            assert ALL_BUILDERS[name]().capacity_gb == 64.0
 
 
 class TestEngine:
