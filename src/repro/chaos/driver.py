@@ -122,14 +122,7 @@ def _target_sweep(state_dir: Path, jobs: int) -> dict:
 
 
 def _target_fleet(state_dir: Path, jobs: int) -> dict:
-    """A sharded fleet: cache crash points plus the reduction one.
-
-    ``mean`` is deliberately absent from the output: the digest's
-    running ``total`` accumulates in shard *completion* order, so its
-    last float bits are scheduling-dependent -- everything printed here
-    is completion-order-invariant (integer counts, max, and quantiles
-    over the index-ordered exact vector).
-    """
+    """A sharded fleet: cache crash points plus the reduction one."""
     from repro.fleet import FleetPlan, run_fleet
 
     plan = FleetPlan(
@@ -140,7 +133,7 @@ def _target_fleet(state_dir: Path, jobs: int) -> dict:
     keys = (
         "devices", "requested_devices", "missing_devices", "shards",
         "failed_shards", "complete", "exact", "median", "p90", "p99",
-        "max", "worn_out_fraction",
+        "max", "mean", "worn_out_fraction",
     )
     return {k: summary[k] for k in keys}
 

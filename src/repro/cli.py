@@ -58,6 +58,11 @@ from repro.analysis.reporting import format_table
 
 __all__ = ["main"]
 
+#: ``--build`` choices of ``population`` and ``submit``: the keys of
+#: ``repro.sim.baselines.ALL_BUILDERS``, named here so building the
+#: parser imports no simulation code
+_BUILDS = ("tlc_baseline", "qlc_baseline", "plc_naive", "sos")
+
 
 def _cmd_density(args: argparse.Namespace) -> None:
     from repro.carbon.embodied import intensity_kg_per_gb, mixed_intensity_kg_per_gb
@@ -244,27 +249,30 @@ def _cmd_population(args: argparse.Namespace) -> int:
     The population is cut into ``--shard-size``-device shards; each
     shard runs as one fault-tolerant, cached sweep point that steps its
     devices through the batched fleet engine in ``--chunk``-device
-    vectorized passes and reduces to a mergeable wear digest, so peak
-    memory follows the shard size even at ``--devices 1000000``.
+    vectorized passes, and its wear column folds into a mergeable wear
+    digest, so peak memory follows the shard size even at
+    ``--devices 1000000``.  A plan ``FleetPlan`` rejects (say
+    ``--fidelity ftl --build sos``) is a usage error: exit code 2.
     """
     import resource
 
     from repro.fleet import WEAR_BIN_WIDTH, FleetPlan, run_fleet
     from repro.runner import write_bench_json
 
-    days = int(args.years * 365)
-    fidelity = getattr(args, "fidelity", "epoch")
-    plan = FleetPlan(
-        n_devices=args.devices,
-        days=days,
-        capacity_gb=args.capacity_gb,
-        seed=args.seed,
-        shard_size=args.shard_size or args.chunk,
-        chunk=args.chunk,
-        build=args.build,
-        exact_cap=args.exact_cap,
-        fidelity=fidelity,
-    )
+    try:
+        plan = FleetPlan(
+            n_devices=args.devices,
+            days=int(args.years * 365),
+            capacity_gb=args.capacity_gb,
+            seed=args.seed,
+            shard_size=args.shard_size or args.chunk,
+            chunk=args.chunk,
+            build=args.build,
+            exact_cap=args.exact_cap,
+            fidelity=args.fidelity,
+        )
+    except ValueError as err:
+        args.usage_error(str(err))  # exits 2, as argparse's own errors do
     fleet = run_fleet(
         plan,
         jobs=args.jobs,
@@ -862,8 +870,7 @@ def main(argv: list[str] | None = None) -> int:
                    dest="devices", help="population size (devices)")
     p.add_argument("--years", type=float, default=2.5)
     p.add_argument("--capacity-gb", type=float, default=64.0)
-    p.add_argument("--build", default="tlc_baseline",
-                   choices=("tlc_baseline", "qlc_baseline", "plc_naive", "sos"))
+    p.add_argument("--build", default="tlc_baseline", choices=_BUILDS)
     p.add_argument("--seed", type=int, default=606)
     p.add_argument("--shard-size", type=int, default=0,
                    help="devices per sweep point (cache/retry/timeout unit; "
@@ -882,7 +889,7 @@ def main(argv: list[str] | None = None) -> int:
                         "the page-mapped FTL (GC, wear leveling, per-block "
                         "PEC) on the analytic fast path")
     _add_runner_flags(p, "shard")
-    p.set_defaults(func=_cmd_population)
+    p.set_defaults(func=_cmd_population, usage_error=p.error)
 
     p = sub.add_parser("faults", help="fault-injection utilities")
     faults_sub = p.add_subparsers(dest="faults_command", required=True)
@@ -1006,8 +1013,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="population size (population jobs)")
     p.add_argument("--years", type=float, default=2.5)
     p.add_argument("--capacity-gb", type=float, default=64.0)
-    p.add_argument("--build", default="tlc_baseline",
-                   choices=("tlc_baseline", "qlc_baseline", "plc_naive", "sos"))
+    p.add_argument("--build", default="tlc_baseline", choices=_BUILDS)
     p.add_argument("--seed", type=int, default=606)
     p.add_argument("--shard-size", type=int, default=0)
     p.add_argument("--chunk", type=int, default=50)

@@ -12,7 +12,6 @@ from .chip import FlashChip, PhysicalAddress
 from .error_model import ErrorModel, RberBreakdown
 from .geometry import MOBILE_GEOMETRY, SMALL_GEOMETRY, Geometry
 from .timing import OperationTimes, TimingModel
-from .voltage import VoltageModel
 from .reliability import (
     ENDURANCE_TABLE,
     RETENTION_SPEC_YEARS,
@@ -43,5 +42,4 @@ __all__ = [
     "retention_years",
     "OperationTimes",
     "TimingModel",
-    "VoltageModel",
 ]

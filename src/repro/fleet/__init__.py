@@ -5,8 +5,9 @@ cheap; the sweep runner (:mod:`repro.runner.sweep`) made a grid of
 points fault tolerant.  This package composes them: a
 :class:`FleetPlan` cuts an N-device population into batch shards, each
 shard runs as one cached/retried/timeout-bounded sweep point
-(:func:`fleet_shard_point`), and shard results reduce through
-streaming, associatively mergeable digests (:class:`WearDigest`,
+(:func:`fleet_shard_point`) that returns its devices' observable
+columns, and each shard's wear column reduces through streaming,
+associatively mergeable digests (:class:`WearDigest`,
 :class:`repro.obs.SnapshotAccumulator`) so peak memory follows the
 shard size while the fleet scales to millions of devices.
 
@@ -23,7 +24,8 @@ Invariants pinned by ``tests/fleet``:
   ``exact_cap`` devices report bit-exact quantiles and a device-ordered
   wear vector; larger fleets get histogram estimates within one bin
   width, decided up front so completion order can never change the
-  answer's nature;
+  answer's nature (nor, since shard totals sum in shard order, its
+  ``mean``);
 * **streaming reduction** -- shard values are dropped as soon as they
   are cached and folded, so the coordinator never holds the fleet.
 """

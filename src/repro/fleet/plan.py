@@ -5,16 +5,19 @@ population identity (seed, mix weights, workload seed base), device
 configuration (build, capacity, service days), and the execution
 geometry (shard size, vectorization chunk).  Its :meth:`shard_grid`
 turns the plan into a sweep grid of *shard points* for
-:func:`repro.fleet.points.fleet_shard_point`.
+:func:`repro.fleet.points.fleet_shard_point`.  Construction is the one
+place population parameters are validated: a plan that exists is one
+every shard can run, so the gateway, the CLI and the shard point keep
+no population rule of their own.
 
 The load-bearing property is **shard invariance**: every parameter a
 shard needs is a function of the plan and the shard's *global* device
 interval ``[start, start + count)``, never of the shard count or of any
 other shard.  Device ``u`` gets workload seed
-``workload_seed_base + u`` and the intensity mix
-:func:`repro.runner.points.assign_mixes` derives for global index
-``u``, so re-sharding the same plan (or resuming a crashed run with a
-different ``shard_size``) reproduces each device bit-identically.
+``workload_seed_base + u`` and the intensity mix :func:`assign_mixes`
+derives for global index ``u``, so re-sharding the same plan (or
+resuming a crashed run with a different ``shard_size``) reproduces each
+device bit-identically.
 
 ``mix_weights`` is carried as an *ordered* tuple of ``(name, weight)``
 pairs, and shard params encode it as a list of pairs rather than a
@@ -137,12 +140,14 @@ class FleetPlan:
         Devices per vectorized batch-engine pass *inside* a shard
         (bounds worker-side peak memory; results are chunk invariant).
     build:
-        ``ALL_BUILDERS`` key for the device build.
+        ``ALL_BUILDERS`` key for the device build (``"tlc_baseline"``
+        at FTL fidelity, whose replay chip is native TLC).
     workload_seed_base:
         Device ``u`` runs workload seed ``workload_seed_base + u``.
     faults:
         Optional plain-data fault config mapping applied to every
-        device (each device's plan is seeded by its workload seed).
+        device (each device's plan is seeded by its workload seed);
+        epoch fidelity only.
     exact_cap:
         Fleets with ``n_devices <= exact_cap`` carry raw per-device
         wear values through the reduction (bit-exact quantiles and a
@@ -173,10 +178,23 @@ class FleetPlan:
     fidelity: str = "epoch"
 
     def __post_init__(self) -> None:
+        """Reject any plan a shard could not run: the one validator of
+        population parameters (the gateway and the CLI defer to it)."""
         if self.fidelity not in ("epoch", "ftl"):
             raise ValueError("fidelity must be 'epoch' or 'ftl'")
         if self.fidelity == "ftl" and self.faults is not None:
             raise ValueError("fault injection is epoch-fidelity only")
+        if self.fidelity == "ftl" and self.build != "tlc_baseline":
+            raise ValueError(
+                "FTL fidelity replays a native TLC chip; build must be "
+                f"'tlc_baseline', got {self.build!r}"
+            )
+        from repro.sim.baselines import ALL_BUILDERS
+
+        if self.build not in ALL_BUILDERS:
+            raise ValueError(
+                f"unknown build {self.build!r}; known: {', '.join(ALL_BUILDERS)}"
+            )
         if self.n_devices <= 0:
             raise ValueError("n_devices must be positive")
         if self.days <= 0:
@@ -201,6 +219,12 @@ class FleetPlan:
             object.__setattr__(
                 self, "faults", tuple((str(k), float(v)) for k, v in items)
             )
+            from repro.faults.plan import FaultConfig
+
+            try:
+                FaultConfig.from_params(dict(self.faults))
+            except TypeError as err:  # an unknown fault name
+                raise ValueError(f"unknown fault name ({err})") from err
 
     @property
     def n_shards(self) -> int:
@@ -232,12 +256,9 @@ class FleetPlan:
                 "build": self.build,
                 "workload_seed_base": self.workload_seed_base,
                 "chunk": self.chunk,
+                "fidelity": self.fidelity,
             }
             if self.faults:
                 params["faults"] = dict(self.faults)
-            # added only when non-default so pre-existing epoch-fleet
-            # cache keys (which never carried the key) stay valid
-            if self.fidelity != "epoch":
-                params["fidelity"] = self.fidelity
             grid.append(params)
         return tuple(grid)

@@ -7,10 +7,11 @@ package exists for: it derives its slice of the population *locally*
 the slice through one of the two chunk functions in ``chunk``-device
 passes -- :func:`population_batch_observables` (the batched epoch
 engine) or :func:`ftl_population_observables` (the page-mapped FTL) --
-and reduces the per-device wear values to a
-:class:`~repro.fleet.reduce.WearDigest`, so the value flowing back to
-the coordinator (and into the result cache) is O(digest), not
-O(devices).
+and returns the slice's observable columns.  Those columns are the
+shard's one record: the result cache lifts them into its column store,
+and :func:`~repro.fleet.run.run_fleet` and the off-disk
+:func:`~repro.fleet.run.fleet_wear_from_store` both digest the
+``wear`` column, the same way.
 
 A chunk function takes plain-data params: ``mixes`` and
 ``workload_seeds`` (parallel per-device lists), ``capacity_gb``,
@@ -29,7 +30,6 @@ from repro.obs import get_observer
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
 
 from .plan import assign_mixes
-from .reduce import WearDigest
 
 __all__ = [
     "fleet_shard_point",
@@ -143,39 +143,28 @@ def ftl_population_observables(params: dict) -> dict:
 
 
 def fleet_shard_point(params: dict, seed: int) -> dict:
-    """Simulate devices ``start .. start+count-1`` and digest their wear.
+    """Simulate devices ``start .. start+count-1``; return their columns.
 
-    params (see :meth:`repro.fleet.plan.FleetPlan.shard_grid`):
-    ``start``, ``count``, ``pop_seed``, ``mix_weights`` (ordered
-    ``[name, weight]`` pairs), ``capacity_gb``, ``days``, ``build``,
-    ``workload_seed_base``, ``chunk``, optional ``faults``, optional
-    ``fidelity`` (``"ftl"`` replays each device through the page-mapped
-    FTL instead of the epoch lifetime model).
+    params (see :meth:`repro.fleet.plan.FleetPlan.shard_grid`, which
+    validated them): ``start``, ``count``, ``pop_seed``, ``mix_weights``
+    (ordered ``[name, weight]`` pairs), ``capacity_gb``, ``days``,
+    ``build``, ``workload_seed_base``, ``chunk``, ``fidelity``
+    (``"ftl"`` replays each device through the page-mapped FTL instead
+    of the epoch lifetime model) and optional ``faults``.
 
-    Returns ``{"devices", "start", "wear", "obs"}``: ``wear`` is a
-    serialized histogram-only :class:`WearDigest`, and ``obs`` holds the
-    shard's end-of-life observable *columns* (float64/int64 arrays in
-    device order, ``wear``/``spare_wear``/``capacity_gb``/... -- see
-    :func:`population_batch_observables`).  The result cache lifts those
-    arrays into its column store, and the fleet layer takes exact
-    per-device wear from the ``wear`` column -- so one persisted value
-    serves both streaming reduction and off-disk distribution queries,
-    without duplicating the values in the digest.
+    Returns ``{"devices", "start", "obs"}``: ``obs`` holds the shard's
+    end-of-life observable *columns* (float64/int64 arrays in device
+    order, ``wear``/``spare_wear``/``capacity_gb``/... -- see
+    :func:`population_batch_observables`).
     """
     start = int(params["start"])
     count = int(params["count"])
     chunk = int(params["chunk"])
-    if count <= 0 or chunk <= 0:
-        raise ValueError("shard count and chunk must be positive")
-    fidelity = params.get("fidelity", "epoch")
-    if fidelity not in ("epoch", "ftl"):
-        raise ValueError("fidelity must be 'epoch' or 'ftl'")
     observe = (
-        ftl_population_observables if fidelity == "ftl"
+        ftl_population_observables if params["fidelity"] == "ftl"
         else population_batch_observables
     )
     base = int(params["workload_seed_base"])
-    digest = WearDigest()
     parts: list[dict] = []
     for offset in range(0, count, chunk):
         sub = min(chunk, count - offset)
@@ -185,21 +174,14 @@ def fleet_shard_point(params: dict, seed: int) -> dict:
             "workload_seeds": list(range(base + lo, base + lo + sub)),
             "capacity_gb": params["capacity_gb"],
             "days": params["days"],
-            "build": params.get("build", "tlc_baseline"),
+            "build": params["build"],
         }
         if params.get("faults"):
             batch_params["faults"] = params["faults"]
-        chunk_obs = observe(batch_params)
-        digest.add_many(chunk_obs["wear"])
-        parts.append(chunk_obs)
+        parts.append(observe(batch_params))
     obs_columns = {
         name: np.concatenate([part[name] for part in parts])
         for name in parts[0]
     }
     get_observer().count("fleet.shard_devices", count)
-    return {
-        "devices": count,
-        "start": start,
-        "wear": digest.to_dict(),
-        "obs": obs_columns,
-    }
+    return {"devices": count, "start": start, "obs": obs_columns}

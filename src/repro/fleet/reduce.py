@@ -1,9 +1,9 @@
 """Streaming, associatively mergeable reducers for fleet observables.
 
 A fleet-of-fleets run (:mod:`repro.fleet.run`) never holds every
-device's result at once: each shard reduces its devices to a compact
-digest, and the coordinator folds shard digests together as they
-complete.  That only works if the digest's merge is **associative and
+device's result at once: the coordinator digests each shard's wear
+column as the shard completes and folds the shard digest into the
+fleet's.  That only works if the digest's merge is **associative and
 commutative** -- any shard partition, any completion order, same
 answer -- which is the design constraint behind :class:`WearDigest`:
 
@@ -17,9 +17,13 @@ answer -- which is the design constraint behind :class:`WearDigest`:
   up front, from the fleet size (see ``FleetPlan``), never from how
   merging happens to proceed.
 
-Digests serialize to plain JSON-able dicts (sparse bin encoding), so a
-shard's digest is its sweep-point value and rides the result cache
-unchanged.
+The running ``total`` is the one float lane whose last bits follow the
+order of addition; the fleet layer sums shard totals in shard order, so
+its ``mean`` is completion-order invariant too.
+
+Digests live only in the coordinator's memory: a shard's persisted
+value is its observable columns, and a finished fleet's digest is
+rebuilt from the wear column whenever it is needed.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ WEAR_BIN_WIDTH = 0.005
 
 #: Regular bins covering wear 0 .. 2.0; one overflow bin rides at the end.
 WEAR_N_BINS = 400
-
-_DIGEST_SCHEMA = "repro.fleet.wear_digest/v1"
 
 
 class WearDigest:
@@ -179,38 +181,3 @@ class WearDigest:
             return sum(1 for v in self.exact if v >= threshold) / self.count
         first = min(int(math.ceil(threshold / WEAR_BIN_WIDTH)), WEAR_N_BINS)
         return sum(self.counts[first:]) / self.count
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Plain JSON-able form (sparse bins); inverse of :meth:`from_dict`."""
-        return {
-            "schema": _DIGEST_SCHEMA,
-            "bin_width": WEAR_BIN_WIDTH,
-            "bins": [[i, c] for i, c in enumerate(self.counts) if c],
-            "count": self.count,
-            "total": self.total,
-            "min": None if self.count == 0 else self.min,
-            "max": None if self.count == 0 else self.max,
-            "exact": self.exact,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WearDigest":
-        if data.get("schema") != _DIGEST_SCHEMA:
-            raise ValueError(f"not a wear digest: schema={data.get('schema')!r}")
-        if data.get("bin_width") != WEAR_BIN_WIDTH:
-            raise ValueError(
-                f"wear digest bin width {data.get('bin_width')!r} does not "
-                f"match this build's {WEAR_BIN_WIDTH}"
-            )
-        out = cls()
-        for index, bin_count in data["bins"]:
-            out.counts[index] = int(bin_count)
-        out.count = int(data["count"])
-        out.total = float(data["total"])
-        out.min = math.inf if data["min"] is None else float(data["min"])
-        out.max = -math.inf if data["max"] is None else float(data["max"])
-        exact = data.get("exact")
-        out.exact = None if exact is None else [float(v) for v in exact]
-        return out

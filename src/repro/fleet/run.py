@@ -12,13 +12,18 @@ one scale-out path:
   points holds per shard.
 
 Reduction is streaming: shards resolve through the runner's
-``on_point`` hook with ``keep_values=False``, each shard's digest is
-folded into the fleet's :class:`~repro.fleet.reduce.WearDigest` (and
-obs snapshots into a :class:`~repro.obs.SnapshotAccumulator`)
-immediately, and the shard value is dropped.  Coordinator memory is
-therefore bounded by one shard plus the running digests -- a
-million-device fleet reduces in the same footprint as a thousand-device
-one.
+``on_point`` hook with ``keep_values=False``, each shard's ``wear``
+column is digested and folded into the fleet's
+:class:`~repro.fleet.reduce.WearDigest` (and obs snapshots into a
+:class:`~repro.obs.SnapshotAccumulator`) immediately, and the shard
+value is dropped.  Coordinator memory is therefore bounded by one shard
+plus the running digests and one float per shard -- a million-device
+fleet reduces in the same footprint as a thousand-device one.
+
+A finished fleet's digest can also be rebuilt off disk, from the wear
+column in the result cache's store (:func:`fleet_wear_from_store`).
+Both routes digest a shard in :func:`_fold_shard` and sum shard totals
+in shard order, so they agree in every field, at any ``jobs``.
 """
 
 from __future__ import annotations
@@ -43,9 +48,30 @@ __all__ = [
 ]
 
 #: bump when fleet_shard_point's meaning changes (part of cache keys).
-#: v2: shard values carry observable columns ("obs") and a
-#: histogram-only digest; exact wear comes from the wear column.
-_FLEET_VERSION_TAG = "fleet-shard/v2"
+#: v3: a shard value is its observable columns alone (no digest), and
+#: every shard's params name their fidelity.
+_FLEET_VERSION_TAG = "fleet-shard/v3"
+
+
+def _fleet_sweep(plan: FleetPlan, name: str) -> Sweep:
+    """The sweep :func:`run_fleet` runs: one point per shard, in device
+    order, under the cache namespace ``name``."""
+    return Sweep(
+        name=name,
+        fn=fleet_shard_point,
+        grid=plan.shard_grid(),
+        base_seed=plan.seed,
+        version_tag=_FLEET_VERSION_TAG,
+    )
+
+
+def _fold_shard(wear: WearDigest, column) -> WearDigest:
+    """Digest one shard's wear column (device order) and merge it into
+    ``wear``; returns the shard's own digest."""
+    shard = WearDigest(keep_exact=wear.is_exact)
+    shard.add_many(column)
+    wear.merge_in(shard)
+    return shard
 
 
 @dataclass(slots=True)
@@ -101,7 +127,7 @@ class FleetResult:
             "devices": self.devices,
             "requested_devices": self.plan.n_devices,
             "missing_devices": self.missing_devices,
-            "shards": len(self.plan.shard_grid()),
+            "shards": self.plan.n_shards,
             "failed_shards": self.sweep.failed_count,
             "complete": self.ok and self.missing_devices == 0,
             "shard_size": self.plan.shard_size,
@@ -123,7 +149,6 @@ def run_fleet(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     retries: int = 0,
-    retry_backoff_s: float = 0.05,
     timeout_s: float | None = None,
     keep_going: bool = False,
     collect_obs: bool = False,
@@ -148,50 +173,36 @@ def run_fleet(
     each shard reduces as ``on_shard(shards_done, total_shards,
     devices_done)`` -- a gateway streams these into its metrics.
     """
-    grid = plan.shard_grid()
-    sweep = Sweep(
-        name=name,
-        fn=fleet_shard_point,
-        grid=grid,
-        base_seed=plan.seed,
-        version_tag=_FLEET_VERSION_TAG,
-    )
+    sweep = _fleet_sweep(plan, name)
     obs = get_observer()
-    # fleet digest: exactness was decided by the plan; shard exact values
-    # concatenate in completion order here and are re-assembled in device
-    # order below (quantiles sort, so the merge itself never cares)
+    # exactness was decided by the plan.  Shard exact values concatenate
+    # in completion order in the digest, and shard totals sum in that
+    # order too; both are re-assembled in shard order below, so no
+    # field depends on the order in which shards complete
     wear = WearDigest(keep_exact=plan.exact)
+    totals: dict[int, float] = {}
     exact_parts: dict[int, list[float]] = {}
     obs_acc = SnapshotAccumulator() if collect_obs else None
 
-    shards_done = 0
-
     def reduce_shard(point: PointResult) -> None:
-        nonlocal shards_done
-        digest = WearDigest.from_dict(point.value["wear"])
-        if plan.exact:
-            # exact per-device wear lives in the shard's wear column
-            # (identical floats whether fresh or store-rehydrated)
-            digest.exact = [float(v) for v in point.value["obs"]["wear"]]
-        if digest.exact is not None:
-            exact_parts[point.index] = digest.exact
-        wear.merge_in(digest)
-        shards_done += 1
+        shard = _fold_shard(wear, point.value["obs"]["wear"])
+        totals[point.index] = shard.total
+        if shard.exact is not None:
+            exact_parts[point.index] = shard.exact
         obs.count("fleet.shards_done")
-        obs.count("fleet.devices_done", digest.count)
+        obs.count("fleet.devices_done", shard.count)
         if obs_acc is not None and point.obs is not None:
             obs_acc.add(point.obs["metrics"])
             point.obs = None  # folded; keep coordinator memory shard-bounded
         crash_point("fleet.shard.reduced")
         if on_shard is not None:
-            on_shard(shards_done, len(grid), wear.count)
+            on_shard(len(totals), plan.n_shards, wear.count)
 
     result = run_sweep(
         sweep,
         jobs=jobs,
         cache_dir=cache_dir,
         retries=retries,
-        retry_backoff_s=retry_backoff_s,
         timeout_s=timeout_s,
         keep_going=keep_going,
         collect_obs=collect_obs,
@@ -200,15 +211,16 @@ def run_fleet(
         should_stop=should_stop,
         durability=durability,
     )
+    wear.total = 0.0
+    for index in sorted(totals):
+        wear.total += totals[index]
     if plan.exact:
-        if len(exact_parts) == len(grid):
-            wear.exact = [
-                value for index in sorted(exact_parts) for value in exact_parts[index]
-            ]
-        else:
-            # incomplete fleets (keep_going with failed shards) cannot
-            # claim a device-ordered exact vector
-            wear.exact = None
+        # incomplete fleets (keep_going with failed shards) cannot
+        # claim a device-ordered exact vector
+        wear.exact = (
+            [value for index in sorted(exact_parts) for value in exact_parts[index]]
+            if len(exact_parts) == plan.n_shards else None
+        )
     obs_metrics = (
         obs_acc.snapshot() if obs_acc is not None and obs_acc.count else None
     )
@@ -222,16 +234,9 @@ def fleet_store_keys(plan: FleetPlan, name: str = "fleet") -> list[str]:
     name, version tag, grid, and derived seeds -- so a finished fleet's
     column store can be queried without re-running anything.
     """
-    grid = plan.shard_grid()
-    sweep = Sweep(
-        name=name,
-        fn=fleet_shard_point,
-        grid=grid,
-        base_seed=plan.seed,
-        version_tag=_FLEET_VERSION_TAG,
-    )
-    seeds = derive_seeds(plan.seed, len(grid))
-    return [sweep.point_key(i, seeds[i]) for i in range(len(grid))]
+    sweep = _fleet_sweep(plan, name)
+    seeds = derive_seeds(plan.seed, plan.n_shards)
+    return [sweep.point_key(i, seed) for i, seed in enumerate(seeds)]
 
 
 def fleet_wear_from_store(
@@ -244,12 +249,13 @@ def fleet_wear_from_store(
 
     Reads only the ``column`` entries of ``plan``'s shard keys out of
     the cache's column store (block-indexed; no per-shard pickles are
-    rehydrated and nothing is recomputed), folding them in shard order
-    -- which **is** global device order, so exact-mode plans get the
-    identical exact vector, quantiles, and worn-out fraction the
-    in-memory :func:`run_fleet` reduction produced.  Raises ``KeyError``
-    when a shard is missing from the store (unfinished or damaged
-    fleet): a partial digest is never silently offered.
+    rehydrated and nothing is recomputed) and folds them in shard order
+    -- which **is** global device order -- through the same per-shard
+    digest :func:`run_fleet` uses, so the result equals the in-memory
+    reduction in every field, ``total`` and exact vector included.
+    Raises ``KeyError`` when a shard is missing from the store
+    (unfinished or damaged fleet): a partial digest is never silently
+    offered.
     """
     from repro.runner.cache import ResultCache
     from repro.store import ColumnStore
@@ -264,5 +270,5 @@ def fleet_wear_from_store(
                 f"shard {index} of fleet '{name}' is not in the store "
                 f"(key {key}); run the fleet to completion first"
             )
-        wear.add_many(arrays[column])
+        _fold_shard(wear, arrays[column])
     return wear

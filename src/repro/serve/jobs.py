@@ -127,26 +127,26 @@ class JobSpec:
 
     @staticmethod
     def _validate_population(params: dict) -> dict:
+        """Wire types and service limits; the plan checks the rest."""
         devices = params.get("devices")
         if not isinstance(devices, int) or not 1 <= devices <= _MAX_DEVICES:
             raise ValueError(f"'devices' must be an int in [1, {_MAX_DEVICES}]")
         days = params.get("days", 365)
         if not isinstance(days, int) or not 1 <= days <= 36500:
             raise ValueError("'days' must be an int in [1, 36500]")
-        out = {
-            "devices": devices,
-            "days": days,
-            "capacity_gb": float(params.get("capacity_gb", 64.0)),
-            "seed": int(params.get("seed", 0)),
-            "build": str(params.get("build", "tlc_baseline")),
-            "shard_size": int(params.get("shard_size", 0)) or min(devices, 50),
-            "chunk": int(params.get("chunk", 50)),
-            "exact_cap": int(params.get("exact_cap", 100_000)),
-        }
-        if out["shard_size"] < 1 or out["chunk"] < 1:
-            raise ValueError("'shard_size' and 'chunk' must be >= 1")
-        if out["capacity_gb"] <= 0:
-            raise ValueError("'capacity_gb' must be positive")
+        try:
+            out = {
+                "devices": devices,
+                "days": days,
+                "capacity_gb": float(params.get("capacity_gb", 64.0)),
+                "seed": int(params.get("seed", 0)),
+                "build": str(params.get("build", "tlc_baseline")),
+                "shard_size": int(params.get("shard_size", 0)) or min(devices, 50),
+                "chunk": int(params.get("chunk", 50)),
+                "exact_cap": int(params.get("exact_cap", 100_000)),
+            }
+        except TypeError as err:  # e.g. "seed": null -- a client error
+            raise ValueError(f"population params: {err}") from err
         if params.get("faults") is not None:
             faults = params["faults"]
             if not isinstance(faults, dict) or not all(
@@ -156,14 +156,10 @@ class JobSpec:
                 raise ValueError("'faults' must map fault names to rates")
             out["faults"] = {k: float(v) for k, v in sorted(faults.items())}
         fidelity = params.get("fidelity", "epoch")
-        if fidelity not in ("epoch", "ftl"):
-            raise ValueError("'fidelity' must be 'epoch' or 'ftl'")
         if fidelity != "epoch":
-            # key present only when non-default, mirroring
-            # FleetPlan.shard_grid: epoch job ids stay stable
-            if out.get("faults"):
-                raise ValueError("fault injection is epoch-fidelity only")
+            # key present only when non-default: epoch job ids stay stable
             out["fidelity"] = fidelity
+        _population_plan(out)  # FleetPlan rejects what no shard could run
         return out
 
     @staticmethod
@@ -201,6 +197,26 @@ class JobSpec:
 
     def to_dict(self) -> dict:
         return {"client": self.client, "kind": self.kind, "params": self.params}
+
+
+def _population_plan(params: dict):
+    """The :class:`~repro.fleet.plan.FleetPlan` a population job's
+    canonical params describe; raises ``ValueError`` for a plan no
+    shard could run."""
+    from repro.fleet import FleetPlan
+
+    return FleetPlan(
+        n_devices=params["devices"],
+        days=params["days"],
+        capacity_gb=params["capacity_gb"],
+        seed=params["seed"],
+        shard_size=params["shard_size"],
+        chunk=params["chunk"],
+        build=params["build"],
+        exact_cap=params["exact_cap"],
+        faults=params.get("faults") or None,
+        fidelity=params.get("fidelity", "epoch"),
+    )
 
 
 def spec_units(spec: JobSpec) -> int:
@@ -472,21 +488,9 @@ def _execute_population(
     on_progress: Callable[[dict], None] | None,
     durability: str,
 ) -> dict:
-    from repro.fleet import FleetPlan, run_fleet
+    from repro.fleet import run_fleet
 
-    p = spec.params
-    plan = FleetPlan(
-        n_devices=p["devices"],
-        days=p["days"],
-        capacity_gb=p["capacity_gb"],
-        seed=p["seed"],
-        shard_size=p["shard_size"],
-        chunk=p["chunk"],
-        build=p["build"],
-        exact_cap=p["exact_cap"],
-        faults=tuple(sorted(p["faults"].items())) if p.get("faults") else None,
-        fidelity=p.get("fidelity", "epoch"),
-    )
+    plan = _population_plan(spec.params)
 
     def report(done: int, total: int, devices: int) -> None:
         if on_progress is not None:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
+from flash_oracles import VoltageModel
 from repro.flash.cell import CellTechnology, native_mode, pseudo_mode
 from repro.flash.error_model import ErrorModel
-from repro.flash.voltage import VoltageModel
 
 
 class TestVoltagePhysics:

@@ -3,8 +3,8 @@
 ``FleetPlan(fidelity="ftl")`` swaps the epoch lifetime model for the
 page-mapped FTL replay inside every shard.  The fleet contracts must
 survive the swap unchanged: bit-identical wear for any shard/chunk/jobs
-geometry, per-device identity equal to a direct replay, epoch cache
-keys untouched by the new field, and misuse rejected up front.
+geometry, per-device identity equal to a direct replay, and misuse
+rejected up front.
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ def test_ftl_fidelity_changes_the_answer():
 
 
 class TestPlanField:
-    def test_epoch_shard_params_carry_no_fidelity_key(self):
-        """Cache-key safety: default-fidelity grids are byte-identical
-        to pre-bridge grids, so existing shard caches stay warm."""
-        for params in FleetPlan(n_devices=4, days=10).shard_grid():
-            assert "fidelity" not in params
-
     def test_ftl_shard_params_carry_the_key(self):
         for params in _plan().shard_grid():
             assert params["fidelity"] == "ftl"
@@ -91,3 +85,10 @@ class TestPlanField:
         with pytest.raises(ValueError, match="epoch"):
             FleetPlan(n_devices=4, days=10, fidelity="ftl",
                       faults={"flaky": 0.5})
+
+    def test_builds_other_than_native_tlc_rejected(self):
+        """The replay chip is native TLC: an FTL plan naming another
+        build would replay TLC devices and report them under that name."""
+        for build in ("sos", "qlc_baseline", "plc_naive"):
+            with pytest.raises(ValueError, match="tlc_baseline"):
+                FleetPlan(n_devices=4, days=10, fidelity="ftl", build=build)

@@ -103,33 +103,6 @@ class TestHistogramEstimates:
         assert d.mean() == pytest.approx(0.2)
 
 
-class TestSerialization:
-    def test_roundtrip(self):
-        d = _digest(np.random.default_rng(5).random(100) * 2.2,
-                    keep_exact=True)
-        rt = WearDigest.from_dict(d.to_dict())
-        assert rt.counts == d.counts
-        assert rt.count == d.count and rt.total == d.total
-        assert rt.min == d.min and rt.max == d.max
-        assert rt.exact == d.exact
-
-    def test_roundtrip_histogram_only(self):
-        d = _digest([0.1, 0.9])
-        rt = WearDigest.from_dict(d.to_dict())
-        assert rt.exact is None
-        assert rt.counts == d.counts
-
-    def test_roundtrip_is_json_safe(self):
-        import json
-
-        payload = json.loads(json.dumps(_digest([0.1, 1.7]).to_dict()))
-        assert WearDigest.from_dict(payload).counts == _digest([0.1, 1.7]).counts
-
-    def test_rejects_foreign_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            WearDigest.from_dict({"schema": "something/else"})
-
-
 class TestValidation:
     def test_rejects_bad_values(self):
         d = WearDigest()

@@ -75,16 +75,11 @@ class TestCrashResume:
 
     def test_partial_cache_resumes_missing_shards_only(self, tmp_path, golden_wear):
         plan = _plan(shard_size=10, chunk=10)
-        # warm exactly one shard by running a single-shard slice of the
-        # same geometry through the same sweep name
-        from repro.fleet.run import _FLEET_VERSION_TAG
-        from repro.runner import Sweep, run_sweep
+        from repro.fleet.run import _fleet_sweep
+        from repro.runner import run_sweep
 
-        grid = plan.shard_grid()
-        warm = Sweep(name="fleet", fn=fleet_shard_point, grid=grid,
-                     base_seed=plan.seed, version_tag=_FLEET_VERSION_TAG)
-        # run the full sweep once to warm, then delete one entry
-        run_sweep(warm, cache_dir=tmp_path)
+        # run the fleet's own sweep once to warm, then delete one entry
+        run_sweep(_fleet_sweep(plan, "fleet"), cache_dir=tmp_path)
         removed = 0
         for entry in list(tmp_path.glob("*.pkl"))[:1]:
             entry.unlink()
@@ -135,6 +130,17 @@ class TestParallelParity:
         assert serial.wear.counts == parallel.wear.counts
         assert np.array_equal(np.asarray(serial.wear_values()), golden_wear)
 
+    def test_mean_is_completion_order_invariant(self, monkeypatch):
+        """Shard 0 finishes last at ``jobs=2``; the fleet still sums
+        shard totals in shard order, so ``mean`` is the serial one (on
+        this fleet, summing in completion order changes its last bit)."""
+        plan = _plan(seed=313)
+        serial = run_fleet(plan, jobs=1)
+        monkeypatch.setattr("repro.fleet.run.fleet_shard_point", _finish_first_shard_last)
+        parallel = run_fleet(plan, jobs=2)
+        assert parallel.wear.total == serial.wear.total
+        assert parallel.summary()["mean"] == serial.summary()["mean"]
+
     def test_obs_rollup_deterministic(self):
         plan = _plan(shard_size=10)
         serial = run_fleet(plan, jobs=1, collect_obs=True)
@@ -161,14 +167,10 @@ class TestShardPoint:
     def test_exact_shard_preserves_device_order(self, golden_wear):
         params = _plan(shard_size=N_DEVICES, chunk=9).shard_grid()[0]
         out = fleet_shard_point(params, 0)
-        from repro.fleet import WearDigest
-
-        digest = WearDigest.from_dict(out["wear"])
-        assert out["devices"] == N_DEVICES
-        # v2 contract: the digest is histogram-only; exact per-device
-        # wear (device order) rides the shard's observable columns
-        assert digest.exact is None
-        assert digest.count == N_DEVICES
+        # v3 contract: a shard's value is its observable columns alone;
+        # per-device wear (device order) is the ``wear`` column
+        assert set(out) == {"devices", "start", "obs"}
+        assert out["devices"] == N_DEVICES and out["start"] == 0
         assert np.array_equal(out["obs"]["wear"], golden_wear)
         assert out["obs"]["wear"].dtype == np.float64
         assert set(out["obs"]) >= {"wear", "spare_wear", "capacity_gb",
@@ -252,6 +254,14 @@ def _stall_middle_shard(params: dict, seed: int) -> dict:
     return fleet_shard_point(params, seed)
 
 
+def _finish_first_shard_last(params: dict, seed: int) -> dict:
+    if params["start"] == 0:
+        import time
+
+        time.sleep(2)
+    return fleet_shard_point(params, seed)
+
+
 def _stall_always(params: dict, seed: int) -> dict:
     import time
 
@@ -287,6 +297,23 @@ class TestPlanValidation:
         assert grown[:2] == small
 
     def test_faults_canonicalized(self):
-        plan = _plan(faults={"b": 1.0, "a": 2.0})
-        assert plan.faults == (("a", 2.0), ("b", 1.0))
-        assert plan.shard_grid()[0]["faults"] == {"a": 2.0, "b": 1.0}
+        plan = _plan(faults={"transient_read_rate": 1.0, "power_loss_rate": 2.0})
+        assert plan.faults == (("power_loss_rate", 2.0), ("transient_read_rate", 1.0))
+        assert plan.shard_grid()[0]["faults"] == {
+            "power_loss_rate": 2.0, "transient_read_rate": 1.0,
+        }
+
+    @pytest.mark.parametrize(
+        ("overrides", "match"),
+        [
+            (dict(build="nope"), "unknown build"),
+            (dict(faults={"nope": 0.1}), "unknown fault"),
+            (dict(faults={"power_loss_rate": -0.1}), "power_loss_rate"),
+        ],
+        ids=["unknown-build", "unknown-fault", "negative-fault"],
+    )
+    def test_rejects_what_no_shard_could_run(self, overrides, match):
+        """The plan is the one validator: anything it accepts, every
+        shard can run."""
+        with pytest.raises(ValueError, match=match):
+            _plan(**overrides)

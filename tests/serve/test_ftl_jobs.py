@@ -45,6 +45,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="epoch"):
             _population_spec(faults={"flaky": 0.5})
 
+    def test_ftl_job_replays_native_tlc_only(self):
+        """The replay chip is native TLC: an FTL job naming another
+        build is refused, not run as TLC and reported under that name."""
+        with pytest.raises(ValueError, match="tlc_baseline"):
+            _population_spec(build="sos")
+
 
 class TestExecution:
     def test_ftl_population_job_end_to_end(self, tmp_path):

@@ -62,10 +62,22 @@ class TestJobSpec:
              "params": {"fn": "os.system", "grid": [{}]}},
             {"client": "c", "kind": "sweep", "params": {"fn": "flaky",
                                                         "grid": []}},
+            # plans no shard could run: FleetPlan rejects them up front
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "build": "nope"}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "faults": {"nope": 0.1}}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "faults": {"power_loss_rate": -0.1}}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "exact_cap": -1}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "seed": None}},
         ],
         ids=["non-dict", "no-client", "empty-client", "bad-kind",
              "zero-devices", "absurd-devices", "unregistered-fn",
-             "empty-grid"],
+             "empty-grid", "unknown-build", "unknown-fault", "negative-fault",
+             "negative-exact-cap", "null-seed"],
     )
     def test_invalid_submissions_rejected(self, payload):
         with pytest.raises(ValueError):

@@ -107,6 +107,25 @@ class TestFtlFidelity:
         assert "6 (2 shard(s) of <= 3, chunk 3)" in out
         assert "median wear" in out
 
+    def test_plan_the_fleet_rejects_is_a_usage_error(self, capsys):
+        """``FleetPlan``'s refusal reaches the user as argparse's own
+        errors do: usage, the reason, exit code 2, no traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["population", "--fidelity", "ftl", "--build", "sos",
+                  "--devices", "2", "--years", "0.05"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro population" in err
+        assert "tlc_baseline" in err
+
+
+def test_build_choices_are_the_builders():
+    """``population`` and ``submit`` offer exactly the registered builds."""
+    from repro.cli import _BUILDS
+    from repro.sim.baselines import ALL_BUILDERS
+
+    assert _BUILDS == tuple(ALL_BUILDERS)
+
 
 class TestExitCodes:
     """The 0 ok / 1 partial / 2 failed ladder scripts and CI gate on."""
