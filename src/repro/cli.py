@@ -803,7 +803,8 @@ def _add_runner_flags(p: argparse.ArgumentParser, unit: str) -> None:
                    help=f"worker processes for the {unit} sweep (1 = serial)")
     p.add_argument("--cache-dir", default=None,
                    help=f"{unit} result cache directory (default: no cache); "
-                        f"an interrupted run resumes from completed {unit}s")
+                        f"an interrupted run resumes from completed {unit}s, "
+                        f"and a source edit recomputes every {unit}")
     p.add_argument("--retries", type=int, default=0,
                    help=f"re-attempts per failed {unit} (exponential backoff)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",

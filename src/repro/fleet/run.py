@@ -34,6 +34,7 @@ from typing import Callable
 
 from repro.chaos import crash_point
 from repro.obs import SnapshotAccumulator, get_observer
+from repro.runner.cache import code_fingerprint
 from repro.runner.sweep import PointResult, Sweep, SweepResult, derive_seeds, run_sweep
 
 from .plan import FleetPlan
@@ -47,12 +48,6 @@ __all__ = [
     "run_fleet",
 ]
 
-#: bump when fleet_shard_point's meaning changes (part of cache keys).
-#: v3: a shard value is its observable columns alone (no digest), and
-#: every shard's params name their fidelity.
-_FLEET_VERSION_TAG = "fleet-shard/v3"
-
-
 def _fleet_sweep(plan: FleetPlan, name: str) -> Sweep:
     """The sweep :func:`run_fleet` runs: one point per shard, in device
     order, under the cache namespace ``name``."""
@@ -61,7 +56,6 @@ def _fleet_sweep(plan: FleetPlan, name: str) -> Sweep:
         fn=fleet_shard_point,
         grid=plan.shard_grid(),
         base_seed=plan.seed,
-        version_tag=_FLEET_VERSION_TAG,
     )
 
 
@@ -120,7 +114,9 @@ class FleetResult:
         flagged loudly rather than silently under-counted:
         ``complete`` goes False, ``failed_shards``/``missing_devices``
         say how much is absent, and the quantile fields describe only
-        the ``devices`` that actually completed.
+        the ``devices`` that actually completed.  ``code`` is the
+        :func:`~repro.runner.cache.code_fingerprint` of the source that
+        computed it.
         """
         empty = self.wear.count == 0
         return {
@@ -141,6 +137,7 @@ class FleetResult:
             "worn_out_fraction": None if empty else self.wear.worn_out_fraction(),
             "wall_s": self.sweep.total_wall_s,
             "storage": dict(self.sweep.storage),
+            "code": code_fingerprint(),
         }
 
 
@@ -231,8 +228,9 @@ def fleet_store_keys(plan: FleetPlan, name: str = "fleet") -> list[str]:
     """The cache/store keys of ``plan``'s shards, in shard (device) order.
 
     Exactly the keys :func:`run_fleet` persists under -- same sweep
-    name, version tag, grid, and derived seeds -- so a finished fleet's
-    column store can be queried without re-running anything.
+    name, source fingerprint, grid, and derived seeds -- so the source
+    that ran a fleet can query its column store without re-running
+    anything.
     """
     sweep = _fleet_sweep(plan, name)
     seeds = derive_seeds(plan.seed, plan.n_shards)

@@ -2,11 +2,13 @@
 
 The sweep harness behind the ablation benchmarks and the CLI: fan a grid
 of independent ``fn(params, seed)`` points out over worker processes,
-cache point results on disk keyed by a stable config hash, and record
-per-point wall times for the ``BENCH_runner.json`` perf baseline.
+cache point results on disk keyed by a stable hash of the config and
+of the source that computes it, and record per-point wall times for the
+``BENCH_runner.json`` perf baseline.
 
 * :mod:`repro.runner.sweep`   -- Sweep/SweepResult API and the executor
-* :mod:`repro.runner.cache`   -- stable hashing + framed-record store
+* :mod:`repro.runner.cache`   -- stable hashing, source fingerprint,
+  framed-record store
 * :mod:`repro.runner.record`  -- checksummed record framing (CRC32C)
 * :mod:`repro.runner.metrics` -- BENCH_runner.json emission
 * :mod:`repro.runner.points`  -- picklable experiment point functions
@@ -14,7 +16,7 @@ per-point wall times for the ``BENCH_runner.json`` perf baseline.
 
 from repro.chaos import DURABILITY_LEVELS
 
-from .cache import CacheEntry, ResultCache, stable_key
+from .cache import CacheEntry, ResultCache, code_fingerprint, stable_key
 from .metrics import BENCH_SCHEMA, bench_record, write_bench_json
 from .record import RecordError, crc32c, frame_record, unframe_record
 from .sweep import (
@@ -35,6 +37,7 @@ __all__ = [
     "DURABILITY_LEVELS",
     "RecordError",
     "ResultCache",
+    "code_fingerprint",
     "crc32c",
     "frame_record",
     "stable_key",

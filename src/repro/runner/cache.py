@@ -2,8 +2,11 @@
 
 Each sweep point is identified by a *stable key*: the SHA-256 of a
 canonical JSON encoding of everything that determines its result -- the
-sweep name, a code-version tag, the point's parameters, and its derived
-seed.  Results are persisted one-file-per-key as **framed records**
+sweep name, the :func:`code_fingerprint` of the ``repro`` source, the
+point's parameters, and its derived seed.  Editing any source file
+changes every key, so a result can never outlive the code that
+produced it; entries written by other code are simply never read
+again.  Results are persisted one-file-per-key as **framed records**
 (magic + length + CRC32C + pickled payload, see
 :mod:`repro.runner.record`), written atomically under the configured
 durability policy, so a re-run of a sweep only computes points whose
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import errno
 import fcntl
+import functools
 import hashlib
 import json
 import logging
@@ -83,7 +87,7 @@ from repro.obs import get_observer
 
 from .record import RecordError, frame_record, unframe_record
 
-__all__ = ["CacheEntry", "ResultCache", "stable_key"]
+__all__ = ["CacheEntry", "ResultCache", "code_fingerprint", "stable_key"]
 
 _LOG = logging.getLogger("repro.runner.cache")
 
@@ -151,6 +155,29 @@ def stable_key(obj: Any) -> str:
         _jsonable(obj), sort_keys=True, separators=(",", ":"), allow_nan=False
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """SHA-256 hex digest of the imported ``repro`` package's source.
+
+    Hashes the relative path and bytes of every ``.py`` file under the
+    package, in sorted path order, so any edit, addition, removal or
+    rename moves it.  Part of every sweep point key and job id: the one
+    record of which code made a result.  Computed on first use and kept
+    for the process; dependency versions (numpy, scipy, Python) are not
+    part of it.
+    """
+    import repro
+
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        rel = path.relative_to(root).as_posix().encode("utf-8")
+        digest.update(b"%d:%s:%d:" % (len(rel), rel, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,8 +2,9 @@
 
 ``BENCH_runner.json`` is the repo's recorded perf trajectory for the
 sweep runner: per-point compute wall times plus enough host context
-(CPU count, python version) to interpret them.  ``scripts/regen_bench.py``
-and the CLI's ``--bench-json`` both emit it through :func:`write_bench_json`.
+(CPU count, python version, the source fingerprint) to interpret them.
+``scripts/regen_bench.py`` and the CLI's ``--bench-json`` both emit it
+through :func:`write_bench_json`.
 
 A record is honest about *how* a sweep ran, not just how long: cache
 hits vs fresh computes, retry attempts absorbed per point, structured
@@ -23,6 +24,7 @@ from pathlib import Path
 
 from repro.obs import strip_timings
 
+from .cache import code_fingerprint
 from .sweep import SweepResult
 
 __all__ = ["BENCH_SCHEMA", "bench_record", "write_bench_json"]
@@ -91,6 +93,7 @@ def write_bench_json(
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
             "platform": platform.platform(),
+            "code": code_fingerprint(),
         },
         "notes": notes,
         "sweeps": [bench_record(r) for r in results],

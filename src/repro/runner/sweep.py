@@ -14,9 +14,10 @@ concerns the ad-hoc benchmark loops used to interleave:
   caller with it, and a retrying point waits out its backoff at the
   back of the queue while the other points run;
 * **caching** -- with a ``cache_dir``, each point's result is persisted
-  under a stable hash of (sweep name, code-version tag, params, seed)
+  under a stable hash of (sweep name, source fingerprint, params, seed)
   *as soon as it completes*, so a crashed or aborted sweep resumes from
-  its last finished point and a re-run only computes changed points;
+  its last finished point, a re-run only computes changed points, and
+  any edit to the ``repro`` source recomputes every point;
 * **fault tolerance** -- completions are streamed as they finish; failed
   points are retried with exponential backoff (``retries``), long-running
   points are bounded by a per-point ``timeout_s`` (the hung worker pool
@@ -59,11 +60,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro import __version__ as _CODE_VERSION
 from repro.chaos import crash_point
 from repro.obs import get_observer, merge_point_traces, merge_snapshots, observed
 
-from .cache import ResultCache, stable_key
+from .cache import ResultCache, code_fingerprint, stable_key
 
 __all__ = [
     "Sweep",
@@ -141,28 +141,23 @@ class Sweep:
         One params dict per point (plain JSON-able values only).
     base_seed:
         Root of the per-point seed derivation.
-    version_tag:
-        Code-version component of the cache key; bump it when the code
-        behind ``fn`` changes meaning so stale cached results are not
-        reused.  The package version is always included as well.
     """
 
     name: str
     fn: Callable[[dict, int], Any]
     grid: tuple[dict, ...]
     base_seed: int = 0
-    version_tag: str = ""
 
     def __post_init__(self) -> None:
         if not self.grid:
             raise ValueError("sweep grid must contain at least one point")
 
     def point_key(self, index: int, seed: int) -> str:
-        """Stable cache key for one point."""
+        """Stable cache key for one point, under the running source."""
         return stable_key(
             {
                 "sweep": self.name,
-                "code": f"{_CODE_VERSION}|{self.version_tag}",
+                "code": code_fingerprint(),
                 "params": self.grid[index],
                 "seed": seed,
             }

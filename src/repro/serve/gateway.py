@@ -6,9 +6,10 @@ client-visible answer -- load is shed *predictably*, never by timing
 out or buffering until the box falls over:
 
 1. **dedup / re-attach** -- a spec's job id is a stable hash of
-   (client, kind, params); resubmitting known work returns the existing
-   job (done, running, or queued) without charging any budget.  This is
-   the cache-hit fast path and it stays open even when unhealthy;
+   (client, kind, params) and the source fingerprint; resubmitting
+   known work under the same code returns the existing job (done,
+   running, or queued) without charging any budget.  This is the
+   cache-hit fast path and it stays open even when unhealthy;
 2. **health** -- an unhealthy gateway (rolling error rate or pool-crash
    rate over threshold) answers 503 + ``Retry-After`` and admits
    nothing new, while in-flight jobs drain normally;

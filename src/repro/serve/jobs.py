@@ -13,9 +13,12 @@ Three pieces live here:
   run: a ``population`` job (a :class:`~repro.fleet.plan.FleetPlan`)
   or a ``sweep`` job over a *registered* point function (clients name
   functions from :data:`SWEEP_POINT_FNS`; the wire never carries code).
-  A spec's identity is a stable hash of (client, kind, params), so
-  resubmitting the same work re-attaches to the same job -- and, below
-  it, the same :class:`~repro.runner.cache.ResultCache` entries.
+  A job's identity is a stable hash of (client, kind, params) and the
+  :func:`~repro.runner.cache.code_fingerprint` of the running source,
+  so resubmitting the same work under the same code re-attaches to the
+  same job -- and, below it, the same
+  :class:`~repro.runner.cache.ResultCache` entries -- while the same
+  spec under edited code is new work.
 * :class:`JobRecord`/:class:`JobStore` -- the crash journal.  Every
   state transition (queued -> running -> done/failed/cancelled) is an
   atomic write-then-rename of one JSON file, so a gateway killed at any
@@ -39,7 +42,7 @@ from typing import Any, Callable
 
 from repro.chaos import DURABILITY_LEVELS, get_fs, quarantine, write_durably
 from repro.obs import get_observer
-from repro.runner.cache import stable_key
+from repro.runner.cache import code_fingerprint, stable_key
 
 _LOG = logging.getLogger("repro.serve.jobs")
 
@@ -155,10 +158,7 @@ class JobSpec:
             ):
                 raise ValueError("'faults' must map fault names to rates")
             out["faults"] = {k: float(v) for k, v in sorted(faults.items())}
-        fidelity = params.get("fidelity", "epoch")
-        if fidelity != "epoch":
-            # key present only when non-default: epoch job ids stay stable
-            out["fidelity"] = fidelity
+        out["fidelity"] = params.get("fidelity", "epoch")
         _population_plan(out)  # FleetPlan rejects what no shard could run
         return out
 
@@ -180,16 +180,21 @@ class JobSpec:
                 f"'grid' must be a non-empty list of <= {_MAX_SWEEP_GRID} "
                 "parameter objects"
             )
-        return {
-            "fn": fn,
-            "grid": grid,
-            "base_seed": int(params.get("base_seed", 0)),
-        }
+        base_seed = params.get("base_seed", 0)
+        is_int = isinstance(base_seed, int) and not isinstance(base_seed, bool)
+        if not is_int or base_seed < 0:
+            raise ValueError("'base_seed' must be a non-negative int")
+        return {"fn": fn, "grid": grid, "base_seed": base_seed}
 
     def job_id(self) -> str:
-        """Stable identity: same client + same work = same job."""
+        """Stable identity: same client + same work + same code = same job."""
         return "j" + stable_key(
-            {"client": self.client, "kind": self.kind, "params": self.params}
+            {
+                "client": self.client,
+                "kind": self.kind,
+                "code": code_fingerprint(),
+                "params": self.params,
+            }
         )[:16]
 
     def units(self) -> int:
@@ -215,6 +220,7 @@ def _population_plan(params: dict):
         build=params["build"],
         exact_cap=params["exact_cap"],
         faults=params.get("faults") or None,
+        # journal records written before every spec named its fidelity
         fidelity=params.get("fidelity", "epoch"),
     )
 

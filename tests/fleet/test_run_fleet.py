@@ -18,6 +18,7 @@ import pytest
 
 from repro.fleet import FleetPlan, fleet_shard_point, fleet_store_keys, run_fleet
 from repro.obs import strip_timings
+from repro.runner import code_fingerprint
 
 N_DEVICES = 30
 DAYS = 90
@@ -117,6 +118,7 @@ class TestStreamingReduction:
         assert fleet.devices == N_DEVICES
         assert fleet.ok
         assert fleet.summary()["shards"] == fleet.plan.n_shards == 5
+        assert fleet.summary()["code"] == code_fingerprint()
 
 
 class TestParallelParity:

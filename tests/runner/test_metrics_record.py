@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.runner.cache import code_fingerprint
 from repro.runner.faultfns import flaky_point
 from repro.runner.metrics import BENCH_SCHEMA, bench_record, write_bench_json
 from repro.runner.sweep import Sweep, run_sweep
@@ -81,6 +82,7 @@ class TestWriteBenchJson:
         assert payload["schema"] == BENCH_SCHEMA == "repro.runner.bench/v2"
         on_disk = json.loads(path.read_text())
         assert on_disk == payload
+        assert on_disk["host"]["code"] == code_fingerprint()
         (sweep_rec,) = on_disk["sweeps"]
         for key in ("retry_attempts", "pool_rebuilds", "failed_points", "errors"):
             assert key in sweep_rec

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -81,13 +79,6 @@ class TestCaching:
         assert second.computed_count == 0
         for a, b in zip(first.points, second.points):
             assert a.value.samples == b.value.samples
-
-    def test_version_tag_invalidates(self, tmp_path):
-        sweep = _lifetime_sweep()
-        run_sweep(sweep, jobs=1, cache_dir=tmp_path)
-        bumped = dataclasses.replace(sweep, version_tag="v2")
-        rerun = run_sweep(bumped, jobs=1, cache_dir=tmp_path)
-        assert rerun.cached_count == 0
 
     def test_param_change_misses(self, tmp_path):
         run_sweep(_lifetime_sweep(), jobs=1, cache_dir=tmp_path)

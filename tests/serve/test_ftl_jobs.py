@@ -24,11 +24,11 @@ def _population_spec(**overrides) -> JobSpec:
 
 
 class TestValidation:
-    def test_fidelity_key_only_when_non_default(self):
+    def test_fidelity_key_always_written(self):
         assert _population_spec().params["fidelity"] == "ftl"
         epoch = _population_spec(fidelity="epoch")
-        assert "fidelity" not in epoch.params
-        # epoch job ids are unchanged by the field existing at all
+        assert epoch.params["fidelity"] == "epoch"
+        # an omitted fidelity is the epoch default: the same job
         omitted = JobSpec.from_wire(
             {"client": "t", "kind": "population",
              "params": {"devices": 6, "days": 20, "seed": 7,

@@ -73,11 +73,24 @@ class TestJobSpec:
              "params": {"devices": 5, "exact_cap": -1}},
             {"client": "c", "kind": "population",
              "params": {"devices": 5, "seed": None}},
+            # a sweep's root seed is a non-negative int, never coerced
+            {"client": "c", "kind": "sweep",
+             "params": {"fn": "flaky", "grid": [{}], "base_seed": None}},
+            {"client": "c", "kind": "sweep",
+             "params": {"fn": "flaky", "grid": [{}], "base_seed": 1.7}},
+            {"client": "c", "kind": "sweep",
+             "params": {"fn": "flaky", "grid": [{}], "base_seed": True}},
+            {"client": "c", "kind": "sweep",
+             "params": {"fn": "flaky", "grid": [{}], "base_seed": [1]}},
+            {"client": "c", "kind": "sweep",
+             "params": {"fn": "flaky", "grid": [{}], "base_seed": -1}},
         ],
         ids=["non-dict", "no-client", "empty-client", "bad-kind",
              "zero-devices", "absurd-devices", "unregistered-fn",
              "empty-grid", "unknown-build", "unknown-fault", "negative-fault",
-             "negative-exact-cap", "null-seed"],
+             "negative-exact-cap", "null-seed", "sweep-null-base-seed",
+             "sweep-float-base-seed", "sweep-bool-base-seed",
+             "sweep-list-base-seed", "sweep-negative-base-seed"],
     )
     def test_invalid_submissions_rejected(self, payload):
         with pytest.raises(ValueError):
@@ -210,3 +223,44 @@ class TestExecuteJob:
                 record, cache_dir=tmp_path / "cache", jobs=2,
                 should_stop=lambda: True,
             )
+
+
+class TestCodeIdentity:
+    def test_job_ids_do_not_outlive_the_code(
+        self, tmp_path, monkeypatch, gateway_harness, run_async
+    ):
+        """The same spec under other code is a new job: the dedup gate
+        re-attaches a resubmission only while the source is unchanged,
+        and the new job's shards are not served from the old cache."""
+        from repro.serve import GatewayConfig
+
+        params = {"devices": 12, "days": 20, "seed": 1, "shard_size": 6}
+        spec = JobSpec.from_wire(
+            {"client": "c", "kind": "population", "params": params}
+        )
+        today = spec.job_id()
+        config = GatewayConfig(state_dir=tmp_path / "state", job_workers=1)
+
+        async def scenario():
+            async with gateway_harness(config) as (_, client):
+                status, body, _ = await client.submit("c", "population", params)
+                assert status == 202 and body["job_id"] == today
+                first = await client.wait(today, timeout_s=60)
+                assert first["state"] == "done"
+
+                # the same spec under other code: job id and shard keys move
+                for module in ("repro.serve.jobs", "repro.runner.sweep"):
+                    monkeypatch.setattr(
+                        f"{module}.code_fingerprint", lambda: "0" * 64
+                    )
+                assert spec.job_id() != today
+
+                status, body, _ = await client.submit("c", "population", params)
+                assert status == 202  # new work, not a 200 "deduplicated"
+                assert "deduplicated" not in body
+                assert body["job_id"] == spec.job_id()
+                again = await client.wait(body["job_id"], timeout_s=60)
+                assert again["state"] == "done"
+                assert again["result"]["cached_shards"] == 0
+
+        run_async(scenario())
