@@ -25,13 +25,13 @@ YEARS = 3
 
 
 def compute():
-    summaries = MobileWorkload(
+    volumes = MobileWorkload(
         WorkloadConfig(mix="typical", days=YEARS * 365, seed=404)
-    ).daily_summaries()
+    ).daily_volume_arrays()
     out = {}
     for level in ProtectionLevel:
         build = build_sos(64.0, spare_protection=level)
-        result = run_lifetime(build, summaries)
+        result = run_lifetime(build, volumes)
         overhead = POLICIES[level].capacity_overhead
         out[level] = (result, overhead)
     return out

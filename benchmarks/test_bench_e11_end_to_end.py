@@ -42,11 +42,11 @@ BUILDERS = {
 def compute():
     results = {}
     for mix in ("typical", "heavy"):
-        summaries = MobileWorkload(
+        volumes = MobileWorkload(
             WorkloadConfig(mix=mix, days=YEARS * 365, seed=303)
-        ).daily_summaries()
+        ).daily_volume_arrays()
         for name, builder in BUILDERS.items():
-            results[(mix, name)] = run_lifetime(builder(CAPACITY_GB), summaries)
+            results[(mix, name)] = run_lifetime(builder(CAPACITY_GB), volumes)
     return results
 
 

@@ -28,10 +28,10 @@ DEVICE_GB = 64.0
 def compute():
     out = {}
     for mix in ("light", "typical", "heavy", "adversarial"):
-        summaries = MobileWorkload(
+        volumes = MobileWorkload(
             WorkloadConfig(mix=mix, days=WARRANTY_YEARS * 365, seed=101)
-        ).daily_summaries()
-        result = run_lifetime(build_tlc_baseline(DEVICE_GB), summaries)
+        ).daily_volume_arrays()
+        result = run_lifetime(build_tlc_baseline(DEVICE_GB), volumes)
         out[mix] = result.final.sys_wear_fraction
     return out
 

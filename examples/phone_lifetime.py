@@ -36,9 +36,9 @@ def main() -> None:
 
     print(f"workload: '{args.mix}' mix, ~{daily_write_gb(args.mix):.1f} GB/day "
           f"nominal, {args.years} years, {args.capacity_gb:.0f} GB devices\n")
-    summaries = MobileWorkload(
+    volumes = MobileWorkload(
         WorkloadConfig(mix=args.mix, days=args.years * 365, seed=args.seed)
-    ).daily_summaries()
+    ).daily_volume_arrays()
 
     builders = {
         "TLC (status quo)": build_tlc_baseline,
@@ -49,7 +49,7 @@ def main() -> None:
     rows = []
     for label, builder in builders.items():
         build = builder(args.capacity_gb)
-        result = run_lifetime(build, summaries)
+        result = run_lifetime(build, volumes)
         final = result.final
         rows.append([
             label,

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.host.files import FileRecord
 
-from .corpus import LabelledFile
+from .corpus import LabelledFile, split_corpus
 from .features import extract_features, feature_matrix
 from .logistic import LogisticRegression
 
@@ -78,15 +78,11 @@ class AutoDeletePredictor:
 def train_auto_delete(
     corpus: list[LabelledFile],
     now_years: float,
-    train_fraction: float = 0.7,
     seed: int = 0,
 ) -> tuple[AutoDeletePredictor, AutoDeleteMetrics]:
-    """Train the deletion predictor and evaluate on the held-out split."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(corpus))
-    split = int(len(corpus) * train_fraction)
-    train = [corpus[i] for i in order[:split]]
-    test = [corpus[i] for i in order[split:]]
+    """Train the deletion predictor and evaluate on the held-out split
+    (:func:`~repro.classify.corpus.split_corpus` under ``seed``)."""
+    train, test = split_corpus(corpus, seed)
     X = feature_matrix([f.record for f in train], now_years)
     y = np.array([int(f.user_would_delete) for f in train])
     model = LogisticRegression().fit(X, y)

@@ -21,7 +21,7 @@ import numpy as np
 from repro.host.files import FileRecord
 from repro.host.hints import Placement, PlacementHint
 
-from .corpus import LabelledFile
+from .corpus import LabelledFile, split_corpus
 from .features import extract_features, feature_matrix
 from .logistic import LogisticRegression
 from .naive_bayes import GaussianNaiveBayes
@@ -129,7 +129,6 @@ def train_classifier(
     now_years: float,
     kind: str = "logistic",
     demote_threshold: float = 0.35,
-    train_fraction: float = 0.7,
     seed: int = 0,
 ) -> tuple[FileClassifier, ClassifierMetrics]:
     """Train a classifier on a corpus and evaluate on the held-out split.
@@ -144,18 +143,13 @@ def train_classifier(
         ``"logistic"`` or ``"naive_bayes"``.
     demote_threshold:
         Conservativeness of the SPARE demotion rule.
-    train_fraction:
-        Train/test split fraction.
     seed:
-        Split shuffling seed.
+        Shuffling seed of the train/test split
+        (:func:`~repro.classify.corpus.split_corpus`).
     """
     if kind not in ("logistic", "naive_bayes"):
         raise ValueError(f"unknown classifier kind {kind!r}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(corpus))
-    split = int(len(corpus) * train_fraction)
-    train = [corpus[i] for i in order[:split]]
-    test = [corpus[i] for i in order[split:]]
+    train, test = split_corpus(corpus, seed)
     X = feature_matrix([f.record for f in train], now_years)
     y = np.array([int(f.critical) for f in train])
     model: LogisticRegression | GaussianNaiveBayes

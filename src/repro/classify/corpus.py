@@ -42,7 +42,16 @@ import numpy as np
 
 from repro.host.files import FileAttributes, FileKind, FileRecord, SYSTEM_KINDS
 
-__all__ = ["LabelledFile", "CorpusConfig", "generate_corpus"]
+__all__ = [
+    "LabelledFile",
+    "CorpusConfig",
+    "TRAIN_FRACTION",
+    "generate_corpus",
+    "split_corpus",
+]
+
+#: Share of a corpus a model trains on; the rest is its held-out test set.
+TRAIN_FRACTION = 0.7
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,3 +236,13 @@ def generate_corpus(
             )
         )
     return corpus
+
+
+def split_corpus(
+    corpus: list[LabelledFile], seed: int
+) -> tuple[list[LabelledFile], list[LabelledFile]]:
+    """Shuffle ``corpus`` under ``seed``; return its train and held-out
+    test files, :data:`TRAIN_FRACTION` of them for training."""
+    order = np.random.default_rng(seed).permutation(len(corpus))
+    split = int(len(corpus) * TRAIN_FRACTION)
+    return [corpus[i] for i in order[:split]], [corpus[i] for i in order[split:]]

@@ -382,18 +382,18 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         f"{len(plans[0])} events, digest {plans[0].digest()[:12]}",
     )
 
-    summaries = MobileWorkload(
+    volumes = MobileWorkload(
         WorkloadConfig(mix="typical", days=180, seed=args.seed)
-    ).daily_summaries()
+    ).daily_volume_arrays()
     zero_plan = FaultPlan.generate(
         FaultConfig(), seed=args.seed, horizon_days=180, targets=targets
     )
-    bare = run_lifetime(build_tlc_baseline(32.0), summaries)
-    gated = run_lifetime(build_tlc_baseline(32.0), summaries, fault_plan=zero_plan)
+    bare = run_lifetime(build_tlc_baseline(32.0), volumes)
+    gated = run_lifetime(build_tlc_baseline(32.0), volumes, fault_plan=zero_plan)
     check(
         "zero-rate transparency",
-        bare.samples == gated.samples and gated.faults.total_events == 0,
-        f"{len(bare.samples)} samples compared",
+        bare.final == gated.final and gated.faults.total_events == 0,
+        f"end state after day {bare.final.day} compared",
     )
 
     faults = {"block_infant_mortality": 0.05, "transient_read_rate": 0.4,

@@ -94,9 +94,6 @@ class SOSDevice:
         deaths (targets keyed by stream name) are applied as the clock
         passes their scheduled day, and the plan's cloud-outage windows
         gate the backup.  ``None`` is the exact pre-fault behaviour.
-    cloud_transient_failure_rate:
-        Per-fetch transient cloud failure probability (exercises the
-        scrubber's bounded-retry repair path).
     """
 
     def __init__(
@@ -106,7 +103,6 @@ class SOSDevice:
         auto_delete: AutoDeletePredictor | None = None,
         cloud_available: bool = True,
         fault_plan: FaultPlan | None = None,
-        cloud_transient_failure_rate: float = 0.0,
     ) -> None:
         self.config = config or default_config()
         self.partitions: PartitionedDevice = build_partitions(self.config)
@@ -120,7 +116,6 @@ class SOSDevice:
             outage_windows=(
                 fault_plan.outage_windows_years() if fault_plan is not None else ()
             ),
-            transient_failure_rate=cloud_transient_failure_rate,
             seed=self.config.seed,
         )
         self.block_layer = _BackupAwareBlockLayer(self.ftl, self.backup)

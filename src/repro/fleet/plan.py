@@ -207,6 +207,12 @@ class FleetPlan:
             raise ValueError("chunk must be positive")
         if self.exact_cap < 0:
             raise ValueError("exact_cap must be non-negative")
+        # numpy seeds devices and shards from these: a negative one
+        # would only fail inside a shard
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.workload_seed_base < 0:
+            raise ValueError("workload_seed_base must be non-negative")
         object.__setattr__(
             self, "mix_weights", _canonical_weights(self.mix_weights)
         )

@@ -49,7 +49,6 @@ def population_batch_observables(params: dict) -> dict:
     """
     from repro.sim.baselines import ALL_BUILDERS
     from repro.sim.batch import SummaryBatch, run_lifetime_batch
-    from repro.sim.lifetime import SimConfig
 
     days = params["days"]
     builder = ALL_BUILDERS[params.get("build", "tlc_baseline")]
@@ -69,14 +68,12 @@ def population_batch_observables(params: dict) -> dict:
             plan_for_build(build, params["faults"], days, ws)
             for build, ws in zip(builds, seeds)
         ]
-    # only each result's ``.final`` is read: sampling every ``days`` days
-    # takes day 0 and the last day, and skips the 30-day samples' RBER
-    # and ECC passes over every group of the chunk
+    # the engine takes one RBER and ECC pass over the chunk's groups,
+    # after the last day: each device's end state is all a fleet reads
     finals = [
         result.final
         for result in run_lifetime_batch(
-            builds, SummaryBatch.from_volume_arrays(volumes),
-            config=SimConfig(sample_every_days=days), fault_plans=plans,
+            builds, SummaryBatch.from_volume_arrays(volumes), plans
         )
     ]
     return {

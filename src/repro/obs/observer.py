@@ -9,7 +9,7 @@ simulation state either way).
 Enable collection for a scope with :func:`observed`::
 
     with observed() as obs:
-        run_lifetime(build, summaries)
+        run_lifetime(build, volumes)
     snapshot = obs.registry.snapshot()
     events = obs.events
 

@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 
-def _summaries(mix: str, days: int, seed: int):
-    return MobileWorkload(WorkloadConfig(mix=mix, days=days, seed=seed)).daily_summaries()
+def _volumes(mix: str, days: int, seed: int):
+    return MobileWorkload(WorkloadConfig(mix=mix, days=days, seed=seed)).daily_volume_arrays()
 
 
 def lifetime_point(params: dict, seed: int):
@@ -47,12 +47,12 @@ def lifetime_point(params: dict, seed: int):
     from repro.sim.engine import run_lifetime
 
     workload_seed = params.get("workload_seed")
-    summaries = _summaries(
+    volumes = _volumes(
         params["mix"], params["days"], seed if workload_seed is None else workload_seed
     )
     build = ALL_BUILDERS[params["build"]](params["capacity_gb"])
     plan = plan_for_build(build, params.get("faults"), params["days"], seed)
-    return run_lifetime(build, summaries, fault_plan=plan)
+    return run_lifetime(build, volumes, fault_plan=plan)
 
 
 def split_point(params: dict, seed: int) -> dict:
@@ -67,10 +67,10 @@ def split_point(params: dict, seed: int) -> dict:
     from repro.sim.engine import run_lifetime
 
     fraction = params["spare_fraction"]
-    summaries = _summaries(params["mix"], params["days"], params["workload_seed"])
+    volumes = _volumes(params["mix"], params["days"], params["workload_seed"])
     tlc = build_tlc_baseline(params["capacity_gb"])
     build = build_sos(params["capacity_gb"], spare_fraction=fraction)
-    result = run_lifetime(build, summaries)
+    result = run_lifetime(build, volumes)
     return {
         "fraction": fraction,
         "gain": density_gain(default_config(spare_fraction=fraction)),
@@ -115,7 +115,7 @@ def fault_ablation_point(params: dict, seed: int) -> dict:
     from repro.sim.engine import run_lifetime
 
     scale = params["fault_scale"]
-    summaries = _summaries(params["mix"], params["days"], params["workload_seed"])
+    volumes = _volumes(params["mix"], params["days"], params["workload_seed"])
     build = build_sos(params["capacity_gb"])
     plan = plan_for_build(
         build,
@@ -129,7 +129,7 @@ def fault_ablation_point(params: dict, seed: int) -> dict:
         params["days"],
         params["workload_seed"],
     )
-    result = run_lifetime(build, summaries, fault_plan=plan)
+    result = run_lifetime(build, volumes, fault_plan=plan)
     final = result.final
     faults = result.faults.as_dict() if result.faults is not None else {}
     return {
@@ -163,11 +163,7 @@ def sensitivity_batch_point(params: dict, seed: int) -> list[dict]:
 
     capacity = params["capacity_gb"]
     wafs = list(params["wafs"])
-    volumes = MobileWorkload(
-        WorkloadConfig(
-            mix=params["mix"], days=params["days"], seed=params["workload_seed"]
-        )
-    ).daily_volume_arrays()
+    volumes = _volumes(params["mix"], params["days"], params["workload_seed"])
     original = ENDURANCE_TABLE[CellTechnology.PLC]
     ENDURANCE_TABLE[CellTechnology.PLC] = dataclasses.replace(
         original, rated_pec=params["plc_pec"]

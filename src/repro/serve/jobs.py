@@ -130,31 +130,34 @@ class JobSpec:
 
     @staticmethod
     def _validate_population(params: dict) -> dict:
-        """Wire types and service limits; the plan checks the rest."""
+        """Wire types and service limits; the plan checks the rest.
+
+        Numbers are type-checked, never coerced: ``1.7`` or ``true`` is
+        not a seed, and ``true`` is not a capacity or a fault rate.
+        """
         devices = params.get("devices")
-        if not isinstance(devices, int) or not 1 <= devices <= _MAX_DEVICES:
+        if not _is_int(devices) or not 1 <= devices <= _MAX_DEVICES:
             raise ValueError(f"'devices' must be an int in [1, {_MAX_DEVICES}]")
         days = params.get("days", 365)
-        if not isinstance(days, int) or not 1 <= days <= 36500:
+        if not _is_int(days) or not 1 <= days <= 36500:
             raise ValueError("'days' must be an int in [1, 36500]")
-        try:
-            out = {
-                "devices": devices,
-                "days": days,
-                "capacity_gb": float(params.get("capacity_gb", 64.0)),
-                "seed": int(params.get("seed", 0)),
-                "build": str(params.get("build", "tlc_baseline")),
-                "shard_size": int(params.get("shard_size", 0)) or min(devices, 50),
-                "chunk": int(params.get("chunk", 50)),
-                "exact_cap": int(params.get("exact_cap", 100_000)),
-            }
-        except TypeError as err:  # e.g. "seed": null -- a client error
-            raise ValueError(f"population params: {err}") from err
+        capacity_gb = params.get("capacity_gb", 64.0)
+        if not _is_number(capacity_gb):
+            raise ValueError(f"'capacity_gb' must be a number, got {capacity_gb!r}")
+        out = {
+            "devices": devices,
+            "days": days,
+            "capacity_gb": float(capacity_gb),
+            "seed": _wire_int(params, "seed", 0),
+            "build": str(params.get("build", "tlc_baseline")),
+            "shard_size": _wire_int(params, "shard_size", 0) or min(devices, 50),
+            "chunk": _wire_int(params, "chunk", 50),
+            "exact_cap": _wire_int(params, "exact_cap", 100_000),
+        }
         if params.get("faults") is not None:
             faults = params["faults"]
             if not isinstance(faults, dict) or not all(
-                isinstance(k, str) and isinstance(v, (int, float))
-                for k, v in faults.items()
+                isinstance(k, str) and _is_number(v) for k, v in faults.items()
             ):
                 raise ValueError("'faults' must map fault names to rates")
             out["faults"] = {k: float(v) for k, v in sorted(faults.items())}
@@ -181,8 +184,7 @@ class JobSpec:
                 "parameter objects"
             )
         base_seed = params.get("base_seed", 0)
-        is_int = isinstance(base_seed, int) and not isinstance(base_seed, bool)
-        if not is_int or base_seed < 0:
+        if not _is_int(base_seed) or base_seed < 0:
             raise ValueError("'base_seed' must be a non-negative int")
         return {"fn": fn, "grid": grid, "base_seed": base_seed}
 
@@ -202,6 +204,24 @@ class JobSpec:
 
     def to_dict(self) -> dict:
         return {"client": self.client, "kind": self.kind, "params": self.params}
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true``/``false`` decode to bools, which are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number (int or float), never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _wire_int(params: dict, name: str, default: int) -> int:
+    """``params[name]`` (or ``default``), which must be a JSON integer."""
+    value = params.get(name, default)
+    if not _is_int(value):
+        raise ValueError(f"{name!r} must be an int, got {value!r}")
+    return value
 
 
 def _population_plan(params: dict):

@@ -150,6 +150,3 @@ class QuotaManager:
 
     def running(self, client: str) -> int:
         return self._running.get(client, 0)
-
-    def window_units(self, client: str) -> int:
-        return sum(u for _, u in self._prune(client, self._clock()))

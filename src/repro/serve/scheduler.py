@@ -87,12 +87,6 @@ class Scheduler:
     def running_count(self) -> int:
         return len(self._running)
 
-    def is_running(self, job_id: str) -> bool:
-        return job_id in self._running
-
-    def is_queued(self, job_id: str) -> bool:
-        return any(r.job_id == job_id for q in self._queues.values() for r in q)
-
     def _gauges(self) -> None:
         self.health.set_queue_depth(self.queue_depth)
         self.health.set_running(self.running_count)

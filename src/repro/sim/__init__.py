@@ -3,11 +3,13 @@
 The multi-year half of the reproduction: block-group wear/retention
 models sharing the flash/ECC parameter tables with the bit-exact chip,
 device builds for SOS and its baselines, and one epoch engine
-(:mod:`repro.sim.batch`) that steps device populations a day at a time
-and produces E3/E8/E11's series as well as every fleet's; a single
-device (:func:`run_lifetime`) is its one-row case, and single-device
-traces carry ``device: 0``.  The scalar per-device engine it replaced
-is the test oracle in ``tests/sim/lifetime_oracle.py``.
+(:mod:`repro.sim.batch`) that steps device populations a day at a time.
+It takes a workload's daily volume arrays and returns each device's
+end state (:class:`LifetimeResult` ``.final``), which E3/E8/E11 and
+every fleet read; a single device (:func:`run_lifetime`) is its one-row
+case, and single-device traces carry ``device: 0``.  The scalar
+per-device engine it replaced is the test oracle in
+``tests/sim/lifetime_oracle.py``.
 """
 
 from .baselines import (
@@ -25,7 +27,7 @@ from .batch import (
     run_lifetime_batch,
 )
 from .engine import run_lifetime
-from .lifetime import DaySample, LifetimeResult, PartitionSpec, SimConfig
+from .lifetime import DaySample, LifetimeResult, PartitionSpec
 from .replay import ReplayStats, replay
 
 __all__ = [
@@ -41,7 +43,6 @@ __all__ = [
     "run_lifetime_batch",
     "DaySample",
     "LifetimeResult",
-    "SimConfig",
     "run_lifetime",
     "PartitionSpec",
     "ReplayStats",

@@ -93,7 +93,6 @@ def build_sos(
     spare_fraction: float = 0.5,
     spare_protection: ProtectionLevel = ProtectionLevel.NONE,
     scrub_enabled: bool = True,
-    spare_wear_leveling: bool = False,
 ) -> DeviceBuild:
     """The paper's SOS split (parameterized for the ablations)."""
     plc = CellTechnology.PLC
@@ -110,7 +109,7 @@ def build_sos(
         mode=native_mode(plc),
         protection=POLICIES[spare_protection],
         capacity_gb=capacity_gb * spare_fraction,
-        wear_leveling=spare_wear_leveling,
+        wear_leveling=False,  # §4.3: SPARE lets worn blocks wear
         max_rber=4e-4,
         resuscitation_bits=(3, 1),
         scrub_enabled=scrub_enabled,

@@ -8,44 +8,49 @@ A1/A2/A9 ablations) is the one-row case of the same code.  Each
 partition keeps one array per block-group field with a leading device
 axis, shape ``(n_devices, n_groups)``, and each simulated day is a
 handful of array operations over that state: write routing, wear
-accrual, scrub/refresh, the retire/resuscitate ladder, delete
-apportionment, and sampling.
+accrual, scrub/refresh, the retire/resuscitate ladder, and delete
+apportionment.
 
-A device build owns a one-row :class:`BatchLifetimeDevice` made from
-its :class:`~repro.sim.lifetime.PartitionSpec` list.
-:func:`run_lifetime_batch` stacks the builds' rows
-(:meth:`BatchLifetimeDevice.from_devices`), steps the stack, and hands
-each build its final row back (:meth:`BatchPartition.scatter_to`).
+The interface is volume arrays in, one end state out.  A device build
+owns a one-row :class:`BatchLifetimeDevice` made from its
+:class:`~repro.sim.lifetime.PartitionSpec` list.
+:func:`run_lifetime_batch` takes a :class:`SummaryBatch` (the builds'
+:meth:`~repro.workloads.mobile.MobileWorkload.daily_volume_arrays`,
+stacked), stacks the builds' rows
+(:meth:`BatchLifetimeDevice.from_devices`), steps the stack, takes one
+:class:`~repro.sim.lifetime.DaySample` per device after the last day,
+and hands each build its final row back
+(:meth:`BatchPartition.scatter_to`).  No series is recorded: every
+lifetime claim reads the end state.
 
-Each day's :class:`~repro.workloads.traces.DailySummary` volumes map
-onto the partitions as follows:
+Each day's volumes map onto the partitions as follows:
 
 * single-partition baselines take everything on ``main``;
-* SOS routes media writes to SPARE (after the classifier demotes them)
-  and everything else to SYS.  The demotion detour -- new data lands on
-  SYS first, the daemon moves media later (§4.4) -- is modelled as the
-  media volume writing *once* to SYS and *once* to SPARE, scaled by the
-  classifier's demotion rate.
+* SOS routes media writes to SPARE (after the classifier demotes
+  :data:`~repro.sim.lifetime.MEDIA_DEMOTION_RATE` of them) and
+  everything else to SYS.  The demotion detour -- new data lands on
+  SYS first, the daemon moves media later (§4.4) -- is modelled as all
+  media writing *once* to SYS and the demoted share *once* more to
+  SPARE.
 
-Deletion volume keeps utilization stationary; per-day metrics are
-sampled at a configurable cadence.
+Deletion volume keeps utilization stationary.
 
 A precomputed :class:`~repro.faults.plan.FaultPlan` per device can be
 threaded through: infant-mortality deaths retire block groups,
 transient reads exercise the bounded-retry accounting, torn programs
 cost recovery rewrites, and cloud-outage windows defer the scrub pass
 (the epoch model's stand-in for the §4.3 repair path).  Fault days are
-indexed by *position* in the summary list, not the trace's ``day``
-field, so sliced or 1-indexed traces replay the same schedule.  With no
-plan (or an all-zero-rate plan) results are bit-identical to the
-fault-free run.
+indexed by *position* in the day sequence, not its ``day`` labels, so
+sliced or 1-indexed volumes replay the same schedule.  With no plan
+(or an all-zero-rate plan) results are bit-identical to the fault-free
+run.
 
 Equivalence contract with the scalar per-device engine this replaced,
 kept as the test oracle in ``tests/sim/lifetime_oracle.py`` (pinned by
 tier-1 tests):
 
 * integer outputs (retired/resuscitated/refresh counts, fault counters,
-  sampled days, integer event fields) are **exactly** equal;
+  the final day, integer event fields) are **exactly** equal;
 * float outputs match within 1e-9 relative.  Elementwise state updates
   replicate the oracle's operation order, so fleets whose groups all
   stay alive and data-holding (the wear-leveled baselines without
@@ -84,15 +89,14 @@ from repro.flash.cell import CellMode
 from repro.flash.error_model import cached_error_model
 from repro.flash.reliability import endurance_pec
 from repro.obs import get_observer
-from repro.workloads.traces import DailySummary
 
 from .lifetime import (
     HOT_GROUP_FRACTION,
+    MEDIA_DEMOTION_RATE,
     WL_WRITE_OVERHEAD,
     DaySample,
     LifetimeResult,
     PartitionSpec,
-    SimConfig,
 )
 
 if TYPE_CHECKING:
@@ -108,7 +112,8 @@ __all__ = [
 
 @dataclass(slots=True)
 class SummaryBatch:
-    """Per-device daily volumes as ``(n_devices, n_days)`` arrays.
+    """Per-device daily volumes as ``(n_devices, n_days)`` arrays: the
+    engine's one input, built by :meth:`from_volume_arrays`.
 
     All devices must share the same ``day`` sequence (they are stepped in
     lockstep).  ``read_gb`` is omitted: the epoch engine never consumes
@@ -128,30 +133,6 @@ class SummaryBatch:
     @property
     def n_days(self) -> int:
         return int(self.day.shape[0])
-
-    @classmethod
-    def from_summaries(
-        cls, per_device: Sequence[Sequence[DailySummary]]
-    ) -> "SummaryBatch":
-        """Stack per-device :class:`DailySummary` lists."""
-        if not per_device:
-            raise ValueError("at least one device's summaries required")
-        day = np.array([s.day for s in per_device[0]], dtype=np.int64)
-        for series in per_device[1:]:
-            if [s.day for s in series] != day.tolist():
-                raise ValueError("all devices must share the same day sequence")
-        def field(name: str) -> np.ndarray:
-            return np.array(
-                [[getattr(s, name) for s in series] for series in per_device],
-                dtype=float,
-            )
-        return cls(
-            day=day,
-            new_media_gb=field("new_media_gb"),
-            new_other_gb=field("new_other_gb"),
-            overwrite_gb=field("overwrite_gb"),
-            delete_gb=field("delete_gb"),
-        )
 
     @classmethod
     def from_volume_arrays(
@@ -759,28 +740,26 @@ def _apply_day_faults_batch(
 
 def run_lifetime_batch(
     builds: Sequence[DeviceBuild],
-    summaries: SummaryBatch | Sequence[Sequence[DailySummary]],
-    config: SimConfig | None = None,
+    summaries: SummaryBatch,
     fault_plans: Sequence[FaultPlan | None] | None = None,
 ) -> list[LifetimeResult]:
-    """Run N device builds through their daily workloads in one pass.
+    """Run N device builds through their daily volumes in one pass.
 
     One :class:`LifetimeResult` per build, each the same as that build's
     own :func:`repro.sim.engine.run_lifetime` (see the module docstring
-    for the contract with the oracle).  Builds must share topology and
-    specs (``waf`` may vary); each build's device is updated in place
-    with its final state.
+    for the contract with the oracle), holding the state after the last
+    day.  Builds must share topology and specs (``waf`` may vary); each
+    build's device is updated in place with its final state.
     """
-    config = config or SimConfig()
     if not builds:
         raise ValueError("at least one build required")
-    if not isinstance(summaries, SummaryBatch):
-        summaries = SummaryBatch.from_summaries(summaries)
     n = len(builds)
     if summaries.n_devices != n:
         raise ValueError(
             f"{n} builds but volumes for {summaries.n_devices} devices"
         )
+    if summaries.n_days == 0:
+        raise ValueError("a lifetime run needs at least one day")
     plans: list[FaultPlan | None]
     if fault_plans is None:
         plans = [None] * n
@@ -789,15 +768,7 @@ def run_lifetime_batch(
         if len(plans) != n:
             raise ValueError(f"{n} builds but {len(plans)} fault plans")
     device = BatchLifetimeDevice.from_devices([b.device for b in builds])
-    results = [
-        LifetimeResult(
-            build_name=build.name,
-            capacity_gb=build.capacity_gb,
-            intensity_kg_per_gb=build.intensity_kg_per_gb,
-            faults=FaultSummary() if plan is not None else None,
-        )
-        for build, plan in zip(builds, plans)
-    ]
+    counters = [FaultSummary() if plan is not None else None for plan in plans]
     has_faults = any(plan is not None for plan in plans)
     single = "main" in device.partitions
     spare = device.partitions.get("spare")
@@ -806,7 +777,6 @@ def run_lifetime_batch(
     n_scrub_parts = sum(
         1 for p in device.partitions.values() if p.spec.scrub_enabled
     )
-    n_days = summaries.n_days
     days = summaries.day.tolist()
     # (new_gb, churn_gb) per partition for every device and day, routed
     # up front: each element is the same arithmetic as routing day by day
@@ -814,7 +784,7 @@ def run_lifetime_batch(
     if single:
         routed = {"main": (media + summaries.new_other_gb, summaries.overwrite_gb)}
     else:
-        demoted = media * config.media_demotion_rate
+        demoted = media * MEDIA_DEMOTION_RATE
         kept = media - demoted
         routed = {
             "sys": (summaries.new_other_gb + kept + demoted, summaries.overwrite_gb),
@@ -823,8 +793,7 @@ def run_lifetime_batch(
     everyone = np.ones(n, dtype=bool)
     obs = get_observer()
     with obs.span("engine.run", calls=n):
-        for position in range(n_days):
-            day_value = days[position]
+        for position, day_value in enumerate(days):
             writes = {
                 name: (new[:, position], churn[:, position])
                 for name, (new, churn) in routed.items()
@@ -839,10 +808,10 @@ def run_lifetime_batch(
                 scrub_allowed = everyone.copy()
                 for d, plan in enumerate(plans):
                     if plan is not None and plan.in_cloud_outage(position):
-                        counters = results[d].faults
-                        assert counters is not None
-                        counters.cloud_outage_days += 1
-                        counters.scrubs_deferred += n_scrub_parts
+                        faults = counters[d]
+                        assert faults is not None
+                        faults.cloud_outage_days += 1
+                        faults.scrubs_deferred += n_scrub_parts
                         scrub_allowed[d] = False
             device.step_day(writes, scrub_allowed)
             if has_faults:
@@ -852,9 +821,9 @@ def run_lifetime_batch(
                     if not scrub_allowed[d]:
                         obs.event("cloud_outage_day", t=device.now_years,
                                   day=day_value, device=d)
-                    counters = results[d].faults
-                    assert counters is not None
-                    _apply_day_faults_batch(device, plan, counters, position, d)
+                    faults = counters[d]
+                    assert faults is not None
+                    _apply_day_faults_batch(device, plan, faults, position, d)
             # deletions: apportion the day's volume across pressured
             # partitions by live-data share, so multi-partition builds
             # delete the same total volume as single-partition ones
@@ -881,41 +850,40 @@ def run_lifetime_batch(
                     delete * lives[name], live_total,
                     out=np.zeros(n), where=mask,
                 ))
-            if day_value % config.sample_every_days == 0 or position == n_days - 1:
-                now = device.now_years
-                capacity = device.capacity_gb()
-                sys_wear = sys_part.wear_used_fraction()
-                spare_wear = (
-                    spare.wear_used_fraction() if spare is not None else sys_wear
-                )
-                spare_quality = (
-                    spare.mean_quality(now)
-                    if spare is not None
-                    else sys_part.mean_quality(now)
-                )
-                sys_unc = sys_part.expected_uncorrectable(now)
-                retired = np.zeros(n, dtype=np.int64)
-                resuscitated = np.zeros(n, dtype=np.int64)
-                for partition in device.partitions.values():
-                    retired = retired + partition.retired_count
-                    resuscitated = resuscitated + partition.resuscitated_count
-                for d in range(n):
-                    results[d].samples.append(
-                        DaySample(
-                            day=day_value,
-                            years=now,
-                            capacity_gb=float(capacity[d]),
-                            sys_wear_fraction=float(sys_wear[d]),
-                            spare_wear_fraction=float(spare_wear[d]),
-                            spare_quality=float(spare_quality[d]),
-                            sys_uncorrectable=float(sys_unc[d]),
-                            retired_groups=int(retired[d]),
-                            resuscitated_groups=int(resuscitated[d]),
-                        )
-                    )
+        # the end state, once, after the last day
+        now = device.now_years
+        capacity = device.capacity_gb()
+        sys_wear = sys_part.wear_used_fraction()
+        media_part = spare if spare is not None else sys_part
+        spare_wear = media_part.wear_used_fraction()
+        spare_quality = media_part.mean_quality(now)
+        sys_unc = sys_part.expected_uncorrectable(now)
+        retired = sum(p.retired_count for p in device.partitions.values())
+        resuscitated = sum(
+            p.resuscitated_count for p in device.partitions.values()
+        )
     # each build's device ends the run holding its final state
     for name, partition in device.partitions.items():
         partition.scatter_to([b.device.partitions[name] for b in builds])
     for build in builds:
         build.device.now_years = device.now_years
-    return results
+    return [
+        LifetimeResult(
+            build_name=build.name,
+            capacity_gb=build.capacity_gb,
+            intensity_kg_per_gb=build.intensity_kg_per_gb,
+            final=DaySample(
+                day=days[-1],
+                years=now,
+                capacity_gb=float(capacity[d]),
+                sys_wear_fraction=float(sys_wear[d]),
+                spare_wear_fraction=float(spare_wear[d]),
+                spare_quality=float(spare_quality[d]),
+                sys_uncorrectable=float(sys_unc[d]),
+                retired_groups=int(retired[d]),
+                resuscitated_groups=int(resuscitated[d]),
+            ),
+            faults=counters[d],
+        )
+        for d, build in enumerate(builds)
+    ]

@@ -23,17 +23,18 @@ Wear placement policy per partition:
   hot subset of groups while *new* data appends round-robin to the
   coldest groups -- worn blocks are simply allowed to wear (§4.3).
 
-This module holds the model's static types: :class:`PartitionSpec`, the
-engine's :class:`SimConfig`, and the :class:`DaySample` series a run
-returns in a :class:`LifetimeResult`.  Group state and the one epoch
-engine that steps it live in :mod:`repro.sim.batch`, which keeps one
-array per group field with a leading device axis; a single device is
-its one-row case.
+This module holds the model's static types: :class:`PartitionSpec`,
+and the end-of-life :class:`DaySample` a run returns in a
+:class:`LifetimeResult` -- the one state the paper's lifetime claims
+read (wear at disposal, capacity left, SPARE quality).  Group state and
+the one epoch engine that steps it live in :mod:`repro.sim.batch`,
+which keeps one array per group field with a leading device axis; a
+single device is its one-row case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ecc.policy import ProtectionPolicy
 from repro.faults.plan import FaultSummary
@@ -41,7 +42,6 @@ from repro.flash.cell import CellMode
 
 __all__ = [
     "PartitionSpec",
-    "SimConfig",
     "DaySample",
     "LifetimeResult",
 ]
@@ -51,6 +51,10 @@ WL_WRITE_OVERHEAD = 0.10
 
 #: Fraction of groups absorbing churn when wear leveling is off.
 HOT_GROUP_FRACTION = 0.25
+
+#: Fraction of media bytes the classifier demotes to SPARE (SOS only):
+#: the measured classifier operating point (~0.8 of media is low-value).
+MEDIA_DEMOTION_RATE = 0.8
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,26 +82,8 @@ class PartitionSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class SimConfig:
-    """Engine parameters.
-
-    Attributes
-    ----------
-    media_demotion_rate:
-        Fraction of media bytes the classifier demotes to SPARE (SOS
-        only).  The default reflects the measured classifier operating
-        point (~0.8 of media is low-value).
-    sample_every_days:
-        Metric sampling cadence.
-    """
-
-    media_demotion_rate: float = 0.8
-    sample_every_days: int = 30
-
-
-@dataclass(frozen=True, slots=True)
 class DaySample:
-    """Sampled device state at one point in time."""
+    """Device state after one day: ``day`` is that day's label."""
 
     day: int
     years: float
@@ -117,7 +103,8 @@ class LifetimeResult:
     build_name: str
     capacity_gb: float
     intensity_kg_per_gb: float
-    samples: list[DaySample] = field(default_factory=list)
+    #: end-of-life state, taken once after the last day
+    final: DaySample
     #: structured fault counters; None when the run had no fault plan
     faults: FaultSummary | None = None
 
@@ -125,13 +112,6 @@ class LifetimeResult:
     def embodied_kg(self) -> float:
         """Embodied carbon of the device under test."""
         return self.capacity_gb * self.intensity_kg_per_gb
-
-    @property
-    def final(self) -> DaySample:
-        """Last sample (end-of-life state)."""
-        if not self.samples:
-            raise ValueError("no samples recorded")
-        return self.samples[-1]
 
     def survived(self, min_capacity_fraction: float = 0.9, quality_floor: float = 0.8) -> bool:
         """Did the device end its life usable?

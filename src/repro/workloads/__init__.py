@@ -2,14 +2,14 @@
 
 App profiles calibrated to the mobile-wear literature the paper cites,
 user-intensity mixes (light/typical/heavy/adversarial), a generator
-producing both epoch aggregates and replayable op traces, and JSON
-trace (de)serialization.
+producing both per-day volume arrays for the epoch engine and
+replayable op traces, and JSON trace (de)serialization.
 """
 
 from .apps import APP_PROFILES, USER_MIXES, AppProfile, daily_write_gb
 from .content import COMPRESSIBILITY_CLASS, generate_content
 from .mobile import MobileWorkload, WorkloadConfig
-from .traces import DailySummary, OpKind, TraceOp, load_trace, save_trace
+from .traces import OpKind, TraceOp, load_trace, save_trace
 
 __all__ = [
     "APP_PROFILES",
@@ -20,7 +20,6 @@ __all__ = [
     "generate_content",
     "MobileWorkload",
     "WorkloadConfig",
-    "DailySummary",
     "OpKind",
     "TraceOp",
     "load_trace",

@@ -14,14 +14,14 @@ consumes a low-single-digit percentage of rated endurance.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.host.files import FileKind, MEDIA_KINDS
 
 from .apps import APP_PROFILES, USER_MIXES
-from .traces import DailySummary, OpKind, TraceOp
+from .traces import OpKind, TraceOp
 
 __all__ = ["WorkloadConfig", "MobileWorkload"]
 
@@ -78,7 +78,7 @@ class WorkloadConfig:
 
 
 class MobileWorkload:
-    """Generates daily summaries and (optionally) op-level traces."""
+    """Generates daily volume arrays and (optionally) op-level traces."""
 
     def __init__(self, config: WorkloadConfig | None = None) -> None:
         self.config = config or WorkloadConfig()
@@ -87,13 +87,6 @@ class MobileWorkload:
         self._rng = np.random.default_rng(self.config.seed)
 
     # -- epoch-level ---------------------------------------------------------
-
-    def daily_summaries(self) -> list[DailySummary]:
-        """Per-day aggregate volumes over the configured span: the rows of
-        :meth:`daily_volume_arrays`, consuming the same RNG state."""
-        arrays = self.daily_volume_arrays()
-        columns = [arrays[field.name].tolist() for field in fields(DailySummary)]
-        return [DailySummary(*row) for row in zip(*columns)]
 
     def daily_volume_arrays(self) -> dict[str, np.ndarray]:
         """Per-day aggregate volumes as one array per field.
@@ -166,10 +159,14 @@ class MobileWorkload:
         ops: list[TraceOp] = []
         live_paths: list[tuple[str, FileKind, int]] = []
         counter = 0
-        for summary in self.daily_summaries():
-            day = summary.day
-            new_gb = summary.new_media_gb + summary.new_other_gb
-            media_share = summary.new_media_gb / new_gb if new_gb else 0.0
+        volumes = self.daily_volume_arrays()
+        columns = [
+            volumes[name].tolist()
+            for name in ("day", "new_media_gb", "new_other_gb", "overwrite_gb")
+        ]
+        for day, new_media_gb, new_other_gb, overwrite_gb in zip(*columns):
+            new_gb = new_media_gb + new_other_gb
+            media_share = new_media_gb / new_gb if new_gb else 0.0
             for _ in range(files_per_day):
                 counter += 1
                 is_media = self._rng.random() < media_share
@@ -192,14 +189,14 @@ class MobileWorkload:
                 )
                 live_paths.append((path, kind, size))
             # overwrites hit app metadata in place
-            if summary.overwrite_gb > 0:
+            if overwrite_gb > 0:
                 ops.append(
                     TraceOp(
                         day=day,
                         kind=OpKind.OVERWRITE,
                         path="/user/app_metadata/churn",
                         file_kind=FileKind.APP_METADATA,
-                        size_bytes=max(256, int(summary.overwrite_gb * 1e9 * scale_bytes)),
+                        size_bytes=max(256, int(overwrite_gb * 1e9 * scale_bytes)),
                     )
                 )
             # reads spread over live files

@@ -1,13 +1,10 @@
-"""Trace format: operations and daily aggregates, record/replay.
+"""Trace format: host operations, record/replay.
 
-Two granularities, matching the two simulation fidelities:
-
-* :class:`TraceOp` -- a single host operation (create/overwrite/read/
-  delete), replayable against the bit-exact :class:`~repro.core.SOSDevice`;
-* :class:`DailySummary` -- per-day aggregate volumes, consumed by the
-  epoch-level lifetime model.
-
-Both serialize to plain dicts so traces can be saved/loaded as JSON.
+A :class:`TraceOp` is one host operation (create/overwrite/read/delete),
+replayable against the bit-exact :class:`~repro.core.SOSDevice`; it
+serializes to a plain dict so traces can be saved/loaded as JSON.  The
+epoch-level lifetime model takes no trace: it steps the per-day volume
+arrays of :meth:`~repro.workloads.mobile.MobileWorkload.daily_volume_arrays`.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from pathlib import Path
 
 from repro.host.files import FileKind
 
-__all__ = ["OpKind", "TraceOp", "DailySummary", "save_trace", "load_trace"]
+__all__ = ["OpKind", "TraceOp", "save_trace", "load_trace"]
 
 
 class OpKind(enum.Enum):
@@ -61,23 +58,6 @@ class TraceOp:
             size_bytes=d["size_bytes"],
             cloud_backed=d.get("cloud_backed", False),
         )
-
-
-@dataclass(frozen=True, slots=True)
-class DailySummary:
-    """Aggregate host I/O volumes for one simulated day (GB)."""
-
-    day: int
-    new_media_gb: float
-    new_other_gb: float
-    overwrite_gb: float
-    read_gb: float
-    delete_gb: float
-
-    @property
-    def total_write_gb(self) -> float:
-        """All bytes written this day."""
-        return self.new_media_gb + self.new_other_gb + self.overwrite_gb
 
 
 def save_trace(ops: list[TraceOp], path: str | Path) -> None:

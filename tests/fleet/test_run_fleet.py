@@ -311,8 +311,11 @@ class TestPlanValidation:
             (dict(build="nope"), "unknown build"),
             (dict(faults={"nope": 0.1}), "unknown fault"),
             (dict(faults={"power_loss_rate": -0.1}), "power_loss_rate"),
+            (dict(seed=-1), "seed must be non-negative"),
+            (dict(workload_seed_base=-1), "workload_seed_base"),
         ],
-        ids=["unknown-build", "unknown-fault", "negative-fault"],
+        ids=["unknown-build", "unknown-fault", "negative-fault",
+             "negative-seed", "negative-workload-seed-base"],
     )
     def test_rejects_what_no_shard_could_run(self, overrides, match):
         """The plan is the one validator: anything it accepts, every

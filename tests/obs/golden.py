@@ -38,9 +38,9 @@ FAULTS = FaultConfig(
 
 def run_golden_scenario() -> list[dict]:
     """Run the fixed-seed scenario and return its event list."""
-    summaries = MobileWorkload(
+    volumes = MobileWorkload(
         WorkloadConfig(mix="heavy", days=DAYS, seed=WORKLOAD_SEED)
-    ).daily_summaries()
+    ).daily_volume_arrays()
     build = build_sos(32.0)
     targets = {
         name: partition.spec.n_groups
@@ -50,7 +50,7 @@ def run_golden_scenario() -> list[dict]:
         FAULTS, seed=FAULT_SEED, horizon_days=DAYS, targets=targets
     )
     with observed() as obs:
-        run_lifetime(build, summaries, fault_plan=plan)
+        run_lifetime(build, volumes, fault_plan=plan)
     return obs.events
 
 

@@ -2,11 +2,14 @@
 
 Mirrors the zero-rate FaultPlan transparency test in
 ``tests/faults/test_plan.py``: with the default no-op observer a run is
-*the* run, and turning collection on must not perturb a single sample --
-the observer never touches RNG or simulation state, it only watches.
+*the* run, and turning collection on must not perturb a single bit of
+its end state -- the observer never touches RNG or simulation state, it
+only watches.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.obs import NULL_OBSERVER, get_observer, observed
 from repro.runner.points import split_point
@@ -53,20 +56,26 @@ class TestBitIdentical:
         bare = split_point(dict(A2_POINT), seed=0)
         with observed() as obs:
             watched = split_point(dict(A2_POINT), seed=0)
-        assert watched["result"].samples == bare["result"].samples
-        assert watched["result"].capacity_gb == bare["result"].capacity_gb
+        assert watched["result"] == bare["result"]
         assert watched["gain"] == bare["gain"]
         assert watched["carbon_reduction"] == bare["carbon_reduction"]
         # and the watched run actually observed something
         assert obs.registry.snapshot()["counters"]["engine.days"] == A2_POINT["days"]
 
     def test_fixed_seed_run_identical_across_observed_repeats(self):
-        summaries = MobileWorkload(
+        volumes = MobileWorkload(
             WorkloadConfig(mix="typical", days=120, seed=5)
-        ).daily_summaries()
+        ).daily_volume_arrays()
+        builds = build_sos(32.0), build_sos(32.0)
         with observed() as first_obs:
-            first = run_lifetime(build_sos(32.0), summaries)
+            first = run_lifetime(builds[0], volumes)
         with observed() as second_obs:
-            second = run_lifetime(build_sos(32.0), summaries)
-        assert first.samples == second.samples
+            second = run_lifetime(builds[1], volumes)
+        assert first == second
         assert first_obs.events == second_obs.events
+        states = [build.device.export_state() for build in builds]
+        for name, partition in states[0]["partitions"].items():
+            for key, array in partition.items():
+                assert np.array_equal(
+                    array, states[1]["partitions"][name][key]
+                ), (name, key)

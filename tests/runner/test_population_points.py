@@ -26,7 +26,6 @@ from repro.fleet.points import population_batch_observables
 from repro.runner.points import sensitivity_batch_point
 from repro.sim.baselines import ALL_BUILDERS, build_sos, build_tlc_baseline
 from repro.sim.batch import SummaryBatch, run_lifetime_batch
-from repro.sim.lifetime import SimConfig
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
 
 # the scalar oracle lives with the epoch-engine tests
@@ -107,8 +106,8 @@ def _shard_obs(plan: FleetPlan) -> dict:
     return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
-def _summaries(mix: str, seed: int):
-    return MobileWorkload(WorkloadConfig(mix=mix, days=DAYS, seed=seed)).daily_summaries()
+def _volumes(mix: str, seed: int):
+    return MobileWorkload(WorkloadConfig(mix=mix, days=DAYS, seed=seed)).daily_volume_arrays()
 
 
 def test_population_batch_matches_scalar_percentiles():
@@ -116,7 +115,7 @@ def test_population_batch_matches_scalar_percentiles():
     batched = _shard_obs(plan)["wear"]
     scalar = np.array([
         oracle.run_lifetime(
-            oracle.oracle_build(build_tlc_baseline(64.0)), _summaries(mix, seed)
+            oracle.oracle_build(build_tlc_baseline(64.0)), _volumes(mix, seed)
         ).final.sys_wear_fraction
         for mix, seed in _identity(plan)
     ])
@@ -150,9 +149,10 @@ def test_population_batch_point_supports_faults():
     pytest.param("sos", FAULTS, id="sos-faults"),
 ])
 def test_population_points_match_finals_at_default_sampling(build, faults):
-    """Population chunks sample only a run's ends; every value they
-    return is bit-identical to the final sample of a run at the engine's
-    default 30-day cadence on the same builds, volumes and fault plans."""
+    """A population chunk's columns are the engine's end states: every
+    value is bit-identical, in device order and dtype, to the ``final``
+    of a direct ``run_lifetime_batch`` on the same builds, volumes and
+    fault plans."""
     days = 90
     plan = _plan(5, days, chunk=5, seed=17, build=build, faults=faults)
     identity = _identity(plan)
@@ -168,7 +168,7 @@ def test_population_points_match_finals_at_default_sampling(build, faults):
     finals = [
         result.final
         for result in run_lifetime_batch(
-            builds, SummaryBatch.from_volume_arrays(volumes), SimConfig(), plans
+            builds, SummaryBatch.from_volume_arrays(volumes), plans
         )
     ]
     fields = {
@@ -204,7 +204,7 @@ def _oracle_sensitivity(plc_pec: float, waf: float) -> dict:
         build = oracle.oracle_build(build_sos(64.0))
         for part in build.device.partitions.values():
             part.spec = dataclasses.replace(part.spec, waf=waf)
-        final = oracle.run_lifetime(build, _summaries("typical", 111)).final
+        final = oracle.run_lifetime(build, _volumes("typical", 111)).final
     finally:
         ENDURANCE_TABLE[CellTechnology.PLC] = original
     capacity_fraction = final.capacity_gb / 64.0

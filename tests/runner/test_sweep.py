@@ -45,8 +45,7 @@ class TestDeterminism:
         for a, b in zip(serial.points, parallel.points):
             assert a.params == b.params
             assert a.seed == b.seed
-            assert a.value.samples == b.value.samples  # bit-identical, not approx
-            assert a.value.final == b.value.final
+            assert a.value == b.value  # bit-identical end state, not approx
 
     def test_results_in_grid_order(self):
         outcome = run_sweep(_lifetime_sweep(), jobs=4)
@@ -78,7 +77,7 @@ class TestCaching:
         assert second.cached_count == len(LIFETIME_GRID)
         assert second.computed_count == 0
         for a, b in zip(first.points, second.points):
-            assert a.value.samples == b.value.samples
+            assert a.value == b.value
 
     def test_param_change_misses(self, tmp_path):
         run_sweep(_lifetime_sweep(), jobs=1, cache_dir=tmp_path)
@@ -108,7 +107,7 @@ class TestCaching:
         assert resumed.cached_count == len(LIFETIME_GRID) - 1
         assert resumed.computed_count == 1
         for a, b in zip(full.points, resumed.points):
-            assert a.value.samples == b.value.samples  # bit-identical resume
+            assert a.value == b.value  # bit-identical resume
 
     def test_unkeyable_grid_rejected_even_without_cache(self):
         sweep = Sweep(

@@ -73,6 +73,28 @@ class TestJobSpec:
              "params": {"devices": 5, "exact_cap": -1}},
             {"client": "c", "kind": "population",
              "params": {"devices": 5, "seed": None}},
+            # population numbers are type-checked, never coerced
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "seed": 1.7}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "seed": True}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "seed": -1}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "shard_size": 2.9}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "chunk": True}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "exact_cap": 1.5}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "capacity_gb": True}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "capacity_gb": "64"}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "faults": {"power_loss_rate": True}}},
+            {"client": "c", "kind": "population", "params": {"devices": True}},
+            {"client": "c", "kind": "population",
+             "params": {"devices": 5, "days": True}},
             # a sweep's root seed is a non-negative int, never coerced
             {"client": "c", "kind": "sweep",
              "params": {"fn": "flaky", "grid": [{}], "base_seed": None}},
@@ -88,13 +110,29 @@ class TestJobSpec:
         ids=["non-dict", "no-client", "empty-client", "bad-kind",
              "zero-devices", "absurd-devices", "unregistered-fn",
              "empty-grid", "unknown-build", "unknown-fault", "negative-fault",
-             "negative-exact-cap", "null-seed", "sweep-null-base-seed",
+             "negative-exact-cap", "null-seed", "float-seed", "bool-seed",
+             "negative-seed", "float-shard-size", "bool-chunk",
+             "float-exact-cap", "bool-capacity", "string-capacity",
+             "bool-fault-rate", "bool-devices", "bool-days",
+             "sweep-null-base-seed",
              "sweep-float-base-seed", "sweep-bool-base-seed",
              "sweep-list-base-seed", "sweep-negative-base-seed"],
     )
     def test_invalid_submissions_rejected(self, payload):
         with pytest.raises(ValueError):
             JobSpec.from_wire(payload)
+
+    def test_valid_numbers_keep_their_canonical_params(self):
+        """Type checks refuse, they never rewrite: an int capacity is
+        still canonicalized to a float, and a valid spec's params and
+        job id are those of the same spec written with floats."""
+        spec = _population_spec(capacity_gb=32, faults={"power_loss_rate": 1})
+        assert spec.params["capacity_gb"] == 32.0
+        assert isinstance(spec.params["capacity_gb"], float)
+        assert spec.params["faults"] == {"power_loss_rate": 1.0}
+        same = _population_spec(capacity_gb=32.0, faults={"power_loss_rate": 1.0})
+        assert spec.params == same.params
+        assert spec.job_id() == same.job_id()
 
     def test_unregistered_code_never_rides_the_wire(self):
         """The registry is the whole attack surface: a spec names a

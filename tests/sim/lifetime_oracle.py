@@ -7,7 +7,9 @@ keeps one numpy array per group field and :class:`BlockGroup` is a
 write-through view onto one slot of them, :class:`LifetimeDevice` steps
 named partitions day by day, and :func:`run_lifetime` is the scalar
 daily loop with its write routing (:func:`_route_writes`) and fault
-application (:func:`_apply_day_faults`).
+application (:func:`_apply_day_faults`).  It takes the same volume
+arrays as production, walks them as :class:`DailySummary` rows
+(:func:`daily_rows`), and returns the end state after the last day.
 
 Two adapters connect it to production: :func:`oracle_build` gives a
 production :class:`~repro.sim.baselines.DeviceBuild` a fresh scalar
@@ -20,8 +22,8 @@ Tests import this module as ``from lifetime_oracle import ...``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,16 +36,17 @@ from repro.sim.baselines import DeviceBuild
 from repro.sim.batch import BatchPartition
 from repro.sim.lifetime import (
     HOT_GROUP_FRACTION,
+    MEDIA_DEMOTION_RATE,
     WL_WRITE_OVERHEAD,
     DaySample,
     LifetimeResult,
     PartitionSpec,
-    SimConfig,
 )
-from repro.workloads.traces import DailySummary
 
 __all__ = [
     "GROUP_STATE_FIELDS",
+    "DailySummary",
+    "daily_rows",
     "BlockGroup",
     "Partition",
     "LifetimeDevice",
@@ -66,6 +69,27 @@ GROUP_STATE_FIELDS = (
     "refreshes",
     "mode_bits",
 )
+
+
+@dataclass(frozen=True, slots=True)
+class DailySummary:
+    """One day's aggregate host I/O volumes (GB): the scalar engine's row."""
+
+    day: int
+    new_media_gb: float
+    new_other_gb: float
+    overwrite_gb: float
+    read_gb: float
+    delete_gb: float
+
+
+def daily_rows(volumes: Mapping[str, np.ndarray]) -> list[DailySummary]:
+    """The rows of a ``daily_volume_arrays`` mapping, one per day."""
+    names = [field.name for field in fields(DailySummary)]
+    return [
+        DailySummary(*row)
+        for row in zip(*(np.asarray(volumes[name]).tolist() for name in names))
+    ]
 
 
 class BlockGroup:
@@ -604,13 +628,13 @@ def oracle_build(build: DeviceBuild) -> DeviceBuild:
 
 
 def _route_writes(
-    build: DeviceBuild, summary: DailySummary, config: SimConfig
+    build: DeviceBuild, summary: DailySummary
 ) -> dict[str, tuple[float, float]]:
     """Split a day's volumes across the build's partitions."""
     if "main" in build.device.partitions:
         new = summary.new_media_gb + summary.new_other_gb
         return {"main": (new, summary.overwrite_gb)}
-    demoted = summary.new_media_gb * config.media_demotion_rate
+    demoted = summary.new_media_gb * MEDIA_DEMOTION_RATE
     kept = summary.new_media_gb - demoted
     # demoted media writes SYS first (landing zone), then SPARE
     sys_new = summary.new_other_gb + kept + demoted
@@ -660,25 +684,23 @@ def _apply_day_faults(
 
 def run_lifetime(
     build: DeviceBuild,
-    summaries: list[DailySummary],
-    config: SimConfig | None = None,
+    volumes: Mapping[str, np.ndarray],
     fault_plan: FaultPlan | None = None,
 ) -> LifetimeResult:
-    """Run a device build through a daily workload, sampling metrics."""
-    config = config or SimConfig()
-    result = LifetimeResult(
-        build_name=build.name,
-        capacity_gb=build.capacity_gb,
-        intensity_kg_per_gb=build.intensity_kg_per_gb,
-        faults=FaultSummary() if fault_plan is not None else None,
-    )
+    """Run a device build through daily volumes, one row at a time;
+    return its end state, sampled once after the last day."""
+    summaries = daily_rows(volumes)
+    if not summaries:
+        raise ValueError("a lifetime run needs at least one day")
+    faults = FaultSummary() if fault_plan is not None else None
     device = build.device
     spare = device.partitions.get("spare")
     sys_part = device.partitions.get("sys") or device.partitions.get("main")
+    assert sys_part is not None
     obs = get_observer()
     with obs.span("engine.run"):
         for position, summary in enumerate(summaries):
-            writes = _route_writes(build, summary, config)
+            writes = _route_writes(build, summary)
             obs.count("engine.days")
             obs.observe(
                 "engine.day_write_gb",
@@ -686,18 +708,18 @@ def run_lifetime(
             )
             scrub_allowed = True
             if fault_plan is not None:
-                assert result.faults is not None
+                assert faults is not None
                 if fault_plan.in_cloud_outage(position):
-                    result.faults.cloud_outage_days += 1
+                    faults.cloud_outage_days += 1
                     scrub_allowed = False
-                    result.faults.scrubs_deferred += sum(
+                    faults.scrubs_deferred += sum(
                         1 for p in device.partitions.values() if p.spec.scrub_enabled
                     )
             device.step_day(writes, scrub_allowed=scrub_allowed)
             if fault_plan is not None:
                 if not scrub_allowed:
                     obs.event("cloud_outage_day", t=device.now_years, day=summary.day)
-                _apply_day_faults(device, fault_plan, result.faults, position)
+                _apply_day_faults(device, fault_plan, faults, position)
             # deletions keep the working set stationary: the day's delete
             # volume is apportioned across pressured partitions by live-data
             # share, so multi-partition builds delete the same total volume
@@ -717,29 +739,29 @@ def run_lifetime(
                     partition.host_delete(
                         summary.delete_gb * partition.live_data_gb() / live_total
                     )
-            # sample the last summary by position: trace days may be sliced
-            # or 1-indexed, so the day value alone cannot identify the end
-            if summary.day % config.sample_every_days == 0 or position == len(summaries) - 1:
-                assert sys_part is not None
-                result.samples.append(
-                    DaySample(
-                        day=summary.day,
-                        years=device.now_years,
-                        capacity_gb=device.capacity_gb(),
-                        sys_wear_fraction=sys_part.wear_used_fraction(),
-                        spare_wear_fraction=(
-                            spare.wear_used_fraction() if spare else sys_part.wear_used_fraction()
-                        ),
-                        spare_quality=(
-                            spare.mean_quality(device.now_years)
-                            if spare
-                            else sys_part.mean_quality(device.now_years)
-                        ),
-                        sys_uncorrectable=sys_part.expected_uncorrectable(device.now_years),
-                        retired_groups=sum(p.retired_count for p in device.partitions.values()),
-                        resuscitated_groups=sum(
-                            p.resuscitated_count for p in device.partitions.values()
-                        ),
-                    )
-                )
-    return result
+        final = DaySample(
+            day=summaries[-1].day,
+            years=device.now_years,
+            capacity_gb=device.capacity_gb(),
+            sys_wear_fraction=sys_part.wear_used_fraction(),
+            spare_wear_fraction=(
+                spare.wear_used_fraction() if spare else sys_part.wear_used_fraction()
+            ),
+            spare_quality=(
+                spare.mean_quality(device.now_years)
+                if spare
+                else sys_part.mean_quality(device.now_years)
+            ),
+            sys_uncorrectable=sys_part.expected_uncorrectable(device.now_years),
+            retired_groups=sum(p.retired_count for p in device.partitions.values()),
+            resuscitated_groups=sum(
+                p.resuscitated_count for p in device.partitions.values()
+            ),
+        )
+    return LifetimeResult(
+        build_name=build.name,
+        capacity_gb=build.capacity_gb,
+        intensity_kg_per_gb=build.intensity_kg_per_gb,
+        final=final,
+        faults=faults,
+    )

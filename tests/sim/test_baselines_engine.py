@@ -14,15 +14,15 @@ from repro.sim.baselines import (
     build_sos,
     build_tlc_baseline,
 )
+from repro.sim import batch
 from repro.sim.engine import run_lifetime
-from repro.sim.lifetime import LifetimeResult, PartitionSpec, SimConfig
+from repro.sim.lifetime import PartitionSpec
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
-from repro.workloads.traces import DailySummary
 
 
 @pytest.fixture(scope="module")
-def summaries():
-    return MobileWorkload(WorkloadConfig(mix="typical", days=365, seed=17)).daily_summaries()
+def volumes():
+    return MobileWorkload(WorkloadConfig(mix="typical", days=365, seed=17)).daily_volume_arrays()
 
 
 class TestBuilds:
@@ -92,60 +92,121 @@ class TestNativeBuildPins:
 
 
 class TestEngine:
-    def test_one_year_typical_use_all_devices_survive(self, summaries):
+    def test_one_year_typical_use_all_devices_survive(self, volumes):
         for builder in (build_tlc_baseline, build_qlc_baseline, build_sos):
-            result = run_lifetime(builder(64.0), summaries)
+            result = run_lifetime(builder(64.0), volumes)
             assert result.survived(), builder.__name__
 
-    def test_tlc_wear_fraction_small_under_typical_use(self, summaries):
+    def test_tlc_wear_fraction_small_under_typical_use(self, volumes):
         """§2.3.2: typical users consume a tiny share of endurance."""
-        result = run_lifetime(build_tlc_baseline(64.0), summaries)
+        result = run_lifetime(build_tlc_baseline(64.0), volumes)
         assert result.final.sys_wear_fraction < 0.05
 
-    def test_sos_sys_wears_faster_than_tlc_but_survives(self, summaries):
-        tlc = run_lifetime(build_tlc_baseline(64.0), summaries)
-        sos = run_lifetime(build_sos(64.0), summaries)
+    def test_sos_sys_wears_faster_than_tlc_but_survives(self, volumes):
+        tlc = run_lifetime(build_tlc_baseline(64.0), volumes)
+        sos = run_lifetime(build_sos(64.0), volumes)
         assert sos.final.sys_wear_fraction > tlc.final.sys_wear_fraction
         assert sos.final.sys_wear_fraction < 0.5
 
-    def test_spare_quality_stays_high_with_scrub(self, summaries):
-        result = run_lifetime(build_sos(64.0, scrub_enabled=True), summaries)
+    def test_spare_quality_stays_high_with_scrub(self, volumes):
+        result = run_lifetime(build_sos(64.0, scrub_enabled=True), volumes)
         assert result.final.spare_quality > 0.9
 
     def test_scrub_improves_end_of_life_quality(self):
         days = 3 * 365
-        summaries = MobileWorkload(
+        volumes = MobileWorkload(
             WorkloadConfig(mix="typical", days=days, seed=17)
-        ).daily_summaries()
-        with_scrub = run_lifetime(build_sos(64.0, scrub_enabled=True), summaries)
-        without = run_lifetime(build_sos(64.0, scrub_enabled=False), summaries)
+        ).daily_volume_arrays()
+        with_scrub = run_lifetime(build_sos(64.0, scrub_enabled=True), volumes)
+        without = run_lifetime(build_sos(64.0, scrub_enabled=False), volumes)
         assert with_scrub.final.spare_quality >= without.final.spare_quality
 
-    def test_samples_are_chronological(self, summaries):
-        result = run_lifetime(build_sos(64.0), summaries)
-        days = [s.day for s in result.samples]
-        assert days == sorted(days)
-        assert result.samples[-1].day == len(summaries) - 1
-
-    def test_media_demotion_rate_shifts_wear(self, summaries):
+    def test_media_demotion_rate_shifts_wear(self, volumes, monkeypatch):
         """More demotion -> more SPARE wear, less SYS pressure."""
-        high = run_lifetime(
-            build_sos(64.0), summaries, SimConfig(media_demotion_rate=0.95)
-        )
-        low = run_lifetime(
-            build_sos(64.0), summaries, SimConfig(media_demotion_rate=0.1)
-        )
+        monkeypatch.setattr(batch, "MEDIA_DEMOTION_RATE", 0.95)
+        high = run_lifetime(build_sos(64.0), volumes)
+        monkeypatch.setattr(batch, "MEDIA_DEMOTION_RATE", 0.1)
+        low = run_lifetime(build_sos(64.0), volumes)
         assert high.final.spare_wear_fraction > low.final.spare_wear_fraction
 
-    def test_final_raises_without_samples(self):
-        result = LifetimeResult(build_name="x", capacity_gb=1.0, intensity_kg_per_gb=0.1)
-        with pytest.raises(ValueError):
-            _ = result.final
+    def test_zero_day_run_raises(self, volumes):
+        """An empty day sequence is refused up front: there is no end
+        state to return."""
+        with pytest.raises(ValueError, match="at least one day"):
+            run_lifetime(build_tlc_baseline(64.0), _days(range(0)))
+        with pytest.raises(ValueError, match="at least one day"):
+            run_lifetime(build_sos(64.0), {k: v[:0] for k, v in volumes.items()})
 
 
-def _delete_only_day(day: int, delete_gb: float) -> DailySummary:
-    return DailySummary(day=day, new_media_gb=0.0, new_other_gb=0.0,
-                        overwrite_gb=0.0, read_gb=0.0, delete_gb=delete_gb)
+class TestEndStatePins:
+    """Each build's end state after two years of the typical mix, bit for
+    bit: ``day``, then ``years``, ``capacity_gb``, ``sys_wear_fraction``,
+    ``spare_wear_fraction``, ``spare_quality`` and ``sys_uncorrectable``
+    as ``float.hex()``, then the retired and resuscitated group counts.
+    At 16 GB the SOS SPARE groups all resuscitate."""
+
+    @pytest.mark.parametrize(
+        ("capacity_gb", "name", "expected"),
+        [
+            (64.0, "tlc_baseline", (
+                729, "0x1.000000000004ap+1", "0x1.0000000000001p+6",
+                "0x1.a5819f1ece54dp-6", "0x1.a5819f1ece54dp-6",
+                "0x1.0000000000000p+0", "0x1.903214ec1a29ap-79", 0, 0)),
+            (64.0, "qlc_baseline", (
+                729, "0x1.000000000004ap+1", "0x1.0000000000001p+6",
+                "0x1.3c2137571abfap-4", "0x1.3c2137571abfap-4",
+                "0x1.0000000000000p+0", "0x1.cbd635396af29p-56", 0, 0)),
+            (64.0, "plc_naive", (
+                729, "0x1.000000000004ap+1", "0x1.0000000000001p+6",
+                "0x1.3c2137571abfap-3", "0x1.3c2137571abfap-3",
+                "0x1.0000000000000p+0", "0x1.ca6af024423c3p-32", 0, 0)),
+            (64.0, "sos", (
+                729, "0x1.000000000004ap+1", "0x1.0000000000001p+6",
+                "0x1.5f4159ef0146bp-3", "0x1.ac543ec22ecc9p-4",
+                "0x1.f4b5de18fdb4bp-1", "0x1.af25c7019a696p-50", 0, 0)),
+            (16.0, "tlc_baseline", (
+                729, "0x1.000000000004ap+1", "0x1.0000000000001p+4",
+                "0x1.a5819f1ece54dp-4", "0x1.a5819f1ece54dp-4",
+                "0x1.0000000000000p+0", "0x1.673e86d5eaf54p-75", 0, 0)),
+            (16.0, "qlc_baseline", (
+                729, "0x1.000000000004ap+1", "0x1.0000000000001p+4",
+                "0x1.3c2137571abfap-2", "0x1.3c2137571abfap-2",
+                "0x1.0000000000000p+0", "0x1.15181e5d3deadp-33", 0, 0)),
+            (16.0, "plc_naive", (
+                729, "0x1.000000000004ap+1", "0x1.0000000000001p+4",
+                "0x1.3c2137571abfap-1", "0x1.3c2137571abfap-1",
+                "0x1.ffffbf96966d4p-1", "0x1.114652628a0b5p+5", 0, 0)),
+            (16.0, "sos", (
+                729, "0x1.000000000004ap+1", "0x1.999999999999bp+3",
+                "0x1.5f4159ef0146bp-1", "0x1.3784c56d090b2p-1",
+                "0x1.ff4f97bd7178cp-1", "0x1.1fa2cc0c2d336p-10", 0, 20)),
+        ],
+    )
+    def test_end_state_is_pinned(self, capacity_gb, name, expected):
+        volumes = MobileWorkload(
+            WorkloadConfig(mix="typical", days=730, seed=28)
+        ).daily_volume_arrays()
+        f = run_lifetime(ALL_BUILDERS[name](capacity_gb), volumes).final
+        assert (
+            f.day,
+            f.years.hex(),
+            f.capacity_gb.hex(),
+            f.sys_wear_fraction.hex(),
+            f.spare_wear_fraction.hex(),
+            f.spare_quality.hex(),
+            f.sys_uncorrectable.hex(),
+            f.retired_groups,
+            f.resuscitated_groups,
+        ) == expected
+
+
+def _days(days, delete_gb: float = 0.0) -> dict[str, np.ndarray]:
+    """Volume arrays for ``days`` (any labels) that only delete."""
+    day = np.array(list(days), dtype=np.int64)
+    zeros = np.zeros(day.shape)
+    return {"day": day, "new_media_gb": zeros, "new_other_gb": zeros,
+            "overwrite_gb": zeros, "read_gb": zeros,
+            "delete_gb": np.full(day.shape, delete_gb)}
 
 
 def _fill(partition, fraction: float) -> None:
@@ -171,7 +232,7 @@ class TestDeleteAccounting:
         partition = build.device.partitions["main"]
         _fill(partition, 0.9)
         before = _live(partition)
-        run_lifetime(build, [_delete_only_day(0, 5.0)])
+        run_lifetime(build, _days([0], 5.0))
         assert before - _live(partition) == pytest.approx(5.0)
 
     def test_two_pressured_partitions_delete_the_volume_once_total(self):
@@ -179,7 +240,7 @@ class TestDeleteAccounting:
         for name in ("sys", "spare"):
             _fill(build.device.partitions[name], 0.9)
         before = sum(_live(p) for p in build.device.partitions.values())
-        run_lifetime(build, [_delete_only_day(0, 5.0)])
+        run_lifetime(build, _days([0], 5.0))
         after = sum(_live(p) for p in build.device.partitions.values())
         # the old per-partition loop removed 5 GB from EACH partition
         assert before - after == pytest.approx(5.0)
@@ -192,7 +253,7 @@ class TestDeleteAccounting:
         _fill(spare, 0.95)
         sys_before = _live(sys_part)
         spare_before = _live(spare)
-        run_lifetime(build, [_delete_only_day(0, 4.0)])
+        run_lifetime(build, _days([0], 4.0))
         sys_share = sys_before / (sys_before + spare_before)
         assert sys_before - _live(sys_part) == pytest.approx(4.0 * sys_share)
         assert spare_before - _live(spare) == pytest.approx(
@@ -204,32 +265,23 @@ class TestDeleteAccounting:
         _fill(build.device.partitions["sys"], 0.9)
         _fill(build.device.partitions["spare"], 0.2)  # below the 0.85 trigger
         spare_before = _live(build.device.partitions["spare"])
-        run_lifetime(build, [_delete_only_day(0, 5.0)])
+        run_lifetime(build, _days([0], 5.0))
         assert _live(build.device.partitions["spare"]) == pytest.approx(
             spare_before
         )
 
 
-class TestSamplingPositions:
-    """The final sample must be taken by position: trace days may be
-    1-indexed or sliced, so ``day % cadence`` alone cannot find the end."""
+class TestFinalDay:
+    """The end state is taken by position, after the last entry: day
+    labels may be 1-indexed or sliced, and ``final.day`` is the label of
+    the last one."""
 
-    def test_short_one_indexed_trace_still_yields_a_final_sample(self):
-        summaries = [_delete_only_day(day, 0.0) for day in range(1, 11)]
-        result = run_lifetime(build_tlc_baseline(64.0), summaries)
-        assert result.samples  # old behavior: no day hit the cadence -> empty
-        assert result.final.day == 10
-
-    def test_sliced_trace_samples_cadence_and_end(self):
-        summaries = [_delete_only_day(day, 0.0) for day in range(5, 41)]
-        result = run_lifetime(
-            build_tlc_baseline(64.0), summaries, SimConfig(sample_every_days=30)
-        )
-        assert [s.day for s in result.samples] == [30, 40]
-
-    def test_final_sample_not_duplicated_when_cadence_hits_the_end(self):
-        summaries = [_delete_only_day(day, 0.0) for day in range(0, 31)]
-        result = run_lifetime(
-            build_tlc_baseline(64.0), summaries, SimConfig(sample_every_days=30)
-        )
-        assert [s.day for s in result.samples] == [0, 30]
+    @pytest.mark.parametrize(
+        ("days", "last"),
+        [(range(1, 11), 10), (range(5, 41), 40)],
+        ids=["one-indexed", "sliced"],
+    )
+    def test_final_day_is_the_last_day_entry(self, days, last):
+        result = run_lifetime(build_tlc_baseline(64.0), _days(days))
+        assert result.final.day == last
+        assert result.final.years == pytest.approx(len(days) / 365.0)

@@ -3,13 +3,16 @@
 ``repro.sim.batch`` is the only epoch stepping code; a single device is
 its one-row case.  Its contract with the per-device scalar engine it
 replaced (``lifetime_oracle.py``; see ``repro.sim.batch``): integer
-observables (sample days, retire/resuscitate counters, fault counters,
-integer event fields) match exactly; float observables match to 1e-9
-relative (bit-identical while every group is alive, and only
+observables (the final day, retire/resuscitate counters, fault
+counters, integer event fields) match exactly; float observables match
+to 1e-9 relative (bit-identical while every group is alive, and only
 pairwise-summation tree order once groups retire), and so does the end
-state handed back to each build.  These tests pin that contract for
-deterministic configurations, under fault plans, property-based over
-random workload mixes and fleet sizes, and event by event in the trace.
+state handed back to each build.  A run returns only its end state, so
+every comparison runs both engines to several horizons -- one day, a
+month in, and the whole span -- and a divergence mid-run still shows.
+These tests pin that contract for deterministic configurations, under
+fault plans, property-based over random workload mixes and fleet sizes,
+and event by event in the trace.
 """
 
 from __future__ import annotations
@@ -55,9 +58,19 @@ def _workloads(mixes, days, seed_base=1000):
     return [
         MobileWorkload(
             WorkloadConfig(mix=mix, days=days, seed=seed_base + i)
-        ).daily_summaries()
+        ).daily_volume_arrays()
         for i, mix in enumerate(mixes)
     ]
+
+
+def _horizons(days):
+    """One day, a month in, and the whole span (those within it)."""
+    return [h for h in (1, 31) if h < days] + [days]
+
+
+def _prefix(volumes, days):
+    """The first ``days`` days of a volume-array mapping."""
+    return {name: array[:days] for name, array in volumes.items()}
 
 
 def _plans(builder, n, days, seed_base=7000):
@@ -79,34 +92,39 @@ def _run_oracle(builder, workloads, plans):
     return results, builds
 
 
-def _run_both(builder, mixes, days, with_faults=False):
+def _assert_equivalent_at_horizons(builder, mixes, days, with_faults=False, rel=1e-9):
+    """Both engines agree on every device's end state after the first
+    1, 31 and ``days`` days of the same volumes and fault plans."""
     workloads = _workloads(mixes, days)
     plans = _plans(builder, len(mixes), days) if with_faults else None
-    scalar, scalar_builds = _run_oracle(builder, workloads, plans)
-    batch_builds = [builder() for _ in mixes]
-    batched = run_lifetime_batch(
-        batch_builds, SummaryBatch.from_summaries(workloads), fault_plans=plans
-    )
-    return scalar, batched, scalar_builds, batch_builds
+    for horizon in _horizons(days):
+        prefix = [_prefix(w, horizon) for w in workloads]
+        scalar, scalar_builds = _run_oracle(builder, prefix, plans)
+        batch_builds = [builder() for _ in mixes]
+        batched = run_lifetime_batch(
+            batch_builds, SummaryBatch.from_volume_arrays(prefix), fault_plans=plans
+        )
+        _assert_equivalent(scalar, batched, scalar_builds, batch_builds, rel, horizon)
 
 
-def _assert_equivalent(scalar, batched, scalar_builds, batch_builds, rel=1e-9):
+def _assert_equivalent(scalar, batched, scalar_builds, batch_builds, rel=1e-9,
+                       horizon=None):
     # rel=0 claims bit-identity: no absolute slack either
     abs_tol = 0.0 if rel == 0.0 else 1e-12
     for i, (s, b) in enumerate(zip(scalar, batched)):
-        assert len(s.samples) == len(b.samples)
-        for ss, bs in zip(s.samples, b.samples):
-            assert (ss.day, ss.retired_groups, ss.resuscitated_groups) == (
-                bs.day, bs.retired_groups, bs.resuscitated_groups,
-            ), f"device {i} day {ss.day}"
-            assert ss.years == bs.years
-            for field in SAMPLE_FLOATS:
-                a, c = getattr(ss, field), getattr(bs, field)
-                assert a == pytest.approx(c, rel=rel, abs=abs_tol), (i, field)
+        ss, bs = s.final, b.final
+        where = f"device {i} after {horizon} day(s)"
+        assert (ss.day, ss.retired_groups, ss.resuscitated_groups) == (
+            bs.day, bs.retired_groups, bs.resuscitated_groups,
+        ), where
+        assert ss.years == bs.years, where
+        for field in SAMPLE_FLOATS:
+            a, c = getattr(ss, field), getattr(bs, field)
+            assert a == pytest.approx(c, rel=rel, abs=abs_tol), (where, field)
         if s.faults is not None or b.faults is not None:
-            assert s.faults.as_dict() == b.faults.as_dict(), f"device {i}"
+            assert s.faults.as_dict() == b.faults.as_dict(), where
     # the engines hand their end state back to the device objects; the
-    # fleets must agree there too, not just in the sampled series
+    # fleets must agree there too, not just in the final sample
     for i, (sb, bb) in enumerate(zip(scalar_builds, batch_builds)):
         assert sb.device.now_years == bb.device.now_years
         assert list(sb.device.partitions) == list(bb.device.partitions)
@@ -115,7 +133,7 @@ def _assert_equivalent(scalar, batched, scalar_builds, batch_builds, rel=1e-9):
             actual = bb.device.partitions[name].export_state()
             assert expected.keys() == actual.keys()
             for key, want in expected.items():
-                msg = f"device {i} partition {name} field {key}"
+                msg = f"device {i} partition {name} field {key} after {horizon} day(s)"
                 if want.dtype.kind in "biu":
                     np.testing.assert_array_equal(actual[key], want, err_msg=msg)
                 else:
@@ -126,35 +144,35 @@ def _assert_equivalent(scalar, batched, scalar_builds, batch_builds, rel=1e-9):
 
 def test_batch_matches_scalar_tlc_bit_identical():
     """Fault-free TLC fleets stay *bit-identical*, not just close."""
-    scalar, batched, sb, bb = _run_both(
-        build_tlc_baseline, ["light", "typical", "heavy", "adversarial"], 180
+    _assert_equivalent_at_horizons(
+        build_tlc_baseline, ["light", "typical", "heavy", "adversarial"], 365,
+        rel=0.0,
     )
-    _assert_equivalent(scalar, batched, sb, bb, rel=0.0)
 
 
 def test_batch_matches_scalar_sos():
-    scalar, batched, sb, bb = _run_both(
+    _assert_equivalent_at_horizons(
         build_sos, ["typical", "heavy", "adversarial", "light", "heavy"], 200
     )
-    _assert_equivalent(scalar, batched, sb, bb)
 
 
 @pytest.mark.parametrize("builder", [build_tlc_baseline, build_sos])
 def test_batch_matches_scalar_under_fault_plan(builder):
-    scalar, batched, sb, bb = _run_both(
+    _assert_equivalent_at_horizons(
         builder, ["typical", "heavy", "light"], 180, with_faults=True
     )
-    _assert_equivalent(scalar, batched, sb, bb)
 
 
 def test_single_device_batch_degenerates_to_scalar():
     """``run_lifetime`` is the engine's one-row case, faults included."""
     workloads = _workloads(["heavy"], 120)
     plans = _plans(build_sos, 1, 120)
-    scalar, scalar_builds = _run_oracle(build_sos, workloads, plans)
-    build = build_sos()
-    result = run_lifetime(build, workloads[0], fault_plan=plans[0])
-    _assert_equivalent(scalar, [result], scalar_builds, [build])
+    for horizon in _horizons(120):
+        prefix = [_prefix(workloads[0], horizon)]
+        scalar, scalar_builds = _run_oracle(build_sos, prefix, plans)
+        build = build_sos()
+        result = run_lifetime(build, prefix[0], fault_plan=plans[0])
+        _assert_equivalent(scalar, [result], scalar_builds, [build], horizon=horizon)
 
 
 @given(
@@ -167,8 +185,7 @@ def test_single_device_batch_degenerates_to_scalar():
 def test_batch_equivalence_property(mixes, days, use_sos, with_faults):
     """Any mix of workloads, fleet size, build, and fault plan agrees."""
     builder = build_sos if use_sos else build_tlc_baseline
-    scalar, batched, sb, bb = _run_both(builder, mixes, days, with_faults)
-    _assert_equivalent(scalar, batched, sb, bb)
+    _assert_equivalent_at_horizons(builder, mixes, days, with_faults)
 
 
 def test_subnormal_churn_keeps_write_times_in_both_engines():
@@ -225,7 +242,7 @@ def test_batch_obs_counters_match_scalar_runs():
     with observed(trace=True) as batch_obs:
         run_lifetime_batch(
             [build_sos(32.0) for _ in mixes],
-            SummaryBatch.from_summaries(workloads),
+            SummaryBatch.from_volume_arrays(workloads),
             fault_plans=plans,
         )
     scalar_snap = strip_timings(merge_snapshots(scalar_obs.registry.snapshot()))
@@ -257,9 +274,10 @@ def test_batch_obs_counters_match_scalar_runs():
 def test_batch_rejects_mismatched_inputs():
     w = _workloads(["typical"], 30)
     with pytest.raises(ValueError):
-        run_lifetime_batch([], SummaryBatch.from_summaries(w))
+        run_lifetime_batch([], SummaryBatch.from_volume_arrays(w))
     builds = [build_tlc_baseline(), build_sos()]
     with pytest.raises(ValueError):
         run_lifetime_batch(
-            builds, SummaryBatch.from_summaries(_workloads(["typical", "light"], 30))
+            builds,
+            SummaryBatch.from_volume_arrays(_workloads(["typical", "light"], 30)),
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultConfig, FaultPlan
@@ -15,10 +16,19 @@ DAYS = 240
 SEED = 13
 
 
-def _summaries():
+def _volumes():
     return MobileWorkload(
         WorkloadConfig(mix="typical", days=DAYS, seed=SEED)
-    ).daily_summaries()
+    ).daily_volume_arrays()
+
+
+def _assert_same_end_state(a, b) -> None:
+    """Two builds' devices hold bit-identical state after their runs."""
+    assert a.device.now_years == b.device.now_years
+    for name, partition in a.device.partitions.items():
+        other = b.device.partitions[name].export_state()
+        for key, array in partition.export_state().items():
+            assert np.array_equal(array, other[key]), (name, key)
 
 
 def _targets(build):
@@ -35,12 +45,13 @@ def _plan(config: FaultConfig, build, seed: int = SEED) -> FaultPlan:
 
 class TestZeroRateTransparency:
     def test_zero_plan_is_bit_identical_to_no_plan(self):
-        bare = run_lifetime(build_sos(32.0), _summaries())
+        bare_build, gated_build = build_sos(32.0), build_sos(32.0)
+        bare = run_lifetime(bare_build, _volumes())
         plan = _plan(FaultConfig(), build_sos(32.0))
-        gated = run_lifetime(build_sos(32.0), _summaries(), fault_plan=plan)
+        gated = run_lifetime(gated_build, _volumes(), fault_plan=plan)
         assert plan.empty
-        assert bare.samples == gated.samples  # bit-identical, not approx
-        assert bare.final == gated.final
+        assert bare.final == gated.final  # bit-identical, not approx
+        _assert_same_end_state(bare_build, gated_build)
         assert gated.faults.total_events == 0
         assert bare.faults is None  # no plan -> no counters attached
 
@@ -50,9 +61,9 @@ class TestFaultEffects:
         config = FaultConfig(block_infant_mortality=0.3, infant_window_days=60)
         build = build_tlc_baseline(32.0)
         result = run_lifetime(
-            build, _summaries(), fault_plan=_plan(config, build)
+            build, _volumes(), fault_plan=_plan(config, build)
         )
-        control = run_lifetime(build_tlc_baseline(32.0), _summaries())
+        control = run_lifetime(build_tlc_baseline(32.0), _volumes())
         assert result.faults.infant_deaths > 0
         assert result.final.retired_groups >= result.faults.infant_deaths
         assert result.final.capacity_gb < control.final.capacity_gb
@@ -61,7 +72,7 @@ class TestFaultEffects:
         config = FaultConfig(transient_read_rate=0.8, max_read_retries=2)
         build = build_sos(32.0)
         result = run_lifetime(
-            build, _summaries(), fault_plan=_plan(config, build)
+            build, _volumes(), fault_plan=_plan(config, build)
         )
         faults = result.faults
         assert faults.transient_reads > 0
@@ -78,7 +89,7 @@ class TestFaultEffects:
         config = FaultConfig(power_loss_rate=0.3)
         build = build_sos(32.0)
         result = run_lifetime(
-            build, _summaries(), fault_plan=_plan(config, build)
+            build, _volumes(), fault_plan=_plan(config, build)
         )
         assert result.faults.torn_programs > 0
         assert result.faults.torn_rewrite_gb > 0.0
@@ -87,7 +98,7 @@ class TestFaultEffects:
         config = FaultConfig(cloud_outage_rate=0.05, cloud_outage_days=5)
         build = build_sos(32.0)
         plan = _plan(config, build)
-        result = run_lifetime(build, _summaries(), fault_plan=plan)
+        result = run_lifetime(build, _volumes(), fault_plan=plan)
         expected_days = sum(
             1 for day in range(DAYS) if plan.in_cloud_outage(day)
         )
@@ -109,7 +120,7 @@ class TestFaultEffects:
         )
         build = build_sos(32.0)
         result = run_lifetime(
-            build, _summaries(), fault_plan=_plan(config, build)
+            build, _volumes(), fault_plan=_plan(config, build)
         )
         assert result.final.capacity_gb > 0
         assert result.faults.total_events > 0
@@ -138,7 +149,7 @@ class TestScheduleReplay:
         for a, b in zip(serial.points, parallel.points):
             assert a.value.faults is not None
             assert a.value.faults.as_dict() == b.value.faults.as_dict()
-            assert a.value.samples == b.value.samples
+            assert a.value.final == b.value.final
         assert any(
             p.value.faults.total_events > 0 for p in serial.points
         )
@@ -156,12 +167,14 @@ class TestScheduleReplay:
         """A sliced trace replays the same schedule: fault days count
         from the start of the *run*, not the trace's day labels."""
         config = FaultConfig(block_infant_mortality=0.3, infant_window_days=10)
-        full = _summaries()
-        offset = full[120:]  # day labels start at 121
+        full = _volumes()
+        # day labels start at 120
+        offset = {name: array[120:] for name, array in full.items()}
         build = build_tlc_baseline(32.0)
-        plan = FaultPlan.generate(config, seed=SEED, horizon_days=len(offset),
+        plan = FaultPlan.generate(config, seed=SEED, horizon_days=len(offset["day"]),
                                   targets=_targets(build))
         result = run_lifetime(build, offset, fault_plan=plan)
+        assert result.final.day == DAYS - 1
         scheduled = {
             unit
             for day in range(10)
@@ -180,16 +193,16 @@ class TestResultShape:
         config = FaultConfig(transient_read_rate=0.5)
         build = build_sos(32.0)
         result = run_lifetime(
-            build, _summaries(), fault_plan=_plan(config, build)
+            build, _volumes(), fault_plan=_plan(config, build)
         )
         clone = pickle.loads(pickle.dumps(result))
         assert clone.faults.as_dict() == result.faults.as_dict()
-        assert clone.samples == result.samples
+        assert clone.final == result.final
 
     def test_survived_still_works_with_faults(self):
         config = FaultConfig(transient_read_rate=0.2)
         build = build_sos(32.0)
         result = run_lifetime(
-            build, _summaries(), fault_plan=_plan(config, build)
+            build, _volumes(), fault_plan=_plan(config, build)
         )
         assert isinstance(result.survived(), bool)

@@ -16,12 +16,12 @@ YEARS = 2
 def results():
     out = []
     for seed in SEEDS:
-        summaries = MobileWorkload(
+        volumes = MobileWorkload(
             WorkloadConfig(mix="typical", days=YEARS * 365, seed=seed)
-        ).daily_summaries()
+        ).daily_volume_arrays()
         out.append(
-            (run_lifetime(build_sos(64.0), summaries),
-             run_lifetime(build_tlc_baseline(64.0), summaries))
+            (run_lifetime(build_sos(64.0), volumes),
+             run_lifetime(build_tlc_baseline(64.0), volumes))
         )
     return out
 

@@ -118,6 +118,15 @@ class TestFtlFidelity:
         assert "usage: repro population" in err
         assert "tlc_baseline" in err
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["population", "--seed", "-1", "--devices", "2",
+                  "--years", "0.05"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro population" in err
+        assert "seed must be non-negative" in err
+
 
 def test_build_choices_are_the_builders():
     """``population`` and ``submit`` offer exactly the registered builds."""

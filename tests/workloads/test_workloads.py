@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.workloads.apps import APP_PROFILES, USER_MIXES, daily_write_gb
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
-from repro.workloads.traces import DailySummary, OpKind, TraceOp, load_trace, save_trace
+from repro.workloads.traces import OpKind, TraceOp, load_trace, save_trace
 from repro.host.files import FileKind
 
 
@@ -32,10 +35,20 @@ class TestProfiles:
         assert daily_write_gb("adversarial") > 10 * daily_write_gb("typical")
 
 
+VOLUME_FIELDS = ("new_media_gb", "new_other_gb", "overwrite_gb", "read_gb", "delete_gb")
+
+
+def _total_write_gb(volumes: dict[str, np.ndarray]) -> np.ndarray:
+    return volumes["new_media_gb"] + volumes["new_other_gb"] + volumes["overwrite_gb"]
+
+
 class TestGenerator:
     def test_summary_count_matches_days(self):
         wl = MobileWorkload(WorkloadConfig(days=100, seed=1))
-        assert len(wl.daily_summaries()) == 100
+        volumes = wl.daily_volume_arrays()
+        assert volumes.keys() == {"day", *VOLUME_FIELDS}
+        assert all(array.shape == (100,) for array in volumes.values())
+        assert volumes["day"].tolist() == list(range(100))
 
     def test_unknown_mix_rejected(self):
         with pytest.raises(ValueError):
@@ -43,21 +56,22 @@ class TestGenerator:
 
     def test_volumes_positive_and_media_heavy(self):
         wl = MobileWorkload(WorkloadConfig(mix="typical", days=200, seed=2))
-        summaries = wl.daily_summaries()
-        total_media = sum(s.new_media_gb for s in summaries)
-        total_other = sum(s.new_other_gb for s in summaries)
+        volumes = wl.daily_volume_arrays()
+        total_media = volumes["new_media_gb"].sum()
+        total_other = volumes["new_other_gb"].sum()
         assert total_media > total_other  # media dominates new bytes
-        assert all(s.total_write_gb > 0 for s in summaries)
+        assert (_total_write_gb(volumes) > 0).all()
 
     def test_deterministic_under_seed(self):
-        a = MobileWorkload(WorkloadConfig(days=50, seed=3)).daily_summaries()
-        b = MobileWorkload(WorkloadConfig(days=50, seed=3)).daily_summaries()
-        assert a == b
+        a = MobileWorkload(WorkloadConfig(days=50, seed=3)).daily_volume_arrays()
+        b = MobileWorkload(WorkloadConfig(days=50, seed=3)).daily_volume_arrays()
+        assert a.keys() == b.keys()
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), name
 
     def test_mean_volume_tracks_mix_nominal(self):
         wl = MobileWorkload(WorkloadConfig(mix="typical", days=730, seed=4))
-        summaries = wl.daily_summaries()
-        mean = sum(s.total_write_gb for s in summaries) / len(summaries)
+        mean = _total_write_gb(wl.daily_volume_arrays()).mean()
         nominal = daily_write_gb("typical")
         # log-normal jitter biases the mean up slightly (e^{sigma^2/2})
         assert nominal * 0.8 <= mean <= nominal * 1.5
@@ -65,11 +79,12 @@ class TestGenerator:
 
 def _scalar_summaries(
     config: WorkloadConfig,
-) -> tuple[list[DailySummary], np.random.Generator]:
+) -> tuple[dict[str, list], np.random.Generator]:
     """The per-(day, app) scalar loop the array generator replaced, kept
-    as its oracle: the summaries, and the rng after their draws."""
+    as its oracle: each day's summary as one entry per field, and the
+    rng after their draws."""
     rng = np.random.default_rng(config.seed)
-    out = []
+    out: dict[str, list] = {"day": [], **{name: [] for name in VOLUME_FIELDS}}
     for day in range(config.days):
         media = other = overwrite = read = 0.0
         for app_name, factor in USER_MIXES[config.mix].items():
@@ -84,16 +99,10 @@ def _scalar_summaries(
             jitter = rng.lognormal(0.0, config.daily_jitter_sigma)
             read += profile.read_mb_per_day * factor * jitter
         delete = (media + other) * config.delete_fraction
-        out.append(
-            DailySummary(
-                day=day,
-                new_media_gb=media / 1024.0,
-                new_other_gb=other / 1024.0,
-                overwrite_gb=overwrite / 1024.0,
-                read_gb=read / 1024.0,
-                delete_gb=delete / 1024.0,
-            )
-        )
+        row = (day, media / 1024.0, other / 1024.0, overwrite / 1024.0,
+               read / 1024.0, delete / 1024.0)
+        for name, value in zip(out, row):
+            out[name].append(value)
     return out, rng
 
 
@@ -106,14 +115,10 @@ class TestVolumeArrays:
     def test_bit_identical_to_daily_summaries(self, mix, days, seed):
         config = WorkloadConfig(mix=mix, days=days, seed=seed)
         summaries, _ = _scalar_summaries(config)
-        assert MobileWorkload(config).daily_summaries() == summaries
         arrays = MobileWorkload(config).daily_volume_arrays()
-        assert list(arrays["day"]) == [s.day for s in summaries]
-        for field in ("new_media_gb", "new_other_gb", "overwrite_gb",
-                      "read_gb", "delete_gb"):
-            batched = arrays[field]
-            scalar = [getattr(s, field) for s in summaries]
-            assert list(batched) == scalar, field
+        assert arrays["day"].tolist() == summaries["day"]
+        for field in VOLUME_FIELDS:
+            assert arrays[field].tolist() == summaries[field], field
 
     def test_consumes_same_rng_stream(self):
         """Drawing arrays leaves the generator's rng exactly where the
@@ -136,6 +141,25 @@ class TestOps:
         assert OpKind.READ in kinds
         assert OpKind.DELETE in kinds
 
+    @pytest.mark.parametrize(
+        ("mix", "days", "seed", "scale_bytes", "count", "digest"),
+        [
+            ("typical", 300, 5, 1e-6, 2734,
+             "1d2c708a5deaabb4e2e14ea8ee6a779aeb28db414ba05c8b2156eea7904576a0"),
+            ("heavy", 60, 606, 1.0, 480,
+             "1cfe20f83c86081cd4f370713223805634a083febfdb72a93fdc85f1e9e2fb9d"),
+        ],
+    )
+    def test_op_stream_is_pinned(self, mix, days, seed, scale_bytes, count, digest):
+        """``ops()`` walks the volume arrays after drawing them: its RNG
+        order and every op are pinned by a digest of the JSON trace."""
+        ops = MobileWorkload(WorkloadConfig(mix=mix, days=days, seed=seed)).ops(
+            scale_bytes=scale_bytes
+        )
+        assert len(ops) == count
+        payload = json.dumps([op.to_dict() for op in ops]).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
     def test_deletes_reference_created_paths(self):
         wl = MobileWorkload(WorkloadConfig(days=300, seed=5))
         ops = wl.ops(scale_bytes=1e-6)
@@ -156,8 +180,3 @@ class TestTraceSerialization:
         path = tmp_path / "trace.json"
         save_trace(ops, path)
         assert load_trace(path) == ops
-
-    def test_daily_summary_total(self):
-        s = DailySummary(day=0, new_media_gb=1.0, new_other_gb=0.5,
-                         overwrite_gb=0.25, read_gb=2.0, delete_gb=0.5)
-        assert s.total_write_gb == pytest.approx(1.75)
