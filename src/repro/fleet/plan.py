@@ -33,6 +33,8 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.workloads.apps import USER_MIXES
+
 __all__ = ["DEFAULT_EXACT_CAP", "DEFAULT_MIX_WEIGHTS", "FleetPlan", "assign_mixes"]
 
 #: Fleets at or below this many devices keep raw per-device wear values
@@ -51,6 +53,8 @@ DEFAULT_MIX_WEIGHTS = {
 
 
 def _canonical_weights(mix_weights) -> tuple[tuple[str, float], ...]:
+    """Ordered ``(name, weight)`` pairs whose weights a mix draw can
+    use: finite, non-negative, with a positive (finite) sum."""
     pairs = (
         list(mix_weights.items())
         if isinstance(mix_weights, Mapping)
@@ -58,7 +62,14 @@ def _canonical_weights(mix_weights) -> tuple[tuple[str, float], ...]:
     )
     if not pairs:
         raise ValueError("mix_weights must name at least one mix")
-    return tuple((str(name), float(weight)) for name, weight in pairs)
+    canonical = tuple((str(name), float(weight)) for name, weight in pairs)
+    weights = np.array([weight for _, weight in canonical])
+    if not ((weights >= 0.0).all() and 0.0 < weights.sum() < np.inf):
+        raise ValueError(
+            "mix weights must be finite and non-negative with a positive sum, "
+            f"got {dict(canonical)}"
+        )
+    return canonical
 
 
 def assign_mixes(
@@ -98,8 +109,6 @@ def assign_mixes(
     pairs = _canonical_weights(mix_weights)
     names = [name for name, _ in pairs]
     weights = np.array([weight for _, weight in pairs], dtype=float)
-    if (weights < 0).any() or weights.sum() <= 0:
-        raise ValueError("mix weights must be non-negative with a positive sum")
     if count == 0:
         return []
     # the exact normalization chain of Generator.choice(p=weights/sum):
@@ -129,8 +138,10 @@ class FleetPlan:
         the sweep's per-shard seeds.
     mix_weights:
         Ordered ``(mix name, weight)`` pairs (a mapping is accepted and
-        canonicalized in iteration order).  Order is significant -- see
-        the module docstring.
+        canonicalized in iteration order).  Every name must be a
+        ``USER_MIXES`` key, and the weights finite and non-negative
+        with a positive sum.  Order is significant -- see the module
+        docstring.
     shard_size:
         Devices per sweep point.  Each shard is one unit of caching,
         retry, timeout, and fault attribution in ``run_sweep``; peak
@@ -216,6 +227,11 @@ class FleetPlan:
         object.__setattr__(
             self, "mix_weights", _canonical_weights(self.mix_weights)
         )
+        for name, _ in self.mix_weights:
+            if name not in USER_MIXES:
+                raise ValueError(
+                    f"unknown mix {name!r}; known: {', '.join(USER_MIXES)}"
+                )
         if self.faults is not None:
             items = (
                 sorted(self.faults.items())

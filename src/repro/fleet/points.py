@@ -11,7 +11,9 @@ and returns the slice's observable columns.  Those columns are the
 shard's one record: the result cache lifts them into its column store,
 and :func:`~repro.fleet.run.run_fleet` and the off-disk
 :func:`~repro.fleet.run.fleet_wear_from_store` both digest the
-``wear`` column, the same way.
+``wear`` column, the same way.  An epoch chunk's columns are the
+arrays of the engine's end state under the store's column names, so no
+per-device result object is built between the engine and the digest.
 
 A chunk function takes plain-data params: ``mixes`` and
 ``workload_seeds`` (parallel per-device lists), ``capacity_gb``,
@@ -42,10 +44,13 @@ def population_batch_observables(params: dict) -> dict:
     """End-of-life observables of one chunk on the batched epoch engine.
 
     One vectorized :func:`repro.sim.batch.run_lifetime_batch` pass over
-    the chunk's devices.  Every final-day observable worth distribution
-    queries comes back as one float64/int64 array per column, in device
-    order -- exactly the shape the columnar result store packs into
-    compressed blocks.
+    the chunk's devices.  The columns are arrays of the engine's
+    :class:`~repro.sim.batch.BatchEndState`, renamed and untouched:
+    float64 ``wear`` (SYS wear fraction), ``spare_wear``,
+    ``capacity_gb`` and ``spare_quality``, and int64
+    ``retired_groups`` and ``resuscitated_groups``, in device order --
+    exactly the shape the columnar result store packs into compressed
+    blocks.
     """
     from repro.sim.baselines import ALL_BUILDERS
     from repro.sim.batch import SummaryBatch, run_lifetime_batch
@@ -70,23 +75,16 @@ def population_batch_observables(params: dict) -> dict:
         ]
     # the engine takes one RBER and ECC pass over the chunk's groups,
     # after the last day: each device's end state is all a fleet reads
-    finals = [
-        result.final
-        for result in run_lifetime_batch(
-            builds, SummaryBatch.from_volume_arrays(volumes), plans
-        )
-    ]
+    end = run_lifetime_batch(
+        builds, SummaryBatch.from_volume_arrays(volumes), plans
+    )
     return {
-        "wear": np.array([f.sys_wear_fraction for f in finals], dtype=np.float64),
-        "spare_wear": np.array(
-            [f.spare_wear_fraction for f in finals], dtype=np.float64
-        ),
-        "capacity_gb": np.array([f.capacity_gb for f in finals], dtype=np.float64),
-        "spare_quality": np.array([f.spare_quality for f in finals], dtype=np.float64),
-        "retired_groups": np.array([f.retired_groups for f in finals], dtype=np.int64),
-        "resuscitated_groups": np.array(
-            [f.resuscitated_groups for f in finals], dtype=np.int64
-        ),
+        "wear": end.sys_wear_fraction,
+        "spare_wear": end.spare_wear_fraction,
+        "capacity_gb": end.capacity_gb,
+        "spare_quality": end.spare_quality,
+        "retired_groups": end.retired_groups,
+        "resuscitated_groups": end.resuscitated_groups,
     }
 
 

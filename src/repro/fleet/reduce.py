@@ -17,9 +17,14 @@ answer -- which is the design constraint behind :class:`WearDigest`:
   up front, from the fleet size (see ``FleetPlan``), never from how
   merging happens to proceed.
 
-The running ``total`` is the one float lane whose last bits follow the
-order of addition; the fleet layer sums shard totals in shard order, so
-its ``mean`` is completion-order invariant too.
+The histogram is one int64 array of 401 bins: a shard's wear column is
+validated and binned in one array pass (:meth:`WearDigest.add_many`)
+and two digests merge with one array add.  The running ``total`` is the
+one float lane whose last bits follow the order of addition: a column
+adds left to right, value after value, and the fleet layer sums shard
+totals in shard order, so its ``mean`` is completion-order invariant
+too.  The per-value digest this replaced is the test oracle in
+``tests/fleet/wear_digest_oracle.py``.
 
 Digests live only in the coordinator's memory: a shard's persisted
 value is its observable columns, and a finished fleet's digest is
@@ -29,7 +34,7 @@ rebuilt from the wear column whenever it is needed.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,20 +54,22 @@ WEAR_N_BINS = 400
 class WearDigest:
     """Mergeable summary of a wear-fraction distribution.
 
-    ``counts[i]`` holds devices with wear in ``[i*W, (i+1)*W)`` for bin
-    width ``W``; the final slot collects everything at or above the
-    histogram ceiling.  ``keep_exact=True`` additionally retains every
-    observed value in insertion order (the exact fallback); merging two
-    exact digests concatenates their values, and merging with a
-    non-exact digest drops exactness -- both rules are associative, so
-    exactness of a fleet merge depends only on which shards carried
-    values, not on merge order.
+    ``counts`` is one int64 array: ``counts[i]`` holds devices with wear
+    in ``[i*W, (i+1)*W)`` for bin width ``W``, and the final slot
+    collects everything at or above the histogram ceiling.  ``count``
+    is a Python int and ``total``, ``min`` and ``max`` Python floats, so
+    a summary of them encodes as JSON.  ``keep_exact=True`` additionally
+    retains every observed value in insertion order (the exact
+    fallback); merging two exact digests concatenates their values, and
+    merging with a non-exact digest drops exactness -- both rules are
+    associative, so exactness of a fleet merge depends only on which
+    shards carried values, not on merge order.
     """
 
     __slots__ = ("counts", "count", "total", "min", "max", "exact")
 
     def __init__(self, keep_exact: bool = False) -> None:
-        self.counts = [0] * (WEAR_N_BINS + 1)
+        self.counts = np.zeros(WEAR_N_BINS + 1, dtype=np.int64)
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -71,32 +78,39 @@ class WearDigest:
 
     # -- accumulation -----------------------------------------------------------
 
-    def add(self, value: float) -> None:
-        """Fold one device's wear fraction in."""
-        value = float(value)
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"wear fractions must be finite and >= 0, got {value!r}")
-        index = min(int(value / WEAR_BIN_WIDTH), WEAR_N_BINS)
-        self.counts[index] += 1
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if self.exact is not None:
-            self.exact.append(value)
+    def add_many(self, values: np.ndarray | Sequence[float]) -> None:
+        """Fold a column of device wear fractions in, in one pass.
 
-    def add_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
+        Every value must be finite and >= 0; otherwise this raises
+        ``ValueError`` and the digest is unchanged.  ``total`` adds the
+        values one after another, left to right.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.size == 0:
+            return
+        low, high = float(values.min()), float(values.max())
+        # NaN fails both comparisons; -inf and inf fail one each
+        if not (low >= 0.0 and high < math.inf):
+            bad = float(values[~(np.isfinite(values) & (values >= 0.0))][0])
+            raise ValueError(f"wear fractions must be finite and >= 0, got {bad!r}")
+        # clip before the cast: a huge value's bin index must not wrap
+        index = np.minimum(values / WEAR_BIN_WIDTH, WEAR_N_BINS).astype(np.int64)
+        self.counts += np.bincount(index, minlength=WEAR_N_BINS + 1)
+        self.count += int(values.size)
+        self.total = float(
+            np.add.accumulate(np.concatenate(([self.total], values)))[-1]
+        )
+        self.min = min(self.min, low)
+        self.max = max(self.max, high)
+        if self.exact is not None:
+            self.exact.extend(values.tolist())
 
     # -- merging ----------------------------------------------------------------
 
     def merge_in(self, other: "WearDigest") -> None:
         """Fold another digest into this one (associative, commutative
         up to exact-value order; quantiles sort, so order never shows)."""
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.counts += other.counts
         self.count += other.count
         self.total += other.total
         self.min = min(self.min, other.min)
@@ -114,7 +128,7 @@ class WearDigest:
 
     def copy(self) -> "WearDigest":
         out = WearDigest()
-        out.counts = list(self.counts)
+        out.counts = self.counts.copy()
         out.count = self.count
         out.total = self.total
         out.min = self.min
@@ -151,7 +165,7 @@ class WearDigest:
             return float(np.quantile(np.asarray(self.exact), q))
         target = q * self.count
         cumulative = 0
-        for index, bin_count in enumerate(self.counts):
+        for index, bin_count in enumerate(self.counts.tolist()):
             if bin_count == 0:
                 continue
             if cumulative + bin_count >= target:
@@ -180,4 +194,4 @@ class WearDigest:
         if self.exact is not None:
             return sum(1 for v in self.exact if v >= threshold) / self.count
         first = min(int(math.ceil(threshold / WEAR_BIN_WIDTH)), WEAR_N_BINS)
-        return sum(self.counts[first:]) / self.count
+        return int(self.counts[first:].sum()) / self.count

@@ -13,12 +13,15 @@ one scale-out path:
 
 Reduction is streaming: shards resolve through the runner's
 ``on_point`` hook with ``keep_values=False``, each shard's ``wear``
-column is digested and folded into the fleet's
-:class:`~repro.fleet.reduce.WearDigest` (and obs snapshots into a
-:class:`~repro.obs.SnapshotAccumulator`) immediately, and the shard
-value is dropped.  Coordinator memory is therefore bounded by one shard
-plus the running digests and one float per shard -- a million-device
-fleet reduces in the same footprint as a thousand-device one.
+column is digested in one array pass and folded into the fleet's
+:class:`~repro.fleet.reduce.WearDigest` with one array add (and obs
+snapshots into a :class:`~repro.obs.SnapshotAccumulator`) immediately,
+and the shard value is dropped.  Coordinator memory is therefore one
+shard's columns plus the running digests and one float per shard; an
+exact-mode fleet (at most ``exact_cap`` devices) also keeps each
+shard's wear values, from which it reassembles the device-ordered wear
+vector.  A histogram-mode million-device fleet reduces in the same
+footprint as a thousand-device one.
 
 A finished fleet's digest can also be rebuilt off disk, from the wear
 column in the result cache's store (:func:`fleet_wear_from_store`).

@@ -180,13 +180,19 @@ def sensitivity_batch_point(params: dict, seed: int) -> list[dict]:
                     dataclasses.replace(part.spec, waf=waf), 1
                 )
             builds.append(build)
-        results = run_lifetime_batch(
+        end = run_lifetime_batch(
             builds, SummaryBatch.from_volume_arrays([volumes] * len(wafs))
         )
         tlc = build_tlc_baseline(capacity)
         out = []
-        for waf, build, result in zip(wafs, builds, results):
-            capacity_fraction = result.final.capacity_gb / capacity
+        for waf, build, device_capacity, quality, sys_wear in zip(
+            wafs,
+            builds,
+            end.capacity_gb.tolist(),
+            end.spare_quality.tolist(),
+            end.sys_wear_fraction.tolist(),
+        ):
+            capacity_fraction = device_capacity / capacity
             out.append(
                 {
                     "plc_pec": params["plc_pec"],
@@ -195,11 +201,10 @@ def sensitivity_batch_point(params: dict, seed: int) -> list[dict]:
                     # capacity loss; §4.3's resuscitation makes capacity
                     # shrink the *designed* response at pessimistic
                     # calibrations
-                    "usable": result.final.spare_quality >= 0.85
-                    and capacity_fraction >= 0.75,
+                    "usable": quality >= 0.85 and capacity_fraction >= 0.75,
                     "capacity_fraction": capacity_fraction,
-                    "sys_wear": result.final.sys_wear_fraction,
-                    "quality": result.final.spare_quality,
+                    "sys_wear": sys_wear,
+                    "quality": quality,
                     "carbon_ok": build.intensity_kg_per_gb < tlc.intensity_kg_per_gb,
                 }
             )

@@ -17,11 +17,14 @@ owns a one-row :class:`BatchLifetimeDevice` made from its
 :func:`run_lifetime_batch` takes a :class:`SummaryBatch` (the builds'
 :meth:`~repro.workloads.mobile.MobileWorkload.daily_volume_arrays`,
 stacked), stacks the builds' rows
-(:meth:`BatchLifetimeDevice.from_devices`), steps the stack, takes one
-:class:`~repro.sim.lifetime.DaySample` per device after the last day,
-and hands each build its final row back
-(:meth:`BatchPartition.scatter_to`).  No series is recorded: every
-lifetime claim reads the end state.
+(:meth:`BatchLifetimeDevice.from_devices`), steps the stack, and
+returns one :class:`BatchEndState`: every device's observables after
+the last day, one array per field in device order.  It hands each build
+its final row back (:meth:`BatchPartition.scatter_to`).  No series is
+recorded: every lifetime claim reads the end state.  A fleet chunk's
+columns are the record's arrays as they stand;
+:func:`repro.sim.engine.run_lifetime` turns the one row of a
+single-device run into a :class:`~repro.sim.lifetime.LifetimeResult`.
 
 Each day's volumes map onto the partitions as follows:
 
@@ -94,8 +97,6 @@ from .lifetime import (
     HOT_GROUP_FRACTION,
     MEDIA_DEMOTION_RATE,
     WL_WRITE_OVERHEAD,
-    DaySample,
-    LifetimeResult,
     PartitionSpec,
 )
 
@@ -103,6 +104,7 @@ if TYPE_CHECKING:
     from .baselines import DeviceBuild
 
 __all__ = [
+    "BatchEndState",
     "BatchLifetimeDevice",
     "BatchPartition",
     "SummaryBatch",
@@ -154,6 +156,30 @@ class SummaryBatch:
             overwrite_gb=field("overwrite_gb"),
             delete_gb=field("delete_gb"),
         )
+
+
+@dataclass(frozen=True, slots=True)
+class BatchEndState:
+    """Every device's state after the last day: what
+    :func:`run_lifetime_batch` returns.
+
+    ``day`` (the last day's label) and ``years`` are shared by the whole
+    batch; every other field holds one entry per device, in build order
+    -- float64 observables, int64 group counters, and each device's
+    fault counters (None for a device run without a fault plan).  The
+    field names are those of :class:`~repro.sim.lifetime.DaySample`.
+    """
+
+    day: int
+    years: float
+    capacity_gb: np.ndarray
+    sys_wear_fraction: np.ndarray
+    spare_wear_fraction: np.ndarray
+    spare_quality: np.ndarray
+    sys_uncorrectable: np.ndarray
+    retired_groups: np.ndarray
+    resuscitated_groups: np.ndarray
+    faults: list[FaultSummary | None]
 
 
 #: per-device state of a :class:`BatchPartition`: every attribute's first
@@ -742,14 +768,14 @@ def run_lifetime_batch(
     builds: Sequence[DeviceBuild],
     summaries: SummaryBatch,
     fault_plans: Sequence[FaultPlan | None] | None = None,
-) -> list[LifetimeResult]:
+) -> BatchEndState:
     """Run N device builds through their daily volumes in one pass.
 
-    One :class:`LifetimeResult` per build, each the same as that build's
-    own :func:`repro.sim.engine.run_lifetime` (see the module docstring
-    for the contract with the oracle), holding the state after the last
-    day.  Builds must share topology and specs (``waf`` may vary); each
-    build's device is updated in place with its final state.
+    Returns the state after the last day, row ``i`` for build ``i``:
+    the same as that build's own :func:`repro.sim.engine.run_lifetime`
+    (see the module docstring for the contract with the oracle).  Builds
+    must share topology and specs (``waf`` may vary); each build's
+    device is updated in place with its final state.
     """
     if not builds:
         raise ValueError("at least one build required")
@@ -852,38 +878,26 @@ def run_lifetime_batch(
                 ))
         # the end state, once, after the last day
         now = device.now_years
-        capacity = device.capacity_gb()
-        sys_wear = sys_part.wear_used_fraction()
         media_part = spare if spare is not None else sys_part
-        spare_wear = media_part.wear_used_fraction()
-        spare_quality = media_part.mean_quality(now)
-        sys_unc = sys_part.expected_uncorrectable(now)
-        retired = sum(p.retired_count for p in device.partitions.values())
-        resuscitated = sum(
-            p.resuscitated_count for p in device.partitions.values()
+        end = BatchEndState(
+            day=days[-1],
+            years=now,
+            capacity_gb=device.capacity_gb(),
+            sys_wear_fraction=sys_part.wear_used_fraction(),
+            spare_wear_fraction=media_part.wear_used_fraction(),
+            spare_quality=media_part.mean_quality(now),
+            sys_uncorrectable=sys_part.expected_uncorrectable(now),
+            retired_groups=sum(
+                p.retired_count for p in device.partitions.values()
+            ),
+            resuscitated_groups=sum(
+                p.resuscitated_count for p in device.partitions.values()
+            ),
+            faults=counters,
         )
     # each build's device ends the run holding its final state
     for name, partition in device.partitions.items():
         partition.scatter_to([b.device.partitions[name] for b in builds])
     for build in builds:
         build.device.now_years = device.now_years
-    return [
-        LifetimeResult(
-            build_name=build.name,
-            capacity_gb=build.capacity_gb,
-            intensity_kg_per_gb=build.intensity_kg_per_gb,
-            final=DaySample(
-                day=days[-1],
-                years=now,
-                capacity_gb=float(capacity[d]),
-                sys_wear_fraction=float(sys_wear[d]),
-                spare_wear_fraction=float(spare_wear[d]),
-                spare_quality=float(spare_quality[d]),
-                sys_uncorrectable=float(sys_unc[d]),
-                retired_groups=int(retired[d]),
-                resuscitated_groups=int(resuscitated[d]),
-            ),
-            faults=counters[d],
-        )
-        for d, build in enumerate(builds)
-    ]
+    return end

@@ -24,12 +24,13 @@ Wear placement policy per partition:
   coldest groups -- worn blocks are simply allowed to wear (§4.3).
 
 This module holds the model's static types: :class:`PartitionSpec`,
-and the end-of-life :class:`DaySample` a run returns in a
+and the end-of-life :class:`DaySample` a single-device run returns in a
 :class:`LifetimeResult` -- the one state the paper's lifetime claims
 read (wear at disposal, capacity left, SPARE quality).  Group state and
 the one epoch engine that steps it live in :mod:`repro.sim.batch`,
-which keeps one array per group field with a leading device axis; a
-single device is its one-row case.
+which keeps one array per group field with a leading device axis and
+returns a population's end state as one array per field; a single
+device is its one-row case.
 """
 
 from __future__ import annotations

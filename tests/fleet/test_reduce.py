@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import wear_digest_oracle as oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.fleet import WEAR_BIN_WIDTH, WearDigest
+from repro.fleet import WEAR_BIN_WIDTH, WEAR_N_BINS, WearDigest
 
 
 def _digest(values, keep_exact=False):
@@ -21,7 +24,7 @@ class TestMergeAlgebra:
                    for n in (13, 29, 7))
         left = a.merged_with(b).merged_with(c)
         right = a.merged_with(b.merged_with(c))
-        assert left.counts == right.counts
+        assert np.array_equal(left.counts, right.counts)
         assert left.count == right.count
         assert left.total == right.total
         assert left.min == right.min and left.max == right.max
@@ -31,14 +34,14 @@ class TestMergeAlgebra:
         rng = np.random.default_rng(2)
         a, b = _digest(rng.random(20)), _digest(rng.random(31))
         ab, ba = a.merged_with(b), b.merged_with(a)
-        assert ab.counts == ba.counts
+        assert np.array_equal(ab.counts, ba.counts)
         assert ab.count == ba.count
         assert ab.min == ba.min and ab.max == ba.max
 
     def test_empty_is_identity(self):
         d = _digest([0.1, 0.5, 1.2], keep_exact=True)
         merged = d.merged_with(WearDigest(keep_exact=True))
-        assert merged.counts == d.counts
+        assert np.array_equal(merged.counts, d.counts)
         assert merged.exact == d.exact
         assert merged.min == d.min and merged.max == d.max
 
@@ -108,7 +111,7 @@ class TestValidation:
         d = WearDigest()
         for bad in (float("nan"), float("inf"), -0.1):
             with pytest.raises(ValueError):
-                d.add(bad)
+                d.add_many([bad])
 
     def test_empty_digest_has_no_stats(self):
         d = WearDigest()
@@ -122,3 +125,127 @@ class TestValidation:
     def test_quantile_range_checked(self):
         with pytest.raises(ValueError):
             _digest([0.1]).quantile(1.5)
+
+
+# -- the array digest against the per-value oracle ------------------------------
+
+#: values on a bin edge (k * W), zeros, ordinary wear, the overflow bin
+_VALUE = st.one_of(
+    st.integers(0, WEAR_N_BINS + 40).map(lambda k: k * WEAR_BIN_WIDTH),
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=2.5),
+    st.floats(min_value=2.0, max_value=1e6),
+)
+_COLUMN = st.lists(_VALUE, max_size=40)
+_BAD = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.1, -1e-300])
+
+
+def _bits(value) -> str:
+    assert type(value) is float
+    return value.hex()
+
+
+def _fields(digest) -> tuple:
+    counts = digest.counts
+    if isinstance(counts, np.ndarray):
+        assert counts.dtype == np.int64 and counts.shape == (WEAR_N_BINS + 1,)
+        counts = counts.tolist()
+    assert type(digest.count) is int
+    return (counts, digest.count, _bits(digest.total), _bits(digest.min),
+            _bits(digest.max), digest.exact)
+
+
+def _assert_same(digest: WearDigest, expected: oracle.WearDigest, qs=(0.5,),
+                 threshold=1.0) -> None:
+    """Every field and every query of ``digest`` is the oracle's, bit
+    for bit: quantiles at 0, 1 and ``qs``, ``worn_out_fraction`` at the
+    default 1.0 and at ``threshold``."""
+    assert _fields(digest) == _fields(expected)
+    if expected.count == 0:
+        return
+    assert _bits(digest.mean()) == _bits(expected.mean())
+    for q in (0.0, 1.0, *qs):
+        assert _bits(digest.quantile(q)) == _bits(expected.quantile(q)), q
+    assert _bits(digest.worn_out_fraction()) == _bits(expected.worn_out_fraction())
+    assert _bits(digest.worn_out_fraction(threshold)) == \
+        _bits(expected.worn_out_fraction(threshold)), threshold
+
+
+def _both(keep_exact: bool, columns) -> tuple[list, list]:
+    """Each column digested alone by the array digest and the oracle."""
+    ours, theirs = [], []
+    for column in columns:
+        ours.append(WearDigest(keep_exact=keep_exact))
+        ours[-1].add_many(np.asarray(column, dtype=float))
+        theirs.append(oracle.WearDigest(keep_exact=keep_exact))
+        theirs[-1].add_many(column)
+    return ours, theirs
+
+
+_QS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4)
+_THRESHOLD = st.one_of(_VALUE, st.floats(min_value=0.0, max_value=2.5))
+
+
+class TestAgainstPerValueOracle:
+    @given(column=_COLUMN, keep_exact=st.booleans(), qs=_QS, threshold=_THRESHOLD)
+    @settings(max_examples=150, deadline=None)
+    def test_one_column_matches(self, column, keep_exact, qs, threshold):
+        (ours,), (theirs,) = _both(keep_exact, [column])
+        _assert_same(ours, theirs, qs, threshold)
+
+    @pytest.mark.parametrize("keep_exact", [False, True], ids=["histogram", "exact"])
+    @pytest.mark.parametrize("column", [[], [0.0], [WEAR_BIN_WIDTH], [2.0], [7.5]],
+                             ids=["empty", "zero", "edge", "ceiling", "overflow"])
+    def test_empty_and_one_value_columns(self, column, keep_exact):
+        (ours,), (theirs,) = _both(keep_exact, [column])
+        _assert_same(ours, theirs)
+
+    @given(
+        population=_COLUMN,
+        cuts=st.lists(st.integers(0, 40), max_size=6),
+        keep_exact=st.booleans(),
+        qs=_QS,
+        threshold=_THRESHOLD,
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_shard_splits_merge_like_the_oracle(self, population, cuts, keep_exact,
+                                                qs, threshold, data):
+        """Shards merged in shard order match the oracle in every field
+        (``total`` is a sum in that order); merged in any order, the
+        order-free lanes still match."""
+        bounds = sorted({0, len(population), *(c for c in cuts if c <= len(population))})
+        shards = [population[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        ours, theirs = _both(keep_exact, shards)
+        fleet, expected = WearDigest(keep_exact), oracle.WearDigest(keep_exact)
+        for shard, reference in zip(ours, theirs):
+            fleet.merge_in(shard)
+            expected.merge_in(reference)
+        _assert_same(fleet, expected, qs, threshold)
+        order = data.draw(st.permutations(range(len(ours))))
+        shuffled = WearDigest(keep_exact)
+        for index in order:
+            shuffled.merge_in(ours[index])
+        assert _fields(shuffled)[:2] == _fields(expected)[:2]
+        assert (shuffled.min, shuffled.max) == (expected.min, expected.max)
+
+    @given(
+        before=_COLUMN,
+        column=_COLUMN,
+        bad=_BAD,
+        where=st.integers(0, 40),
+        keep_exact=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_bad_value_anywhere_raises_and_changes_nothing(self, before, column,
+                                                             bad, where, keep_exact):
+        digest = WearDigest(keep_exact=keep_exact)
+        digest.add_many(before)
+        state = _fields(digest)
+        counts = digest.counts
+        column = list(column)
+        column.insert(min(where, len(column)), bad)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            digest.add_many(np.asarray(column))
+        assert digest.counts is counts
+        assert _fields(digest) == state

@@ -53,7 +53,7 @@ class TestShardInvariance:
     def test_histogram_lanes_invariant_too(self, golden_wear):
         a = run_fleet(_plan(shard_size=7, chunk=3, exact_cap=0))
         b = run_fleet(_plan(shard_size=13, chunk=13, exact_cap=0))
-        assert a.wear.counts == b.wear.counts
+        assert np.array_equal(a.wear.counts, b.wear.counts)
         assert a.wear.count == b.wear.count == N_DEVICES
         assert a.wear.min == b.wear.min and a.wear.max == b.wear.max
         assert a.wear.min == golden_wear.min()
@@ -129,7 +129,7 @@ class TestParallelParity:
         assert np.array_equal(
             np.asarray(serial.wear_values()), np.asarray(parallel.wear_values())
         )
-        assert serial.wear.counts == parallel.wear.counts
+        assert np.array_equal(serial.wear.counts, parallel.wear.counts)
         assert np.array_equal(np.asarray(serial.wear_values()), golden_wear)
 
     def test_mean_is_completion_order_invariant(self, monkeypatch):
@@ -279,9 +279,11 @@ class TestPlanValidation:
         assert grid[-1]["count"] == 2
 
     def test_mix_weights_order_preserved(self):
-        plan = _plan(mix_weights=[("b", 0.5), ("a", 0.5)])
-        assert plan.mix_weights == (("b", 0.5), ("a", 0.5))
-        assert plan.shard_grid()[0]["mix_weights"] == [["b", 0.5], ["a", 0.5]]
+        plan = _plan(mix_weights=[("typical", 0.5), ("light", 0.5)])
+        assert plan.mix_weights == (("typical", 0.5), ("light", 0.5))
+        assert plan.shard_grid()[0]["mix_weights"] == [
+            ["typical", 0.5], ["light", 0.5],
+        ]
 
     def test_rejects_bad_geometry(self):
         for bad in (
@@ -313,9 +315,18 @@ class TestPlanValidation:
             (dict(faults={"power_loss_rate": -0.1}), "power_loss_rate"),
             (dict(seed=-1), "seed must be non-negative"),
             (dict(workload_seed_base=-1), "workload_seed_base"),
+            (dict(mix_weights={"bogus": 1.0}), "unknown mix 'bogus'"),
+            (dict(mix_weights={"light": 1.0, "bogus": 0.0}), "unknown mix 'bogus'"),
+            (dict(mix_weights={"light": -1.0, "typical": 2.0}), "mix weights"),
+            (dict(mix_weights={"light": 0.0}), "mix weights"),
+            (dict(mix_weights={"light": 0.0, "typical": 0.0}), "mix weights"),
+            (dict(mix_weights={"light": float("nan")}), "mix weights"),
+            (dict(mix_weights={"light": float("inf"), "typical": 1.0}), "mix weights"),
         ],
         ids=["unknown-build", "unknown-fault", "negative-fault",
-             "negative-seed", "negative-workload-seed-base"],
+             "negative-seed", "negative-workload-seed-base", "unknown-mix",
+             "unknown-zero-weight-mix", "negative-weight", "zero-weight",
+             "all-zero-weights", "nan-weight", "infinite-weight"],
     )
     def test_rejects_what_no_shard_could_run(self, overrides, match):
         """The plan is the one validator: anything it accepts, every

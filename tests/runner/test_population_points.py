@@ -25,7 +25,7 @@ from repro.fleet import DEFAULT_MIX_WEIGHTS, FleetPlan, assign_mixes, fleet_shar
 from repro.fleet.points import population_batch_observables
 from repro.runner.points import sensitivity_batch_point
 from repro.sim.baselines import ALL_BUILDERS, build_sos, build_tlc_baseline
-from repro.sim.batch import SummaryBatch, run_lifetime_batch
+from repro.sim.engine import run_lifetime
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
 
 # the scalar oracle lives with the epoch-engine tests
@@ -149,28 +149,21 @@ def test_population_batch_point_supports_faults():
     pytest.param("sos", FAULTS, id="sos-faults"),
 ])
 def test_population_points_match_finals_at_default_sampling(build, faults):
-    """A population chunk's columns are the engine's end states: every
+    """A population chunk's columns are its devices' end states: every
     value is bit-identical, in device order and dtype, to the ``final``
-    of a direct ``run_lifetime_batch`` on the same builds, volumes and
-    fault plans."""
+    of each device's own ``run_lifetime`` on the same build, volumes and
+    fault plan."""
     days = 90
     plan = _plan(5, days, chunk=5, seed=17, build=build, faults=faults)
     identity = _identity(plan)
-    volumes = [
-        MobileWorkload(WorkloadConfig(mix=mix, days=days, seed=ws)).daily_volume_arrays()
-        for mix, ws in identity
-    ]
-    builds = [ALL_BUILDERS[build](64.0) for _ in volumes]
-    plans = [
-        plan_for_build(b, faults, days, ws)
-        for b, (_, ws) in zip(builds, identity)
-    ]
-    finals = [
-        result.final
-        for result in run_lifetime_batch(
-            builds, SummaryBatch.from_volume_arrays(volumes), plans
-        )
-    ]
+    finals = []
+    for mix, ws in identity:
+        volumes = MobileWorkload(
+            WorkloadConfig(mix=mix, days=days, seed=ws)
+        ).daily_volume_arrays()
+        device = ALL_BUILDERS[build](64.0)
+        fault_plan = plan_for_build(device, faults, days, ws)
+        finals.append(run_lifetime(device, volumes, fault_plan=fault_plan).final)
     fields = {
         "wear": ("sys_wear_fraction", np.float64),
         "spare_wear": ("spare_wear_fraction", np.float64),

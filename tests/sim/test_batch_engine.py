@@ -17,6 +17,8 @@ and event by event in the trace.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import lifetime_oracle as oracle
 import numpy as np
 import pytest
@@ -53,6 +55,9 @@ SAMPLE_FLOATS = (
     "sys_uncorrectable",
 )
 
+#: integer observables on a DaySample, other than the final day
+SAMPLE_INTS = ("retired_groups", "resuscitated_groups")
+
 
 def _workloads(mixes, days, seed_base=1000):
     return [
@@ -83,6 +88,29 @@ def _plans(builder, n, days, seed_base=7000):
     ]
 
 
+def _rows(end, n):
+    """Row ``i`` of a batch end state for each of its ``n`` devices, as
+    ``(final, faults)``: ``final`` carries the oracle's DaySample field
+    names.  Every per-device field is one float64 or int64 array."""
+    for field, dtype in [(f, np.float64) for f in SAMPLE_FLOATS] + [
+        (f, np.int64) for f in SAMPLE_INTS
+    ]:
+        array = getattr(end, field)
+        assert array.dtype == dtype and array.shape == (n,), field
+    assert len(end.faults) == n
+    return [
+        (
+            SimpleNamespace(
+                day=end.day,
+                years=end.years,
+                **{f: getattr(end, f)[i] for f in SAMPLE_FLOATS + SAMPLE_INTS},
+            ),
+            end.faults[i],
+        )
+        for i in range(n)
+    ]
+
+
 def _run_oracle(builder, workloads, plans):
     builds = [oracle_build(builder()) for _ in workloads]
     results = [
@@ -101,18 +129,20 @@ def _assert_equivalent_at_horizons(builder, mixes, days, with_faults=False, rel=
         prefix = [_prefix(w, horizon) for w in workloads]
         scalar, scalar_builds = _run_oracle(builder, prefix, plans)
         batch_builds = [builder() for _ in mixes]
-        batched = run_lifetime_batch(
+        end = run_lifetime_batch(
             batch_builds, SummaryBatch.from_volume_arrays(prefix), fault_plans=plans
         )
-        _assert_equivalent(scalar, batched, scalar_builds, batch_builds, rel, horizon)
+        rows = _rows(end, len(mixes))
+        _assert_equivalent(scalar, rows, scalar_builds, batch_builds, rel, horizon)
 
 
-def _assert_equivalent(scalar, batched, scalar_builds, batch_builds, rel=1e-9,
+def _assert_equivalent(scalar, rows, scalar_builds, batch_builds, rel=1e-9,
                        horizon=None):
+    """Each oracle result equals its device's ``(final, faults)`` row."""
     # rel=0 claims bit-identity: no absolute slack either
     abs_tol = 0.0 if rel == 0.0 else 1e-12
-    for i, (s, b) in enumerate(zip(scalar, batched)):
-        ss, bs = s.final, b.final
+    for i, (s, (bs, faults)) in enumerate(zip(scalar, rows)):
+        ss = s.final
         where = f"device {i} after {horizon} day(s)"
         assert (ss.day, ss.retired_groups, ss.resuscitated_groups) == (
             bs.day, bs.retired_groups, bs.resuscitated_groups,
@@ -121,8 +151,8 @@ def _assert_equivalent(scalar, batched, scalar_builds, batch_builds, rel=1e-9,
         for field in SAMPLE_FLOATS:
             a, c = getattr(ss, field), getattr(bs, field)
             assert a == pytest.approx(c, rel=rel, abs=abs_tol), (where, field)
-        if s.faults is not None or b.faults is not None:
-            assert s.faults.as_dict() == b.faults.as_dict(), where
+        if s.faults is not None or faults is not None:
+            assert s.faults.as_dict() == faults.as_dict(), where
     # the engines hand their end state back to the device objects; the
     # fleets must agree there too, not just in the final sample
     for i, (sb, bb) in enumerate(zip(scalar_builds, batch_builds)):
@@ -172,7 +202,8 @@ def test_single_device_batch_degenerates_to_scalar():
         scalar, scalar_builds = _run_oracle(build_sos, prefix, plans)
         build = build_sos()
         result = run_lifetime(build, prefix[0], fault_plan=plans[0])
-        _assert_equivalent(scalar, [result], scalar_builds, [build], horizon=horizon)
+        _assert_equivalent(scalar, [(result.final, result.faults)], scalar_builds,
+                           [build], horizon=horizon)
 
 
 @given(
