@@ -157,12 +157,29 @@ class WearDigest:
         is within one bin width (:data:`WEAR_BIN_WIDTH`) of exact for
         any in-range value.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            raise ValueError("empty digest has no quantiles")
-        if self.exact is not None:
-            return float(np.quantile(np.asarray(self.exact), q))
+        return self.quantiles([q])[0]
+
+    def quantiles(self, qs: Sequence[float]) -> list[float]:
+        """:meth:`quantile` at each of ``qs``, in order.
+
+        An exact digest turns its values into an array once and makes
+        one ``np.quantile`` call for all of ``qs``.
+        """
+        for q in qs:
+            if not 0.0 <= q <= 1.0:
+                raise ValueError("quantile must be in [0, 1]")
+            if self.count == 0:
+                raise ValueError("empty digest has no quantiles")
+        if self.exact is None or len(qs) == 0:
+            return [self._bin_quantile(q) for q in qs]
+        return np.quantile(self._values(), qs).tolist()
+
+    def _values(self) -> np.ndarray:
+        """An exact digest's values as one float64 array."""
+        return np.array(self.exact, dtype=np.float64)
+
+    def _bin_quantile(self, q: float) -> float:
+        """The histogram estimate of the ``q``-quantile."""
         target = q * self.count
         cumulative = 0
         for index, bin_count in enumerate(self.counts.tolist()):
@@ -179,19 +196,18 @@ class WearDigest:
             cumulative += bin_count
         return self.max
 
-    def quantiles(self, qs: Sequence[float]) -> list[float]:
-        return [self.quantile(q) for q in qs]
-
     def worn_out_fraction(self, threshold: float = 1.0) -> float:
         """Fraction of devices with wear >= ``threshold``.
 
-        Exact for exact digests; histogram digests count whole bins at
-        or above the threshold (exact whenever ``threshold`` lands on a
-        bin edge, as the default 1.0 does).
+        Exact for exact digests (one count over their values as an
+        array); histogram digests count whole bins at or above the
+        threshold (exact whenever ``threshold`` lands on a bin edge, as
+        the default 1.0 does).
         """
         if self.count == 0:
             raise ValueError("empty digest has no worn-out fraction")
         if self.exact is not None:
-            return sum(1 for v in self.exact if v >= threshold) / self.count
+            worn = np.count_nonzero(self._values() >= threshold)
+            return int(worn) / self.count
         first = min(int(math.ceil(threshold / WEAR_BIN_WIDTH)), WEAR_N_BINS)
         return int(self.counts[first:].sum()) / self.count

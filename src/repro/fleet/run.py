@@ -122,6 +122,9 @@ class FleetResult:
         computed it.
         """
         empty = self.wear.count == 0
+        median, p90, p99 = (
+            (None,) * 3 if empty else self.wear.quantiles((0.5, 0.90, 0.99))
+        )
         return {
             "devices": self.devices,
             "requested_devices": self.plan.n_devices,
@@ -132,9 +135,9 @@ class FleetResult:
             "shard_size": self.plan.shard_size,
             "chunk": self.plan.chunk,
             "exact": self.wear.is_exact,
-            "median": None if empty else self.wear.quantile(0.5),
-            "p90": None if empty else self.wear.quantile(0.90),
-            "p99": None if empty else self.wear.quantile(0.99),
+            "median": median,
+            "p90": p90,
+            "p99": p99,
             "max": None if empty else self.wear.max,
             "mean": None if empty else self.wear.mean(),
             "worn_out_fraction": None if empty else self.wear.worn_out_fraction(),

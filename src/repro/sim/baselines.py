@@ -18,6 +18,7 @@ lifetime engine can put carbon and reliability on one table (E11).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.carbon.embodied import intensity_kg_per_gb, mixed_intensity_kg_per_gb
 from repro.ecc.policy import POLICIES, ProtectionLevel
@@ -50,19 +51,25 @@ def _device(*specs: PartitionSpec) -> BatchLifetimeDevice:
     return BatchLifetimeDevice({spec.name: BatchPartition(spec, 1) for spec in specs})
 
 
-def _native_build(name: str, technology: CellTechnology, capacity_gb: float) -> DeviceBuild:
+@lru_cache(maxsize=64)
+def _native_spec(technology: CellTechnology, capacity_gb: float) -> PartitionSpec:
     """One wear-leveled, strongly protected partition of native-density
-    ``technology`` cells: the conventional-management builds."""
-    spec = PartitionSpec(
+    ``technology`` cells; immutable, so every build of that technology
+    and capacity shares it."""
+    return PartitionSpec(
         name="main",
         mode=native_mode(technology),
         protection=POLICIES[ProtectionLevel.STRONG],
         capacity_gb=capacity_gb,
         wear_leveling=True,
     )
+
+
+def _native_build(name: str, technology: CellTechnology, capacity_gb: float) -> DeviceBuild:
+    """A :func:`_native_spec` device: the conventional-management builds."""
     return DeviceBuild(
         name=name,
-        device=_device(spec),
+        device=_device(_native_spec(technology, capacity_gb)),
         capacity_gb=capacity_gb,
         intensity_kg_per_gb=intensity_kg_per_gb(technology),
     )

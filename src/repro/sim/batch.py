@@ -11,6 +11,19 @@ handful of array operations over that state: write routing, wear
 accrual, scrub/refresh, the retire/resuscitate ladder, and delete
 apportionment.
 
+A partition owns its state arrays, and each day updates them in place:
+ufuncs write through ``out=``, with ``where=`` when only some lanes
+change, in the oracle's operation and operand order.  So no state array
+is ever shared -- :meth:`BatchPartition.stack`,
+:meth:`~BatchPartition.scatter_to`, :meth:`~BatchPartition.export_state`
+and :meth:`~BatchPartition.import_state` all copy.  The daily health
+check evaluates RBER only once a live group's PEC reaches
+``_safe_pec``, the PEC at which its mode's RBER after the health
+horizon climbs to half of ``max_rber`` (the lowest over the partition's
+mode ladder).  Below it no group can fail, so skipping the evaluation
+changes nothing; a fleet chunk's devices stay far below it, and the
+chunk's one RBER pass is its end state's.
+
 The interface is volume arrays in, one end state out.  A device build
 owns a one-row :class:`BatchLifetimeDevice` made from its
 :class:`~repro.sim.lifetime.PartitionSpec` list.
@@ -82,14 +95,16 @@ are grouped by day rather than by device.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.faults.plan import FaultPlan, FaultSummary
 from repro.flash.cell import CellMode
-from repro.flash.error_model import cached_error_model
+from repro.flash.error_model import ErrorModel, cached_error_model
 from repro.flash.reliability import endurance_pec
 from repro.obs import get_observer
 
@@ -140,15 +155,24 @@ class SummaryBatch:
     def from_volume_arrays(
         cls, per_device: Sequence[Mapping[str, np.ndarray]]
     ) -> "SummaryBatch":
-        """Stack :meth:`MobileWorkload.daily_volume_arrays` outputs."""
+        """Stack :meth:`MobileWorkload.daily_volume_arrays` outputs.
+
+        Every device's day sequence is checked against the first in one
+        comparison, and each field is stacked in one call.
+        """
         if not per_device:
             raise ValueError("at least one device's volumes required")
         day = np.asarray(per_device[0]["day"], dtype=np.int64)
-        for volumes in per_device[1:]:
-            if not np.array_equal(np.asarray(volumes["day"]), day):
-                raise ValueError("all devices must share the same day sequence")
+        try:
+            days = np.array([v["day"] for v in per_device])
+        except ValueError:  # sequences of different lengths
+            days = None
+        if days is None or days.shape != (len(per_device), day.size) or not (
+            days == day
+        ).all():
+            raise ValueError("all devices must share the same day sequence")
         def field(name: str) -> np.ndarray:
-            return np.stack([np.asarray(v[name], dtype=float) for v in per_device])
+            return np.array([v[name] for v in per_device], dtype=float)
         return cls(
             day=day,
             new_media_gb=field("new_media_gb"),
@@ -201,6 +225,46 @@ _ROW_STATE = (
 )
 
 
+@lru_cache(maxsize=64)
+def _mode_ladder(
+    mode: CellMode, resuscitation_bits: tuple[int, ...]
+) -> tuple[tuple[CellMode, ...], np.ndarray]:
+    """A partition's mode ladder -- ``mode``, then each resuscitation
+    density below it -- and the ladder's operating bits (read-only),
+    shared by every partition of that spec."""
+    ladder = [mode]
+    for bits in resuscitation_bits:
+        if bits >= mode.operating_bits:
+            continue  # never a density drop, for any group
+        if any(m.operating_bits == bits for m in ladder):
+            continue
+        ladder.append(CellMode(mode.technology, bits))
+    ladder_bits = np.array([m.operating_bits for m in ladder], dtype=np.int64)
+    ladder_bits.flags.writeable = False
+    return tuple(ladder), ladder_bits
+
+
+@lru_cache(maxsize=256)
+def _safe_pec(model: ErrorModel, max_rber: float, horizon_years: float) -> float:
+    """A PEC below which no group of ``model``'s mode fails the health check.
+
+    Below it, the RBER ``horizon_years`` after a write is under half of
+    ``max_rber`` (the model is monotone in PEC), and ``rber_many``
+    rounds within ~1e-15 of the scalar ``rber`` that
+    :meth:`~repro.flash.error_model.ErrorModel.pec_for_rber` inverts, so
+    the full evaluation would retire and resuscitate nothing.  A target
+    out of reach below 100x rated endurance gives that PEC (the curve
+    may still reach it above); 0.0 (never skip) when the target is met
+    at zero wear or the spec is out of the model's domain.  Keyed by
+    the model instance: :func:`cached_error_model` makes a new one when
+    an endurance table override changes its values.
+    """
+    if not (max_rber > 0.0 and horizon_years >= 0.0):
+        return 0.0
+    pec = model.pec_for_rber(max_rber / 2.0, horizon_years)
+    return pec if math.isfinite(pec) else 100.0 * model.rated_pec
+
+
 class BatchPartition:
     """One partition of N devices, stepped together.
 
@@ -228,16 +292,8 @@ class BatchPartition:
         self._live = np.zeros((n_devices, g), dtype=float)
         self._retired = np.zeros((n_devices, g), dtype=bool)
         self._refreshes = np.zeros((n_devices, g), dtype=np.int32)
-        ladder = [spec.mode]
-        for bits in spec.resuscitation_bits:
-            if bits >= spec.mode.operating_bits:
-                continue  # never a density drop, for any group
-            if any(m.operating_bits == bits for m in ladder):
-                continue
-            ladder.append(CellMode(spec.mode.technology, bits))
-        self._mode_ladder: list[CellMode] = ladder
-        self._ladder_bits = np.array(
-            [m.operating_bits for m in ladder], dtype=np.int64
+        self._mode_ladder, self._ladder_bits = _mode_ladder(
+            spec.mode, spec.resuscitation_bits
         )
         self._mode_idx = np.zeros((n_devices, g), dtype=np.int8)
         #: False while every group still runs spec.mode (fast RBER path)
@@ -258,6 +314,9 @@ class BatchPartition:
         base = parts[0].spec
         canonical = replace(base, waf=0.0)
         for p in parts[1:]:
+            # builds of one technology and capacity share their spec object
+            if p.spec is base:
+                continue
             if p.spec != base and replace(p.spec, waf=0.0) != canonical:
                 raise ValueError(
                     "batched partitions must share their spec (only waf may vary)"
@@ -349,25 +408,35 @@ class BatchPartition:
 
     def scatter_to(self, partitions: Sequence["BatchPartition"]) -> None:
         """Hand each partition its rows back, in :meth:`stack` order."""
-        bounds = np.cumsum([0] + [p.n_devices for p in partitions])
+        bounds = np.cumsum([0] + [p.n_devices for p in partitions]).tolist()
         if bounds[-1] != self.n_devices:
             raise ValueError("partition rows must add up to n_devices")
         state = {name: getattr(self, name).copy() for name in _ROW_STATE}
-        heterogeneous = (self._mode_idx != 0).any(axis=1)
+        heterogeneous = (self._mode_idx != 0).any(axis=1).tolist()
         for part, start, stop in zip(partitions, bounds[:-1], bounds[1:]):
             for name, array in state.items():
                 setattr(part, name, array[start:stop])
-            part._heterogeneous = bool(heterogeneous[start:stop].any())
+            part._heterogeneous = any(heterogeneous[start:stop])
 
     # -- per-device aggregates --------------------------------------------------
 
+    def _alive_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-device sum of ``values`` over live groups.
+
+        A retired lane adds 0.0 in its place, so the row sums add the
+        same terms in the same order however many groups have retired.
+        """
+        if self._retired.any():
+            values = np.where(self._retired, 0.0, values)
+        return values.sum(axis=1)
+
     def capacity_gb(self) -> np.ndarray:
         """Usable capacity per device, ``(n_devices,)``."""
-        return np.where(~self._retired, self._capacity, 0.0).sum(axis=1)
+        return self._alive_sum(self._capacity)
 
     def live_data_gb(self) -> np.ndarray:
         """Live data per device, ``(n_devices,)``."""
-        return np.where(~self._retired, self._live, 0.0).sum(axis=1)
+        return self._alive_sum(self._live)
 
     def mean_pec(self) -> np.ndarray:
         """Capacity-weighted mean PEC over live groups, per device."""
@@ -411,32 +480,46 @@ class BatchPartition:
     def _absorb(
         self, mask: np.ndarray, gb: np.ndarray, now: float, waf: np.ndarray
     ) -> None:
-        """Account per-group host+amplified writes where ``mask``.
+        """Account per-group host+amplified writes where ``mask``, in place.
 
-        ``gb`` broadcasts to ``(n_devices, n_groups)``; lanes outside
-        ``mask`` keep their state.  A lane inside ``mask`` whose group is
-        still empty -- a subnormal write's share underflowed to 0.0 --
-        keeps its write time rather than blending 0/0.
+        ``gb`` is one ``(n_devices, 1)`` column, each device's write per
+        group; lanes outside ``mask`` keep their state.  A lane inside
+        ``mask`` whose group is still empty -- a subnormal write's share
+        underflowed to 0.0 -- keeps its write time rather than blending
+        0/0.
         """
         cap = self._capacity
-        inc = np.divide(gb * waf, cap, out=np.zeros_like(cap), where=mask)
-        new_live = np.minimum(cap, self._live + gb)
-        # blend write times: new bytes are written "now"
-        blend = mask & (new_live > 0.0)
-        old_weight = np.divide(
-            np.maximum(0.0, new_live - gb), new_live,
-            out=np.ones_like(new_live), where=blend,
-        )
-        blended = old_weight * self._write_time + (1.0 - old_weight) * now
-        self._pec = np.where(mask, self._pec + inc, self._pec)
-        self._write_time = np.where(blend, blended, self._write_time)
-        self._live = np.where(mask, new_live, self._live)
+        # where=True when every lane writes: numpy's unmasked loops
+        lanes = True if mask.all() else mask
+        inc = np.divide(gb * waf, cap, out=np.empty_like(cap), where=lanes)
+        # one row of gb per device, spelled out: full-size operands let
+        # numpy run each operation as one flat loop
+        gb = np.repeat(gb, cap.shape[1], axis=1)
+        new_live = np.add(self._live, gb, out=np.empty_like(cap), where=lanes)
+        np.minimum(cap, new_live, out=new_live, where=lanes)
+        # blend write times: new bytes are written "now", weighted
+        # old_weight * write_time + (1 - old_weight) * now
+        blend = np.greater(new_live, 0.0, out=np.zeros_like(mask), where=lanes)
+        blend = True if blend.all() else blend
+        old_weight = np.subtract(new_live, gb, out=gb, where=blend)
+        np.maximum(0.0, old_weight, out=old_weight, where=blend)
+        np.divide(old_weight, new_live, out=old_weight, where=blend)
+        kept = np.multiply(old_weight, self._write_time, out=np.empty_like(cap),
+                           where=blend)
+        fresh = np.subtract(1.0, old_weight, out=old_weight, where=blend)
+        np.multiply(fresh, now, out=fresh, where=blend)
+        np.add(kept, fresh, out=self._write_time, where=blend)
+        np.add(self._pec, inc, out=self._pec, where=lanes)
+        np.copyto(self._live, new_live, where=lanes)
 
     def host_write(self, gb: np.ndarray, now: float, churn: bool) -> None:
         """Apply per-device host writes; churn concentrates on hot groups if WL off."""
         gb = np.asarray(gb, dtype=float)
         alive = ~self._retired
-        live_count = alive.sum(axis=1)
+        live_count = (
+            alive.sum(axis=1) if self._retired.any()
+            else np.full(self.n_devices, self.spec.n_groups)
+        )
         active = (gb > 0.0) & (live_count > 0)
         if not active.any():
             return
@@ -445,7 +528,8 @@ class BatchPartition:
         if self.spec.wear_leveling:
             waf = waf * (1.0 + WL_WRITE_OVERHEAD)
             share = (gb / denom)[:, None]
-            self._absorb(alive & active[:, None], share, now, waf)
+            mask = alive if active.all() else alive & active[:, None]
+            self._absorb(mask, share, now, waf)
             return
         if churn:
             hot_count = np.maximum(
@@ -478,7 +562,7 @@ class BatchPartition:
             self._cold_cursor[devices] += 1
 
     def host_delete(self, gb: np.ndarray) -> None:
-        """Remove per-device live data proportionally over groups."""
+        """Remove per-device live data proportionally over groups, in place."""
         gb = np.asarray(gb, dtype=float)
         total = self.live_data_gb()
         active = (total > 0.0) & (gb > 0.0)
@@ -490,9 +574,8 @@ class BatchPartition:
             np.minimum(gb, total), total, out=np.zeros_like(total), where=active
         )
         factor = np.where(active, 1.0 - fraction, 1.0)
-        self._live = np.where(
-            ~self._retired, self._live * factor[:, None], self._live
-        )
+        alive = ~self._retired if self._retired.any() else True
+        np.multiply(self._live, factor[:, None], out=self._live, where=alive)
 
     # -- quality / reliability --------------------------------------------------
 
@@ -568,12 +651,10 @@ class BatchPartition:
         live = np.where(refresh, self._live, 0.0)
         gb = live.sum(axis=1)
         self.refresh_writes_gb += gb
-        inc = np.divide(
-            live * self._waf[:, None], self._capacity,
-            out=np.zeros_like(live), where=refresh,
-        )
-        self._pec = np.where(refresh, self._pec + inc, self._pec)
-        self._write_time = np.where(refresh, now, self._write_time)
+        inc = np.multiply(live, self._waf[:, None], out=live, where=refresh)
+        np.divide(inc, self._capacity, out=inc, where=refresh)
+        np.add(self._pec, inc, out=self._pec, where=refresh)
+        np.copyto(self._write_time, now, where=refresh)
         self._refreshes += refresh
         obs = get_observer()
         if obs.enabled:
@@ -589,6 +670,13 @@ class BatchPartition:
         if not alive.any():
             return
         horizon = self.spec.health_horizon_years
+        # no live group near its failing PEC: none can fail, skip the RBER
+        bound = min(
+            _safe_pec(cached_error_model(mode), self.spec.max_rber, horizon)
+            for mode in self._mode_ladder
+        )
+        if not (alive & (self._pec >= bound)).any():
+            return
         predicted = self._rber(now, extra_age=horizon, from_data_age=False)
         failing = alive & (predicted > self.spec.max_rber)
         if not failing.any():
@@ -612,12 +700,10 @@ class BatchPartition:
             # re-hosted (counted as refresh writes)
             ratio = cand_bits / current_bits
             self.refresh_writes_gb += np.where(ok, self._live, 0.0).sum(axis=1)
-            self._capacity = np.where(ok, self._capacity * ratio, self._capacity)
-            self._live = np.where(
-                ok, np.minimum(self._live, self._capacity), self._live
-            )
-            self._mode_idx = np.where(ok, np.int8(cand_idx), self._mode_idx)
-            self._write_time = np.where(ok, now, self._write_time)
+            np.multiply(self._capacity, ratio, out=self._capacity, where=ok)
+            np.minimum(self._live, self._capacity, out=self._live, where=ok)
+            np.copyto(self._mode_idx, np.int8(cand_idx), where=ok)
+            np.copyto(self._write_time, now, where=ok)
             self.resuscitated_count += ok.sum(axis=1)
             self._heterogeneous = True
             if obs.enabled:
@@ -629,7 +715,7 @@ class BatchPartition:
             remaining &= ~ok
         if remaining.any():
             self._retired |= remaining
-            self._live = np.where(remaining, 0.0, self._live)
+            np.copyto(self._live, 0.0, where=remaining)
             self.retired_count += remaining.sum(axis=1)
             if obs.enabled:
                 for d, g in zip(*np.nonzero(remaining)):
@@ -866,16 +952,16 @@ def run_lifetime_batch(
                 mask = utilization > 0.85
                 pressured[name] = mask
                 lives[name] = live
-                live_total = live_total + np.where(mask, live, 0.0)
+                np.add(live_total, live, out=live_total, where=mask)
             apply_delete = live_total > 0.0
             for name, partition in device.partitions.items():
                 mask = pressured[name] & apply_delete
                 if not mask.any():
                     continue
-                partition.host_delete(np.divide(
-                    delete * lives[name], live_total,
-                    out=np.zeros(n), where=mask,
-                ))
+                share = np.multiply(delete, lives[name], out=np.zeros(n),
+                                    where=mask)
+                np.divide(share, live_total, out=share, where=mask)
+                partition.host_delete(share)
         # the end state, once, after the last day
         now = device.now_years
         media_part = spare if spare is not None else sys_part

@@ -9,6 +9,12 @@ stationary once the device fills to its working set.
 Calibration target (§2.3.2 / Zhang et al.): a *typical* mix writes
 ~2-3 GB/day; against a 64 GB TLC device over a 2-year warranty this
 consumes a low-single-digit percentage of rated endurance.
+
+The epoch engine's input is :meth:`MobileWorkload.daily_volume_arrays`,
+one call per simulated device: one lognormal draw for the whole
+horizon, every app's terms formed in one preallocated ``(apps, 4,
+days)`` block, and the apps summed in mix order with in-place adds --
+bit for bit the per-(day, app) scalar loop kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ __all__ = ["WorkloadConfig", "MobileWorkload"]
 
 
 @functools.cache
-def _mix_table(mix: str) -> np.ndarray:
-    """Per-app coefficients of ``mix`` as a read-only ``(5, apps, 1)``
-    array, apps in mix order: write MB/day, overwrite share, media share,
-    non-media share and read MB/day, each volume scaled by the app's
-    activity factor."""
+def _mix_table(mix: str) -> tuple[np.ndarray, ...]:
+    """Per-app coefficients of ``mix`` as five read-only ``(apps, 1)``
+    columns, apps in mix order: write MB/day, overwrite share, media
+    share, non-media share and read MB/day, each volume scaled by the
+    app's activity factor."""
     rows = []
     for app_name, factor in USER_MIXES[mix].items():
         profile = APP_PROFILES[app_name]
@@ -44,7 +50,7 @@ def _mix_table(mix: str) -> np.ndarray:
         ))
     table = np.array(rows).T[:, :, None]
     table.flags.writeable = False
-    return table
+    return tuple(table)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +106,8 @@ class MobileWorkload:
         terms, scaled by :func:`_mix_table`'s coefficients, are summed in
         app order, so the values are bit-identical to the per-(day, app)
         scalar loop kept as the test oracle in
-        ``tests/workloads/test_workloads.py``.
+        ``tests/workloads/test_workloads.py``.  The five volume arrays
+        are the rows of one ``(5, days)`` block.
 
         Consumes the workload's RNG; use a fresh workload instance per
         call, as the batched lifetime path does (one instance per
@@ -110,27 +117,38 @@ class MobileWorkload:
         write, overwrite_share, media_share, other_share, read = _mix_table(
             self.config.mix
         )
-        # (2, apps, days): the transpose of the draw order
-        jitter = self._rng.lognormal(0.0, self.config.daily_jitter_sigma,
-                                     size=(days, len(write), 2)).T
-        vol_mb = write * jitter[0]
-        ow = vol_mb * overwrite_share
-        fresh = vol_mb - ow
-        terms = np.stack(
-            (fresh * media_share, fresh * other_share, ow, read * jitter[1]),
-            axis=1,
-        )
-        # accumulate adds the app rows one at a time in mix order, as the
-        # oracle loop does; add.reduce is free to pair them differently
-        media, other, overwrite, read_mb = np.add.accumulate(terms, axis=0)[-1]
-        delete = (media + other) * self.config.delete_fraction
+        apps = len(write)
+        # (2, apps, days): the transpose of the draw order, copied so
+        # every operand below is contiguous
+        jitter = np.ascontiguousarray(self._rng.lognormal(
+            0.0, self.config.daily_jitter_sigma, size=(days, apps, 2)
+        ).T)
+        # one block of every app's (media, other, overwrite, read) MB
+        terms = np.empty((apps, 4, days))
+        vol_mb = np.multiply(write, jitter[0], out=jitter[0])
+        overwrite = np.multiply(vol_mb, overwrite_share, out=terms[:, 2])
+        fresh = np.subtract(vol_mb, overwrite, out=vol_mb)
+        np.multiply(fresh, media_share, out=terms[:, 0])
+        np.multiply(fresh, other_share, out=terms[:, 1])
+        np.multiply(read, jitter[1], out=terms[:, 3])
+        # add the app rows one at a time in mix order, as the oracle
+        # loop does (add.reduce is free to pair them differently)
+        total = terms[0]
+        for app_terms in terms[1:]:
+            total += app_terms
+        # rows: media, other, overwrite, read, delete -- in MB, then GB
+        out = np.empty((5, days))
+        out[:4] = total
+        np.add(total[0], total[1], out=out[4])
+        out[4] *= self.config.delete_fraction
+        out /= 1024.0
         return {
             "day": np.arange(days, dtype=np.int64),
-            "new_media_gb": media / 1024.0,
-            "new_other_gb": other / 1024.0,
-            "overwrite_gb": overwrite / 1024.0,
-            "read_gb": read_mb / 1024.0,
-            "delete_gb": delete / 1024.0,
+            "new_media_gb": out[0],
+            "new_other_gb": out[1],
+            "overwrite_gb": out[2],
+            "read_gb": out[3],
+            "delete_gb": out[4],
         }
 
     # -- op-level ----------------------------------------------------------------

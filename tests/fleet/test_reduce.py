@@ -186,6 +186,41 @@ _QS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4)
 _THRESHOLD = st.one_of(_VALUE, st.floats(min_value=0.0, max_value=2.5))
 
 
+class TestQuantiles:
+    """``quantiles`` answers ``quantile`` at each q, bit for bit: an exact
+    digest makes one ``np.quantile`` call over its values as one array,
+    where the per-value oracle makes one call per q."""
+
+    @given(
+        column=st.lists(_VALUE, min_size=1, max_size=300),
+        keep_exact=st.booleans(),
+        qs=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]),
+                      st.floats(min_value=0.0, max_value=1.0)),
+            max_size=8,
+        ),
+        threshold=_THRESHOLD,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_q_path(self, column, keep_exact, qs, threshold):
+        (ours,), (theirs,) = _both(keep_exact, [column])
+        assert [_bits(v) for v in ours.quantiles(qs)] == \
+            [_bits(theirs.quantile(q)) for q in qs]
+        assert _bits(ours.worn_out_fraction(threshold)) == \
+            _bits(theirs.worn_out_fraction(threshold))
+
+    @pytest.mark.parametrize("keep_exact", [False, True], ids=["histogram", "exact"])
+    def test_checks_each_q_like_quantile(self, keep_exact):
+        empty = WearDigest(keep_exact=keep_exact)
+        assert empty.quantiles([]) == []
+        with pytest.raises(ValueError, match="empty digest"):
+            empty.quantiles([0.5])
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            _digest([0.1], keep_exact).quantiles([0.5, 1.5])
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            _digest([0.1], keep_exact).quantiles([float("nan")])
+
+
 class TestAgainstPerValueOracle:
     @given(column=_COLUMN, keep_exact=st.booleans(), qs=_QS, threshold=_THRESHOLD)
     @settings(max_examples=150, deadline=None)
