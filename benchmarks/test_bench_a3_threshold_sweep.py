@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
+from repro.classify.classifier import DEMOTE_THRESHOLD
 from repro.runner import Sweep, run_sweep
 from repro.runner.points import threshold_point
 
@@ -52,7 +53,7 @@ def test_bench_a3_threshold_sweep(benchmark):
     )
     spare = [m.spare_fraction for _, m in sweep]
     risk = [m.critical_demotion_rate for _, m in sweep]
-    default = next(m for t, m in sweep if t == 0.35)
+    default = next(m for t, m in sweep if t == DEMOTE_THRESHOLD)
     checks = [
         ClaimCheck("a3.spare-monotone", "SPARE share rises with the threshold "
                    "(fraction of non-decreasing steps)", 1.0,

@@ -27,14 +27,14 @@ import numpy as np
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
-from repro.classify.corpus import CorpusConfig, generate_corpus
-from repro.classify.features import FEATURE_NAMES, feature_matrix
+from repro.classify.classifier import DEMOTE_THRESHOLD
+from repro.classify.corpus import CorpusConfig, generate_corpus, labelled_matrix, training_split
+from repro.classify.features import FEATURE_NAMES
 from repro.classify.logistic import LogisticRegression
 
 from .common import report, run_once
 
 NOW = 2.0
-DEMOTE_THRESHOLD = 0.35
 
 #: feature names dropped at each privacy level; "no_content" removes
 #: content inspection (§4.5's "file content (e.g., family photos)"),
@@ -67,15 +67,8 @@ def _evaluate(X_train, y_train, X_test, y_test, system_test, dropped):
 
 def compute():
     corpus = generate_corpus(CorpusConfig(n_files=6000), seed=505)
-    rng = np.random.default_rng(505)
-    order = rng.permutation(len(corpus))
-    split = int(len(corpus) * 0.7)
-    train = [corpus[i] for i in order[:split]]
-    test = [corpus[i] for i in order[split:]]
-    X_train = feature_matrix([f.record for f in train], NOW)
-    y_train = np.array([int(f.critical) for f in train])
-    X_test = feature_matrix([f.record for f in test], NOW)
-    y_test = np.array([int(f.critical) for f in test])
+    X_train, y_train, test = training_split(corpus, NOW, 505, "critical")
+    X_test, y_test = labelled_matrix(test, NOW, "critical")
     system_test = np.array([f.record.is_system for f in test])
     return {
         level: _evaluate(X_train, y_train, X_test, y_test, system_test, dropped)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
 from repro.carbon.embodied import intensity_kg_per_gb, mixed_intensity_kg_per_gb
-from repro.core.config import default_config
+from repro.core.config import cell_mix, default_config
 from repro.core.partitions import build_partitions, capacity_gain_over, density_gain
 from repro.flash.cell import CellTechnology
 from repro.flash.geometry import Geometry
@@ -26,9 +26,7 @@ _GEOM = Geometry(page_size_bytes=512, pages_per_block=20, blocks_per_plane=32,
 def compute():
     config = default_config(geometry=_GEOM)
     device = build_partitions(config)
-    sos_intensity = mixed_intensity_kg_per_gb(
-        {config.sys_mode: 0.5, config.spare_mode: 0.5}
-    )
+    sos_intensity = mixed_intensity_kg_per_gb(cell_mix(config.spare_fraction))
     # the same cells operated at TLC density (exact: 20 * 3/5 = 12 pages)
     tlc_pages = int(_GEOM.pages_per_block * 3 / 5)
     tlc_equiv_bytes = tlc_pages * _GEOM.page_size_bytes * _GEOM.total_blocks

@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
-from repro.ecc.policy import POLICIES, ProtectionLevel
-from repro.flash.cell import CellTechnology, native_mode
+from repro.core.config import SPARE_MAX_RBER, SPARE_MODE, SPARE_PROTECTION
+from repro.ecc.policy import POLICIES
 from repro.sim.batch import BatchPartition
 from repro.sim.lifetime import PartitionSpec
 
@@ -31,11 +31,11 @@ CHURN_GB_PER_DAY = 0.15
 def _run(wear_leveling: bool):
     spec = PartitionSpec(
         name="spare",
-        mode=native_mode(CellTechnology.PLC),
-        protection=POLICIES[ProtectionLevel.NONE],
+        mode=SPARE_MODE,
+        protection=POLICIES[SPARE_PROTECTION],
         capacity_gb=32.0,
         wear_leveling=wear_leveling,
-        max_rber=4e-4,
+        max_rber=SPARE_MAX_RBER,
         resuscitation_bits=(),
         scrub_enabled=False,
     )

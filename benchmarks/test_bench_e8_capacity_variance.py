@@ -17,8 +17,14 @@ import numpy as np
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
-from repro.ecc.policy import POLICIES, ProtectionLevel
-from repro.flash.cell import CellTechnology, native_mode
+from repro.core.config import (
+    SPARE_MAX_RBER,
+    SPARE_MODE,
+    SPARE_PROTECTION,
+    SPARE_RESUSCITATION_BITS,
+    SPARE_WEAR_LEVELING,
+)
+from repro.ecc.policy import POLICIES
 from repro.sim.batch import BatchPartition
 from repro.sim.lifetime import PartitionSpec
 
@@ -32,11 +38,11 @@ CAPACITY_GB = 32.0
 def _run(resuscitation_bits: tuple[int, ...]):
     spec = PartitionSpec(
         name="spare",
-        mode=native_mode(CellTechnology.PLC),
-        protection=POLICIES[ProtectionLevel.NONE],
+        mode=SPARE_MODE,
+        protection=POLICIES[SPARE_PROTECTION],
         capacity_gb=CAPACITY_GB,
-        wear_leveling=False,
-        max_rber=4e-4,
+        wear_leveling=SPARE_WEAR_LEVELING,
+        max_rber=SPARE_MAX_RBER,
         resuscitation_bits=resuscitation_bits,
         scrub_enabled=False,
     )
@@ -61,7 +67,7 @@ def _run(resuscitation_bits: tuple[int, ...]):
 
 
 def compute():
-    with_ladder, series_ladder = _run((3, 1))
+    with_ladder, series_ladder = _run(SPARE_RESUSCITATION_BITS)
     without, series_retire = _run(())
     return with_ladder, series_ladder, without, series_retire
 

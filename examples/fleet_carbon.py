@@ -19,7 +19,8 @@ from repro.carbon.credits import EU_ETS_PEAK_2022, credit_cost_per_tb
 from repro.carbon.embodied import intensity_kg_per_gb, mixed_intensity_kg_per_gb
 from repro.carbon.market import MARKET_SHARE_2020, personal_share
 from repro.carbon.projection import ProjectionConfig, project
-from repro.flash.cell import CellTechnology, native_mode, pseudo_mode
+from repro.core.config import DEFAULT_SPARE_FRACTION, cell_mix
+from repro.flash.cell import CellTechnology
 
 
 def main() -> None:
@@ -28,9 +29,8 @@ def main() -> None:
                         help="fraction of personal-device flash using SOS by 2030")
     args = parser.parse_args()
 
-    plc = CellTechnology.PLC
     sos_intensity_ratio = mixed_intensity_kg_per_gb(
-        {native_mode(plc): 0.5, pseudo_mode(plc, 4): 0.5}
+        cell_mix(DEFAULT_SPARE_FRACTION)
     ) / intensity_kg_per_gb(CellTechnology.TLC)
     personal = personal_share(include_memory_cards=True)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.carbon.embodied import intensity_kg_per_gb
 from repro.core import SOSDevice, default_config
+from repro.core.config import SPARE_MODE, SYS_MODE, TECHNOLOGY
 from repro.flash.cell import CellTechnology
 from repro.flash.geometry import Geometry
 from repro.host.files import FileAttributes, FileKind
@@ -32,9 +33,8 @@ def main() -> None:
     rng = np.random.default_rng(0)
 
     print("== 1. device ==")
-    print(f"technology: {device.config.technology.name}, "
-          f"SYS mode {device.config.sys_mode.name}, "
-          f"SPARE mode {device.config.spare_mode.name}")
+    print(f"technology: {TECHNOLOGY.name}, SYS mode {SYS_MODE.name}, "
+          f"SPARE mode {SPARE_MODE.name}")
     print(f"capacity: {device.filesystem.capacity_pages()} logical pages "
           f"({device.block_layer.page_bytes} B payload each)")
 

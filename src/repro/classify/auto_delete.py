@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.host.files import FileRecord
 
-from .corpus import LabelledFile, split_corpus
-from .features import extract_features, feature_matrix
+from .corpus import LabelledFile, binary_metrics, labelled_matrix, training_split
+from .features import feature_matrix
 from .logistic import LogisticRegression
 
 __all__ = ["AutoDeletePredictor", "AutoDeleteMetrics", "train_auto_delete"]
@@ -42,11 +40,6 @@ class AutoDeletePredictor:
     def __init__(self, model: LogisticRegression) -> None:
         self.model = model
 
-    def p_delete(self, record: FileRecord, now_years: float) -> float:
-        """Model probability the user would delete this file."""
-        features = extract_features(record, now_years).reshape(1, -1)
-        return float(self.model.predict_proba(features)[0])
-
     def rank_for_deletion(
         self, records: list[FileRecord], now_years: float
     ) -> list[tuple[FileRecord, float]]:
@@ -63,16 +56,8 @@ class AutoDeletePredictor:
         """Accuracy/precision/recall against ``user_would_delete`` labels."""
         if not test_set:
             raise ValueError("empty test set")
-        X = feature_matrix([f.record for f in test_set], now_years)
-        y = np.array([int(f.user_would_delete) for f in test_set])
-        pred = self.model.predict(X)
-        accuracy = float(np.mean(pred == y))
-        tp = int(np.sum((pred == 1) & (y == 1)))
-        fp = int(np.sum((pred == 1) & (y == 0)))
-        fn = int(np.sum((pred == 0) & (y == 1)))
-        precision = tp / (tp + fp) if tp + fp else 1.0
-        recall = tp / (tp + fn) if tp + fn else 1.0
-        return AutoDeleteMetrics(accuracy=accuracy, precision=precision, recall=recall)
+        X, y = labelled_matrix(test_set, now_years, "user_would_delete")
+        return AutoDeleteMetrics(*binary_metrics(self.model.predict(X), y))
 
 
 def train_auto_delete(
@@ -82,9 +67,7 @@ def train_auto_delete(
 ) -> tuple[AutoDeletePredictor, AutoDeleteMetrics]:
     """Train the deletion predictor and evaluate on the held-out split
     (:func:`~repro.classify.corpus.split_corpus` under ``seed``)."""
-    train, test = split_corpus(corpus, seed)
-    X = feature_matrix([f.record for f in train], now_years)
-    y = np.array([int(f.user_would_delete) for f in train])
+    X, y, test = training_split(corpus, now_years, seed, "user_would_delete")
     model = LogisticRegression().fit(X, y)
     predictor = AutoDeletePredictor(model)
     return predictor, predictor.evaluate(test, now_years)

@@ -9,7 +9,8 @@ from the paper sit above the learned model:
 * demotion to SPARE is **conservative**: a file moves to SPARE only when
   the model's P(critical) falls below ``demote_threshold`` ("erring on
   the side of caution", §4.3) -- raising the threshold trades density
-  gain for safety, the A3 ablation axis.
+  gain for safety, the A3 ablation axis.  The SOS design's threshold is
+  :data:`DEMOTE_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -21,12 +22,16 @@ import numpy as np
 from repro.host.files import FileRecord
 from repro.host.hints import Placement, PlacementHint
 
-from .corpus import LabelledFile, split_corpus
-from .features import extract_features, feature_matrix
+from .corpus import LabelledFile, binary_metrics, labelled_matrix, training_split
+from .features import extract_features
 from .logistic import LogisticRegression
 from .naive_bayes import GaussianNaiveBayes
 
-__all__ = ["FileClassifier", "ClassifierMetrics", "train_classifier"]
+__all__ = ["DEMOTE_THRESHOLD", "FileClassifier", "ClassifierMetrics", "train_classifier"]
+
+#: the SOS design's demotion threshold: P(critical) below which a file
+#: moves to SPARE
+DEMOTE_THRESHOLD = 0.35
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,37 +63,30 @@ class FileClassifier:
     def __init__(
         self,
         model: LogisticRegression | GaussianNaiveBayes,
-        demote_threshold: float = 0.35,
+        demote_threshold: float = DEMOTE_THRESHOLD,
     ) -> None:
         if not 0.0 < demote_threshold < 1.0:
             raise ValueError("demote_threshold must be in (0, 1)")
         self.model = model
         self.demote_threshold = demote_threshold
 
-    def p_critical(self, record: FileRecord, now_years: float) -> float:
-        """Model probability that a file is critical."""
-        features = extract_features(record, now_years).reshape(1, -1)
+    def p_critical(self, X: np.ndarray) -> np.ndarray:
+        """Model probability that each row's file is critical."""
         if isinstance(self.model, LogisticRegression):
-            return float(self.model.predict_proba(features)[0])
-        probs = self.model.predict_proba(features)[0]
+            return self.model.predict_proba(X)
         # classes_ sorted ascending; critical encoded as 1
         critical_idx = int(np.where(self.model.classes_ == 1)[0][0])
-        return float(probs[critical_idx])
+        return self.model.predict_proba(X)[:, critical_idx]
 
     def classify(self, record: FileRecord, now_years: float) -> PlacementHint:
         """Placement hint for one file (rule layer + learned model)."""
         if record.is_system:
             return PlacementHint(record.file_id, Placement.SYS, confidence=1.0)
-        p_crit = self.p_critical(record, now_years)
+        features = extract_features(record, now_years).reshape(1, -1)
+        p_crit = float(self.p_critical(features)[0])
         if p_crit < self.demote_threshold:
             return PlacementHint(record.file_id, Placement.SPARE, confidence=1.0 - p_crit)
         return PlacementHint(record.file_id, Placement.SYS, confidence=p_crit)
-
-    def classify_many(
-        self, records: list[FileRecord], now_years: float
-    ) -> list[PlacementHint]:
-        """Placement hints for a batch of files."""
-        return [self.classify(r, now_years) for r in records]
 
     # -- evaluation -----------------------------------------------------------
 
@@ -96,21 +94,9 @@ class FileClassifier:
         """Held-out metrics against ground-truth criticality labels."""
         if not test_set:
             raise ValueError("empty test set")
-        X = feature_matrix([f.record for f in test_set], now_years)
-        y = np.array([int(f.critical) for f in test_set])
-        if isinstance(self.model, LogisticRegression):
-            p = self.model.predict_proba(X)
-        else:
-            probs = self.model.predict_proba(X)
-            critical_idx = int(np.where(self.model.classes_ == 1)[0][0])
-            p = probs[:, critical_idx]
-        pred = (p >= 0.5).astype(int)
-        accuracy = float(np.mean(pred == y))
-        tp = int(np.sum((pred == 1) & (y == 1)))
-        fp = int(np.sum((pred == 1) & (y == 0)))
-        fn = int(np.sum((pred == 0) & (y == 1)))
-        precision = tp / (tp + fp) if tp + fp else 1.0
-        recall = tp / (tp + fn) if tp + fn else 1.0
+        X, y = labelled_matrix(test_set, now_years, "critical")
+        p = self.p_critical(X)
+        accuracy, precision, recall = binary_metrics((p >= 0.5).astype(int), y)
         demote = p < self.demote_threshold
         system = np.array([f.record.is_system for f in test_set])
         demote = demote & ~system  # rule layer protects system files
@@ -128,7 +114,7 @@ def train_classifier(
     corpus: list[LabelledFile],
     now_years: float,
     kind: str = "logistic",
-    demote_threshold: float = 0.35,
+    demote_threshold: float = DEMOTE_THRESHOLD,
     seed: int = 0,
 ) -> tuple[FileClassifier, ClassifierMetrics]:
     """Train a classifier on a corpus and evaluate on the held-out split.
@@ -149,9 +135,7 @@ def train_classifier(
     """
     if kind not in ("logistic", "naive_bayes"):
         raise ValueError(f"unknown classifier kind {kind!r}")
-    train, test = split_corpus(corpus, seed)
-    X = feature_matrix([f.record for f in train], now_years)
-    y = np.array([int(f.critical) for f in train])
+    X, y, test = training_split(corpus, now_years, seed, "critical")
     model: LogisticRegression | GaussianNaiveBayes
     if kind == "logistic":
         model = LogisticRegression().fit(X, y)

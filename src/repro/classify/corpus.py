@@ -42,12 +42,17 @@ import numpy as np
 
 from repro.host.files import FileAttributes, FileKind, FileRecord, SYSTEM_KINDS
 
+from .features import feature_matrix
+
 __all__ = [
     "LabelledFile",
     "CorpusConfig",
     "TRAIN_FRACTION",
     "generate_corpus",
     "split_corpus",
+    "labelled_matrix",
+    "training_split",
+    "binary_metrics",
 ]
 
 #: Share of a corpus a model trains on; the rest is its held-out test set.
@@ -246,3 +251,34 @@ def split_corpus(
     order = np.random.default_rng(seed).permutation(len(corpus))
     split = int(len(corpus) * TRAIN_FRACTION)
     return [corpus[i] for i in order[:split]], [corpus[i] for i in order[split:]]
+
+
+def labelled_matrix(
+    files: list[LabelledFile], now_years: float, label: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix of ``files`` and their 0/1 ``label`` column
+    (``"critical"`` or ``"user_would_delete"``)."""
+    X = feature_matrix([f.record for f in files], now_years)
+    return X, np.array([int(getattr(f, label)) for f in files])
+
+
+def training_split(
+    corpus: list[LabelledFile], now_years: float, seed: int, label: str
+) -> tuple[np.ndarray, np.ndarray, list[LabelledFile]]:
+    """:func:`split_corpus` under ``seed``: the training files'
+    :func:`labelled_matrix` and the held-out test files."""
+    train, test = split_corpus(corpus, seed)
+    X, y = labelled_matrix(train, now_years, label)
+    return X, y, test
+
+
+def binary_metrics(pred: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Accuracy, precision and recall of 0/1 predictions against 0/1
+    labels; precision (recall) is 1.0 when no prediction (label) is 1."""
+    accuracy = float(np.mean(pred == y))
+    tp = int(np.sum((pred == 1) & (y == 1)))
+    fp = int(np.sum((pred == 1) & (y == 0)))
+    fn = int(np.sum((pred == 0) & (y == 1)))
+    precision = tp / (tp + fp) if tp + fp else 1.0
+    recall = tp / (tp + fn) if tp + fn else 1.0
+    return accuracy, precision, recall

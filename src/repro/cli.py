@@ -66,14 +66,13 @@ _BUILDS = ("tlc_baseline", "qlc_baseline", "plc_naive", "sos")
 
 def _cmd_density(args: argparse.Namespace) -> None:
     from repro.carbon.embodied import intensity_kg_per_gb, mixed_intensity_kg_per_gb
-    from repro.core.config import default_config
+    from repro.core.config import DEFAULT_SPARE_FRACTION, cell_mix, default_config
     from repro.core.partitions import capacity_gain_over, density_gain
     from repro.flash.cell import CellTechnology
 
-    config = default_config(spare_fraction=args.spare_fraction)
-    sos = mixed_intensity_kg_per_gb(
-        {config.sys_mode: 1 - args.spare_fraction, config.spare_mode: args.spare_fraction}
-    )
+    fraction = DEFAULT_SPARE_FRACTION if args.spare_fraction is None else args.spare_fraction
+    config = default_config(spare_fraction=fraction)
+    sos = mixed_intensity_kg_per_gb(cell_mix(fraction))
     tlc = intensity_kg_per_gb(CellTechnology.TLC)
     rows = [
         ["mean operating bits/cell", f"{config.mean_operating_bits:.2f}"],
@@ -84,7 +83,7 @@ def _cmd_density(args: argparse.Namespace) -> None:
         ["carbon reduction vs TLC", f"{(1 - sos / tlc) * 100:.1f}%"],
     ]
     print(format_table(["metric", "value"], rows,
-                       title=f"SOS split: {args.spare_fraction:.0%} SPARE"))
+                       title=f"SOS split: {fraction:.0%} SPARE"))
 
 
 def _cmd_project(args: argparse.Namespace) -> None:
@@ -830,7 +829,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("density", help="density/carbon arithmetic (§4.1-§4.2)")
-    p.add_argument("--spare-fraction", type=float, default=0.5)
+    p.add_argument("--spare-fraction", type=float,
+                   help="SPARE share of the cells (default: the SOS design's)")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("project", help="2021-2030 carbon projection (E2)")

@@ -46,10 +46,11 @@ class ClassifierDaemon:
     ----------
     filesystem, classifier, placement, scrubber, trim:
         The SOS components the daemon coordinates.
-    reevaluate_period_years:
-        Files already reviewed are re-classified after this long
-        (preference drift).
     """
+
+    #: files already reviewed are re-classified after this long
+    #: (preference drift)
+    reevaluate_period_years = 0.25
 
     def __init__(
         self,
@@ -58,7 +59,6 @@ class ClassifierDaemon:
         placement: PlacementEngine,
         scrubber: Scrubber,
         trim: TrimPolicy,
-        reevaluate_period_years: float = 0.25,
         tolerance: "ToleranceRegistry | None" = None,
     ) -> None:
         self.filesystem = filesystem
@@ -66,7 +66,6 @@ class ClassifierDaemon:
         self.placement = placement
         self.scrubber = scrubber
         self.trim = trim
-        self.reevaluate_period_years = reevaluate_period_years
         #: optional per-app degradation-tolerance overrides (§4.2)
         self.tolerance = tolerance
         self._last_review: dict[int, float] = {}

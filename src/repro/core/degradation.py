@@ -70,12 +70,6 @@ class DegradationMonitor:
         """Page-level quality proxy at a given bit error rate."""
         return math.exp(-self.sensitivity * rber)
 
-    def rber_floor_for_quality(self, quality_floor: float) -> float:
-        """Invert the proxy: max RBER keeping quality above the floor."""
-        if not 0.0 < quality_floor < 1.0:
-            raise ValueError("quality_floor must be in (0, 1)")
-        return -math.log(quality_floor) / self.sensitivity
-
     def forecast_page(self, lpn: int) -> PageForecast | None:
         """Forecast one page; None when the LPN is not SPARE-resident."""
         forecasts = self.scan([lpn])
@@ -110,7 +104,3 @@ class DegradationMonitor:
                 )
             )
         return forecasts
-
-    def endangered(self, lpns: list[int], quality_floor: float) -> list[PageForecast]:
-        """Pages predicted to fall below the quality floor in-horizon."""
-        return [f for f in self.scan(lpns) if f.below_floor(quality_floor)]

@@ -14,13 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.ecc.policy import POLICIES
 from repro.flash.cell import CellMode, CellTechnology
 from repro.flash.chip import FlashChip
 from repro.ftl.ftl import Ftl
 from repro.ftl.streams import StreamConfig
+from repro.ftl.wear_leveling import WearLevelerConfig
 from repro.host.hints import Placement
 
-from .config import SOSConfig
+from .config import (
+    SPARE_GC, SPARE_HEALTH, SPARE_MODE, SPARE_PROTECTION, SPARE_WEAR_LEVELING,
+    SYS_GC, SYS_HEALTH, SYS_MODE, SYS_PROTECTION, SYS_WEAR_LEVELING, TECHNOLOGY,
+    SOSConfig,
+)
 
 __all__ = ["PartitionedDevice", "build_partitions", "density_gain", "capacity_gain_over"]
 
@@ -45,14 +51,15 @@ class PartitionedDevice:
 
 
 def build_partitions(config: SOSConfig) -> PartitionedDevice:
-    """Construct chip + FTL with the config's physical partition split.
+    """Construct chip + FTL with the config's physical partition split
+    and the SOS design's per-partition policies.
 
     Blocks are interleaved between partitions (round-robin by fraction)
     rather than split contiguously, approximating how real devices stripe
     partitions across planes/dies for parallelism.  Each stream is named
     by its :class:`~repro.host.hints.Placement` value.
     """
-    chip = FlashChip(config.geometry, config.technology, seed=config.seed)
+    chip = FlashChip(config.geometry, TECHNOLOGY, seed=config.seed)
     total = config.geometry.total_blocks
     spare_count = round(total * config.spare_fraction)
     if spare_count in (0, total):
@@ -69,19 +76,19 @@ def build_partitions(config: SOSConfig) -> PartitionedDevice:
     streams = [
         StreamConfig(
             name=Placement.SYS.value,
-            mode=config.sys_mode,
-            protection=config.sys_protection,
-            gc_policy=config.sys_gc,
-            wear_leveling=config.sys_wear_leveling,
-            health=config.sys_health(),
+            mode=SYS_MODE,
+            protection=POLICIES[SYS_PROTECTION],
+            gc_policy=SYS_GC,
+            wear_leveling=WearLevelerConfig(enabled=SYS_WEAR_LEVELING),
+            health=SYS_HEALTH,
         ),
         StreamConfig(
             name=Placement.SPARE.value,
-            mode=config.spare_mode,
-            protection=config.spare_protection,
-            gc_policy=config.spare_gc,
-            wear_leveling=config.spare_wear_leveling,
-            health=config.spare_health(),
+            mode=SPARE_MODE,
+            protection=POLICIES[SPARE_PROTECTION],
+            gc_policy=SPARE_GC,
+            wear_leveling=WearLevelerConfig(enabled=SPARE_WEAR_LEVELING),
+            health=SPARE_HEALTH,
         ),
     ]
     ftl = Ftl(

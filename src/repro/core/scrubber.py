@@ -27,6 +27,7 @@ from repro.host.block_layer import BlockLayer
 from repro.host.hints import Placement
 from repro.obs import get_observer
 
+from .config import SCRUB_QUALITY_FLOOR
 from .degradation import DegradationMonitor, PageForecast
 from .repair import CloudBackup
 
@@ -79,7 +80,7 @@ class Scrubber:
         block_layer: BlockLayer,
         monitor: DegradationMonitor,
         backup: CloudBackup,
-        quality_floor: float = 0.85,
+        quality_floor: float = SCRUB_QUALITY_FLOOR,
         max_repair_retries: int = 3,
         repair_backoff_s: float = 0.05,
     ) -> None:

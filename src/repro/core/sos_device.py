@@ -28,7 +28,7 @@ from repro.host.files import FileAttributes, FileKind, FileRecord
 from repro.host.filesystem import FileSystem
 from repro.host.hints import Placement
 
-from .config import SOSConfig, default_config
+from .config import SOSConfig, cell_mix, default_config
 from .daemon import ClassifierDaemon, DaemonRunReport
 from .degradation import DegradationMonitor
 from .partitions import PartitionedDevice, build_partitions
@@ -124,10 +124,7 @@ class SOSDevice:
             corpus = generate_corpus(CorpusConfig(), seed=self.config.seed)
             if classifier is None:
                 classifier, _ = train_classifier(
-                    corpus,
-                    now_years=CorpusConfig().now_years,
-                    demote_threshold=self.config.demote_threshold,
-                    seed=self.config.seed,
+                    corpus, now_years=CorpusConfig().now_years, seed=self.config.seed
                 )
             if auto_delete is None:
                 auto_delete, _ = train_auto_delete(
@@ -137,12 +134,7 @@ class SOSDevice:
         self.auto_delete = auto_delete
         self.placement = PlacementEngine(self.block_layer)
         self.monitor = DegradationMonitor(self.ftl)
-        self.scrubber = Scrubber(
-            self.block_layer,
-            self.monitor,
-            self.backup,
-            quality_floor=self.config.scrub_quality_floor,
-        )
+        self.scrubber = Scrubber(self.block_layer, self.monitor, self.backup)
         self.trim = TrimPolicy(
             self.filesystem, self.auto_delete, free_target=self.config.trim_free_target
         )
@@ -226,11 +218,7 @@ class SOSDevice:
         """Embodied carbon of this device's configuration."""
         capacity_gb = self.chip.usable_capacity_bytes() / 1e9
         return device_embodied_kg(
-            max(capacity_gb, 1e-12),
-            {
-                self.config.sys_mode: 1.0 - self.config.spare_fraction,
-                self.config.spare_mode: self.config.spare_fraction,
-            },
+            max(capacity_gb, 1e-12), cell_mix(self.config.spare_fraction)
         )
 
     def snapshot(self) -> DeviceSnapshot:

@@ -22,6 +22,8 @@ from repro.classify.auto_delete import AutoDeletePredictor
 from repro.host.filesystem import FileSystem
 from repro.obs import get_observer
 
+from .config import TRIM_FREE_TARGET
+
 __all__ = ["TrimMode", "TrimEvent", "TrimPolicy"]
 
 
@@ -59,7 +61,7 @@ class TrimPolicy:
         self,
         filesystem: FileSystem,
         predictor: AutoDeletePredictor,
-        free_target: float = 0.03,
+        free_target: float = TRIM_FREE_TARGET,
     ) -> None:
         if not 0.0 < free_target < 1.0:
             raise ValueError("free_target must be in (0, 1)")

@@ -16,7 +16,6 @@ summaries (capacity, retirement, wear) reduce over those arrays.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -84,10 +83,6 @@ class FlashChip:
         """Bytes currently addressable (live blocks at their modes)."""
         live_pages = self.arrays.usable_pages[~self.arrays.retired].sum()
         return self.geometry.page_size_bytes * int(live_pages)
-
-    def live_blocks(self) -> Iterator[tuple[int, Block]]:
-        """Iterate (index, block) over non-retired blocks."""
-        return ((i, b) for i, b in enumerate(self.blocks) if not b.retired)
 
     def retired_count(self) -> int:
         """Number of retired (worn-out) blocks."""

@@ -51,8 +51,8 @@ class PageMap:
       page, or -1 -- stale copies are cleared eagerly on overwrite and
       trim, so :meth:`live_lpns` is a plain non-negative scan in page
       order;
-    * ``_valid[block]`` counts live pages per block and ``_mapped`` the
-      device-wide total, both maintained incrementally.
+    * ``_valid[block]`` counts live pages per block, maintained
+      incrementally.
     """
 
     def __init__(self, total_blocks: int, pages_per_block: int) -> None:
@@ -64,7 +64,6 @@ class PageMap:
         self._l2p = np.full(n_pages, -1, dtype=np.int64)
         self._p2l = np.full(n_pages, -1, dtype=np.int64)
         self._valid = np.zeros(total_blocks, dtype=np.int64)
-        self._mapped = 0
 
     # -- queries -------------------------------------------------------------
 
@@ -121,10 +120,6 @@ class PageMap:
             raise KeyError("lookup_flat_many on unmapped LPN(s)")
         return flats
 
-    def mapped_count(self) -> int:
-        """Number of live logical pages device-wide."""
-        return self._mapped
-
     def all_mapped_lpns(self) -> list[int]:
         """Sorted list of all live LPNs."""
         return np.nonzero(self._l2p >= 0)[0].tolist()
@@ -142,7 +137,6 @@ class PageMap:
         self._p2l[flat] = -1
         block_index = int(flat) // self.pages_per_block
         self._valid[block_index] -= 1
-        self._mapped -= 1
         return (block_index, int(flat) % self.pages_per_block)
 
     def record_writes(self, lpns: np.ndarray, block_index: int, start_page: int) -> None:
@@ -188,7 +182,6 @@ class PageMap:
             old_flats // self.pages_per_block, minlength=self.total_blocks
         )
         self._p2l[old_flats] = -1
-        self._mapped += int(uniq.size - old_flats.size)
         self._p2l[live_flats] = uniq
         self._l2p[uniq] = live_flats
         self._valid[block_index] += uniq.size
@@ -226,7 +219,6 @@ class PageMap:
         self._l2p[uniq] = -1
         self._p2l[flats] = -1
         np.subtract.at(self._valid, flats // self.pages_per_block, 1)
-        self._mapped -= int(uniq.size)
         return uniq
 
     def on_erase(self, block_index: int) -> None:

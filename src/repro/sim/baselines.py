@@ -11,6 +11,11 @@
 * **SOS** -- the paper's split: half pseudo-QLC SYS (strong ECC, WL on),
   half native-PLC SPARE (no ECC, WL off, scrub + resuscitation ladder).
 
+:func:`build_sos` reads the SOS design from :mod:`repro.core.config`,
+the same constants the bit-exact device's partitions are built from;
+only the ablated values (the split, SPARE's protection, the scrub
+switch) are its parameters.
+
 Each builder also reports the device's embodied-carbon intensity so the
 lifetime engine can put carbon and reliability on one table (E11).
 """
@@ -21,8 +26,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.carbon.embodied import intensity_kg_per_gb, mixed_intensity_kg_per_gb
+from repro.core.config import (
+    DEFAULT_SPARE_FRACTION, SCRUB_QUALITY_FLOOR, SPARE_MAX_RBER, SPARE_MODE,
+    SPARE_PROTECTION, SPARE_RESUSCITATION_BITS, SPARE_WEAR_LEVELING, SYS_MAX_RBER,
+    SYS_MODE, SYS_PROTECTION, SYS_WEAR_LEVELING, cell_mix,
+)
 from repro.ecc.policy import POLICIES, ProtectionLevel
-from repro.flash.cell import CellTechnology, native_mode, pseudo_mode
+from repro.flash.cell import CellTechnology, native_mode
 
 from .batch import BatchLifetimeDevice, BatchPartition
 from .lifetime import PartitionSpec
@@ -97,34 +107,31 @@ def build_plc_naive(capacity_gb: float = 64.0) -> DeviceBuild:
 
 def build_sos(
     capacity_gb: float = 64.0,
-    spare_fraction: float = 0.5,
-    spare_protection: ProtectionLevel = ProtectionLevel.NONE,
+    spare_fraction: float = DEFAULT_SPARE_FRACTION,
+    spare_protection: ProtectionLevel = SPARE_PROTECTION,
     scrub_enabled: bool = True,
 ) -> DeviceBuild:
     """The paper's SOS split (parameterized for the ablations)."""
-    plc = CellTechnology.PLC
     sys_spec = PartitionSpec(
         name="sys",
-        mode=pseudo_mode(plc, 4),
-        protection=POLICIES[ProtectionLevel.STRONG],
+        mode=SYS_MODE,
+        protection=POLICIES[SYS_PROTECTION],
         capacity_gb=capacity_gb * (1.0 - spare_fraction),
-        wear_leveling=True,
-        max_rber=5e-3,
+        wear_leveling=SYS_WEAR_LEVELING,
+        max_rber=SYS_MAX_RBER,
     )
     spare_spec = PartitionSpec(
         name="spare",
-        mode=native_mode(plc),
+        mode=SPARE_MODE,
         protection=POLICIES[spare_protection],
         capacity_gb=capacity_gb * spare_fraction,
-        wear_leveling=False,  # §4.3: SPARE lets worn blocks wear
-        max_rber=4e-4,
-        resuscitation_bits=(3, 1),
+        wear_leveling=SPARE_WEAR_LEVELING,
+        max_rber=SPARE_MAX_RBER,
+        resuscitation_bits=SPARE_RESUSCITATION_BITS,
         scrub_enabled=scrub_enabled,
-        scrub_quality_floor=0.85,
+        scrub_quality_floor=SCRUB_QUALITY_FLOOR,
     )
-    intensity = mixed_intensity_kg_per_gb(
-        {pseudo_mode(plc, 4): 1.0 - spare_fraction, native_mode(plc): spare_fraction}
-    )
+    intensity = mixed_intensity_kg_per_gb(cell_mix(spare_fraction))
     return DeviceBuild(
         name="sos",
         device=_device(sys_spec, spare_spec),

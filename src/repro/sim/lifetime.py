@@ -37,9 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.config import HEALTH_HORIZON_YEARS, SCRUB_QUALITY_FLOOR, SYS_MAX_RBER
 from repro.ecc.policy import ProtectionPolicy
 from repro.faults.plan import FaultSummary
 from repro.flash.cell import CellMode
+from repro.media.quality import FRAME_SENSITIVITY, FrameType
 
 __all__ = [
     "PartitionSpec",
@@ -68,17 +70,18 @@ class PartitionSpec:
     capacity_gb: float
     waf: float = 2.5
     wear_leveling: bool = True
-    #: RBER ceiling for group health (ECC capability or quality budget)
-    max_rber: float = 5e-3
+    #: RBER ceiling for group health (ECC capability or quality budget);
+    #: the default is strong ECC's, as on SOS's SYS
+    max_rber: float = SYS_MAX_RBER
     #: retention horizon for health checks (years)
-    health_horizon_years: float = 1.0
+    health_horizon_years: float = HEALTH_HORIZON_YEARS
     #: reduced-density operating bits ladder for resuscitation (§4.3)
     resuscitation_bits: tuple[int, ...] = ()
     #: periodic refresh (scrub) when quality forecast violates the floor
     scrub_enabled: bool = False
-    scrub_quality_floor: float = 0.85
+    scrub_quality_floor: float = SCRUB_QUALITY_FLOOR
     #: BER->quality exponent for the partition's data (P-frame proxy)
-    quality_sensitivity: float = 800.0
+    quality_sensitivity: float = FRAME_SENSITIVITY[FrameType.P]
     n_groups: int = 20
 
 

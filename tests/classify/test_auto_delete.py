@@ -65,7 +65,9 @@ class TestRanking:
                 has_known_faces=True, access_count=120,
             ),
         )
-        assert predictor.p_delete(junk, NOW) > predictor.p_delete(keeper, NOW)
+        ranked = predictor.rank_for_deletion([keeper, junk], NOW)
+        assert [r.file_id for r, _ in ranked] == [1, 2]
+        assert ranked[0][1] > ranked[1][1]
 
     def test_empty_test_set_rejected(self, setup):
         _, predictor, _ = setup

@@ -101,11 +101,3 @@ class TestThreshold:
         with pytest.raises(ValueError):
             classifier.evaluate([], NOW)
 
-
-class TestBatch:
-    def test_classify_many_matches_single(self, trained, corpus):
-        classifier, _ = trained
-        records = [f.record for f in corpus[:20]]
-        batch = classifier.classify_many(records, NOW)
-        for record, hint in zip(records, batch):
-            assert hint == classifier.classify(record, NOW)

@@ -1,10 +1,21 @@
-"""SOS configuration validation and derived quantities."""
+"""SOS configuration validation and the design constants."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.config import SOSConfig, default_config
+from repro.core.config import (
+    SPARE_HEALTH,
+    SPARE_MAX_RBER,
+    SPARE_MODE,
+    SPARE_WEAR_LEVELING,
+    SYS_HEALTH,
+    SYS_MAX_RBER,
+    SYS_MODE,
+    SYS_WEAR_LEVELING,
+    TECHNOLOGY,
+    default_config,
+)
 from repro.flash.cell import CellTechnology, native_mode, pseudo_mode
 
 
@@ -12,18 +23,17 @@ class TestDefaults:
     def test_default_is_half_half_plc(self):
         config = default_config()
         assert config.spare_fraction == 0.5
-        assert config.technology is CellTechnology.PLC
-        assert config.sys_mode == pseudo_mode(CellTechnology.PLC, 4)
-        assert config.spare_mode == native_mode(CellTechnology.PLC)
+        assert TECHNOLOGY is CellTechnology.PLC
+        assert SYS_MODE == pseudo_mode(CellTechnology.PLC, 4)
+        assert SPARE_MODE == native_mode(CellTechnology.PLC)
 
     def test_mean_operating_bits_default_is_4_5(self):
         assert default_config().mean_operating_bits == pytest.approx(4.5)
 
     def test_spare_wear_leveling_disabled_by_default(self):
         """§4.3: preemptive wear leveling disabled on SPARE."""
-        config = default_config()
-        assert not config.spare_wear_leveling.enabled
-        assert config.sys_wear_leveling.enabled
+        assert not SPARE_WEAR_LEVELING
+        assert SYS_WEAR_LEVELING
 
     def test_trim_target_is_3_percent(self):
         """§4.5: 'once enough space (e.g. 3% of capacity) has been freed'."""
@@ -37,23 +47,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             default_config(spare_fraction=1.0)
 
-    def test_mode_technology_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            default_config(sys_mode=native_mode(CellTechnology.QLC))
-        with pytest.raises(ValueError):
-            default_config(spare_mode=native_mode(CellTechnology.TLC))
-
 
 class TestHealthPolicies:
     def test_sys_health_has_no_resuscitation(self):
         """SYS never drops density below the capacity plan."""
-        assert default_config().sys_health().resuscitation_modes == ()
+        assert SYS_HEALTH.resuscitation_modes == ()
 
     def test_spare_health_ladder_is_ptlc_then_pslc(self):
-        ladder = default_config().spare_health().resuscitation_modes
+        ladder = SPARE_HEALTH.resuscitation_modes
         assert [m.operating_bits for m in ladder] == [3, 1]
 
     def test_spare_budget_tighter_than_sys(self):
         """SPARE has no ECC: its raw-RBER budget must be much smaller."""
-        config = default_config()
-        assert config.spare_max_rber < config.sys_max_rber
+        assert SPARE_MAX_RBER < SYS_MAX_RBER

@@ -9,7 +9,7 @@ import pytest
 from core_oracles import forecast_page as oracle_forecast_page
 from core_oracles import scan as oracle_scan
 
-from repro.core.config import default_config
+from repro.core.config import SCRUB_QUALITY_FLOOR, default_config
 from repro.core.degradation import DegradationMonitor
 from repro.core.partitions import build_partitions
 from repro.host.block_layer import BlockLayer
@@ -61,16 +61,10 @@ class TestForecastShape:
             math.exp(-monitor.sensitivity * rber)
         )
 
-    def test_rber_floor_inverts_quality(self, setup):
-        _, _, monitor = setup
-        floor = 0.85
-        rber = monitor.rber_floor_for_quality(floor)
-        assert monitor.quality_from_rber(rber) == pytest.approx(floor)
 
-    def test_invalid_floor_rejected(self, setup):
-        _, _, monitor = setup
-        with pytest.raises(ValueError):
-            monitor.rber_floor_for_quality(1.0)
+def _endangered(monitor, lpns):
+    """The scrubber's filter: scanned pages forecast below its floor."""
+    return [f for f in monitor.scan(lpns) if f.below_floor(SCRUB_QUALITY_FLOOR)]
 
 
 class TestEndangered:
@@ -81,7 +75,7 @@ class TestEndangered:
             lpn = 10 + i
             layer.write_page(lpn, b"x", placement=Placement.SPARE)
             lpns.append(lpn)
-        assert monitor.endangered(lpns, quality_floor=0.85) == []
+        assert _endangered(monitor, lpns) == []
 
     def test_worn_blocks_flag_pages(self, setup):
         device, layer, monitor = setup
@@ -93,7 +87,7 @@ class TestEndangered:
         for block in device.chip.blocks:
             if block.mode.operating_bits == 5:
                 block.pec = 1500  # 3x rated PLC endurance
-        endangered = monitor.endangered(lpns, quality_floor=0.85)
+        endangered = _endangered(monitor, lpns)
         assert len(endangered) == 5
 
     def test_scan_covers_only_spare(self, setup):

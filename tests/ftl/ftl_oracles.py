@@ -242,10 +242,6 @@ class DictPageMap:
         lpns = np.asarray([l for _, l in pairs], dtype=np.int64)
         return pages, lpns
 
-    def mapped_count(self) -> int:
-        """Number of live logical pages device-wide."""
-        return len(self._l2p)
-
     def all_mapped_lpns(self) -> list[int]:
         """Sorted list of all live LPNs."""
         return sorted(self._l2p)

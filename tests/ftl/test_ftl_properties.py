@@ -66,7 +66,7 @@ def test_ftl_matches_reference_dict(ops):
     for lpn, expected in reference.items():
         assert ftl.read(lpn).payload == expected
     # mapping invariants
-    assert ftl.page_map.mapped_count() == len(reference)
+    assert len(ftl.page_map.all_mapped_lpns()) == len(reference)
     assert ftl.stream_live_pages("sys") == len(reference)
     for lpn in range(26):
         if lpn not in reference:

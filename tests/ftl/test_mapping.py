@@ -23,7 +23,7 @@ class TestBasics:
         page_map.record_writes([7], 1, 3)
         assert page_map.lookup(7) == (1, 3)
         assert page_map.valid_pages(1) == 1
-        assert page_map.mapped_count() == 1
+        assert page_map.all_mapped_lpns() == [7]
 
     def test_overwrite_invalidates_old_copy(self, page_map):
         page_map.record_writes([7], 1, 3)
@@ -89,4 +89,3 @@ def test_valid_counts_always_consistent(ops):
             if page_map.lookup(lpn)[0] == block
         )
         assert page_map.valid_pages(block) == expected
-    assert page_map.mapped_count() == len(page_map.all_mapped_lpns())

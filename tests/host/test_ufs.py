@@ -69,7 +69,7 @@ class TestDataPath:
         device, partitioned = ufs
         for i in range(WRITE_BUFFER_PAGES + 1):
             device.write(1, 100 + i, b"x")
-        assert partitioned.ftl.page_map.mapped_count() >= WRITE_BUFFER_PAGES
+        assert len(partitioned.ftl.page_map.all_mapped_lpns()) >= WRITE_BUFFER_PAGES
 
     def test_sync_flushes(self, ufs):
         device, partitioned = ufs
