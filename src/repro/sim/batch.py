@@ -6,23 +6,37 @@ A6 sensitivity grids, every fleet shard) step N devices at once, and a
 single device (:func:`repro.sim.engine.run_lifetime`: E3, E11, the
 A1/A2/A9 ablations) is the one-row case of the same code.  Each
 partition keeps one array per block-group field with a leading device
-axis, shape ``(n_devices, n_groups)``, and each simulated day is a
+axis, shape ``(n_devices, lanes)``, and each simulated day is a
 handful of array operations over that state: write routing, wear
 accrual, scrub/refresh, the retire/resuscitate ladder, and delete
 apportionment.
+
+A partition has one lane per block group, except that a wear-leveled
+one starts *collapsed*: wear leveling gives every group the same share,
+so one lane per device stands for all of them.  It widens to one lane
+per group, in place, the first time a group can diverge: a group fails
+the health check (it retires or resuscitates), a scrub pass runs, a
+fault hits one group, :meth:`~BatchPartition.import_state` installs
+state, or a stack joins it with a wide row.  Only elementwise IEEE
+arithmetic (+, -, *, /, min, max, comparisons) runs on the collapsed
+lanes, so each lane holds the bits it would hold wide; every row sum
+and every RBER or ECC evaluation runs on the lanes repeated out to the
+full ``(n_devices, n_groups)`` shape, so numpy adds and rounds exactly
+as it would over wide state.  Never shortcut a row sum as ``n_groups``
+times a lane: the two differ in the last bit.
 
 A partition owns its state arrays, and each day updates them in place:
 ufuncs write through ``out=``, with ``where=`` when only some lanes
 change, in the oracle's operation and operand order.  So no state array
 is ever shared -- :meth:`BatchPartition.stack`,
 :meth:`~BatchPartition.scatter_to`, :meth:`~BatchPartition.export_state`
-and :meth:`~BatchPartition.import_state` all copy.  The daily health
-check evaluates RBER only once a live group's PEC reaches
-``_safe_pec``, the PEC at which its mode's RBER after the health
-horizon climbs to half of ``max_rber`` (the lowest over the partition's
-mode ladder).  Below it no group can fail, so skipping the evaluation
-changes nothing; a fleet chunk's devices stay far below it, and the
-chunk's one RBER pass is its end state's.
+and :meth:`~BatchPartition.import_state` all copy, and widening installs
+new arrays.  The daily health check evaluates RBER only once a live
+group's PEC reaches ``_safe_pec``, the PEC at which its mode's RBER
+after the health horizon climbs to half of ``max_rber`` (the lowest
+over the partition's mode ladder).  Below it no group can fail, so
+skipping the evaluation changes nothing; a fleet chunk's devices stay
+far below it, and the chunk's one RBER pass is its end state's.
 
 The interface is volume arrays in, one end state out.  A device build
 owns a one-row :class:`BatchLifetimeDevice` made from its
@@ -206,10 +220,10 @@ class BatchEndState:
     faults: list[FaultSummary | None]
 
 
-#: per-device state of a :class:`BatchPartition`: every attribute's first
-#: axis is the device axis, so stacking rows is one concatenate and
-#: scattering them back one slice per attribute
-_ROW_STATE = (
+#: a :class:`BatchPartition`'s per-group fields, shape ``(n_devices,
+#: lanes)``: one lane per group, or one per device while a wear-leveled
+#: partition's groups are equal
+_GROUP_STATE = (
     "_capacity",
     "_pec",
     "_write_time",
@@ -217,6 +231,12 @@ _ROW_STATE = (
     "_retired",
     "_refreshes",
     "_mode_idx",
+)
+
+#: per-device state of a :class:`BatchPartition`: every attribute's first
+#: axis is the device axis, so stacking rows is one concatenate and
+#: scattering them back one slice per attribute
+_ROW_STATE = _GROUP_STATE + (
     "_cold_cursor",
     "refresh_writes_gb",
     "retired_count",
@@ -265,14 +285,28 @@ def _safe_pec(model: ErrorModel, max_rber: float, horizon_years: float) -> float
     return pec if math.isfinite(pec) else 100.0 * model.rated_pec
 
 
+@lru_cache(maxsize=256)
+def _lane_sum(lane: float, n_groups: int) -> float:
+    """``n_groups`` lanes of ``lane`` summed as numpy sums a wide row
+    (``n_groups * lane`` rounds differently): the capacity of every
+    device of a collapsed partition."""
+    return float(np.full((1, n_groups), lane).sum(axis=1)[0])
+
+
 class BatchPartition:
     """One partition of N devices, stepped together.
 
     Block-group state is one array per field, shape ``(n_devices,
-    n_groups)``; per-group operating modes are tracked as indexes into a
+    lanes)``; per-group operating modes are tracked as indexes into a
     fixed *mode ladder* (``[spec.mode] + resuscitation candidates``), so
     heterogeneous post-resuscitation populations stay vectorizable.
     A single device's partition is the ``n_devices=1`` case.
+
+    A wear-leveled partition starts collapsed, one lane per device (see
+    the module docstring).  While collapsed no group has retired and
+    every group runs ``spec.mode`` at ``spec.capacity_gb / n_groups``;
+    :meth:`_widen` gives each group its own lane before one diverges,
+    and row sums and RBER see the lanes repeated (:meth:`_lanes`).
     """
 
     def __init__(self, spec: PartitionSpec, n_devices: int) -> None:
@@ -280,22 +314,22 @@ class BatchPartition:
             raise ValueError("n_devices must be positive")
         self.spec = spec
         self.n_devices = n_devices
-        g = spec.n_groups
-        per_group = spec.capacity_gb / g
+        per_group = spec.capacity_gb / spec.n_groups
+        shape = (n_devices, 1 if spec.wear_leveling else spec.n_groups)
         # float state stays float64 (the oracle-equivalence contract is
         # bit-level); the integer lanes are tightened -- refresh counts
         # fit int32 and mode indexes fit int8 -- so a shard's per-lane
         # footprint is dominated by the five float64 arrays
-        self._capacity = np.full((n_devices, g), per_group, dtype=float)
-        self._pec = np.zeros((n_devices, g), dtype=float)
-        self._write_time = np.zeros((n_devices, g), dtype=float)
-        self._live = np.zeros((n_devices, g), dtype=float)
-        self._retired = np.zeros((n_devices, g), dtype=bool)
-        self._refreshes = np.zeros((n_devices, g), dtype=np.int32)
+        self._capacity = np.full(shape, per_group, dtype=float)
+        self._pec = np.zeros(shape, dtype=float)
+        self._write_time = np.zeros(shape, dtype=float)
+        self._live = np.zeros(shape, dtype=float)
+        self._retired = np.zeros(shape, dtype=bool)
+        self._refreshes = np.zeros(shape, dtype=np.int32)
         self._mode_ladder, self._ladder_bits = _mode_ladder(
             spec.mode, spec.resuscitation_bits
         )
-        self._mode_idx = np.zeros((n_devices, g), dtype=np.int8)
+        self._mode_idx = np.zeros(shape, dtype=np.int8)
         #: False while every group still runs spec.mode (fast RBER path)
         self._heterogeneous = False
         self._cold_cursor = np.zeros(n_devices, dtype=np.int64)
@@ -303,6 +337,30 @@ class BatchPartition:
         self.retired_count = np.zeros(n_devices, dtype=np.int64)
         self.resuscitated_count = np.zeros(n_devices, dtype=np.int64)
         self._waf = np.full(n_devices, spec.waf, dtype=float)
+
+    # -- lanes --------------------------------------------------------------------
+
+    @property
+    def _collapsed(self) -> bool:
+        """True while one lane per device stands for all its groups."""
+        return self._pec.shape[1] != self.spec.n_groups
+
+    def _lanes(self, values: np.ndarray) -> np.ndarray:
+        """``values`` (one of the state's shape) with one lane per group:
+        itself on a wide partition, a new array of repeated lanes on a
+        collapsed one."""
+        g = self.spec.n_groups
+        return values if values.shape[1] == g else values.repeat(g, axis=1)
+
+    def _widen(self) -> None:
+        """Give every group its own lane before one can diverge.
+
+        New arrays replace the columns, so no array handed out before
+        is shared.
+        """
+        if self._collapsed:
+            for name in _GROUP_STATE:
+                setattr(self, name, self._lanes(getattr(self, name)))
 
     # -- stacking -----------------------------------------------------------------
 
@@ -322,8 +380,14 @@ class BatchPartition:
                     "batched partitions must share their spec (only waf may vary)"
                 )
         out = copy.copy(parts[0])
+        # collapsed rows stay collapsed; beside a wide row, every row
+        # joins with its lanes repeated
+        mixed = len({p._pec.shape[1] for p in parts}) > 1
         for name in _ROW_STATE:
-            setattr(out, name, np.concatenate([getattr(p, name) for p in parts]))
+            rows = [getattr(p, name) for p in parts]
+            if mixed and name in _GROUP_STATE:
+                rows = [p._lanes(row) for p, row in zip(parts, rows)]
+            setattr(out, name, np.concatenate(rows))
         out.n_devices = int(out._pec.shape[0])
         out._heterogeneous = any(p._heterogeneous for p in parts)
         return out
@@ -334,7 +398,11 @@ class BatchPartition:
         lut[self._ladder_bits] = np.arange(
             len(self._mode_ladder), dtype=np.int8
         )
-        if mode_bits.max() >= lut.size or (lut[mode_bits] < 0).any():
+        if (
+            mode_bits.min() < 0
+            or mode_bits.max() >= lut.size
+            or (lut[mode_bits] < 0).any()
+        ):
             raise ValueError(
                 "partition group mode outside the spec's resuscitation ladder"
             )
@@ -348,16 +416,20 @@ class BatchPartition:
         Every array keeps its leading device axis, so a shard
         checkpoints (and a fleet coordinator persists) N devices in one
         O(arrays) copy.  Round-trips exactly through :meth:`import_state`,
-        which is also how tests stage state on a one-row partition.
+        which is also how tests stage state on a one-row partition.  The
+        per-group fields are ``(n_devices, n_groups)`` however the
+        partition holds them.
         """
+        # a collapsed partition's repeated lanes are new arrays already
+        lanes = self._lanes if self._collapsed else np.copy
         return {
-            "capacity_gb": self._capacity.copy(),
-            "pec": self._pec.copy(),
-            "write_time": self._write_time.copy(),
-            "live_gb": self._live.copy(),
-            "retired": self._retired.copy(),
-            "refreshes": self._refreshes.copy(),
-            "mode_bits": self._ladder_bits[self._mode_idx],
+            "capacity_gb": lanes(self._capacity),
+            "pec": lanes(self._pec),
+            "write_time": lanes(self._write_time),
+            "live_gb": lanes(self._live),
+            "retired": lanes(self._retired),
+            "refreshes": lanes(self._refreshes),
+            "mode_bits": self._ladder_bits[self._lanes(self._mode_idx)],
             "cold_cursor": self._cold_cursor.copy(),
             "refresh_writes_gb": self.refresh_writes_gb.copy(),
             "retired_count": self.retired_count.copy(),
@@ -366,7 +438,8 @@ class BatchPartition:
         }
 
     def import_state(self, state: dict[str, np.ndarray]) -> None:
-        """Inverse of :meth:`export_state` (shapes must match the shard)."""
+        """Inverse of :meth:`export_state` (shapes must match the shard);
+        the partition holds the state wide."""
         shape = (self.n_devices, self.spec.n_groups)
         for name in ("capacity_gb", "pec", "write_time", "live_gb",
                      "retired", "refreshes", "mode_bits"):
@@ -428,10 +501,15 @@ class BatchPartition:
         """
         if self._retired.any():
             values = np.where(self._retired, 0.0, values)
-        return values.sum(axis=1)
+        return self._lanes(values).sum(axis=1)
 
     def capacity_gb(self) -> np.ndarray:
         """Usable capacity per device, ``(n_devices,)``."""
+        if self._collapsed:
+            # no group has retired or resuscitated: every lane of every
+            # device holds the same capacity
+            total = _lane_sum(float(self._capacity[0, 0]), self.spec.n_groups)
+            return np.full(self.n_devices, total)
         return self._alive_sum(self._capacity)
 
     def live_data_gb(self) -> np.ndarray:
@@ -441,7 +519,7 @@ class BatchPartition:
     def mean_pec(self) -> np.ndarray:
         """Capacity-weighted mean PEC over live groups, per device."""
         alive = ~self._retired
-        cap = np.where(alive, self._capacity, 0.0)
+        cap = self._lanes(np.where(alive, self._capacity, 0.0))
         total = cap.sum(axis=1)
         weighted = (np.where(alive, self._pec, 0.0) * cap).sum(axis=1)
         return np.divide(
@@ -457,7 +535,7 @@ class BatchPartition:
         holders = ~self._retired & (self._live > 0.0)
         residual = self.spec.protection.residual_ber_many(self._rber(now))
         quality = np.exp(-self.spec.quality_sensitivity * residual)
-        live = np.where(holders, self._live, 0.0)
+        live = self._lanes(np.where(holders, self._live, 0.0))
         total = live.sum(axis=1)
         weighted = (quality * live).sum(axis=1)
         return np.divide(
@@ -563,8 +641,11 @@ class BatchPartition:
 
     def host_delete(self, gb: np.ndarray) -> None:
         """Remove per-device live data proportionally over groups, in place."""
-        gb = np.asarray(gb, dtype=float)
-        total = self.live_data_gb()
+        self._delete(np.asarray(gb, dtype=float), self.live_data_gb())
+
+    def _delete(self, gb: np.ndarray, total: np.ndarray) -> None:
+        """:meth:`host_delete` with ``total``, the partition's
+        :meth:`live_data_gb`, already summed."""
         active = (total > 0.0) & (gb > 0.0)
         if not active.any():
             return
@@ -583,29 +664,29 @@ class BatchPartition:
         self, now: float, extra_age: float = 0.0, from_data_age: bool = True
     ) -> np.ndarray:
         """RBER for every (device, group) lane, batched per operating mode."""
+        pec = self._lanes(self._pec)
         if from_data_age:
-            ages = np.where(
+            ages = self._lanes(np.where(
                 self._live > 0.0,
                 np.maximum(0.0, now - self._write_time),
                 0.0,
-            ) + extra_age
+            ) + extra_age)
         else:
-            ages = np.full(self._pec.shape, extra_age)
+            ages = np.full(pec.shape, extra_age)
         if not self._heterogeneous:
-            return cached_error_model(self.spec.mode).rber_many(self._pec, ages)
-        out = np.empty_like(self._pec)
+            return cached_error_model(self.spec.mode).rber_many(pec, ages)
+        out = np.empty_like(pec)
         for idx, mode in enumerate(self._mode_ladder):
             sel = self._mode_idx == idx
             if sel.any():
-                out[sel] = cached_error_model(mode).rber_many(
-                    self._pec[sel], ages[sel]
-                )
+                out[sel] = cached_error_model(mode).rber_many(pec[sel], ages[sel])
         return out
 
     # -- fault injection --------------------------------------------------------
 
     def retire_group(self, device: int, index: int) -> bool:
         """Force-retire one group of one device (infant mortality)."""
+        self._widen()
         if self._retired[device, index]:
             return False
         self._retired[device, index] = True
@@ -615,6 +696,7 @@ class BatchPartition:
 
     def power_loss_rewrite(self, device: int, index: int, now: float) -> float:
         """Recover a torn program on one group of one device."""
+        self._widen()
         if self._retired[device, index] or self._capacity[device, index] <= 0:
             return 0.0
         gb = min(
@@ -639,6 +721,7 @@ class BatchPartition:
             self._health_check(now)
 
     def _scrub(self, now: float, allowed: np.ndarray) -> None:
+        self._widen()
         holders = ~self._retired & (self._live > 0.0) & allowed[:, None]
         if not holders.any():
             return
@@ -681,6 +764,7 @@ class BatchPartition:
         failing = alive & (predicted > self.spec.max_rber)
         if not failing.any():
             return
+        self._widen()
         obs = get_observer()
         current_bits = self._ladder_bits[self._mode_idx]
         remaining = failing.copy()
@@ -961,7 +1045,7 @@ def run_lifetime_batch(
                 share = np.multiply(delete, lives[name], out=np.zeros(n),
                                     where=mask)
                 np.divide(share, live_total, out=share, where=mask)
-                partition.host_delete(share)
+                partition._delete(share, lives[name])
         # the end state, once, after the last day
         now = device.now_years
         media_part = spare if spare is not None else sys_part

@@ -115,13 +115,15 @@ def test_import_rejects_wrong_shapes():
 
 
 def test_import_rejects_unknown_mode_bits():
+    """No mode has 0 bits; -1 must not wrap to the ladder's last slot."""
     batch = _batch()
     state = batch.export_state()
     name = next(iter(state["partitions"]))
-    bad = dict(state["partitions"][name])
-    bad["mode_bits"] = np.zeros_like(bad["mode_bits"])  # 0 bits: no mode
-    with pytest.raises(ValueError, match="resuscitation ladder"):
-        batch.partitions[name].import_state(bad)
+    for bits in (0, -1):
+        bad = dict(state["partitions"][name])
+        bad["mode_bits"] = np.full_like(bad["mode_bits"], bits)
+        with pytest.raises(ValueError, match="resuscitation ladder"):
+            batch.partitions[name].import_state(bad)
 
 
 def test_device_import_rejects_mismatched_partitions():

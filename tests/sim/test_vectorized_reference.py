@@ -134,9 +134,10 @@ class TestWritePlacement:
         n = len(ref.live_groups())
         for g in ref.live_groups():
             g.absorb_write(10.0 / n, now=0.5, waf=2.0 * (1 + WL_WRITE_OVERHEAD))
-        np.testing.assert_array_equal(vec._pec[0], ref._pec)
-        np.testing.assert_array_equal(vec._live[0], ref._live)
-        np.testing.assert_array_equal(vec._write_time[0], ref._write_time)
+        state = vec.export_state()
+        np.testing.assert_array_equal(state["pec"][0], ref._pec)
+        np.testing.assert_array_equal(state["live_gb"][0], ref._live)
+        np.testing.assert_array_equal(state["write_time"][0], ref._write_time)
 
     def test_churn_targets_hottest_groups(self):
         partition = from_partitions([worn_partition(wear_leveling=False)])
