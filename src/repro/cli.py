@@ -168,7 +168,7 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
             "build": name,
             "capacity_gb": args.capacity_gb,
             "mix": args.mix,
-            "days": args.years * 365,
+            "days": _days(args.years),
             "workload_seed": args.seed,
         }
         for name in ALL_BUILDERS
@@ -259,17 +259,7 @@ def _cmd_population(args: argparse.Namespace) -> int:
     from repro.runner import write_bench_json
 
     try:
-        plan = FleetPlan(
-            n_devices=args.devices,
-            days=int(args.years * 365),
-            capacity_gb=args.capacity_gb,
-            seed=args.seed,
-            shard_size=args.shard_size or args.chunk,
-            chunk=args.chunk,
-            build=args.build,
-            exact_cap=args.exact_cap,
-            fidelity=args.fidelity,
-        )
+        plan = FleetPlan.from_params(_population_params(args))
     except ValueError as err:
         args.usage_error(str(err))  # exits 2, as argparse's own errors do
     fleet = run_fleet(
@@ -302,7 +292,7 @@ def _cmd_population(args: argparse.Namespace) -> int:
 
     print(format_table(
         ["metric", "value"], rows,
-        title=f"{args.devices} x {args.capacity_gb:.0f} GB '{args.build}' "
+        title=f"{plan.n_devices} x {plan.capacity_gb:.0f} GB '{plan.build}' "
               f"devices, {args.years}y service life"))
     storage = stats["storage"]  # empty without --cache-dir
     if any(storage.get(key) for key in (
@@ -677,20 +667,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     host, port = args.gateway
     if args.kind == "population":
-        params = {
-            "devices": args.devices,
-            "days": int(args.years * 365),
-            "capacity_gb": args.capacity_gb,
-            "seed": args.seed,
-            "build": args.build,
-            "chunk": args.chunk,
-        }
-        if args.shard_size:
-            params["shard_size"] = args.shard_size
+        params = _population_params(args)
     else:
         with open(args.grid_json, encoding="utf-8") as handle:
             grid = _json.load(handle)
-        params = {"fn": args.fn, "grid": grid, "base_seed": args.seed}
+        params = {"fn": args.fn, "grid": grid}
+        if hasattr(args, "seed"):
+            params["base_seed"] = args.seed
 
     async def _submit() -> int:
         client = GatewayClient(host, port, timeout_s=args.poll_timeout)
@@ -796,6 +779,50 @@ def _cmd_classify(args: argparse.Namespace) -> None:
                        title=f"classifiers on a {args.files}-file corpus"))
 
 
+def _days(years: float) -> int:
+    """Whole simulated days in ``years`` of service."""
+    from repro.flash.chip import DAYS_PER_YEAR
+
+    return int(years * DAYS_PER_YEAR)
+
+
+def _add_population_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of ``population`` and ``submit`` naming one population;
+    only the size and service life ``FleetPlan`` requires have defaults
+    here, and every other unset flag is left out of the request."""
+    unset = argparse.SUPPRESS
+    p.add_argument("--devices", "--users", type=int, default=200,
+                   dest="devices", help="population size (devices)")
+    p.add_argument("--years", type=float, default=2.5)
+    p.add_argument("--capacity-gb", type=float, default=unset)
+    p.add_argument("--build", default=unset, choices=_BUILDS)
+    p.add_argument("--seed", type=int, default=unset)
+    p.add_argument("--shard-size", type=int, default=unset,
+                   help="devices per sweep point (cache/retry/timeout unit; "
+                        "default: --chunk)")
+    p.add_argument("--chunk", type=int, default=unset,
+                   help="devices per vectorized batch-engine pass inside a "
+                        "shard (bounds worker memory; results are chunk "
+                        "invariant)")
+    p.add_argument("--exact-cap", type=int, default=unset,
+                   help="fleets up to this size keep per-device wear values "
+                        "(bit-exact quantiles); larger fleets use histogram "
+                        "estimates")
+    p.add_argument("--fidelity", default=unset, choices=("epoch", "ftl"),
+                   help="device simulation fidelity: 'epoch' runs the batched "
+                        "lifetime model, 'ftl' replays every device through "
+                        "the page-mapped FTL (GC, wear leveling, per-block "
+                        "PEC) on the analytic fast path")
+
+
+def _population_params(args: argparse.Namespace) -> dict:
+    """The ``FleetPlan.from_params`` request the population flags name."""
+    keys = ("capacity_gb", "build", "seed", "shard_size", "chunk", "exact_cap",
+            "fidelity")
+    return {"devices": args.devices, "days": _days(args.years),
+            **{key: getattr(args, key) for key in keys if hasattr(args, key)}}
+
+
 def _add_runner_flags(p: argparse.ArgumentParser, unit: str) -> None:
     """The sweep-runner flags of a command whose runner unit is ``unit``."""
     p.add_argument("--jobs", type=int, default=1,
@@ -867,28 +894,7 @@ def main(argv: list[str] | None = None) -> int:
         "population",
         help="sharded fleet engine: wear distribution over a population (E16)",
     )
-    p.add_argument("--devices", "--users", type=int, default=200,
-                   dest="devices", help="population size (devices)")
-    p.add_argument("--years", type=float, default=2.5)
-    p.add_argument("--capacity-gb", type=float, default=64.0)
-    p.add_argument("--build", default="tlc_baseline", choices=_BUILDS)
-    p.add_argument("--seed", type=int, default=606)
-    p.add_argument("--shard-size", type=int, default=0,
-                   help="devices per sweep point (cache/retry/timeout unit; "
-                        "0 = same as --chunk)")
-    p.add_argument("--chunk", type=int, default=50,
-                   help="devices per vectorized batch-engine pass inside a "
-                        "shard (bounds worker memory; results are chunk "
-                        "invariant)")
-    p.add_argument("--exact-cap", type=int, default=100_000,
-                   help="fleets up to this size keep per-device wear values "
-                        "(bit-exact quantiles); larger fleets use histogram "
-                        "estimates")
-    p.add_argument("--fidelity", default="epoch", choices=("epoch", "ftl"),
-                   help="device simulation fidelity: 'epoch' runs the batched "
-                        "lifetime model, 'ftl' replays every device through "
-                        "the page-mapped FTL (GC, wear leveling, per-block "
-                        "PEC) on the analytic fast path")
+    _add_population_flags(p)
     _add_runner_flags(p, "shard")
     p.set_defaults(func=_cmd_population, usage_error=p.error)
 
@@ -1010,14 +1016,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="gateway address as host:port")
     p.add_argument("--client", default="cli",
                    help="client id the gateway meters quotas against")
-    p.add_argument("--devices", type=int, default=200,
-                   help="population size (population jobs)")
-    p.add_argument("--years", type=float, default=2.5)
-    p.add_argument("--capacity-gb", type=float, default=64.0)
-    p.add_argument("--build", default="tlc_baseline", choices=_BUILDS)
-    p.add_argument("--seed", type=int, default=606)
-    p.add_argument("--shard-size", type=int, default=0)
-    p.add_argument("--chunk", type=int, default=50)
+    _add_population_flags(p)
     p.add_argument("--fn", default="lifetime",
                    help="registered point function (sweep jobs)")
     p.add_argument("--grid-json", default=None, metavar="PATH",

@@ -23,6 +23,7 @@ from repro.classify.auto_delete import AutoDeletePredictor, train_auto_delete
 from repro.classify.classifier import FileClassifier, train_classifier
 from repro.classify.corpus import CorpusConfig, generate_corpus
 from repro.faults.plan import FaultPlan, FaultSummary
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.host.block_layer import BlockLayer
 from repro.host.files import FileAttributes, FileKind, FileRecord
 from repro.host.filesystem import FileSystem
@@ -165,7 +166,7 @@ class SOSDevice:
         events = self.fault_plan.events
         while self._fault_cursor < len(events):
             event = events[self._fault_cursor]
-            if event.day / 365.0 > now_years:
+            if event.day / DAYS_PER_YEAR > now_years:
                 break
             self._fault_cursor += 1
             if event.kind != "infant_death" or event.target not in self.ftl.stream_names():

@@ -36,6 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.ftl.bad_blocks import infant_mortality_deaths
 
 __all__ = ["FaultConfig", "FaultEvent", "FaultPlan", "FaultSummary", "plan_for_build"]
@@ -282,7 +283,7 @@ class FaultPlan:
 
     def outage_windows_years(self) -> tuple[tuple[float, float], ...]:
         """Outage windows converted to the device's year clock."""
-        return tuple((start / 365.0, end / 365.0) for start, end in self.outage_windows)
+        return tuple((s / DAYS_PER_YEAR, e / DAYS_PER_YEAR) for s, e in self.outage_windows)
 
     # -- identity -------------------------------------------------------------
 

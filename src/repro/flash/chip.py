@@ -23,7 +23,11 @@ from .block import Block, BlockArrays, PageArrays, ProgramError
 from .cell import CellMode, CellTechnology, native_mode
 from .geometry import Geometry
 
-__all__ = ["FlashChip", "PhysicalAddress"]
+__all__ = ["DAYS_PER_YEAR", "FlashChip", "PhysicalAddress"]
+
+#: Days in one year of the retention clock: every simulated day moves a
+#: clock in years by ``1 / DAYS_PER_YEAR``, at either fidelity.
+DAYS_PER_YEAR = 365
 
 
 PhysicalAddress = tuple[int, int]

@@ -30,13 +30,12 @@ Invariants pinned by ``tests/fleet``:
   are cached and folded, so the coordinator never holds the fleet.
 """
 
-from .plan import DEFAULT_EXACT_CAP, DEFAULT_MIX_WEIGHTS, FleetPlan, assign_mixes
+from .plan import DEFAULT_MIX_WEIGHTS, FleetPlan, assign_mixes
 from .points import fleet_shard_point
 from .reduce import WEAR_BIN_WIDTH, WEAR_N_BINS, WearDigest
 from .run import FleetResult, fleet_store_keys, fleet_wear_from_store, run_fleet
 
 __all__ = [
-    "DEFAULT_EXACT_CAP",
     "DEFAULT_MIX_WEIGHTS",
     "FleetPlan",
     "FleetResult",

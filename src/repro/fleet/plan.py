@@ -5,10 +5,11 @@ population identity (seed, mix weights, workload seed base), device
 configuration (build, capacity, service days), and the execution
 geometry (shard size, vectorization chunk).  Its :meth:`shard_grid`
 turns the plan into a sweep grid of *shard points* for
-:func:`repro.fleet.points.fleet_shard_point`.  Construction is the one
-place population parameters are validated: a plan that exists is one
-every shard can run, so the gateway, the CLI and the shard point keep
-no population rule of their own.
+:func:`repro.fleet.points.fleet_shard_point`.  The plan is the one home
+of a population request: its fields hold the only defaults, its
+construction the only validation (a plan that exists is one every shard
+can run), and ``from_params``/``to_params`` the wire form, so the
+gateway, the CLI and the shard point keep no population rule of their own.
 
 The load-bearing property is **shard invariance**: every parameter a
 shard needs is a function of the plan and the shard's *global* device
@@ -35,11 +36,7 @@ import numpy as np
 
 from repro.workloads.apps import USER_MIXES
 
-__all__ = ["DEFAULT_EXACT_CAP", "DEFAULT_MIX_WEIGHTS", "FleetPlan", "assign_mixes"]
-
-#: Fleets at or below this many devices keep raw per-device wear values
-#: (bit-exact quantiles); larger fleets reduce to histogram estimates.
-DEFAULT_EXACT_CAP = 100_000
+__all__ = ["DEFAULT_MIX_WEIGHTS", "FleetPlan", "assign_mixes"]
 
 #: population intensity mix: mostly light/typical, thin heavy tail.
 #: The default of every :class:`FleetPlan`, so every "realistic fleet"
@@ -52,17 +49,36 @@ DEFAULT_MIX_WEIGHTS = {
 }
 
 
+#: the wire form: each key a request may name -> the JSON type its value
+#: must have.  ``devices`` and ``days`` are required; ``devices`` sets
+#: ``n_devices`` and every other key the field of its name.
+_WIRE = {
+    "devices": "an int", "days": "an int", "capacity_gb": "a number",
+    "seed": "an int", "build": "a string", "shard_size": "an int",
+    "chunk": "an int", "exact_cap": "an int",
+    "faults": "null or an object of fault names to numbers", "fidelity": "a string",
+}
+_FIELD = {"devices": "n_devices"}
+
+
+def _is_json(value, kind: str) -> bool:
+    """Whether ``value`` has the JSON type ``kind`` (a ``_WIRE`` type);
+    never coerced, and ``true``/``false`` are bools, never numbers."""
+    if kind.startswith("null"):
+        return value is None or isinstance(value, dict) and all(
+            isinstance(k, str) and _is_json(v, "a number") for k, v in value.items()
+        )
+    types = {"an int": int, "a number": (int, float), "a string": str}[kind]
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _canonical_weights(mix_weights) -> tuple[tuple[str, float], ...]:
     """Ordered ``(name, weight)`` pairs whose weights a mix draw can
     use: finite, non-negative, with a positive (finite) sum."""
-    pairs = (
-        list(mix_weights.items())
-        if isinstance(mix_weights, Mapping)
-        else [(str(name), float(weight)) for name, weight in mix_weights]
-    )
-    if not pairs:
-        raise ValueError("mix_weights must name at least one mix")
+    pairs = mix_weights.items() if isinstance(mix_weights, Mapping) else mix_weights
     canonical = tuple((str(name), float(weight)) for name, weight in pairs)
+    if not canonical:
+        raise ValueError("mix_weights must name at least one mix")
     weights = np.array([weight for _, weight in canonical])
     if not ((weights >= 0.0).all() and 0.0 < weights.sum() < np.inf):
         raise ValueError(
@@ -143,10 +159,10 @@ class FleetPlan:
         with a positive sum.  Order is significant -- see the module
         docstring.
     shard_size:
-        Devices per sweep point.  Each shard is one unit of caching,
-        retry, timeout, and fault attribution in ``run_sweep``; peak
-        coordinator memory is proportional to ``shard_size``, never to
-        ``n_devices``.
+        Devices per sweep point (default: ``chunk``).  Each shard is one
+        unit of caching, retry, timeout, and fault attribution in
+        ``run_sweep``; peak coordinator memory is proportional to
+        ``shard_size``, never to ``n_devices``.
     chunk:
         Devices per vectorized batch-engine pass *inside* a shard
         (bounds worker-side peak memory; results are chunk invariant).
@@ -180,17 +196,52 @@ class FleetPlan:
     mix_weights: tuple[tuple[str, float], ...] = field(
         default_factory=lambda: _canonical_weights(DEFAULT_MIX_WEIGHTS)
     )
-    shard_size: int = 1000
+    shard_size: int | None = None
     chunk: int = 50
     build: str = "tlc_baseline"
     workload_seed_base: int = 1000
     faults: tuple[tuple[str, float], ...] | None = None
-    exact_cap: int = DEFAULT_EXACT_CAP
+    exact_cap: int = 100_000
     fidelity: str = "epoch"
+
+    @classmethod
+    def from_params(cls, params: Mapping) -> "FleetPlan":
+        """The plan a wire-form request (the keys of :meth:`to_params`)
+        names, or a ``ValueError`` fit for the client: values are
+        type-checked, never coerced, and an unknown key is refused, so a
+        misspelt one never runs as its default."""
+        unknown = sorted(set(params) - set(_WIRE))
+        if unknown:
+            raise ValueError(f"unknown population key(s) {unknown}; known: {list(_WIRE)}")
+        kwargs = {}
+        for key, kind in _WIRE.items():
+            if key in params:
+                if not _is_json(params[key], kind):
+                    raise ValueError(f"{key!r} must be {kind}, got {params[key]!r}")
+                kwargs[_FIELD.get(key, key)] = params[key]
+            elif key in ("devices", "days"):
+                raise ValueError(f"{key!r} is required")
+        if "capacity_gb" in kwargs:
+            kwargs["capacity_gb"] = float(kwargs["capacity_gb"])
+        return cls(**kwargs)
+
+    def to_params(self) -> dict:
+        """This plan's wire form, every key filled in, so a request spelled
+        with or without its defaults has the same params (mix weights and
+        the workload seed base are not on the wire)."""
+        params = {key: getattr(self, _FIELD.get(key, key)) for key in _WIRE}
+        params["faults"] = None if self.faults is None else dict(self.faults)
+        return params
 
     def __post_init__(self) -> None:
         """Reject any plan a shard could not run: the one validator of
         population parameters (the gateway and the CLI defer to it)."""
+        if self.shard_size is None:
+            object.__setattr__(self, "shard_size", self.chunk)
+        # sorted (name, rate) pairs; no fault names injects nothing, as None
+        pairs = self.faults.items() if isinstance(self.faults, Mapping) else self.faults
+        faults = tuple(sorted((str(k), float(v)) for k, v in pairs or ()))
+        object.__setattr__(self, "faults", faults or None)
         if self.fidelity not in ("epoch", "ftl"):
             raise ValueError("fidelity must be 'epoch' or 'ftl'")
         if self.fidelity == "ftl" and self.faults is not None:
@@ -233,14 +284,6 @@ class FleetPlan:
                     f"unknown mix {name!r}; known: {', '.join(USER_MIXES)}"
                 )
         if self.faults is not None:
-            items = (
-                sorted(self.faults.items())
-                if isinstance(self.faults, Mapping)
-                else sorted((str(k), float(v)) for k, v in self.faults)
-            )
-            object.__setattr__(
-                self, "faults", tuple((str(k), float(v)) for k, v in items)
-            )
             from repro.faults.plan import FaultConfig
 
             try:

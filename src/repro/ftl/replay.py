@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.ecc.policy import POLICIES, ProtectionLevel
 from repro.flash.cell import CellTechnology, native_mode
-from repro.flash.chip import FlashChip
+from repro.flash.chip import DAYS_PER_YEAR, FlashChip
 from repro.flash.geometry import Geometry
 
 from .ftl import Ftl, FtlStats
@@ -208,7 +208,7 @@ def replay(config: FtlReplayConfig) -> FtlReplayResult:
         # fidelities skip the same reads
         ops += ftl.read_many(reads, STREAM)
         ops += ftl.trim_many(trims)
-        ftl.chip.advance_time((day + 1) / 365.25)
+        ftl.chip.advance_time((day + 1) / DAYS_PER_YEAR)
         if (day + 1) % config.wl_period_days == 0:
             ftl.run_wear_leveling(STREAM)
     wall = time.perf_counter() - t0

@@ -71,16 +71,20 @@ import errno
 import fcntl
 import functools
 import hashlib
+import importlib.util
 import json
 import logging
 import math
 import os
 import pickle
+import sys
 import time
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+import numpy
 
 from repro.chaos import DURABILITY_LEVELS, get_fs, quarantine, write_durably
 from repro.obs import get_observer
@@ -159,14 +163,16 @@ def stable_key(obj: Any) -> str:
 
 @functools.cache
 def code_fingerprint() -> str:
-    """SHA-256 hex digest of the imported ``repro`` package's source.
+    """SHA-256 hex digest of the imported ``repro`` package's source and
+    of the dependency versions it runs on.
 
     Hashes the relative path and bytes of every ``.py`` file under the
     package, in sorted path order, so any edit, addition, removal or
-    rename moves it.  Part of every sweep point key and job id: the one
-    record of which code made a result.  Computed on first use and kept
-    for the process; dependency versions (numpy, scipy, Python) are not
-    part of it.
+    rename moves it; then ``numpy.__version__``, ``sys.version`` and
+    scipy's ``version.py`` (found without importing scipy), so an
+    upgrade moves it too.  Part of every sweep point key and job id: the
+    one record of which code made a result.  Computed on first use and
+    kept for the process.
     """
     import repro
 
@@ -177,6 +183,10 @@ def code_fingerprint() -> str:
         rel = path.relative_to(root).as_posix().encode("utf-8")
         digest.update(b"%d:%s:%d:" % (len(rel), rel, len(data)))
         digest.update(data)
+    scipy = Path(importlib.util.find_spec("scipy").origin).parent
+    for data in (numpy.__version__.encode(), sys.version.encode(),
+                 (scipy / "version.py").read_bytes()):
+        digest.update(b"%d:%s" % (len(data), data))
     return digest.hexdigest()
 
 

@@ -79,6 +79,7 @@ SWEEP_POINT_FNS: dict[str, str] = {
 
 _MAX_SWEEP_GRID = 10_000
 _MAX_DEVICES = 10_000_000
+_MAX_YEARS = 100
 
 
 def _resolve_point_fn(name: str) -> Callable[[dict, int], Any]:
@@ -130,40 +131,17 @@ class JobSpec:
 
     @staticmethod
     def _validate_population(params: dict) -> dict:
-        """Wire types and service limits; the plan checks the rest.
+        """The canonical params of the plan ``params`` names, within the
+        service limits; :meth:`FleetPlan.from_params` checks the rest."""
+        from repro.flash.chip import DAYS_PER_YEAR
+        from repro.fleet import FleetPlan
 
-        Numbers are type-checked, never coerced: ``1.7`` or ``true`` is
-        not a seed, and ``true`` is not a capacity or a fault rate.
-        """
-        devices = params.get("devices")
-        if not _is_int(devices) or not 1 <= devices <= _MAX_DEVICES:
-            raise ValueError(f"'devices' must be an int in [1, {_MAX_DEVICES}]")
-        days = params.get("days", 365)
-        if not _is_int(days) or not 1 <= days <= 36500:
-            raise ValueError("'days' must be an int in [1, 36500]")
-        capacity_gb = params.get("capacity_gb", 64.0)
-        if not _is_number(capacity_gb):
-            raise ValueError(f"'capacity_gb' must be a number, got {capacity_gb!r}")
-        out = {
-            "devices": devices,
-            "days": days,
-            "capacity_gb": float(capacity_gb),
-            "seed": _wire_int(params, "seed", 0),
-            "build": str(params.get("build", "tlc_baseline")),
-            "shard_size": _wire_int(params, "shard_size", 0) or min(devices, 50),
-            "chunk": _wire_int(params, "chunk", 50),
-            "exact_cap": _wire_int(params, "exact_cap", 100_000),
-        }
-        if params.get("faults") is not None:
-            faults = params["faults"]
-            if not isinstance(faults, dict) or not all(
-                isinstance(k, str) and _is_number(v) for k, v in faults.items()
-            ):
-                raise ValueError("'faults' must map fault names to rates")
-            out["faults"] = {k: float(v) for k, v in sorted(faults.items())}
-        out["fidelity"] = params.get("fidelity", "epoch")
-        _population_plan(out)  # FleetPlan rejects what no shard could run
-        return out
+        plan = FleetPlan.from_params(params)
+        if plan.n_devices > _MAX_DEVICES:
+            raise ValueError(f"'devices' must be at most {_MAX_DEVICES}")
+        if plan.days > _MAX_YEARS * DAYS_PER_YEAR:
+            raise ValueError(f"'days' must be at most {_MAX_YEARS * DAYS_PER_YEAR}")
+        return plan.to_params()
 
     @staticmethod
     def _validate_sweep(params: dict) -> dict:
@@ -184,7 +162,7 @@ class JobSpec:
                 "parameter objects"
             )
         base_seed = params.get("base_seed", 0)
-        if not _is_int(base_seed) or base_seed < 0:
+        if isinstance(base_seed, bool) or not isinstance(base_seed, int) or base_seed < 0:
             raise ValueError("'base_seed' must be a non-negative int")
         return {"fn": fn, "grid": grid, "base_seed": base_seed}
 
@@ -204,45 +182,6 @@ class JobSpec:
 
     def to_dict(self) -> dict:
         return {"client": self.client, "kind": self.kind, "params": self.params}
-
-
-def _is_int(value: Any) -> bool:
-    """A JSON integer: ``true``/``false`` decode to bools, which are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    """A JSON number (int or float), never a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _wire_int(params: dict, name: str, default: int) -> int:
-    """``params[name]`` (or ``default``), which must be a JSON integer."""
-    value = params.get(name, default)
-    if not _is_int(value):
-        raise ValueError(f"{name!r} must be an int, got {value!r}")
-    return value
-
-
-def _population_plan(params: dict):
-    """The :class:`~repro.fleet.plan.FleetPlan` a population job's
-    canonical params describe; raises ``ValueError`` for a plan no
-    shard could run."""
-    from repro.fleet import FleetPlan
-
-    return FleetPlan(
-        n_devices=params["devices"],
-        days=params["days"],
-        capacity_gb=params["capacity_gb"],
-        seed=params["seed"],
-        shard_size=params["shard_size"],
-        chunk=params["chunk"],
-        build=params["build"],
-        exact_cap=params["exact_cap"],
-        faults=params.get("faults") or None,
-        # journal records written before every spec named its fidelity
-        fidelity=params.get("fidelity", "epoch"),
-    )
 
 
 def spec_units(spec: JobSpec) -> int:
@@ -514,9 +453,9 @@ def _execute_population(
     on_progress: Callable[[dict], None] | None,
     durability: str,
 ) -> dict:
-    from repro.fleet import run_fleet
+    from repro.fleet import FleetPlan, run_fleet
 
-    plan = _population_plan(spec.params)
+    plan = FleetPlan.from_params(spec.params)
 
     def report(done: int, total: int, devices: int) -> None:
         if on_progress is not None:

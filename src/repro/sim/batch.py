@@ -118,6 +118,7 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan, FaultSummary
 from repro.flash.cell import CellMode
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.flash.error_model import ErrorModel, cached_error_model
 from repro.flash.reliability import endurance_pec
 from repro.obs import get_observer
@@ -883,7 +884,7 @@ class BatchLifetimeDevice:
         is deferred that day (repair source unreachable).  Scrub and
         health maintenance follow the writes.
         """
-        dt = 1.0 / 365.0
+        dt = 1.0 / DAYS_PER_YEAR
         self.now_years += dt
         for name, (new_gb, churn_gb) in writes.items():
             partition = self.partitions[name]

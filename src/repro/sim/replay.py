@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.sos_device import SOSDevice
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.ftl.ftl import OutOfSpaceError
 from repro.host.files import FileAttributes
 from repro.host.filesystem import FsFullError
@@ -112,7 +113,7 @@ def replay(
     for op in ops:
         if op.day != current_day:
             current_day = op.day
-            device.advance_time(current_day / 365.0)
+            device.advance_time(current_day / DAYS_PER_YEAR)
             if current_day % daemon_every_days == 0:
                 run = device.run_daemon()
                 stats.daemon_runs += 1

@@ -300,6 +300,30 @@ class TestPlanValidation:
         grown = fleet_store_keys(_plan(n_devices=30, exact_cap=20))
         assert grown[:2] == small
 
+    def test_shard_size_defaults_to_chunk(self):
+        plan = FleetPlan(n_devices=N_DEVICES, days=5, chunk=4)
+        assert plan.shard_size == 4
+        assert plan == FleetPlan(n_devices=N_DEVICES, days=5, chunk=4, shard_size=4)
+        assert plan.shard_grid() == FleetPlan(
+            n_devices=N_DEVICES, days=5, chunk=4, shard_size=4
+        ).shard_grid()
+
+    def test_wire_form_round_trips(self):
+        """``to_params`` names every wire key, and ``from_params`` reads
+        it back to the same plan; a plan with no fault names has none."""
+        for plan in (
+            FleetPlan(n_devices=3, days=2),
+            _plan(faults={"power_loss_rate": 2.0}, exact_cap=1, build="sos"),
+            _plan(fidelity="ftl", faults={}),
+        ):
+            params = plan.to_params()
+            assert list(params) == [
+                "devices", "days", "capacity_gb", "seed", "build",
+                "shard_size", "chunk", "exact_cap", "faults", "fidelity",
+            ]
+            assert FleetPlan.from_params(params) == plan
+        assert _plan(faults={}).faults is None
+
     def test_faults_canonicalized(self):
         plan = _plan(faults={"transient_read_rate": 1.0, "power_loss_rate": 2.0})
         assert plan.faults == (("power_loss_rate", 2.0), ("transient_read_rate", 1.0))

@@ -112,3 +112,62 @@ def test_fingerprint_is_not_computed_at_import():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "0"
+
+
+@pytest.fixture
+def fresh_fingerprint():
+    """Leave no fingerprint of a faked dependency cached for later tests."""
+    from repro.runner.cache import code_fingerprint
+
+    yield
+    code_fingerprint.cache_clear()
+
+
+def _scipy_elsewhere(monkeypatch, tmp_path):
+    """Point the scipy lookup at a copy whose ``version.py`` differs."""
+    import importlib.util
+
+    find_spec = importlib.util.find_spec
+    fake = tmp_path / "scipy"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "version.py").write_text('version = "0.0.0"\n')
+    spec = importlib.util.spec_from_file_location("scipy", fake / "__init__.py")
+    monkeypatch.setattr(
+        importlib.util, "find_spec",
+        lambda name, *a: spec if name == "scipy" else find_spec(name, *a),
+    )
+
+
+@pytest.mark.parametrize("dependency", ["numpy", "python", "scipy"])
+def test_dependency_version_moves_every_key(
+    dependency, monkeypatch, tmp_path, fresh_fingerprint
+):
+    """A numpy, Python or scipy upgrade is other code: the fingerprint,
+    every point key and every job id move with it."""
+    import numpy
+
+    from repro.runner import Sweep, code_fingerprint
+    from repro.runner.points import lifetime_point
+    from repro.serve import JobSpec
+
+    sweep = Sweep(name="deps", fn=lifetime_point, base_seed=7,
+                  grid=({"build": "tlc_baseline", "days": 10},))
+    spec = JobSpec.from_wire({"client": "c", "kind": "population",
+                              "params": {"devices": 4, "days": 10}})
+
+    def keys():
+        code_fingerprint.cache_clear()
+        return code_fingerprint(), sweep.point_key(0, 7), spec.job_id()
+
+    before = keys()
+    if dependency == "numpy":
+        monkeypatch.setattr(numpy, "__version__", numpy.__version__ + "+other")
+    elif dependency == "python":
+        monkeypatch.setattr("sys.version", "3.99.0 (other build)")
+    else:
+        _scipy_elsewhere(monkeypatch, tmp_path)
+    after = keys()
+    assert all(new != old for new, old in zip(after, before))
+    monkeypatch.undo()
+    assert keys() == before

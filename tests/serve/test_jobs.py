@@ -49,63 +49,99 @@ class TestJobSpec:
         assert spec_units(_sweep_spec([{"index": i} for i in range(3)])) == 3
 
     @pytest.mark.parametrize(
-        "payload",
+        ("payload", "match"),
         [
-            "not a dict",
-            {"kind": "population", "params": {}},  # no client
-            {"client": "", "kind": "population", "params": {"devices": 1}},
-            {"client": "c", "kind": "teapot", "params": {}},
-            {"client": "c", "kind": "population", "params": {"devices": 0}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 10**9}},
-            {"client": "c", "kind": "sweep",
-             "params": {"fn": "os.system", "grid": [{}]}},
-            {"client": "c", "kind": "sweep", "params": {"fn": "flaky",
-                                                        "grid": []}},
+            ("not a dict", "JSON object"),
+            ({"kind": "population", "params": {"days": 30}}, "client"),
+            ({"client": "", "kind": "population",
+              "params": {"devices": 1, "days": 30}}, "client"),
+            ({"client": "c", "kind": "teapot", "params": {}}, "kind"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 0, "days": 30}}, "devices"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 10**9, "days": 30}}, "devices"),
+            ({"client": "c", "kind": "sweep",
+              "params": {"fn": "os.system", "grid": [{}]}}, "fn"),
+            ({"client": "c", "kind": "sweep",
+              "params": {"fn": "flaky", "grid": []}}, "grid"),
             # plans no shard could run: FleetPlan rejects them up front
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "build": "nope"}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "faults": {"nope": 0.1}}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "faults": {"power_loss_rate": -0.1}}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "exact_cap": -1}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "seed": None}},
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "build": "nope"}},
+             "unknown build"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "faults": {"nope": 0.1}}},
+             "unknown fault"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30,
+                         "faults": {"power_loss_rate": -0.1}}},
+             "power_loss_rate"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "exact_cap": -1}},
+             "exact_cap"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "seed": None}}, "seed"),
             # population numbers are type-checked, never coerced
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "seed": 1.7}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "seed": True}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "seed": -1}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "shard_size": 2.9}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "chunk": True}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "exact_cap": 1.5}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "capacity_gb": True}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "capacity_gb": "64"}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "faults": {"power_loss_rate": True}}},
-            {"client": "c", "kind": "population", "params": {"devices": True}},
-            {"client": "c", "kind": "population",
-             "params": {"devices": 5, "days": True}},
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "seed": 1.7}}, "seed"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "seed": True}}, "seed"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "seed": -1}}, "seed"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "shard_size": 2.9}},
+             "shard_size"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "chunk": True}}, "chunk"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "exact_cap": 1.5}},
+             "exact_cap"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "capacity_gb": True}},
+             "capacity_gb"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "capacity_gb": "64"}},
+             "capacity_gb"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30,
+                         "faults": {"power_loss_rate": True}}}, "faults"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": True, "days": 30}}, "devices"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": True}}, "days"),
             # a sweep's root seed is a non-negative int, never coerced
-            {"client": "c", "kind": "sweep",
-             "params": {"fn": "flaky", "grid": [{}], "base_seed": None}},
-            {"client": "c", "kind": "sweep",
-             "params": {"fn": "flaky", "grid": [{}], "base_seed": 1.7}},
-            {"client": "c", "kind": "sweep",
-             "params": {"fn": "flaky", "grid": [{}], "base_seed": True}},
-            {"client": "c", "kind": "sweep",
-             "params": {"fn": "flaky", "grid": [{}], "base_seed": [1]}},
-            {"client": "c", "kind": "sweep",
-             "params": {"fn": "flaky", "grid": [{}], "base_seed": -1}},
+            ({"client": "c", "kind": "sweep",
+              "params": {"fn": "flaky", "grid": [{}], "base_seed": None}},
+             "base_seed"),
+            ({"client": "c", "kind": "sweep",
+              "params": {"fn": "flaky", "grid": [{}], "base_seed": 1.7}},
+             "base_seed"),
+            ({"client": "c", "kind": "sweep",
+              "params": {"fn": "flaky", "grid": [{}], "base_seed": True}},
+             "base_seed"),
+            ({"client": "c", "kind": "sweep",
+              "params": {"fn": "flaky", "grid": [{}], "base_seed": [1]}},
+             "base_seed"),
+            ({"client": "c", "kind": "sweep",
+              "params": {"fn": "flaky", "grid": [{}], "base_seed": -1}},
+             "base_seed"),
+            # a key FleetPlan's wire form does not name is refused, never
+            # dropped: a misspelt key would otherwise run as its default
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 120, "days": 30, "shard_sise": 7}},
+             "unknown population key.*shard_sise"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 120, "days": 30,
+                         "mix_weights": {"heavy": 1.0}}},
+             "unknown population key.*mix_weights"),
+            # the population size and service life have no default
+            ({"client": "c", "kind": "population", "params": {"devices": 5}},
+             "'days' is required"),
+            # an omitted shard size means chunk; zero is not a shard size
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 30, "shard_size": 0}},
+             "shard_size"),
+            ({"client": "c", "kind": "population",
+              "params": {"devices": 5, "days": 36501}}, "days.*36500"),
         ],
         ids=["non-dict", "no-client", "empty-client", "bad-kind",
              "zero-devices", "absurd-devices", "unregistered-fn",
@@ -116,10 +152,12 @@ class TestJobSpec:
              "bool-fault-rate", "bool-devices", "bool-days",
              "sweep-null-base-seed",
              "sweep-float-base-seed", "sweep-bool-base-seed",
-             "sweep-list-base-seed", "sweep-negative-base-seed"],
+             "sweep-list-base-seed", "sweep-negative-base-seed",
+             "misspelt-shard-size", "mix-weights", "no-days",
+             "zero-shard-size", "absurd-days"],
     )
-    def test_invalid_submissions_rejected(self, payload):
-        with pytest.raises(ValueError):
+    def test_invalid_submissions_rejected(self, payload, match):
+        with pytest.raises(ValueError, match=match):
             JobSpec.from_wire(payload)
 
     def test_valid_numbers_keep_their_canonical_params(self):
