@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
 from repro.ecc.policy import POLICIES, ProtectionLevel
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.sim.baselines import build_sos
 from repro.sim.engine import run_lifetime
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
@@ -26,7 +27,7 @@ YEARS = 3
 
 def compute():
     volumes = MobileWorkload(
-        WorkloadConfig(mix="typical", days=YEARS * 365, seed=404)
+        WorkloadConfig(mix="typical", days=YEARS * DAYS_PER_YEAR, seed=404)
     ).daily_volume_arrays()
     out = {}
     for level in ProtectionLevel:

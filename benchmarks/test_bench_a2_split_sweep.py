@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.runner import Sweep, run_sweep
 from repro.runner.points import split_point
 
@@ -29,7 +30,7 @@ def compute():
         fn=split_point,
         grid=tuple(
             {"spare_fraction": f, "capacity_gb": 64.0, "mix": "typical",
-             "days": YEARS * 365, "workload_seed": 505}
+             "days": YEARS * DAYS_PER_YEAR, "workload_seed": 505}
             for f in FRACTIONS
         ),
         base_seed=505,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.runner import Sweep, run_sweep
 from repro.runner.points import sensitivity_batch_point
 
@@ -36,7 +37,7 @@ def compute():
         fn=sensitivity_batch_point,
         grid=tuple(
             {"plc_pec": plc_pec, "wafs": list(WAF_GRID), "capacity_gb": 64.0,
-             "mix": "typical", "days": YEARS * 365, "workload_seed": 111}
+             "mix": "typical", "days": YEARS * DAYS_PER_YEAR, "workload_seed": 111}
             for plc_pec in PLC_PEC_GRID
         ),
         base_seed=111,

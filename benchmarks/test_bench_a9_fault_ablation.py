@@ -21,13 +21,14 @@ from __future__ import annotations
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.runner import Sweep, run_sweep
 from repro.runner.points import fault_ablation_point
 
 from .common import report, run_once, runner_jobs
 
 CAPACITY_GB = 32.0
-DAYS = 2 * 365
+DAYS = 2 * DAYS_PER_YEAR
 SEED = 41
 SCALES = (0.0, 1.0, 2.0, 4.0)
 
@@ -75,7 +76,7 @@ def test_bench_a9_fault_ablation(benchmark):
          "outage days", "capacity left", "media quality", "usable"],
         rows,
         title=f"Fault-injection ablation ({CAPACITY_GB:.0f} GB SOS, "
-              f"{DAYS // 365}y typical mix)",
+              f"{DAYS // DAYS_PER_YEAR}y typical mix)",
     )
 
     control = by_scale[0.0]

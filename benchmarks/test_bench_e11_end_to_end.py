@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.sim.baselines import (
     build_plc_naive,
     build_qlc_baseline,
@@ -43,7 +44,7 @@ def compute():
     results = {}
     for mix in ("typical", "heavy"):
         volumes = MobileWorkload(
-            WorkloadConfig(mix=mix, days=YEARS * 365, seed=303)
+            WorkloadConfig(mix=mix, days=YEARS * DAYS_PER_YEAR, seed=303)
         ).daily_volume_arrays()
         for name, builder in BUILDERS.items():
             results[(mix, name)] = run_lifetime(builder(CAPACITY_GB), volumes)

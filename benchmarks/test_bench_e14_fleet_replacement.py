@@ -20,6 +20,7 @@ import numpy as np
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
 from repro.carbon.fleet import FleetConfig, simulate_fleet
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.fleet import FleetPlan, run_fleet
 
 from .common import report, runner_jobs
@@ -32,7 +33,7 @@ DISPOSAL_YEARS = 2.5
 def compute():
     fleet = simulate_fleet(FleetConfig())
     plan = FleetPlan(
-        n_devices=DISPOSAL_USERS, days=int(DISPOSAL_YEARS * 365),
+        n_devices=DISPOSAL_USERS, days=int(DISPOSAL_YEARS * DAYS_PER_YEAR),
         capacity_gb=64.0, seed=1414, shard_size=DISPOSAL_USERS,
         chunk=DISPOSAL_USERS,
     )

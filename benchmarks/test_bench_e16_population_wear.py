@@ -29,6 +29,7 @@ import pytest
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.fleet import DEFAULT_MIX_WEIGHTS, FleetPlan, run_fleet
 
 from .common import report, run_once, runner_jobs
@@ -52,7 +53,7 @@ GOLDEN_QUANTILES = {
 
 def _fleet_wear(shard_size: int, chunk: int) -> np.ndarray:
     plan = FleetPlan(
-        n_devices=N_USERS, days=int(SERVICE_YEARS * 365), capacity_gb=64.0,
+        n_devices=N_USERS, days=int(SERVICE_YEARS * DAYS_PER_YEAR), capacity_gb=64.0,
         seed=606, mix_weights=MIX_WEIGHTS, shard_size=shard_size, chunk=chunk,
     )
     fleet = run_fleet(plan, jobs=runner_jobs(), name="e16-population-wear-batch")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.sim.baselines import build_tlc_baseline
 from repro.sim.engine import run_lifetime
 from repro.workloads.mobile import MobileWorkload, WorkloadConfig
@@ -29,7 +30,7 @@ def compute():
     out = {}
     for mix in ("light", "typical", "heavy", "adversarial"):
         volumes = MobileWorkload(
-            WorkloadConfig(mix=mix, days=WARRANTY_YEARS * 365, seed=101)
+            WorkloadConfig(mix=mix, days=WARRANTY_YEARS * DAYS_PER_YEAR, seed=101)
         ).daily_volume_arrays()
         result = run_lifetime(build_tlc_baseline(DEVICE_GB), volumes)
         out[mix] = result.final.sys_wear_fraction

@@ -17,6 +17,7 @@ from repro.analysis.claims import ClaimCheck, Comparison
 from repro.analysis.reporting import format_table
 from repro.core.config import SPARE_MAX_RBER, SPARE_MODE, SPARE_PROTECTION
 from repro.ecc.policy import POLICIES
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.sim.batch import BatchPartition
 from repro.sim.lifetime import PartitionSpec
 
@@ -43,8 +44,8 @@ def _run(wear_leveling: bool):
     new, churn = np.array([NEW_GB_PER_DAY]), np.array([CHURN_GB_PER_DAY])
     deleted = new * 0.9  # steady-state churn
     allowed = np.ones(1, dtype=bool)
-    for day in range(YEARS * 365):
-        now = day / 365.0
+    for day in range(YEARS * DAYS_PER_YEAR):
+        now = day / DAYS_PER_YEAR
         partition.host_write(new, now, churn=False)
         partition.host_write(churn, now, churn=True)
         partition.host_delete(deleted)

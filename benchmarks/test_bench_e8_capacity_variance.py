@@ -25,6 +25,7 @@ from repro.core.config import (
     SPARE_WEAR_LEVELING,
 )
 from repro.ecc.policy import POLICIES
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.sim.batch import BatchPartition
 from repro.sim.lifetime import PartitionSpec
 
@@ -50,8 +51,8 @@ def _run(resuscitation_bits: tuple[int, ...]):
     daily = np.array([WRITE_GB_PER_DAY])
     allowed = np.ones(1, dtype=bool)
     capacity_series = []
-    for day in range(YEARS * 365):
-        now = day / 365.0
+    for day in range(YEARS * DAYS_PER_YEAR):
+        now = day / DAYS_PER_YEAR
         partition.host_write(daily * 0.3, now, churn=False)
         partition.host_write(daily * 0.7, now, churn=True)
         partition.host_delete(daily * 0.28)

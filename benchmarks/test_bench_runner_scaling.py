@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.runner import Sweep, run_sweep
 from repro.runner.points import sensitivity_batch_point
 
@@ -30,7 +31,7 @@ pytestmark = pytest.mark.skipif(
 
 GRID = tuple(
     {"plc_pec": plc_pec, "wafs": [1.5, 3.5], "capacity_gb": 64.0,
-     "mix": "typical", "days": 365, "workload_seed": 111}
+     "mix": "typical", "days": DAYS_PER_YEAR, "workload_seed": 111}
     for plc_pec in (300, 700)
 )
 

@@ -51,6 +51,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.flash.chip import DAYS_PER_YEAR
 from repro.fleet import DEFAULT_MIX_WEIGHTS, FleetPlan, run_fleet
 from repro.runner import Sweep, run_sweep, write_bench_json
 from repro.runner.cache import ResultCache
@@ -66,7 +67,7 @@ POPULATION_CHUNK = 50
 #: the runner-scaling grid: one batched A6 row per PLC-PEC point
 RUNNER_SCALING_GRID = tuple(
     {"plc_pec": plc_pec, "wafs": [1.5, 3.5], "capacity_gb": 64.0,
-     "mix": "typical", "days": 365, "workload_seed": 111}
+     "mix": "typical", "days": DAYS_PER_YEAR, "workload_seed": 111}
     for plc_pec in (300, 700)
 )
 
@@ -239,12 +240,12 @@ def main(path: str) -> int:
         fn=lifetime_point,
         grid=tuple(
             {"build": name, "capacity_gb": 64.0, "mix": "typical",
-             "days": 3 * 365, "workload_seed": 7}
+             "days": 3 * DAYS_PER_YEAR, "workload_seed": 7}
             for name in ALL_BUILDERS
         ),
         base_seed=7,
     )
-    days = int(POPULATION_YEARS * 365)
+    days = int(POPULATION_YEARS * DAYS_PER_YEAR)
     population_plan = FleetPlan(
         n_devices=POPULATION_USERS, days=days, capacity_gb=64.0, seed=606,
         mix_weights=DEFAULT_MIX_WEIGHTS,

@@ -163,6 +163,8 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
     from repro.runner.points import lifetime_point
     from repro.sim.baselines import ALL_BUILDERS
 
+    if not args.capacity_gb > 0.0:
+        args.usage_error("--capacity-gb must be positive")  # exits 2
     grid = tuple(
         {
             "build": name,
@@ -888,7 +890,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="profile the sweep with cProfile and dump stats here "
                         "(coordinator + serial points; workers are separate "
                         "processes)")
-    p.set_defaults(func=_cmd_lifetime)
+    p.set_defaults(func=_cmd_lifetime, usage_error=p.error)
 
     p = sub.add_parser(
         "population",

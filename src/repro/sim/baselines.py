@@ -112,6 +112,8 @@ def build_sos(
     scrub_enabled: bool = True,
 ) -> DeviceBuild:
     """The paper's SOS split (parameterized for the ablations)."""
+    if not 0.0 < spare_fraction < 1.0:
+        raise ValueError("spare_fraction must be in (0, 1)")
     sys_spec = PartitionSpec(
         name="sys",
         mode=SYS_MODE,

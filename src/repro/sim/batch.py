@@ -25,10 +25,22 @@ full ``(n_devices, n_groups)`` shape, so numpy adds and rounds exactly
 as it would over wide state.  Never shortcut a row sum as ``n_groups``
 times a lane: the two differ in the last bit.
 
+A collapsed partition has no retired lane, and every lane holds one
+constant, positive capacity: widening comes before any group retires or
+changes density, and :class:`~repro.sim.lifetime.PartitionSpec` refuses
+a capacity whose share per group is not positive.  So a collapsed day
+skips every retired-lane test and mask -- in the writes, the health
+check, the delete, the row sums and the capacity -- and the delete
+step's utilization divides by one scalar capacity.  Fault-free fleet
+chunks stay collapsed for all their days.
+
 A partition owns its state arrays, and each day updates them in place:
 ufuncs write through ``out=``, with ``where=`` when only some lanes
-change, in the oracle's operation and operand order.  So no state array
-is ever shared -- :meth:`BatchPartition.stack`,
+change, in the oracle's operation and operand order.  A day on which
+every lane writes runs numpy's unmasked loops into no scratch buffer;
+a masked day (a wide partition, an idle device, a subnormal write)
+runs the same operations and differs only in ``where=`` and ``out=``.
+No state array is ever shared -- :meth:`BatchPartition.stack`,
 :meth:`~BatchPartition.scatter_to`, :meth:`~BatchPartition.export_state`
 and :meth:`~BatchPartition.import_state` all copy, and widening installs
 new arrays.  The daily health check evaluates RBER only once a live
@@ -37,6 +49,12 @@ after the health horizon climbs to half of ``max_rber`` (the lowest
 over the partition's mode ladder).  Below it no group can fail, so
 skipping the evaluation changes nothing; a fleet chunk's devices stay
 far below it, and the chunk's one RBER pass is its end state's.
+
+:func:`run_lifetime_batch` resolves once a run what cannot change
+during it: each partition's health-check bound and its mode ladder's
+error models.  A partition stepped outside a run resolves them on every
+call.  No run carries them into the next, so an endurance-table override
+installed between runs (A6) moves the next run's bound.
 
 The interface is volume arrays in, one end state out.  A device build
 owns a one-row :class:`BatchLifetimeDevice` made from its
@@ -338,6 +356,28 @@ class BatchPartition:
         self.retired_count = np.zeros(n_devices, dtype=np.int64)
         self.resuscitated_count = np.zeros(n_devices, dtype=np.int64)
         self._waf = np.full(n_devices, spec.waf, dtype=float)
+        #: the ladder's error models and the health check's bound while
+        #: a run holds them (:meth:`_constants`)
+        self._run: tuple[tuple[ErrorModel, ...], float] | None = None
+
+    # -- per-run constants ----------------------------------------------------------
+
+    def _constants(self) -> tuple[tuple[ErrorModel, ...], float]:
+        """The mode ladder's error models and the health check's bound
+        (the lowest :func:`_safe_pec` over the ladder), resolved afresh.
+
+        :func:`run_lifetime_batch` resolves them once a run into
+        ``_run``; a partition stepped outside a run resolves them on
+        every call.  An endurance-table override installed between runs
+        changes both, so no run carries them into the next.
+        """
+        spec = self.spec
+        models = tuple(cached_error_model(mode) for mode in self._mode_ladder)
+        bound = min(
+            _safe_pec(model, spec.max_rber, spec.health_horizon_years)
+            for model in models
+        )
+        return models, bound
 
     # -- lanes --------------------------------------------------------------------
 
@@ -500,18 +540,29 @@ class BatchPartition:
         A retired lane adds 0.0 in its place, so the row sums add the
         same terms in the same order however many groups have retired.
         """
-        if self._retired.any():
+        if not self._collapsed and self._retired.any():
             values = np.where(self._retired, 0.0, values)
         return self._lanes(values).sum(axis=1)
 
     def capacity_gb(self) -> np.ndarray:
         """Usable capacity per device, ``(n_devices,)``."""
         if self._collapsed:
-            # no group has retired or resuscitated: every lane of every
-            # device holds the same capacity
-            total = _lane_sum(float(self._capacity[0, 0]), self.spec.n_groups)
-            return np.full(self.n_devices, total)
+            return np.full(self.n_devices, self._collapsed_capacity())
         return self._alive_sum(self._capacity)
+
+    def _collapsed_capacity(self) -> float:
+        """Every device's capacity on a collapsed partition: no group has
+        retired or resuscitated, so every lane holds the same positive
+        capacity."""
+        return _lane_sum(float(self._capacity[0, 0]), self.spec.n_groups)
+
+    def _utilization(self, live: np.ndarray) -> np.ndarray:
+        """``live`` (this partition's :meth:`live_data_gb`) over usable
+        capacity, per device; 1.0 on a device with no capacity left."""
+        if self._collapsed:
+            return live / self._collapsed_capacity()
+        cap = self.capacity_gb()
+        return np.divide(live, cap, out=np.ones_like(cap), where=cap > 0.0)
 
     def live_data_gb(self) -> np.ndarray:
         """Live data per device, ``(n_devices,)``."""
@@ -557,62 +608,67 @@ class BatchPartition:
     # -- writes -----------------------------------------------------------------
 
     def _absorb(
-        self, mask: np.ndarray, gb: np.ndarray, now: float, waf: np.ndarray
+        self, lanes: np.ndarray | bool, gb: np.ndarray, now: float,
+        waf: np.ndarray,
     ) -> None:
-        """Account per-group host+amplified writes where ``mask``, in place.
+        """Account per-group host+amplified writes on ``lanes``, in place.
 
         ``gb`` is one ``(n_devices, 1)`` column, each device's write per
-        group; lanes outside ``mask`` keep their state.  A lane inside
-        ``mask`` whose group is still empty -- a subnormal write's share
-        underflowed to 0.0 -- keeps its write time rather than blending
-        0/0.
+        group.  ``lanes`` is True when every lane writes -- numpy's
+        unmasked loops, into no scratch buffer -- or else a mask that
+        broadcasts against the state, and lanes outside it keep their
+        state.  A written lane whose group is still empty -- a subnormal
+        write's share underflowed to 0.0 -- keeps its write time rather
+        than blending 0/0.  Lanes a ``where=`` skips are left
+        uninitialized in the temporaries and never read.
         """
         cap = self._capacity
-        # where=True when every lane writes: numpy's unmasked loops
-        lanes = True if mask.all() else mask
-        inc = np.divide(gb * waf, cap, out=np.empty_like(cap), where=lanes)
-        # one row of gb per device, spelled out: full-size operands let
-        # numpy run each operation as one flat loop
-        gb = np.repeat(gb, cap.shape[1], axis=1)
-        new_live = np.add(self._live, gb, out=np.empty_like(cap), where=lanes)
-        np.minimum(cap, new_live, out=new_live, where=lanes)
+        inc = np.divide(gb * waf, cap, out=None, where=lanes)
+        live = np.add(self._live, gb, out=self._live, where=lanes)
+        np.minimum(cap, live, out=live, where=lanes)
         # blend write times: new bytes are written "now", weighted
         # old_weight * write_time + (1 - old_weight) * now
-        blend = np.greater(new_live, 0.0, out=np.zeros_like(mask), where=lanes)
+        blend = np.greater(live, 0.0, where=lanes, out=None if lanes is True
+                           else np.zeros(cap.shape, dtype=bool))
         blend = True if blend.all() else blend
-        old_weight = np.subtract(new_live, gb, out=gb, where=blend)
+        old_weight = np.subtract(live, gb, out=None, where=blend)
         np.maximum(0.0, old_weight, out=old_weight, where=blend)
-        np.divide(old_weight, new_live, out=old_weight, where=blend)
-        kept = np.multiply(old_weight, self._write_time, out=np.empty_like(cap),
+        np.divide(old_weight, live, out=old_weight, where=blend)
+        kept = np.multiply(old_weight, self._write_time, out=None,
                            where=blend)
         fresh = np.subtract(1.0, old_weight, out=old_weight, where=blend)
         np.multiply(fresh, now, out=fresh, where=blend)
         np.add(kept, fresh, out=self._write_time, where=blend)
         np.add(self._pec, inc, out=self._pec, where=lanes)
-        np.copyto(self._live, new_live, where=lanes)
 
     def host_write(self, gb: np.ndarray, now: float, churn: bool) -> None:
         """Apply per-device host writes; churn concentrates on hot groups if WL off."""
         gb = np.asarray(gb, dtype=float)
-        alive = ~self._retired
-        live_count = (
-            alive.sum(axis=1) if self._retired.any()
-            else np.full(self.n_devices, self.spec.n_groups)
-        )
-        active = (gb > 0.0) & (live_count > 0)
-        if not active.any():
+        active = gb > 0.0
+        # with no retired lane (never one on a collapsed partition) every
+        # device spreads its write over all of its groups
+        retired = not self._collapsed and self._retired.any()
+        if retired:
+            live_count = (~self._retired).sum(axis=1)
+            active &= live_count > 0
+            denom = np.maximum(live_count, 1)
+        else:
+            denom = self.spec.n_groups
+        every = active.all()
+        if not (every or active.any()):
             return
         waf = self._waf[:, None]
-        denom = np.maximum(live_count, 1)
         if self.spec.wear_leveling:
             waf = waf * (1.0 + WL_WRITE_OVERHEAD)
             share = (gb / denom)[:, None]
-            mask = alive if active.all() else alive & active[:, None]
-            self._absorb(mask, share, now, waf)
+            lanes = True if every else active[:, None]
+            self._absorb(~self._retired & lanes if retired else lanes,
+                         share, now, waf)
             return
+        alive = ~self._retired
         if churn:
             hot_count = np.maximum(
-                1, (live_count * HOT_GROUP_FRACTION).astype(np.int64)
+                1, (alive.sum(axis=1) * HOT_GROUP_FRACTION).astype(np.int64)
             )
             # rank live groups by descending PEC, stable on index; retired
             # lanes sort last behind +inf keys
@@ -648,15 +704,20 @@ class BatchPartition:
         """:meth:`host_delete` with ``total``, the partition's
         :meth:`live_data_gb`, already summed."""
         active = (total > 0.0) & (gb > 0.0)
-        if not active.any():
+        every = active.all()
+        if not (every or active.any()):
             return
         # min(gb, total) / total, not min(1, gb / total): a subnormal
-        # total would overflow the ratio
+        # total would overflow the ratio; a device that deletes nothing
+        # keeps fraction 0.0, so its factor is exactly 1.0
         fraction = np.divide(
-            np.minimum(gb, total), total, out=np.zeros_like(total), where=active
+            np.minimum(gb, total), total, where=True if every else active,
+            out=None if every else np.zeros_like(total),
         )
-        factor = np.where(active, 1.0 - fraction, 1.0)
-        alive = ~self._retired if self._retired.any() else True
+        factor = np.subtract(1.0, fraction, out=fraction)
+        # a collapsed partition has no retired lane
+        retired = not self._collapsed and self._retired.any()
+        alive = ~self._retired if retired else True
         np.multiply(self._live, factor[:, None], out=self._live, where=alive)
 
     # -- quality / reliability --------------------------------------------------
@@ -674,13 +735,14 @@ class BatchPartition:
             ) + extra_age)
         else:
             ages = np.full(pec.shape, extra_age)
+        models = (self._run or self._constants())[0]
         if not self._heterogeneous:
-            return cached_error_model(self.spec.mode).rber_many(pec, ages)
+            return models[0].rber_many(pec, ages)
         out = np.empty_like(pec)
-        for idx, mode in enumerate(self._mode_ladder):
+        for idx, model in enumerate(models):
             sel = self._mode_idx == idx
             if sel.any():
-                out[sel] = cached_error_model(mode).rber_many(pec[sel], ages[sel])
+                out[sel] = model.rber_many(pec[sel], ages[sel])
         return out
 
     # -- fault injection --------------------------------------------------------
@@ -750,19 +812,24 @@ class BatchPartition:
                 )
 
     def _health_check(self, now: float) -> None:
-        alive = ~self._retired
-        if not alive.any():
-            return
+        # a collapsed partition has no retired lane to mask out
+        retired = not self._collapsed and self._retired.any()
+        if retired:
+            alive = ~self._retired
+            if not alive.any():
+                return
+        models, bound = self._run or self._constants()
         horizon = self.spec.health_horizon_years
         # no live group near its failing PEC: none can fail, skip the RBER
-        bound = min(
-            _safe_pec(cached_error_model(mode), self.spec.max_rber, horizon)
-            for mode in self._mode_ladder
-        )
-        if not (alive & (self._pec >= bound)).any():
+        near = self._pec >= bound
+        if retired:
+            near &= alive
+        if not near.any():
             return
         predicted = self._rber(now, extra_age=horizon, from_data_age=False)
-        failing = alive & (predicted > self.spec.max_rber)
+        failing = predicted > self.spec.max_rber
+        if retired:
+            failing &= alive
         if not failing.any():
             return
         self._widen()
@@ -770,12 +837,11 @@ class BatchPartition:
         current_bits = self._ladder_bits[self._mode_idx]
         remaining = failing.copy()
         for cand_idx in range(1, len(self._mode_ladder)):
-            cand_mode = self._mode_ladder[cand_idx]
             cand_bits = int(self._ladder_bits[cand_idx])
             eligible = remaining & (current_bits > cand_bits)
             if not eligible.any():
                 continue
-            cand_rber = cached_error_model(cand_mode).rber_many(
+            cand_rber = models[cand_idx].rber_many(
                 self._pec, np.full(self._pec.shape, horizon)
             )
             ok = eligible & (cand_rber <= self.spec.max_rber)
@@ -965,6 +1031,9 @@ def run_lifetime_batch(
         if len(plans) != n:
             raise ValueError(f"{n} builds but {len(plans)} fault plans")
     device = BatchLifetimeDevice.from_devices([b.device for b in builds])
+    # what cannot change during the run, resolved once for all its days
+    for partition in device.partitions.values():
+        partition._run = partition._constants()
     counters = [FaultSummary() if plan is not None else None for plan in plans]
     has_faults = any(plan is not None for plan in plans)
     single = "main" in device.partitions
@@ -1029,12 +1098,8 @@ def run_lifetime_batch(
             lives: dict[str, np.ndarray] = {}
             live_total = np.zeros(n)
             for name, partition in device.partitions.items():
-                cap = partition.capacity_gb()
                 live = partition.live_data_gb()
-                utilization = np.divide(
-                    live, cap, out=np.ones_like(cap), where=cap > 0.0
-                )
-                mask = utilization > 0.85
+                mask = partition._utilization(live) > 0.85
                 pressured[name] = mask
                 lives[name] = live
                 np.add(live_total, live, out=live_total, where=mask)

@@ -84,6 +84,16 @@ class PartitionSpec:
     quality_sensitivity: float = FRAME_SENSITIVITY[FrameType.P]
     n_groups: int = 20
 
+    def __post_init__(self) -> None:
+        if self.n_groups < 1:
+            raise ValueError("n_groups must be at least 1")
+        # each group's share too: the epoch engine divides by a
+        # collapsed partition's capacity without testing it
+        if not self.capacity_gb / self.n_groups > 0.0:
+            raise ValueError(
+                f"capacity_gb must be positive, not {self.capacity_gb!r}"
+            )
+
 
 @dataclass(frozen=True, slots=True)
 class DaySample:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,31 @@ class TestBuilds:
         build = build_sos()
         assert not build.device.partitions["spare"].spec.wear_leveling
         assert build.device.partitions["sys"].spec.wear_leveling
+
+
+class TestRefusedBuilds:
+    """A build with no capacity is refused when it is made, not days
+    into a run with a numeric warning."""
+
+    @pytest.mark.parametrize("capacity_gb", [0.0, -8.0, float("nan")])
+    @pytest.mark.parametrize("name", sorted(ALL_BUILDERS))
+    def test_no_capacity_is_refused(self, name, capacity_gb):
+        with pytest.raises(ValueError, match="capacity_gb must be positive"):
+            ALL_BUILDERS[name](capacity_gb)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.5])
+    def test_sos_split_outside_the_unit_interval_is_refused(self, fraction):
+        with pytest.raises(ValueError, match=r"spare_fraction must be in \(0, 1\)"):
+            build_sos(64.0, spare_fraction=fraction)
+
+    def test_partition_spec_refuses_groups_without_capacity(self):
+        """5e-324 GB is positive, but its share of 20 groups is 0.0."""
+        spec = build_tlc_baseline(64.0).device.partitions["main"].spec
+        for capacity_gb in (0.0, -1.0, 5e-324):
+            with pytest.raises(ValueError, match="capacity_gb must be positive"):
+                replace(spec, capacity_gb=capacity_gb)
+        with pytest.raises(ValueError, match="n_groups must be at least 1"):
+            replace(spec, n_groups=0)
 
 
 class TestNativeBuildPins:

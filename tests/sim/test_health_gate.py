@@ -9,6 +9,11 @@ check retires and resuscitates exactly what the full evaluation does,
 for every mode on every build's ladder, under an endurance-table
 override (the bound follows it), and for a target the model reaches
 only above 100x rated endurance.
+
+``run_lifetime_batch`` resolves the bound and the ladder's error models
+once a run: the calls that resolve them do not grow with the days a
+run steps, and a run after an endurance-table override resolves them
+afresh rather than carrying the previous run's.
 """
 
 from __future__ import annotations
@@ -26,7 +31,12 @@ from repro.flash.cell import CellTechnology, native_mode
 from repro.flash.error_model import ErrorModel, cached_error_model
 from repro.flash.reliability import ENDURANCE_TABLE
 from repro.sim.baselines import ALL_BUILDERS, build_plc_naive, build_tlc_baseline
-from repro.sim.batch import BatchPartition, _safe_pec
+from repro.sim.batch import (
+    BatchPartition,
+    SummaryBatch,
+    _safe_pec,
+    run_lifetime_batch,
+)
 
 N_DEVICES = 4
 
@@ -240,3 +250,66 @@ def test_epoch_fleet_devices_never_reach_the_bound():
         })
     # the end state's quality and uncorrectable estimates only
     assert len(calls) == 2
+
+
+def _resolving_calls(days: int) -> tuple[int, int]:
+    """Calls of ``cached_error_model`` and ``_safe_pec`` in one
+    fault-free 10-device tlc chunk of ``days`` days."""
+    from repro.fleet.points import population_batch_observables
+
+    with mock.patch.object(
+        batch, "cached_error_model", wraps=batch.cached_error_model
+    ) as models, mock.patch.object(
+        batch, "_safe_pec", wraps=batch._safe_pec
+    ) as bounds:
+        population_batch_observables({
+            "mixes": ["light", "typical", "heavy", "adversarial", "typical"] * 2,
+            "workload_seeds": list(range(1, 11)), "capacity_gb": 64.0,
+            "days": days, "build": "tlc_baseline",
+        })
+    return models.call_count, bounds.call_count
+
+
+def test_per_run_constants_do_not_grow_with_days():
+    short = _resolving_calls(30)
+    assert short == _resolving_calls(90)
+    assert min(short) >= 1
+
+
+def test_a_run_after_an_override_resolves_its_constants_afresh():
+    """A6 installs an endurance-table override between two runs of one
+    spec (``runner/points.py``).  The run after it retires exactly the
+    groups that a run under the override retires when it evaluates RBER
+    every day."""
+    def volumes(*gb: float) -> np.ndarray:
+        return np.tile(np.array(gb)[:, None], (1, 12))
+
+    summary = SummaryBatch(
+        day=np.arange(12), new_media_gb=volumes(3.0, 1.5, 0.3),
+        new_other_gb=volumes(3.0, 1.5, 0.3), overwrite_gb=volumes(1.0, 0.5, 0.1),
+        delete_gb=volumes(0.2, 0.1, 0.02),
+    )
+
+    def run(gated: bool = True) -> tuple:
+        builds = [build_plc_naive(1.0) for _ in range(3)]
+        if gated:
+            end = run_lifetime_batch(builds, summary)
+        else:
+            with mock.patch.object(batch, "_safe_pec", lambda *args: 0.0):
+                end = run_lifetime_batch(builds, summary)
+        return end.retired_groups, [b.device.export_state() for b in builds]
+
+    assert not run()[0].any()  # at rated 500 nothing retires ...
+    original = ENDURANCE_TABLE[CellTechnology.PLC]
+    try:
+        ENDURANCE_TABLE[CellTechnology.PLC] = dataclasses.replace(
+            original, rated_pec=200
+        )
+        retired, states = run()
+        full_retired, full_states = run(gated=False)
+    finally:
+        ENDURANCE_TABLE[CellTechnology.PLC] = original
+    assert retired.any()  # ... and at rated 200 the heaviest device's groups do
+    assert np.array_equal(retired, full_retired)
+    for state, full in zip(states, full_states):
+        _assert_same(state["partitions"]["main"], full["partitions"]["main"])

@@ -127,6 +127,16 @@ class TestFtlFidelity:
         assert "usage: repro population" in err
         assert "seed must be non-negative" in err
 
+    def test_lifetime_without_capacity_is_a_usage_error(self, capsys):
+        """``repro lifetime`` refuses a non-positive ``--capacity-gb`` as
+        ``repro population`` does: usage, the reason, exit code 2."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lifetime", "--capacity-gb", "0", "--years", "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro lifetime" in err
+        assert "--capacity-gb must be positive" in err
+
 
 def test_build_choices_are_the_builders():
     """``population`` and ``submit`` offer exactly the registered builds."""
