@@ -11,9 +11,12 @@ and returns the slice's observable columns.  Those columns are the
 shard's one record: the result cache lifts them into its column store,
 and :func:`~repro.fleet.run.run_fleet` and the off-disk
 :func:`~repro.fleet.run.fleet_wear_from_store` both digest the
-``wear`` column, the same way.  An epoch chunk's columns are the
-arrays of the engine's end state under the store's column names, so no
-per-device result object is built between the engine and the digest.
+``wear`` column, the same way.  An epoch chunk is one array program:
+one build of N device rows, one volume block per mix (each device's
+jitter still drawn from its own generator), and one engine pass.  Its
+columns are the arrays of the engine's end state under the store's
+column names, so no per-device result object is built between the
+engine and the digest.
 
 A chunk function takes plain-data params: ``mixes`` and
 ``workload_seeds`` (parallel per-device lists), ``capacity_gb``,
@@ -44,7 +47,10 @@ def population_batch_observables(params: dict) -> dict:
     """End-of-life observables of one chunk on the batched epoch engine.
 
     One vectorized :func:`repro.sim.batch.run_lifetime_batch` pass over
-    the chunk's devices.  The columns are arrays of the engine's
+    one build of the chunk's N device rows
+    (:meth:`~repro.sim.baselines.DeviceBuild.for_devices`), with one
+    multi-user :class:`~repro.workloads.mobile.MobileWorkload` per mix
+    forming its devices' volumes.  The columns are arrays of the engine's
     :class:`~repro.sim.batch.BatchEndState`, renamed and untouched:
     float64 ``wear`` (SYS wear fraction), ``spare_wear``,
     ``capacity_gb`` and ``spare_quality``, and int64
@@ -56,28 +62,32 @@ def population_batch_observables(params: dict) -> dict:
     from repro.sim.batch import SummaryBatch, run_lifetime_batch
 
     days = params["days"]
-    builder = ALL_BUILDERS[params.get("build", "tlc_baseline")]
+    mixes = list(params["mixes"])
     seeds = list(params["workload_seeds"])
+    if len(mixes) != len(seeds):
+        raise ValueError("mixes and workload_seeds must be parallel lists")
+    # each mix's device rows, in device order
+    rows: dict[str, list[int]] = {}
+    for device, mix in enumerate(mixes):
+        rows.setdefault(mix, []).append(device)
     volumes = [
         MobileWorkload(
-            WorkloadConfig(mix=mix, days=days, seed=ws)
+            WorkloadConfig(mix=mix, days=days), seeds=[seeds[d] for d in devices]
         ).daily_volume_arrays()
-        for mix, ws in zip(params["mixes"], seeds)
+        for mix, devices in rows.items()
     ]
-    builds = [builder(params["capacity_gb"]) for _ in volumes]
+    summaries = SummaryBatch.from_volume_arrays(volumes, list(rows.values()))
+    build = ALL_BUILDERS[params.get("build", "tlc_baseline")](
+        params["capacity_gb"]
+    ).for_devices(len(seeds))
     plans = None
     if params.get("faults"):
         from repro.faults.plan import plan_for_build
 
-        plans = [
-            plan_for_build(build, params["faults"], days, ws)
-            for build, ws in zip(builds, seeds)
-        ]
+        plans = [plan_for_build(build, params["faults"], days, ws) for ws in seeds]
     # the engine takes one RBER and ECC pass over the chunk's groups,
     # after the last day: each device's end state is all a fleet reads
-    end = run_lifetime_batch(
-        builds, SummaryBatch.from_volume_arrays(volumes), plans
-    )
+    end = run_lifetime_batch([build], summaries, plans)
     return {
         "wear": end.sys_wear_fraction,
         "spare_wear": end.spare_wear_fraction,

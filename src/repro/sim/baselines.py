@@ -22,7 +22,7 @@ lifetime engine can put carbon and reliability on one table (E11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from repro.carbon.embodied import intensity_kg_per_gb, mixed_intensity_kg_per_gb
@@ -45,7 +45,8 @@ class DeviceBuild:
     """A lifetime-model device plus its carbon bookkeeping."""
 
     name: str
-    #: one-row epoch-engine state; runs update it in place
+    #: epoch-engine state, one row per device (a builder makes one row;
+    #: :meth:`for_devices` makes a fleet chunk's N); runs update it in place
     device: BatchLifetimeDevice
     capacity_gb: float
     intensity_kg_per_gb: float
@@ -54,6 +55,14 @@ class DeviceBuild:
     def embodied_kg(self) -> float:
         """Total embodied carbon of the device."""
         return self.capacity_gb * self.intensity_kg_per_gb
+
+    def for_devices(self, n: int) -> "DeviceBuild":
+        """This build for ``n`` devices: fresh ``n``-row state made from
+        its partitions' specs, each row the state a builder makes."""
+        return replace(self, device=BatchLifetimeDevice({
+            name: BatchPartition(partition.spec, n)
+            for name, partition in self.device.partitions.items()
+        }))
 
 
 def _device(*specs: PartitionSpec) -> BatchLifetimeDevice:

@@ -57,17 +57,19 @@ call.  No run carries them into the next, so an endurance-table override
 installed between runs (A6) moves the next run's bound.
 
 The interface is volume arrays in, one end state out.  A device build
-owns a one-row :class:`BatchLifetimeDevice` made from its
-:class:`~repro.sim.lifetime.PartitionSpec` list.
-:func:`run_lifetime_batch` takes a :class:`SummaryBatch` (the builds'
+owns a :class:`BatchLifetimeDevice` made from its
+:class:`~repro.sim.lifetime.PartitionSpec` list: one row from a
+builder, or a fleet chunk's N rows from
+:meth:`~repro.sim.baselines.DeviceBuild.for_devices`.
+:func:`run_lifetime_batch` takes a :class:`SummaryBatch` (the devices'
 :meth:`~repro.workloads.mobile.MobileWorkload.daily_volume_arrays`,
-stacked), stacks the builds' rows
+stacked in row order), stacks the builds' rows
 (:meth:`BatchLifetimeDevice.from_devices`), steps the stack, and
 returns one :class:`BatchEndState`: every device's observables after
-the last day, one array per field in device order.  It hands each build
-its final row back (:meth:`BatchPartition.scatter_to`).  No series is
-recorded: every lifetime claim reads the end state.  A fleet chunk's
-columns are the record's arrays as they stand;
+the last day, one array per field in row order.  It hands each build
+its final rows back (:meth:`BatchPartition.scatter_to`).  No series is
+recorded: every lifetime claim reads the end state.  A fleet chunk is
+one N-row build, and its columns are the record's arrays as they stand;
 :func:`repro.sim.engine.run_lifetime` turns the one row of a
 single-device run into a :class:`~repro.sim.lifetime.LifetimeResult`.
 
@@ -160,6 +162,10 @@ __all__ = [
 ]
 
 
+#: the volume fields the engine reads
+_VOLUME_FIELDS = ("new_media_gb", "new_other_gb", "overwrite_gb", "delete_gb")
+
+
 @dataclass(slots=True)
 class SummaryBatch:
     """Per-device daily volumes as ``(n_devices, n_days)`` arrays: the
@@ -186,33 +192,47 @@ class SummaryBatch:
 
     @classmethod
     def from_volume_arrays(
-        cls, per_device: Sequence[Mapping[str, np.ndarray]]
+        cls,
+        volumes: Sequence[Mapping[str, np.ndarray]],
+        rows: Sequence[Sequence[int]] | None = None,
     ) -> "SummaryBatch":
         """Stack :meth:`MobileWorkload.daily_volume_arrays` outputs.
 
-        Every device's day sequence is checked against the first in one
-        comparison, and each field is stacked in one call.
+        Each mapping holds one device's volumes (``(days,)`` arrays) or
+        a block of devices' (``(k, days)`` arrays, a multi-user
+        workload's).  The blocks fill the batch's rows in order, or,
+        given ``rows``, block ``i`` fills device rows ``rows[i]`` (a
+        chunk's devices of one mix), which must cover every row once.
+        Every block's day sequence must equal the first's.
         """
-        if not per_device:
+        if not volumes:
             raise ValueError("at least one device's volumes required")
-        day = np.asarray(per_device[0]["day"], dtype=np.int64)
-        try:
-            days = np.array([v["day"] for v in per_device])
-        except ValueError:  # sequences of different lengths
-            days = None
-        if days is None or days.shape != (len(per_device), day.size) or not (
-            days == day
-        ).all():
-            raise ValueError("all devices must share the same day sequence")
-        def field(name: str) -> np.ndarray:
-            return np.array([v[name] for v in per_device], dtype=float)
-        return cls(
-            day=day,
-            new_media_gb=field("new_media_gb"),
-            new_other_gb=field("new_other_gb"),
-            overwrite_gb=field("overwrite_gb"),
-            delete_gb=field("delete_gb"),
-        )
+        day = np.asarray(volumes[0]["day"], dtype=np.int64)
+        blocks = []
+        for v in volumes:
+            if not np.array_equal(v["day"], day):
+                raise ValueError("all devices must share the same day sequence")
+            block = [np.atleast_2d(np.asarray(v[name], dtype=float))
+                     for name in _VOLUME_FIELDS]
+            if any(a.shape != (len(block[0]), day.size) for a in block):
+                raise ValueError(
+                    "volumes must be (days,) arrays, or (devices, days) for a block"
+                )
+            blocks.append(block)
+        sizes = [len(block[0]) for block in blocks]
+        n = sum(sizes)
+        if rows is None:
+            rows = np.split(np.arange(n), np.cumsum(sizes)[:-1])
+        index = [np.asarray(r, dtype=np.intp).reshape(-1) for r in rows]
+        if [i.size for i in index] != sizes or not np.array_equal(
+            np.sort(np.concatenate(index)), np.arange(n)
+        ):
+            raise ValueError("rows must give each block's devices, every row once")
+        fields = [np.empty((n, day.size)) for _ in _VOLUME_FIELDS]
+        for block, at in zip(blocks, index):
+            for array, values in zip(fields, block):
+                array[at] = values
+        return cls(day, *fields)
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +241,7 @@ class BatchEndState:
     :func:`run_lifetime_batch` returns.
 
     ``day`` (the last day's label) and ``years`` are shared by the whole
-    batch; every other field holds one entry per device, in build order
+    batch; every other field holds one entry per device, in row order
     -- float64 observables, int64 group counters, and each device's
     fault counters (None for a device run without a fault plan).  The
     field names are those of :class:`~repro.sim.lifetime.DaySample`.
@@ -879,7 +899,8 @@ class BatchPartition:
 class BatchLifetimeDevice:
     """N devices of identical topology stepped day by day in lockstep.
 
-    A device build's ``device`` is the one-row case.
+    A device build's ``device`` is one: one row from a builder, N from
+    :meth:`~repro.sim.baselines.DeviceBuild.for_devices`.
     """
 
     def __init__(self, partitions: dict[str, BatchPartition]) -> None:
@@ -1006,20 +1027,23 @@ def run_lifetime_batch(
     summaries: SummaryBatch,
     fault_plans: Sequence[FaultPlan | None] | None = None,
 ) -> BatchEndState:
-    """Run N device builds through their daily volumes in one pass.
+    """Run the builds' device rows through their daily volumes in one pass.
 
-    Returns the state after the last day, row ``i`` for build ``i``:
-    the same as that build's own :func:`repro.sim.engine.run_lifetime`
-    (see the module docstring for the contract with the oracle).  Builds
-    must share topology and specs (``waf`` may vary); each build's
-    device is updated in place with its final state.
+    The batch's rows are the builds' rows in build order: a fleet chunk
+    passes one N-row build, and a list of one-row builds stacks them.
+    ``summaries`` and ``fault_plans`` hold one entry per row.  Returns
+    the state after the last day, one entry per row: the same as that
+    device's own :func:`repro.sim.engine.run_lifetime` (see the module
+    docstring for the contract with the oracle).  Builds must share
+    topology and specs (``waf`` may vary); each build's device is
+    updated in place with its final rows.
     """
     if not builds:
         raise ValueError("at least one build required")
-    n = len(builds)
+    n = sum(build.device.n_devices for build in builds)
     if summaries.n_devices != n:
         raise ValueError(
-            f"{n} builds but volumes for {summaries.n_devices} devices"
+            f"{n} device rows but volumes for {summaries.n_devices} devices"
         )
     if summaries.n_days == 0:
         raise ValueError("a lifetime run needs at least one day")
@@ -1029,7 +1053,7 @@ def run_lifetime_batch(
     else:
         plans = list(fault_plans)
         if len(plans) != n:
-            raise ValueError(f"{n} builds but {len(plans)} fault plans")
+            raise ValueError(f"{n} device rows but {len(plans)} fault plans")
     device = BatchLifetimeDevice.from_devices([b.device for b in builds])
     # what cannot change during the run, resolved once for all its days
     for partition in device.partitions.values():
@@ -1131,7 +1155,7 @@ def run_lifetime_batch(
             ),
             faults=counters,
         )
-    # each build's device ends the run holding its final state
+    # each build's device ends the run holding its final rows
     for name, partition in device.partitions.items():
         partition.scatter_to([b.device.partitions[name] for b in builds])
     for build in builds:

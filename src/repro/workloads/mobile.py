@@ -10,17 +10,21 @@ Calibration target (§2.3.2 / Zhang et al.): a *typical* mix writes
 ~2-3 GB/day; against a 64 GB TLC device over a 2-year warranty this
 consumes a low-single-digit percentage of rated endurance.
 
-The epoch engine's input is :meth:`MobileWorkload.daily_volume_arrays`,
-one call per simulated device: one lognormal draw for the whole
-horizon, every app's terms formed in one preallocated ``(apps, 4,
-days)`` block, and the apps summed in mix order with in-place adds --
-bit for bit the per-(day, app) scalar loop kept as the test oracle.
+The epoch engine's input is :meth:`MobileWorkload.daily_volume_arrays`.
+A workload holds one user (``config.seed``) or every user of one mix
+(``seeds=``), and one call forms all their volumes: each user's one
+lognormal draw for the whole horizon comes from that user's own
+generator, and every app's terms are formed for a tile of users at a
+time in one reused ``(apps, 4, users, days)`` block, the apps summed in
+mix order -- bit for bit the per-(day, app) scalar loop kept as the
+test oracle.  A fleet chunk makes one call per mix.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +35,15 @@ from .traces import OpKind, TraceOp
 
 __all__ = ["WorkloadConfig", "MobileWorkload"]
 
+#: users whose app terms :meth:`MobileWorkload.daily_volume_arrays`
+#: forms at once: its scratch holds one tile's jitter and terms, however
+#: many users the workload has
+_TILE_USERS = 32
+
 
 @functools.cache
 def _mix_table(mix: str) -> tuple[np.ndarray, ...]:
-    """Per-app coefficients of ``mix`` as five read-only ``(apps, 1)``
+    """Per-app coefficients of ``mix`` as five read-only ``(apps, 1, 1)``
     columns, apps in mix order: write MB/day, overwrite share, media
     share, non-media share and read MB/day, each volume scaled by the
     app's activity factor."""
@@ -48,7 +57,7 @@ def _mix_table(mix: str) -> tuple[np.ndarray, ...]:
             1.0 - profile.media_fraction,
             profile.read_mb_per_day * factor,
         ))
-    table = np.array(rows).T[:, :, None]
+    table = np.array(rows).T[:, :, None, None]
     table.flags.writeable = False
     return tuple(table)
 
@@ -72,7 +81,7 @@ class WorkloadConfig:
         Probability a new media file has a cloud copy (§4.3 notes many
         users back up media).
     seed:
-        RNG seed.
+        RNG seed of a one-user workload.
     """
 
     mix: str = "typical"
@@ -84,13 +93,29 @@ class WorkloadConfig:
 
 
 class MobileWorkload:
-    """Generates daily volume arrays and (optionally) op-level traces."""
+    """Generates daily volume arrays and (optionally) op-level traces.
 
-    def __init__(self, config: WorkloadConfig | None = None) -> None:
+    A workload is one user, seeded by ``config.seed``, or -- given
+    ``seeds`` -- one user per seed, all of ``config``'s mix and horizon.
+    Each user draws from its own generator, so user ``i`` of a
+    multi-user workload is the one-user workload seeded ``seeds[i]``.
+    """
+
+    def __init__(
+        self, config: WorkloadConfig | None = None, seeds: Sequence[int] | None = None
+    ) -> None:
         self.config = config or WorkloadConfig()
         if self.config.mix not in USER_MIXES:
             raise ValueError(f"unknown user mix {self.config.mix!r}")
-        self._rng = np.random.default_rng(self.config.seed)
+        #: True when the arrays carry a leading user axis
+        self._multi = seeds is not None
+        self._rngs = [
+            np.random.default_rng(seed)
+            for seed in (seeds if self._multi else (self.config.seed,))
+        ]
+        if not self._rngs:
+            raise ValueError("at least one user seed required")
+        self._rng = self._rngs[0]
 
     # -- epoch-level ---------------------------------------------------------
 
@@ -98,50 +123,70 @@ class MobileWorkload:
         """Per-day aggregate volumes as one array per field.
 
         Returns ``{"day", "new_media_gb", "new_other_gb", "overwrite_gb",
-        "read_gb", "delete_gb"}``, each of shape ``(days,)``.  Every
-        (day, app) pair draws a write and then a read jitter, in day
-        order and the mix's app order -- the C-order ravel of a
-        ``(days, apps, 2)`` block, which ``Generator.lognormal(size=...)``
-        consumes exactly like as many scalar draws.  Each day's per-app
-        terms, scaled by :func:`_mix_table`'s coefficients, are summed in
-        app order, so the values are bit-identical to the per-(day, app)
-        scalar loop kept as the test oracle in
-        ``tests/workloads/test_workloads.py``.  The five volume arrays
-        are the rows of one ``(5, days)`` block.
+        "read_gb", "delete_gb"}``.  ``day`` has shape ``(days,)``; each
+        volume has shape ``(days,)`` for a one-user workload and
+        ``(users, days)`` for one made with ``seeds``, row ``i`` for
+        ``seeds[i]``.  Every (day, app) pair of a user draws a write and
+        then a read jitter, in day order and the mix's app order -- the
+        C-order ravel of a ``(days, apps, 2)`` block, which
+        ``Generator.lognormal(size=...)`` consumes exactly like as many
+        scalar draws.  Each day's per-app terms, scaled by
+        :func:`_mix_table`'s coefficients, are summed in app order, so
+        the values are bit-identical to the per-(day, app) scalar loop
+        kept as the test oracle in ``tests/workloads/test_workloads.py``.
+        Every operation is elementwise across users, so forming a tile
+        of :data:`_TILE_USERS` users at once changes no bit.  The five
+        volume arrays are the rows of one ``(5, users, days)`` block.
 
-        Consumes the workload's RNG; use a fresh workload instance per
-        call, as the batched lifetime path does (one instance per
-        simulated device).
+        Consumes the users' generators; use a fresh workload instance
+        per call, as the batched lifetime path does (one instance per
+        mix of a chunk).
         """
         days = self.config.days
         write, overwrite_share, media_share, other_share, read = _mix_table(
             self.config.mix
         )
         apps = len(write)
-        # (2, apps, days): the transpose of the draw order, copied so
-        # every operand below is contiguous
-        jitter = np.ascontiguousarray(self._rng.lognormal(
-            0.0, self.config.daily_jitter_sigma, size=(days, apps, 2)
-        ).T)
-        # one block of every app's (media, other, overwrite, read) MB
-        terms = np.empty((apps, 4, days))
-        vol_mb = np.multiply(write, jitter[0], out=jitter[0])
-        overwrite = np.multiply(vol_mb, overwrite_share, out=terms[:, 2])
-        fresh = np.subtract(vol_mb, overwrite, out=vol_mb)
-        np.multiply(fresh, media_share, out=terms[:, 0])
-        np.multiply(fresh, other_share, out=terms[:, 1])
-        np.multiply(read, jitter[1], out=terms[:, 3])
-        # add the app rows one at a time in mix order, as the oracle
-        # loop does (add.reduce is free to pair them differently)
-        total = terms[0]
-        for app_terms in terms[1:]:
-            total += app_terms
+        users = len(self._rngs)
+        tile = min(users, _TILE_USERS)
+        # one tile's scratch, reused by every tile: the jitter in (write/
+        # read, apps, users, days) order -- the transpose of each user's
+        # draw order -- every app's (media, other, overwrite, read) MB,
+        # and their sums (a contiguous destination: numpy buffers a
+        # reduction into a strided one)
+        scratch = np.empty((6 * apps + 4) * tile * days)
         # rows: media, other, overwrite, read, delete -- in MB, then GB
-        out = np.empty((5, days))
-        out[:4] = total
-        np.add(total[0], total[1], out=out[4])
+        out = np.empty((5, users, days))
+        for lo in range(0, users, tile):
+            rngs = self._rngs[lo:lo + tile]
+            cells = len(rngs) * days
+            jitter = scratch[:2 * apps * cells].reshape(2, apps, -1, days)
+            terms = scratch[2 * apps * cells:6 * apps * cells].reshape(
+                apps, 4, -1, days
+            )
+            total = scratch[6 * apps * cells:(6 * apps + 4) * cells].reshape(
+                4, -1, days
+            )
+            for row, rng in enumerate(rngs):
+                jitter[:, :, row] = rng.lognormal(
+                    0.0, self.config.daily_jitter_sigma, size=(days, apps, 2)
+                ).T
+            vol_mb = np.multiply(write, jitter[0], out=jitter[0])
+            overwrite = np.multiply(vol_mb, overwrite_share, out=terms[:, 2])
+            fresh = np.subtract(vol_mb, overwrite, out=vol_mb)
+            np.multiply(fresh, media_share, out=terms[:, 0])
+            np.multiply(fresh, other_share, out=terms[:, 1])
+            np.multiply(read, jitter[1], out=terms[:, 3])
+            # sum the apps in mix order, as the oracle loop does: numpy
+            # reduces an outer axis by adding its slices one at a time
+            # (pairwise summation runs only along the inner loop)
+            np.add.reduce(terms, axis=0, out=total)
+            out[:4, lo:lo + len(rngs)] = total
+        np.add(out[0], out[1], out=out[4])
         out[4] *= self.config.delete_fraction
         out /= 1024.0
+        if not self._multi:
+            out = out[:, 0]
         return {
             "day": np.arange(days, dtype=np.int64),
             "new_media_gb": out[0],
@@ -173,7 +218,11 @@ class MobileWorkload:
             Fraction of live files deleted per day (oldest first); raise
             it when replaying against small devices so the working set
             stays stationary.
+
+        Replays one user: a workload made with ``seeds`` is refused.
         """
+        if self._multi:
+            raise ValueError("ops() replays one user; build it from config.seed")
         ops: list[TraceOp] = []
         live_paths: list[tuple[str, FileKind, int]] = []
         counter = 0

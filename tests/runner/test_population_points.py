@@ -186,6 +186,15 @@ def test_population_points_match_finals_at_default_sampling(build, faults):
     assert chunk["wear"].tobytes() == columns["wear"].tobytes()
 
 
+def test_population_chunk_refuses_lists_that_are_not_parallel():
+    """Two mixes with four seeds is refused, not cut to two devices."""
+    with pytest.raises(ValueError, match="parallel lists"):
+        population_batch_observables({
+            "mixes": ["typical", "light"], "workload_seeds": [1, 2, 3, 4],
+            "capacity_gb": 64.0, "days": 30,
+        })
+
+
 def _oracle_sensitivity(plc_pec: float, waf: float) -> dict:
     """One A6 point on the scalar oracle: SOS with every partition's spec
     at ``waf`` under a PLC endurance override, one device at a time."""
