@@ -27,6 +27,9 @@ from .market import DEVICE_CLASSES, MARKET_SHARE_2020, DeviceClass
 
 __all__ = ["FleetConfig", "ClassOutcome", "FleetOutcome", "simulate_fleet"]
 
+#: Installed flash base at year 0 (EB), split by market share.
+INSTALLED_BASE_EB = 2000.0
+
 
 @dataclass(frozen=True, slots=True)
 class FleetConfig:
@@ -36,8 +39,6 @@ class FleetConfig:
     ----------
     horizon_years:
         Simulated span (the paper talks about "the coming decade").
-    base_capacity_eb:
-        Installed flash base at year 0, split by market share.
     demand_growth:
         Annual growth of the installed base (new use cases).
     intensity_kg_per_gb:
@@ -45,7 +46,6 @@ class FleetConfig:
     """
 
     horizon_years: int = 10
-    base_capacity_eb: float = 2000.0
     demand_growth: float = 0.10
     intensity_kg_per_gb: float = BASELINE_INTENSITY_KG_PER_GB
 
@@ -98,7 +98,7 @@ class FleetOutcome:
 def _simulate_class(
     device: DeviceClass, share: float, config: FleetConfig
 ) -> ClassOutcome:
-    installed = config.base_capacity_eb * share
+    installed = INSTALLED_BASE_EB * share
     start = installed
     manufactured = 0.0
     for _year in range(config.horizon_years):

@@ -11,8 +11,8 @@ Reproduces §1/§3's trajectory:
 * per-GB intensity falls as 3D layer stacking improves material
   utilization (vendors project ~4x density by 2030), but -- the paper's
   point -- slower than demand grows, because added layers add process
-  steps: we model intensity reaching ``intensity_factor_2030`` (default
-  0.5x) rather than the full 1/4;
+  steps: we model intensity reaching :data:`INTENSITY_FACTOR_END` (0.5x)
+  by 2030 rather than the full 1/4;
 * by 2030 the footprint reaches "the equivalent of over 150M people",
   about 1.7% of world emissions.
 """
@@ -20,6 +20,8 @@ Reproduces §1/§3's trajectory:
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .embodied import BASELINE_INTENSITY_KG_PER_GB
 
 __all__ = ["ProjectionConfig", "YearPoint", "project", "people_equivalent"]
 
@@ -30,6 +32,13 @@ WORLD_PER_CAPITA_TONNES = 4.4
 #: calculations (~40 Gt trajectory).
 WORLD_EMISSIONS_2030_MT = 40_000.0
 
+#: Flash bits produced in the base year (765 EB in 2021 [Forbes/FMS '22]).
+BASE_CAPACITY_EB = 765.0
+
+#: Per-GB intensity at ``end_year`` relative to the base year's (0.5 =
+#: halved; geometric interpolation between).
+INTENSITY_FACTOR_END = 0.5
+
 
 @dataclass(frozen=True, slots=True)
 class ProjectionConfig:
@@ -38,25 +47,17 @@ class ProjectionConfig:
     Attributes
     ----------
     base_year / end_year:
-        Projection window.
-    base_capacity_eb:
-        Flash bits produced in the base year (765 EB in 2021).
-    base_intensity_kg_per_gb:
-        Embodied intensity in the base year (0.16 kg/GB).
+        Projection window; the base year produces
+        :data:`BASE_CAPACITY_EB` at the baseline embodied intensity
+        (:data:`~repro.carbon.embodied.BASELINE_INTENSITY_KG_PER_GB`).
     bit_growth_rate:
         Annual growth of flash bit production.  Data demand grows 20-30%
         and flash's share of storage rises; 0.31 combines both.
-    intensity_factor_end:
-        Per-GB intensity at ``end_year`` relative to base (0.5 = halved;
-        geometric interpolation between).
     """
 
     base_year: int = 2021
     end_year: int = 2030
-    base_capacity_eb: float = 765.0
-    base_intensity_kg_per_gb: float = 0.16
     bit_growth_rate: float = 0.31
-    intensity_factor_end: float = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,12 +86,12 @@ def project(config: ProjectionConfig | None = None) -> list[YearPoint]:
     points: list[YearPoint] = []
     for offset in range(span + 1):
         year = config.base_year + offset
-        capacity_eb = config.base_capacity_eb * (1.0 + config.bit_growth_rate) ** offset
+        capacity_eb = BASE_CAPACITY_EB * (1.0 + config.bit_growth_rate) ** offset
         if span == 0:
             factor = 1.0
         else:
-            factor = config.intensity_factor_end ** (offset / span)
-        intensity = config.base_intensity_kg_per_gb * factor
+            factor = INTENSITY_FACTOR_END ** (offset / span)
+        intensity = BASELINE_INTENSITY_KG_PER_GB * factor
         capacity_gb = capacity_eb * 1e9
         emissions_mt = capacity_gb * intensity / 1e9  # kg -> Mt
         points.append(

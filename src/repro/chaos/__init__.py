@@ -41,6 +41,7 @@ from .crash import (
 )
 from .fs import (
     CHAOS_FS_ENV,
+    DEFAULT_DURABILITY,
     DURABILITY_LEVELS,
     REAL_FS,
     ChaosFs,
@@ -59,6 +60,7 @@ __all__ = [
     "CRASH_POINT_ENV",
     "CRASH_POINTS",
     "ChaosFs",
+    "DEFAULT_DURABILITY",
     "DURABILITY_LEVELS",
     "FaultSpec",
     "MATRIX_TARGETS",

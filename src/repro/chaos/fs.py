@@ -43,6 +43,7 @@ from .crash import crash_point
 __all__ = [
     "CHAOS_FS_ENV",
     "ChaosFs",
+    "DEFAULT_DURABILITY",
     "DURABILITY_LEVELS",
     "FaultSpec",
     "RealFs",
@@ -287,6 +288,9 @@ def chaos_fs(fs: RealFs) -> Iterator[RealFs]:
 
 #: the durability ladder, weakest to strongest
 DURABILITY_LEVELS = ("none", "rename", "fsync")
+
+#: the rung every durable writer takes unless its caller picks another
+DEFAULT_DURABILITY = "rename"
 
 
 def write_durably(

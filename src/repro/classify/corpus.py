@@ -58,6 +58,16 @@ __all__ = [
 #: Share of a corpus a model trains on; the rest is its held-out test set.
 TRAIN_FRACTION = 0.7
 
+#: Latent value above which a user file is ground-truth critical.
+CRITICAL_VALUE_THRESHOLD = 0.65
+
+#: Latent value below which the user would delete the file.
+DELETE_VALUE_THRESHOLD = 0.30
+
+#: Probability a ground-truth label is flipped (annotator/user
+#: inconsistency; keeps the achievable ceiling below 100%).
+LABEL_NOISE = 0.08
+
 
 @dataclass(frozen=True, slots=True)
 class LabelledFile:
@@ -79,20 +89,10 @@ class CorpusConfig:
         Corpus size.
     now_years:
         Observation time (files are created in ``[0, now_years]``).
-    critical_value_threshold:
-        Latent value above which a user file is ground-truth critical.
-    delete_value_threshold:
-        Latent value below which the user would delete the file.
-    label_noise:
-        Probability a ground-truth label is flipped (annotator/user
-        inconsistency; keeps the achievable ceiling below 100%).
     """
 
     n_files: int = 5000
     now_years: float = 2.0
-    critical_value_threshold: float = 0.65
-    delete_value_threshold: float = 0.30
-    label_noise: float = 0.08
 
 
 #: File-count mix for personal devices.  Media dominates counts and bytes
@@ -219,11 +219,11 @@ def generate_corpus(
             would_delete = False
         else:
             attrs, value = _sample_user_file(rng, kind, config)
-            critical = value >= config.critical_value_threshold
-            would_delete = value <= config.delete_value_threshold
-            if rng.random() < config.label_noise:
+            critical = value >= CRITICAL_VALUE_THRESHOLD
+            would_delete = value <= DELETE_VALUE_THRESHOLD
+            if rng.random() < LABEL_NOISE:
                 critical = not critical
-            if rng.random() < config.label_noise:
+            if rng.random() < LABEL_NOISE:
                 would_delete = not would_delete
         record = FileRecord(
             file_id=file_id,

@@ -20,7 +20,9 @@ import numpy as np
 
 from repro.host.files import FileAttributes, SYSTEM_KINDS
 
-from .corpus import CorpusConfig, LabelledFile
+from .corpus import (
+    CRITICAL_VALUE_THRESHOLD, DELETE_VALUE_THRESHOLD, CorpusConfig, LabelledFile,
+)
 
 __all__ = ["DriftConfig", "drift_corpus"]
 
@@ -81,7 +83,7 @@ def drift_corpus(
 
     Latent values random-walk (system files stay pinned at value 1),
     attributes are re-emitted, and ground-truth labels are recomputed
-    from the corpus config's thresholds.
+    from the corpus thresholds.
     """
     config = config or DriftConfig()
     corpus_config = corpus_config or CorpusConfig()
@@ -103,8 +105,8 @@ def drift_corpus(
         out.append(
             LabelledFile(
                 record=record,
-                critical=value >= corpus_config.critical_value_threshold,
-                user_would_delete=value <= corpus_config.delete_value_threshold,
+                critical=value >= CRITICAL_VALUE_THRESHOLD,
+                user_would_delete=value <= DELETE_VALUE_THRESHOLD,
                 latent_value=value,
             )
         )

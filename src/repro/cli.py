@@ -58,10 +58,37 @@ from repro.analysis.reporting import format_table
 
 __all__ = ["main"]
 
+# Copies of library values, so that building the parser loads neither
+# numpy (``repro.chaos`` and the simulation do) nor the service
+# (``repro.serve``); the CLI tests pin each to its home.
+
 #: ``--build`` choices of ``population`` and ``submit``: the keys of
-#: ``repro.sim.baselines.ALL_BUILDERS``, named here so building the
-#: parser imports no simulation code
+#: ``repro.sim.baselines.ALL_BUILDERS``
 _BUILDS = ("tlc_baseline", "qlc_baseline", "plc_naive", "sos")
+
+#: ``lifetime --mix`` choices: the keys of ``repro.workloads.apps.USER_MIXES``
+_MIXES = ("light", "typical", "heavy", "adversarial")
+
+#: ``--durability`` choices: ``repro.chaos.fs.DURABILITY_LEVELS``
+_DURABILITY_LEVELS = ("none", "rename", "fsync")
+
+#: ``store compact --codec`` choices: ``repro.store.format.CODECS``
+_CODECS = ("none", "zlib", "lzma")
+
+#: the address ``serve`` listens on and ``submit`` and ``jobs`` reach by
+#: default; the host is ``GatewayConfig.host``'s default
+_GATEWAY_ADDRESS = ("127.0.0.1", 9178)
+
+#: the ``run_sweep``/``run_fleet`` keywords the runner flags name
+_RUNNER_KEYS = ("jobs", "cache_dir", "retries", "timeout_s", "keep_going",
+                "durability")
+
+
+def _set_flags(args: argparse.Namespace, keys) -> dict:
+    """The flags among ``keys`` (``dest`` names) that the command line
+    set: each defaults to ``argparse.SUPPRESS``, so an unset one is left
+    out and the callee's own default applies."""
+    return {key: getattr(args, key) for key in keys if hasattr(args, key)}
 
 
 def _cmd_density(args: argparse.Namespace) -> None:
@@ -89,7 +116,7 @@ def _cmd_density(args: argparse.Namespace) -> None:
 def _cmd_project(args: argparse.Namespace) -> None:
     from repro.carbon.projection import ProjectionConfig, project
 
-    points = project(ProjectionConfig(bit_growth_rate=args.growth))
+    points = project(ProjectionConfig(**_set_flags(args, ("bit_growth_rate",))))
     rows = [
         [p.year, f"{p.capacity_eb:.0f}", f"{p.emissions_mt:.0f}",
          f"{p.people_equivalent_millions:.0f}"]
@@ -165,6 +192,8 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
 
     if not args.capacity_gb > 0.0:
         args.usage_error("--capacity-gb must be positive")  # exits 2
+    if args.years < 1:
+        args.usage_error("--years must be at least 1")
     grid = tuple(
         {
             "build": name,
@@ -186,14 +215,7 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
     try:
         with observed(trace=False) if collect else nullcontext() as coordinator_obs:
             outcome = run_sweep(
-                sweep,
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
-                retries=args.retries,
-                timeout_s=args.timeout,
-                keep_going=args.keep_going,
-                durability=args.durability,
-                collect_obs=collect,
+                sweep, collect_obs=collect, **_set_flags(args, _RUNNER_KEYS)
             )
     finally:
         if profiler is not None:
@@ -211,7 +233,7 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
         if args.metrics_json:
             write_metrics_json(
                 args.metrics_json, merged,
-                context={"sweep": sweep.name, "jobs": args.jobs,
+                context={"sweep": sweep.name, "jobs": outcome.jobs,
                          "seed": args.seed, "mix": args.mix},
             )
             print(f"wrote merged metrics to {args.metrics_json}")
@@ -265,14 +287,7 @@ def _cmd_population(args: argparse.Namespace) -> int:
     except ValueError as err:
         args.usage_error(str(err))  # exits 2, as argparse's own errors do
     fleet = run_fleet(
-        plan,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        retries=args.retries,
-        timeout_s=args.timeout,
-        keep_going=args.keep_going,
-        name="cli-population-batch",
-        durability=args.durability,
+        plan, name="cli-population-batch", **_set_flags(args, _RUNNER_KEYS)
     )
     stats = fleet.summary()
     # ru_maxrss is KiB on linux
@@ -606,27 +621,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         HealthThresholds,
     )
 
-    config = GatewayConfig(
-        state_dir=args.state_dir,
-        host=args.host,
-        port=args.port,
-        max_running=args.max_running,
-        max_queue=args.max_queue,
-        job_workers=args.job_workers,
-        retries=args.retries,
-        timeout_s=args.timeout,
-        durability=args.durability,
-        rate_per_s=args.rate,
-        burst=args.burst,
-        quota=ClientQuota(
-            max_concurrent=args.max_concurrent,
-            max_units_per_window=args.max_units_per_window,
-            window_s=args.window,
-        ),
-        thresholds=HealthThresholds(
-            max_error_rate=args.max_error_rate,
-        ),
-    )
+    # only the flags set: GatewayConfig, ClientQuota and HealthThresholds
+    # fill in the rest, and the port is this deployment's
+    settings = _set_flags(args, (
+        "host", "max_running", "max_queue", "job_workers", "retries",
+        "timeout_s", "durability", "rate_per_s", "burst",
+    ))
+    quota = _set_flags(args, ("max_concurrent", "max_units_per_window", "window_s"))
+    if quota:
+        settings["quota"] = ClientQuota(**quota)
+    thresholds = _set_flags(args, ("max_error_rate",))
+    if thresholds:
+        settings["thresholds"] = HealthThresholds(**thresholds)
+    config = GatewayConfig(state_dir=args.state_dir, port=args.port, **settings)
 
     async def _serve() -> int:
         gateway = Gateway(config)
@@ -678,7 +685,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             params["base_seed"] = args.seed
 
     async def _submit() -> int:
-        client = GatewayClient(host, port, timeout_s=args.poll_timeout)
+        client = GatewayClient(host, port, **_set_flags(args, ("timeout_s",)))
         status, body, headers = await client.submit(
             args.client, args.kind, params
         )
@@ -766,9 +773,10 @@ def _cmd_classify(args: argparse.Namespace) -> None:
     from repro.classify.classifier import train_classifier
     from repro.classify.corpus import CorpusConfig, generate_corpus
 
-    corpus = generate_corpus(CorpusConfig(n_files=args.files), seed=args.seed)
-    _, metrics = train_classifier(corpus, now_years=2.0, seed=args.seed)
-    _, auto = train_auto_delete(corpus, now_years=2.0, seed=args.seed)
+    config = CorpusConfig(n_files=args.files)
+    corpus = generate_corpus(config, seed=args.seed)
+    _, metrics = train_classifier(corpus, now_years=config.now_years, seed=args.seed)
+    _, auto = train_auto_delete(corpus, now_years=config.now_years, seed=args.seed)
     rows = [
         ["criticality accuracy", f"{metrics.accuracy:.3f}"],
         ["critical precision / recall",
@@ -822,26 +830,29 @@ def _population_params(args: argparse.Namespace) -> dict:
     keys = ("capacity_gb", "build", "seed", "shard_size", "chunk", "exact_cap",
             "fidelity")
     return {"devices": args.devices, "days": _days(args.years),
-            **{key: getattr(args, key) for key in keys if hasattr(args, key)}}
+            **_set_flags(args, keys)}
 
 
 def _add_runner_flags(p: argparse.ArgumentParser, unit: str) -> None:
-    """The sweep-runner flags of a command whose runner unit is ``unit``."""
-    p.add_argument("--jobs", type=int, default=1,
+    """The sweep-runner flags of a command whose runner unit is ``unit``;
+    each unset flag is left out of the ``run_sweep``/``run_fleet`` call
+    (``_RUNNER_KEYS``), which fills it in."""
+    unset = argparse.SUPPRESS
+    p.add_argument("--jobs", type=int, default=unset,
                    help=f"worker processes for the {unit} sweep (1 = serial)")
-    p.add_argument("--cache-dir", default=None,
+    p.add_argument("--cache-dir", default=unset,
                    help=f"{unit} result cache directory (default: no cache); "
                         f"an interrupted run resumes from completed {unit}s, "
                         f"and a source edit recomputes every {unit}")
-    p.add_argument("--retries", type=int, default=0,
+    p.add_argument("--retries", type=int, default=unset,
                    help=f"re-attempts per failed {unit} (exponential backoff)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--timeout", type=float, default=unset, metavar="SECONDS",
+                   dest="timeout_s",
                    help=f"per-{unit} wall-clock limit (parallel runs only)")
-    p.add_argument("--keep-going", action="store_true",
+    p.add_argument("--keep-going", action="store_true", default=unset,
                    help=f"report failed {unit}s as structured errors instead "
                         "of aborting the run")
-    p.add_argument("--durability", default="rename",
-                   choices=("none", "rename", "fsync"),
+    p.add_argument("--durability", default=unset, choices=_DURABILITY_LEVELS,
                    help="cache write durability: none (in place; CRC catches "
                         "crash-torn records), rename (atomic tmp+rename, "
                         "default), fsync (rename + fsync of file and parent "
@@ -863,7 +874,9 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("project", help="2021-2030 carbon projection (E2)")
-    p.add_argument("--growth", type=float, default=0.31)
+    p.add_argument("--growth", type=float, default=argparse.SUPPRESS,
+                   dest="bit_growth_rate", metavar="GROWTH",
+                   help="annual growth of flash bit production")
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("market", help="market shares + fleet churn (E1/E14)")
@@ -875,8 +888,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_credits)
 
     p = sub.add_parser("lifetime", help="lifetime engine: SOS vs baselines (E11)")
-    p.add_argument("--mix", default="typical",
-                   choices=("light", "typical", "heavy", "adversarial"))
+    p.add_argument("--mix", default="typical", choices=_MIXES)
     p.add_argument("--years", type=int, default=3)
     p.add_argument("--capacity-gb", type=float, default=64.0)
     p.add_argument("--seed", type=int, default=7)
@@ -964,7 +976,7 @@ def main(argv: list[str] | None = None) -> int:
     p = store_sub.add_parser("compact", help="rewrite with live entries only")
     p.add_argument("store", help="store file or cache dir holding columns.rcs")
     p.add_argument(
-        "--codec", default=None, choices=("none", "zlib", "lzma"),
+        "--codec", default=None, choices=_CODECS,
         help="recompress with this codec (default: keep the store's)",
     )
     p.set_defaults(func=_cmd_store_compact)
@@ -976,45 +988,45 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--state-dir", required=True,
                    help="journal + result-cache directory; a restarted "
                         "gateway resumes interrupted jobs from here")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9178,
+    unset = argparse.SUPPRESS
+    p.add_argument("--host", default=unset, help="listen address")
+    p.add_argument("--port", type=int, default=_GATEWAY_ADDRESS[1],
                    help="listen port (0 = ephemeral; see --port-file)")
     p.add_argument("--port-file", default=None, metavar="PATH",
                    help="write the bound port here once listening "
                         "(for scripts that start the gateway on port 0)")
-    p.add_argument("--max-running", type=int, default=2,
+    p.add_argument("--max-running", type=int, default=unset,
                    help="jobs executing concurrently")
-    p.add_argument("--max-queue", type=int, default=16,
+    p.add_argument("--max-queue", type=int, default=unset,
                    help="admitted jobs the queue holds before answering "
                         "429 backpressure")
-    p.add_argument("--job-workers", type=int, default=2,
+    p.add_argument("--job-workers", type=int, default=unset,
                    help="worker processes per job's sweep")
-    p.add_argument("--retries", type=int, default=2,
+    p.add_argument("--retries", type=int, default=unset,
                    help="per-point retry budget inside each job")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-point timeout inside each job")
-    p.add_argument("--durability", default="rename",
-                   choices=("none", "rename", "fsync"),
+    p.add_argument("--timeout", type=float, default=unset, metavar="SECONDS",
+                   dest="timeout_s", help="per-point timeout inside each job")
+    p.add_argument("--durability", default=unset, choices=_DURABILITY_LEVELS,
                    help="journal + result-cache write durability (see "
                         "lifetime --durability)")
-    p.add_argument("--rate", type=float, default=10.0,
-                   help="sustained submissions/second per client")
-    p.add_argument("--burst", type=float, default=20.0,
+    p.add_argument("--rate", type=float, default=unset, dest="rate_per_s",
+                   metavar="RATE", help="sustained submissions/second per client")
+    p.add_argument("--burst", type=float, default=unset,
                    help="submission burst a quiet client may save up")
-    p.add_argument("--max-concurrent", type=int, default=4,
+    p.add_argument("--max-concurrent", type=int, default=unset,
                    help="queued-or-running jobs per client")
-    p.add_argument("--max-units-per-window", type=int, default=1_000_000,
+    p.add_argument("--max-units-per-window", type=int, default=unset,
                    help="devices/points a client may admit per window")
-    p.add_argument("--window", type=float, default=60.0,
-                   help="sliding quota window (seconds)")
-    p.add_argument("--max-error-rate", type=float, default=0.5,
+    p.add_argument("--window", type=float, default=unset, dest="window_s",
+                   metavar="WINDOW", help="sliding quota window (seconds)")
+    p.add_argument("--max-error-rate", type=float, default=unset,
                    help="rolling job failure rate beyond which the "
                         "gateway stops admitting (sheds) new work")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("submit", help="submit a job to a running gateway")
     p.add_argument("kind", choices=("population", "sweep"))
-    p.add_argument("--gateway", type=_parse_gateway, default=("127.0.0.1", 9178),
+    p.add_argument("--gateway", type=_parse_gateway, default=_GATEWAY_ADDRESS,
                    help="gateway address as host:port")
     p.add_argument("--client", default="cli",
                    help="client id the gateway meters quotas against")
@@ -1027,12 +1039,13 @@ def main(argv: list[str] | None = None) -> int:
                    help="poll the job to a terminal state and exit "
                         "0 complete / 1 partial / 2 failed")
     p.add_argument("--wait-timeout", type=float, default=600.0)
-    p.add_argument("--poll-timeout", type=float, default=30.0,
+    p.add_argument("--poll-timeout", type=float, default=argparse.SUPPRESS,
+                   dest="timeout_s", metavar="POLL_TIMEOUT",
                    help="per-request transport timeout")
     p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser("jobs", help="inspect a running gateway's jobs")
-    p.add_argument("--gateway", type=_parse_gateway, default=("127.0.0.1", 9178),
+    p.add_argument("--gateway", type=_parse_gateway, default=_GATEWAY_ADDRESS,
                    help="gateway address as host:port")
     p.add_argument("--id", default=None, help="show one job in full")
     p.add_argument("--cancel", default=None, metavar="JOB_ID",

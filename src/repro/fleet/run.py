@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.chaos import crash_point
+from repro.chaos import DEFAULT_DURABILITY, crash_point
 from repro.obs import SnapshotAccumulator, get_observer
 from repro.runner.cache import code_fingerprint
 from repro.runner.sweep import PointResult, Sweep, SweepResult, derive_seeds, run_sweep
@@ -158,7 +158,7 @@ def run_fleet(
     name: str = "fleet",
     should_stop: Callable[[], bool] | None = None,
     on_shard: Callable[[int, int, int], None] | None = None,
-    durability: str = "rename",
+    durability: str = DEFAULT_DURABILITY,
 ) -> FleetResult:
     """Run a fleet plan: shard, fan out, reduce streamingly.
 

@@ -25,7 +25,7 @@ the identical operation sequence and lands the identical
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,9 @@ __all__ = ["FtlReplayConfig", "FtlReplayResult", "build_replay_ftl", "replay"]
 
 #: Single data stream name used by the replay device.
 STREAM = "data"
+
+#: Days between the replay's static wear-leveling passes.
+WL_PERIOD_DAYS = 7
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,8 +77,6 @@ class FtlReplayConfig:
         regardless of ``analytic``.
     gc_policy:
         Victim-selection policy.
-    wl_period_days:
-        Run one static wear-leveling pass every this many days.
     """
 
     mix: str = "typical"
@@ -89,7 +90,6 @@ class FtlReplayConfig:
     utilization: float = 0.85
     protection: ProtectionLevel = ProtectionLevel.NONE
     gc_policy: GcPolicy = GcPolicy.GREEDY
-    wl_period_days: int = 7
 
     def __post_init__(self) -> None:
         if self.days <= 0:
@@ -98,8 +98,6 @@ class FtlReplayConfig:
             raise ValueError("utilization must be in (0, 1)")
         if self.blocks < 4:
             raise ValueError("need at least 4 blocks for GC headroom")
-        if self.wl_period_days <= 0:
-            raise ValueError("wl_period_days must be positive")
 
     @property
     def logical_pages(self) -> int:
@@ -187,7 +185,8 @@ def replay(config: FtlReplayConfig) -> FtlReplayResult:
     Prefills the logical space (a device in service is full of data,
     which is what makes GC work for its living), then steps day by day:
     overwrites to uniform LPNs, reads to mapped LPNs, trims, a daily
-    retention-clock tick, and a weekly wear-leveling pass.
+    retention-clock tick, and a static wear-leveling pass every
+    :data:`WL_PERIOD_DAYS` days.
     """
     ftl = build_replay_ftl(config)
     counts = _daily_op_counts(config)
@@ -209,7 +208,7 @@ def replay(config: FtlReplayConfig) -> FtlReplayResult:
         ops += ftl.read_many(reads, STREAM)
         ops += ftl.trim_many(trims)
         ftl.chip.advance_time((day + 1) / DAYS_PER_YEAR)
-        if (day + 1) % config.wl_period_days == 0:
+        if (day + 1) % WL_PERIOD_DAYS == 0:
             ftl.run_wear_leveling(STREAM)
     wall = time.perf_counter() - t0
 

@@ -86,7 +86,9 @@ from typing import Any
 
 import numpy
 
-from repro.chaos import DURABILITY_LEVELS, get_fs, quarantine, write_durably
+from repro.chaos import (
+    DEFAULT_DURABILITY, DURABILITY_LEVELS, get_fs, quarantine, write_durably,
+)
 from repro.obs import get_observer
 
 from .record import RecordError, frame_record, unframe_record
@@ -228,7 +230,7 @@ class ResultCache:
         root: str | Path,
         *,
         scan_stale_tmp: bool = False,
-        durability: str = "rename",
+        durability: str = DEFAULT_DURABILITY,
         fs=None,
     ) -> None:
         if durability not in DURABILITY_LEVELS:

@@ -60,7 +60,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.chaos import crash_point
+from repro.chaos import DEFAULT_DURABILITY, crash_point
 from repro.obs import get_observer, merge_point_traces, merge_snapshots, observed
 
 from .cache import ResultCache, code_fingerprint, stable_key
@@ -688,7 +688,7 @@ def run_sweep(
     on_point: Callable[[PointResult], None] | None = None,
     keep_values: bool = True,
     should_stop: Callable[[], bool] | None = None,
-    durability: str = "rename",
+    durability: str = DEFAULT_DURABILITY,
 ) -> SweepResult:
     """Run every point of ``sweep`` and return results in grid order.
 
@@ -743,9 +743,9 @@ def run_sweep(
         and a re-run of the same sweep resumes from them.
     durability:
         Cache write policy (``none``/``rename``/``fsync``); see
-        :data:`repro.chaos.fs.DURABILITY_LEVELS`.  The default
-        ``rename`` keeps benchmarks honest (no fsync stalls) while
-        readers still never observe a torn record.
+        :data:`repro.chaos.fs.DURABILITY_LEVELS`.  The default rung
+        (``DEFAULT_DURABILITY``) keeps benchmarks honest (no fsync
+        stalls) while readers still never observe a torn record.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

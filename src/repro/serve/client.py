@@ -32,9 +32,7 @@ class GatewayError(RuntimeError):
 class GatewayClient:
     """Minimal HTTP/1.1 client against one gateway address."""
 
-    def __init__(
-        self, host: str = "127.0.0.1", port: int = 9178, timeout_s: float = 30.0
-    ) -> None:
+    def __init__(self, host: str, port: int, timeout_s: float = 30.0) -> None:
         self.host = host
         self.port = port
         self.timeout_s = timeout_s

@@ -43,6 +43,8 @@ from typing import Any, Callable
 
 import asyncio
 
+from repro.chaos import DEFAULT_DURABILITY
+
 from .health import HealthMonitor, HealthThresholds
 from .jobs import JobRecord, JobSpec, JobStore
 from .limiter import RateLimiter
@@ -51,6 +53,9 @@ from .quotas import ClientQuota, QuotaManager
 from .scheduler import Scheduler
 
 __all__ = ["GatewayConfig", "Gateway"]
+
+#: Retry-After hint (seconds) on 503 shed and queue-full answers
+SHED_RETRY_AFTER_S = 5.0
 
 
 @dataclass(slots=True)
@@ -72,16 +77,14 @@ class GatewayConfig:
     timeout_s: float | None = None
     #: durability rung for the job journal and every job's result cache
     #: (one of :data:`repro.chaos.fs.DURABILITY_LEVELS`)
-    durability: str = "rename"
+    durability: str = DEFAULT_DURABILITY
     #: submissions per second a client may sustain...
     rate_per_s: float = 10.0
     #: ...and the burst a quiet client may save up
     burst: float = 20.0
+    #: every client's budget
     quota: ClientQuota = field(default_factory=ClientQuota)
-    quota_overrides: dict[str, ClientQuota] = field(default_factory=dict)
     thresholds: HealthThresholds = field(default_factory=HealthThresholds)
-    #: Retry-After hint on 503 shed and queue-full answers
-    shed_retry_after_s: float = 5.0
     #: injectable clock for the limiter/quota/health arithmetic
     clock: Callable[[], float] = time.monotonic
 
@@ -96,19 +99,12 @@ class Gateway:
         self.cache_dir = str(state / "cache")
         self.health = HealthMonitor(config.thresholds, clock=config.clock)
         self.limiter = RateLimiter(config.rate_per_s, config.burst, config.clock)
-        self.quotas = QuotaManager(
-            config.quota, config.quota_overrides, config.clock
-        )
+        self.quotas = QuotaManager(config.quota, clock=config.clock)
         self.scheduler = Scheduler(
             self.store,
             self.health,
+            config,
             cache_dir=self.cache_dir,
-            max_running=config.max_running,
-            max_queue=config.max_queue,
-            job_workers=config.job_workers,
-            retries=config.retries,
-            timeout_s=config.timeout_s,
-            durability=config.durability,
             on_finish=self._job_finished,
         )
         #: records this process knows; the journal is the durable copy
@@ -195,7 +191,7 @@ class Gateway:
             report = self.health.report()
             if report["healthy"]:
                 return 200, report, None
-            return 503, report, {"retry-after": _fmt(self.config.shed_retry_after_s)}
+            return 503, report, {"retry-after": _fmt(SHED_RETRY_AFTER_S)}
         if path == "/metrics" and method == "GET":
             return 200, self.health.registry.snapshot(), None
         if path == "/jobs" and method == "POST":
@@ -243,9 +239,9 @@ class Gateway:
                 {
                     "error": "gateway is unhealthy; not admitting new jobs",
                     "reasons": self.health.unhealthy_reasons(),
-                    "retry_after_s": self.config.shed_retry_after_s,
+                    "retry_after_s": SHED_RETRY_AFTER_S,
                 },
-                {"retry-after": _fmt(self.config.shed_retry_after_s)},
+                {"retry-after": _fmt(SHED_RETRY_AFTER_S)},
             )
 
         # gate 3a: per-client submission rate
@@ -289,9 +285,9 @@ class Gateway:
                 429,
                 {
                     "error": f"backpressure: {reason}",
-                    "retry_after_s": self.config.shed_retry_after_s,
+                    "retry_after_s": SHED_RETRY_AFTER_S,
                 },
-                {"retry-after": _fmt(self.config.shed_retry_after_s)},
+                {"retry-after": _fmt(SHED_RETRY_AFTER_S)},
             )
 
         self._records[job_id] = record

@@ -40,7 +40,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.chaos import DURABILITY_LEVELS, get_fs, quarantine, write_durably
+from repro.chaos import (
+    DEFAULT_DURABILITY, DURABILITY_LEVELS, get_fs, quarantine, write_durably,
+)
 from repro.obs import get_observer
 from repro.runner.cache import code_fingerprint, stable_key
 
@@ -294,7 +296,7 @@ class JobStore:
         self,
         root: str | Path,
         *,
-        durability: str = "rename",
+        durability: str = DEFAULT_DURABILITY,
         fs=None,
     ) -> None:
         if durability not in DURABILITY_LEVELS:
@@ -400,35 +402,33 @@ def execute_job(
     record: JobRecord,
     *,
     cache_dir: str | Path,
-    jobs: int = 2,
-    retries: int = 2,
-    timeout_s: float | None = None,
+    jobs: int,
+    retries: int,
+    timeout_s: float | None,
+    durability: str,
     should_stop: Callable[[], bool] | None = None,
     on_progress: Callable[[dict], None] | None = None,
-    durability: str = "rename",
 ) -> dict:
     """Run one job to completion; blocking (the scheduler threads it).
 
-    Always ``keep_going``: a service degrades a job with failed points
-    into a partial result plus structured errors -- the caller decides
-    whether partial is acceptable, not the worker pool.  The returned
-    payload is plain JSON-able data, ready for the journal and the
-    status endpoint.
+    ``jobs``, ``retries``, ``timeout_s`` and ``durability`` are the
+    gateway's settings; :class:`~repro.serve.gateway.GatewayConfig`
+    holds their defaults.  Always ``keep_going``: a service degrades a
+    job with failed points into a partial result plus structured errors
+    -- the caller decides whether partial is acceptable, not the worker
+    pool.  The returned payload is plain JSON-able data, ready for the
+    journal and the status endpoint.
 
     Raises :class:`~repro.runner.sweep.SweepCancelled` when
     ``should_stop`` fires (the scheduler marks the job cancelled) and
     lets any other exception propagate as a job failure.
     """
-    spec = record.spec
-    if spec.kind == "population":
-        return _execute_population(
-            spec, cache_dir, jobs, retries, timeout_s, should_stop, on_progress,
-            durability,
-        )
-    return _execute_sweep(
-        spec, cache_dir, jobs, retries, timeout_s, should_stop, on_progress,
-        durability,
+    runner = dict(
+        jobs=jobs, cache_dir=cache_dir, retries=retries, timeout_s=timeout_s,
+        keep_going=True, should_stop=should_stop, durability=durability,
     )
+    execute = _execute_population if record.spec.kind == "population" else _execute_sweep
+    return execute(record.spec, runner, on_progress)
 
 
 def _point_errors(errors) -> list[dict]:
@@ -444,14 +444,7 @@ def _point_errors(errors) -> list[dict]:
 
 
 def _execute_population(
-    spec: JobSpec,
-    cache_dir: str | Path,
-    jobs: int,
-    retries: int,
-    timeout_s: float | None,
-    should_stop: Callable[[], bool] | None,
-    on_progress: Callable[[dict], None] | None,
-    durability: str,
+    spec: JobSpec, runner: dict, on_progress: Callable[[dict], None] | None
 ) -> dict:
     from repro.fleet import FleetPlan, run_fleet
 
@@ -465,17 +458,11 @@ def _execute_population(
 
     fleet = run_fleet(
         plan,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        retries=retries,
-        timeout_s=timeout_s,
-        keep_going=True,
         # fixed sweep name: identical population specs -- same plan, any
         # client, any restart -- share shard cache entries byte-for-byte
         name="serve-population",
-        should_stop=should_stop,
         on_shard=report,
-        durability=durability,
+        **runner,
     )
     result = fleet.summary()
     result["errors"] = _point_errors(fleet.sweep.errors)
@@ -486,14 +473,7 @@ def _execute_population(
 
 
 def _execute_sweep(
-    spec: JobSpec,
-    cache_dir: str | Path,
-    jobs: int,
-    retries: int,
-    timeout_s: float | None,
-    should_stop: Callable[[], bool] | None,
-    on_progress: Callable[[dict], None] | None,
-    durability: str,
+    spec: JobSpec, runner: dict, on_progress: Callable[[dict], None] | None
 ) -> dict:
     from repro.runner.sweep import Sweep, run_sweep
 
@@ -501,7 +481,7 @@ def _execute_sweep(
     if p["fn"] == "crash":
         # crash points os._exit their process; at jobs=1 that process is
         # the gateway itself -- always contain them in a worker pool
-        jobs = max(jobs, 2)
+        runner = {**runner, "jobs": max(runner["jobs"], 2)}
     sweep = Sweep(
         name=f"serve-sweep-{p['fn']}",
         fn=_resolve_point_fn(p["fn"]),
@@ -516,17 +496,7 @@ def _execute_sweep(
         if on_progress is not None:
             on_progress({"shards_done": done, "shards_total": len(sweep.grid)})
 
-    outcome = run_sweep(
-        sweep,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        retries=retries,
-        timeout_s=timeout_s,
-        keep_going=True,
-        on_point=on_point,
-        should_stop=should_stop,
-        durability=durability,
-    )
+    outcome = run_sweep(sweep, on_point=on_point, **runner)
     result = {
         "points": len(outcome.points),
         "failed": outcome.failed_count,

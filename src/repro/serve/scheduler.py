@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import asyncio
 
@@ -38,37 +38,33 @@ from repro.runner.sweep import SweepCancelled
 from .health import HealthMonitor
 from .jobs import JobRecord, JobStore, execute_job
 
+if TYPE_CHECKING:
+    from .gateway import GatewayConfig
+
 __all__ = ["Scheduler"]
 
 
 class Scheduler:
-    """Bounded, fair-share, cancellable dispatch of admitted jobs."""
+    """Bounded, fair-share, cancellable dispatch of admitted jobs.
+
+    Its limits and each job's settings are the gateway's ``config``.
+    """
 
     def __init__(
         self,
         store: JobStore,
         health: HealthMonitor,
+        config: GatewayConfig,
         *,
         cache_dir: str,
-        max_running: int = 2,
-        max_queue: int = 16,
-        job_workers: int = 2,
-        retries: int = 2,
-        timeout_s: float | None = None,
-        durability: str = "rename",
         on_finish: Callable[[JobRecord], None] | None = None,
     ) -> None:
-        if max_running < 1 or max_queue < 1:
+        if config.max_running < 1 or config.max_queue < 1:
             raise ValueError("max_running and max_queue must be >= 1")
         self.store = store
         self.health = health
+        self.config = config
         self.cache_dir = cache_dir
-        self.max_running = max_running
-        self.max_queue = max_queue
-        self.job_workers = job_workers
-        self.retries = retries
-        self.timeout_s = timeout_s
-        self.durability = durability
         self.on_finish = on_finish
         self._queues: dict[str, deque[JobRecord]] = {}
         self._rotation: deque[str] = deque()
@@ -105,8 +101,8 @@ class Scheduler:
         """
         if self._stopping:
             return False, "scheduler is draining"
-        if not force and self.queue_depth >= self.max_queue:
-            return False, f"submission queue is full ({self.max_queue} job(s))"
+        if not force and self.queue_depth >= self.config.max_queue:
+            return False, f"submission queue is full ({self.config.max_queue} job(s))"
         client = record.spec.client
         queue = self._queues.get(client)
         if queue is None:
@@ -128,7 +124,7 @@ class Scheduler:
 
     async def _dispatch_loop(self) -> None:
         while True:
-            while self.running_count < self.max_running:
+            while self.running_count < self.config.max_running:
                 record = self._next_record()
                 if record is None:
                     break
@@ -164,10 +160,10 @@ class Scheduler:
                 execute_job,
                 record,
                 cache_dir=self.cache_dir,
-                jobs=self.job_workers,
-                retries=self.retries,
-                timeout_s=self.timeout_s,
-                durability=self.durability,
+                jobs=self.config.job_workers,
+                retries=self.config.retries,
+                timeout_s=self.config.timeout_s,
+                durability=self.config.durability,
                 should_stop=cancel.is_set,
                 # dict.update is atomic enough for a progress feed read
                 # by the status endpoint between events

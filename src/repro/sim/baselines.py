@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from repro.carbon.embodied import intensity_kg_per_gb, mixed_intensity_kg_per_gb
 from repro.core.config import (
-    DEFAULT_SPARE_FRACTION, SCRUB_QUALITY_FLOOR, SPARE_MAX_RBER, SPARE_MODE,
+    DEFAULT_SPARE_FRACTION, SPARE_MAX_RBER, SPARE_MODE,
     SPARE_PROTECTION, SPARE_RESUSCITATION_BITS, SPARE_WEAR_LEVELING, SYS_MAX_RBER,
     SYS_MODE, SYS_PROTECTION, SYS_WEAR_LEVELING, cell_mix,
 )
@@ -140,7 +140,6 @@ def build_sos(
         max_rber=SPARE_MAX_RBER,
         resuscitation_bits=SPARE_RESUSCITATION_BITS,
         scrub_enabled=scrub_enabled,
-        scrub_quality_floor=SCRUB_QUALITY_FLOOR,
     )
     intensity = mixed_intensity_kg_per_gb(cell_mix(spare_fraction))
     return DeviceBuild(

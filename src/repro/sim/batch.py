@@ -141,6 +141,7 @@ from repro.flash.cell import CellMode
 from repro.flash.chip import DAYS_PER_YEAR
 from repro.flash.error_model import ErrorModel, cached_error_model
 from repro.flash.reliability import endurance_pec
+from repro.media.quality import FRAME_SENSITIVITY, FrameType
 from repro.obs import get_observer
 
 from .lifetime import (
@@ -164,6 +165,10 @@ __all__ = [
 
 #: the volume fields the engine reads
 _VOLUME_FIELDS = ("new_media_gb", "new_other_gb", "overwrite_gb", "delete_gb")
+
+#: BER->quality exponent of a partition's data: the P-frame proxy, as
+#: :class:`~repro.core.degradation.DegradationMonitor`'s
+QUALITY_SENSITIVITY = FRAME_SENSITIVITY[FrameType.P]
 
 
 @dataclass(slots=True)
@@ -369,8 +374,6 @@ class BatchPartition:
             spec.mode, spec.resuscitation_bits
         )
         self._mode_idx = np.zeros(shape, dtype=np.int8)
-        #: False while every group still runs spec.mode (fast RBER path)
-        self._heterogeneous = False
         self._cold_cursor = np.zeros(n_devices, dtype=np.int64)
         self.refresh_writes_gb = np.zeros(n_devices, dtype=float)
         self.retired_count = np.zeros(n_devices, dtype=np.int64)
@@ -398,6 +401,12 @@ class BatchPartition:
             for model in models
         )
         return models, bound
+
+    @property
+    def _heterogeneous(self) -> bool:
+        """True once some group runs below ``spec.mode`` (a resuscitated
+        density): the RBER then evaluates each mode's lanes apart."""
+        return bool(self._mode_idx.any())
 
     # -- lanes --------------------------------------------------------------------
 
@@ -450,7 +459,6 @@ class BatchPartition:
                 rows = [p._lanes(row) for p, row in zip(parts, rows)]
             setattr(out, name, np.concatenate(rows))
         out.n_devices = int(out._pec.shape[0])
-        out._heterogeneous = any(p._heterogeneous for p in parts)
         return out
 
     def _mode_idx_from_bits(self, mode_bits: np.ndarray) -> np.ndarray:
@@ -472,14 +480,14 @@ class BatchPartition:
     # -- shard-local state export -------------------------------------------------
 
     def export_state(self) -> dict[str, np.ndarray]:
-        """Whole-shard state as one dict of stacked arrays.
+        """Every device's state as one dict of stacked arrays.
 
-        Every array keeps its leading device axis, so a shard
-        checkpoints (and a fleet coordinator persists) N devices in one
-        O(arrays) copy.  Round-trips exactly through :meth:`import_state`,
-        which is also how tests stage state on a one-row partition.  The
-        per-group fields are ``(n_devices, n_groups)`` however the
-        partition holds them.
+        Every array keeps its leading device axis, so all N devices are
+        read in one O(arrays) copy.  No production path calls it:
+        benchmark E7 and the tests read group state through it, and it
+        round-trips exactly through :meth:`import_state`, which is how
+        tests stage state on a one-row partition.  The per-group fields
+        are ``(n_devices, n_groups)`` however the partition holds them.
         """
         # a collapsed partition's repeated lanes are new arrays already
         lanes = self._lanes if self._collapsed else np.copy
@@ -525,7 +533,6 @@ class BatchPartition:
         self._mode_idx = self._mode_idx_from_bits(
             np.asarray(state["mode_bits"], dtype=np.int64)
         )
-        self._heterogeneous = bool((self._mode_idx != 0).any())
         self._cold_cursor = np.asarray(
             state["cold_cursor"], dtype=np.int64
         ).copy()
@@ -546,11 +553,9 @@ class BatchPartition:
         if bounds[-1] != self.n_devices:
             raise ValueError("partition rows must add up to n_devices")
         state = {name: getattr(self, name).copy() for name in _ROW_STATE}
-        heterogeneous = (self._mode_idx != 0).any(axis=1).tolist()
         for part, start, stop in zip(partitions, bounds[:-1], bounds[1:]):
             for name, array in state.items():
                 setattr(part, name, array[start:stop])
-            part._heterogeneous = any(heterogeneous[start:stop])
 
     # -- per-device aggregates --------------------------------------------------
 
@@ -606,7 +611,7 @@ class BatchPartition:
         """Data-weighted post-protection quality proxy, per device."""
         holders = ~self._retired & (self._live > 0.0)
         residual = self.spec.protection.residual_ber_many(self._rber(now))
-        quality = np.exp(-self.spec.quality_sensitivity * residual)
+        quality = np.exp(-QUALITY_SENSITIVITY * residual)
         live = self._lanes(np.where(holders, self._live, 0.0))
         total = live.sum(axis=1)
         weighted = (quality * live).sum(axis=1)
@@ -756,7 +761,7 @@ class BatchPartition:
         else:
             ages = np.full(pec.shape, extra_age)
         models = (self._run or self._constants())[0]
-        if not self._heterogeneous:
+        if len(models) == 1 or not self._heterogeneous:
             return models[0].rber_many(pec, ages)
         out = np.empty_like(pec)
         for idx, model in enumerate(models):
@@ -810,7 +815,7 @@ class BatchPartition:
             return
         look_ahead = self._rber(now, extra_age=self.spec.health_horizon_years)
         residual = self.spec.protection.residual_ber_many(look_ahead)
-        quality = np.exp(-self.spec.quality_sensitivity * residual)
+        quality = np.exp(-QUALITY_SENSITIVITY * residual)
         refresh = holders & (quality < self.spec.scrub_quality_floor)
         if not refresh.any():
             return
@@ -876,7 +881,6 @@ class BatchPartition:
             np.copyto(self._mode_idx, np.int8(cand_idx), where=ok)
             np.copyto(self._write_time, now, where=ok)
             self.resuscitated_count += ok.sum(axis=1)
-            self._heterogeneous = True
             if obs.enabled:
                 for d, g in zip(*np.nonzero(ok)):
                     obs.event(
@@ -941,7 +945,7 @@ class BatchLifetimeDevice:
         return total
 
     def export_state(self) -> dict:
-        """Whole-fleet-shard checkpoint: clock plus every partition's arrays."""
+        """The clock plus every partition's :meth:`BatchPartition.export_state`."""
         return {
             "now_years": self.now_years,
             "partitions": {

@@ -41,7 +41,6 @@ from repro.core.config import HEALTH_HORIZON_YEARS, SCRUB_QUALITY_FLOOR, SYS_MAX
 from repro.ecc.policy import ProtectionPolicy
 from repro.faults.plan import FaultSummary
 from repro.flash.cell import CellMode
-from repro.media.quality import FRAME_SENSITIVITY, FrameType
 
 __all__ = [
     "PartitionSpec",
@@ -80,8 +79,6 @@ class PartitionSpec:
     #: periodic refresh (scrub) when quality forecast violates the floor
     scrub_enabled: bool = False
     scrub_quality_floor: float = SCRUB_QUALITY_FLOOR
-    #: BER->quality exponent for the partition's data (P-frame proxy)
-    quality_sensitivity: float = FRAME_SENSITIVITY[FrameType.P]
     n_groups: int = 20
 
     def __post_init__(self) -> None:

@@ -46,7 +46,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.chaos import crash_point, get_fs
+from repro.chaos import DEFAULT_DURABILITY, crash_point, get_fs
 from repro.obs import get_observer
 
 from .format import (
@@ -155,7 +155,7 @@ class ColumnStore:
         mode: str = "append",
         codec: str = "zlib",
         block_bytes: int = 1 << 20,
-        durability: str = "rename",
+        durability: str = DEFAULT_DURABILITY,
         fs=None,
     ) -> None:
         if mode not in ("append", "read"):

@@ -40,6 +40,17 @@ __all__ = ["WorkloadConfig", "MobileWorkload"]
 #: many users the workload has
 _TILE_USERS = 32
 
+#: log-normal sigma of the day-to-day volume variation
+DAILY_JITTER_SIGMA = 0.35
+
+#: fraction of a day's new bytes eventually matched by deletions
+#: (steady-state churn)
+DELETE_FRACTION = 0.5
+
+#: probability a new media file has a cloud copy (§4.3 notes many users
+#: back up media)
+CLOUD_BACKUP_PROBABILITY = 0.6
+
 
 @functools.cache
 def _mix_table(mix: str) -> tuple[np.ndarray, ...]:
@@ -71,25 +82,18 @@ class WorkloadConfig:
     mix:
         Key into :data:`~repro.workloads.apps.USER_MIXES`.
     days:
-        Simulated span.
-    daily_jitter_sigma:
-        Log-normal sigma for day-to-day volume variation.
-    delete_fraction:
-        Fraction of the day's new bytes eventually matched by deletions
-        (steady-state churn).
-    cloud_backup_probability:
-        Probability a new media file has a cloud copy (§4.3 notes many
-        users back up media).
+        Simulated span (at least one day).
     seed:
         RNG seed of a one-user workload.
     """
 
     mix: str = "typical"
     days: int = 730
-    daily_jitter_sigma: float = 0.35
-    delete_fraction: float = 0.5
-    cloud_backup_probability: float = 0.6
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.days < 1:
+            raise ValueError("days must be positive")
 
 
 class MobileWorkload:
@@ -169,7 +173,7 @@ class MobileWorkload:
             )
             for row, rng in enumerate(rngs):
                 jitter[:, :, row] = rng.lognormal(
-                    0.0, self.config.daily_jitter_sigma, size=(days, apps, 2)
+                    0.0, DAILY_JITTER_SIGMA, size=(days, apps, 2)
                 ).T
             vol_mb = np.multiply(write, jitter[0], out=jitter[0])
             overwrite = np.multiply(vol_mb, overwrite_share, out=terms[:, 2])
@@ -183,7 +187,7 @@ class MobileWorkload:
             np.add.reduce(terms, axis=0, out=total)
             out[:4, lo:lo + len(rngs)] = total
         np.add(out[0], out[1], out=out[4])
-        out[4] *= self.config.delete_fraction
+        out[4] *= DELETE_FRACTION
         out /= 1024.0
         if not self._multi:
             out = out[:, 0]
@@ -251,7 +255,7 @@ class MobileWorkload:
                         file_kind=kind,
                         size_bytes=size,
                         cloud_backed=is_media
-                        and self._rng.random() < self.config.cloud_backup_probability,
+                        and self._rng.random() < CLOUD_BACKUP_PROBABILITY,
                     )
                 )
                 live_paths.append((path, kind, size))

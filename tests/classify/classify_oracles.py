@@ -22,6 +22,9 @@ from repro.classify.corpus import (
     _KIND_SIZE_MEAN,
     _KIND_VALUE_MEAN,
     _KIND_WEIGHTS,
+    CRITICAL_VALUE_THRESHOLD,
+    DELETE_VALUE_THRESHOLD,
+    LABEL_NOISE,
     CorpusConfig,
     LabelledFile,
 )
@@ -100,11 +103,11 @@ def generate_corpus(
             would_delete = False
         else:
             attrs, value = _sample_user_file(rng, kind, config)
-            critical = value >= config.critical_value_threshold
-            would_delete = value <= config.delete_value_threshold
-            if rng.random() < config.label_noise:
+            critical = value >= CRITICAL_VALUE_THRESHOLD
+            would_delete = value <= DELETE_VALUE_THRESHOLD
+            if rng.random() < LABEL_NOISE:
                 critical = not critical
-            if rng.random() < config.label_noise:
+            if rng.random() < LABEL_NOISE:
                 would_delete = not would_delete
         record = FileRecord(
             file_id=file_id,

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.classify.corpus import CorpusConfig, generate_corpus
+from repro.classify.corpus import (
+    CRITICAL_VALUE_THRESHOLD,
+    DELETE_VALUE_THRESHOLD,
+    CorpusConfig,
+    generate_corpus,
+)
 from repro.classify.drift import DriftConfig, drift_corpus
 from repro.host.files import SYSTEM_KINDS
 
@@ -48,9 +53,9 @@ class TestDrift:
         for f in drifted:
             if f.record.kind in SYSTEM_KINDS:
                 continue
-            assert f.critical == (f.latent_value >= config.critical_value_threshold)
+            assert f.critical == (f.latent_value >= CRITICAL_VALUE_THRESHOLD)
             assert f.user_would_delete == (
-                f.latent_value <= config.delete_value_threshold
+                f.latent_value <= DELETE_VALUE_THRESHOLD
             )
 
     def test_some_labels_flip_over_time(self, corpus):

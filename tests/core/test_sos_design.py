@@ -11,8 +11,6 @@ design had one home.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.classify.classifier import DEMOTE_THRESHOLD
@@ -24,7 +22,7 @@ from repro.flash.cell import CellMode
 from repro.host.hints import Placement
 from repro.media.quality import FRAME_SENSITIVITY, FrameType
 from repro.sim.baselines import build_sos
-from repro.sim.lifetime import PartitionSpec
+from repro.sim.batch import QUALITY_SENSITIVITY
 
 FRACTIONS = (0.25, 0.5, 0.75)
 
@@ -44,10 +42,6 @@ PINNED = {
 @pytest.fixture(scope="module")
 def device() -> SOSDevice:
     return SOSDevice(default_config())
-
-
-def _spec_default(name: str):
-    return next(f.default for f in dataclasses.fields(PartitionSpec) if f.name == name)
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)
@@ -78,7 +72,7 @@ def test_classifier_threshold_is_the_design_threshold(device):
 
 def test_page_quality_exponent_is_the_p_frame_one():
     p_frame = FRAME_SENSITIVITY[FrameType.P]
-    assert _spec_default("quality_sensitivity") == p_frame
+    assert QUALITY_SENSITIVITY == p_frame
     assert DegradationMonitor.sensitivity == p_frame
 
 

@@ -58,8 +58,8 @@ class TestExecution:
         record = JobRecord.fresh(_population_spec())
         seen = []
         result = execute_job(
-            record, cache_dir=tmp_path / "cache", jobs=2,
-            on_progress=seen.append,
+            record, cache_dir=tmp_path / "cache", jobs=2, retries=2,
+            timeout_s=None, durability="rename", on_progress=seen.append,
         )
         assert result["complete"] is True
         assert result["devices"] == 6

@@ -238,8 +238,8 @@ class TestExecuteJob:
         record = JobRecord.fresh(_population_spec())
         seen = []
         result = execute_job(
-            record, cache_dir=tmp_path / "cache", jobs=2,
-            on_progress=seen.append,
+            record, cache_dir=tmp_path / "cache", jobs=2, retries=2,
+            timeout_s=None, durability="rename", on_progress=seen.append,
         )
         assert result["complete"] is True
         assert result["devices"] == 20
@@ -250,12 +250,11 @@ class TestExecuteJob:
 
     def test_identical_specs_share_the_result_cache(self, tmp_path):
         cache = tmp_path / "cache"
-        first = execute_job(
-            JobRecord.fresh(_population_spec()), cache_dir=cache, jobs=2
+        settings = dict(
+            cache_dir=cache, jobs=2, retries=2, timeout_s=None, durability="rename"
         )
-        second = execute_job(
-            JobRecord.fresh(_population_spec()), cache_dir=cache, jobs=2
-        )
+        first = execute_job(JobRecord.fresh(_population_spec()), **settings)
+        second = execute_job(JobRecord.fresh(_population_spec()), **settings)
         assert first["cached_shards"] == 0
         assert second["cached_shards"] == 2  # byte-identical cache keys
         for stat in ("median", "p90", "p99", "max", "mean"):
@@ -270,7 +269,8 @@ class TestExecuteJob:
                 {"index": 1}, {"index": 2}]
         record = JobRecord.fresh(_sweep_spec(grid, fn="crash"))
         result = execute_job(
-            record, cache_dir=tmp_path / "cache", jobs=2, retries=2
+            record, cache_dir=tmp_path / "cache", jobs=2, retries=2,
+            timeout_s=None, durability="rename",
         )
         assert result["complete"] is True
         assert result["failed"] == 0
@@ -284,7 +284,8 @@ class TestExecuteJob:
                  "scratch": str(scratch)} for i in range(3)]
         record = JobRecord.fresh(_sweep_spec(grid, fn="flaky"))
         result = execute_job(
-            record, cache_dir=tmp_path / "cache", jobs=2, retries=2
+            record, cache_dir=tmp_path / "cache", jobs=2, retries=2,
+            timeout_s=None, durability="rename",
         )
         assert result["complete"] is True
         assert result["retry_attempts"] >= 1
@@ -296,8 +297,8 @@ class TestExecuteJob:
         record = JobRecord.fresh(_population_spec(devices=40, days=365))
         with pytest.raises(SweepCancelled):
             execute_job(
-                record, cache_dir=tmp_path / "cache", jobs=2,
-                should_stop=lambda: True,
+                record, cache_dir=tmp_path / "cache", jobs=2, retries=2,
+                timeout_s=None, durability="rename", should_stop=lambda: True,
             )
 
 

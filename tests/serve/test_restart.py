@@ -136,7 +136,8 @@ class TestRestartConvergence:
         )
         assert spec.job_id() == job_id
         expected = execute_job(
-            JobRecord.fresh(spec), cache_dir=tmp_path / "cold-cache", jobs=2
+            JobRecord.fresh(spec), cache_dir=tmp_path / "cold-cache", jobs=2,
+            retries=2, timeout_s=None, durability="rename",
         )
         for stat in ("median", "p90", "p99", "max", "mean"):
             assert result[stat] == pytest.approx(expected[stat]), stat

@@ -33,7 +33,7 @@ from repro.flash.error_model import cached_error_model
 from repro.flash.reliability import endurance_pec
 from repro.obs import get_observer
 from repro.sim.baselines import DeviceBuild
-from repro.sim.batch import BatchPartition
+from repro.sim.batch import QUALITY_SENSITIVITY, BatchPartition
 from repro.sim.lifetime import (
     HOT_GROUP_FRACTION,
     MEDIA_DEMOTION_RATE,
@@ -397,7 +397,7 @@ class Partition:
         if holders.size == 0:
             return 1.0
         residual = self.spec.protection.residual_ber_many(self._rber_many(holders, now))
-        quality = np.exp(-self.spec.quality_sensitivity * residual)
+        quality = np.exp(-QUALITY_SENSITIVITY * residual)
         live = self._live[holders]
         return float((quality * live).sum() / live.sum())
 
@@ -471,7 +471,7 @@ class Partition:
             holders, now, extra_age=self.spec.health_horizon_years
         )
         residual = self.spec.protection.residual_ber_many(look_ahead)
-        quality = np.exp(-self.spec.quality_sensitivity * residual)
+        quality = np.exp(-QUALITY_SENSITIVITY * residual)
         refresh = holders[quality < self.spec.scrub_quality_floor]
         if refresh.size == 0:
             return
@@ -601,7 +601,6 @@ def from_partitions(partitions: Sequence[Partition]) -> BatchPartition:
     ).astype(np.int32)
     mode_bits = np.stack([s["mode_bits"] for s in states])
     self._mode_idx = self._mode_idx_from_bits(mode_bits)
-    self._heterogeneous = bool((self._mode_idx != 0).any())
     self._cold_cursor = np.array(
         [p._cold_cursor for p in partitions], dtype=np.int64
     )

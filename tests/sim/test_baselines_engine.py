@@ -109,7 +109,6 @@ class TestNativeBuildPins:
             resuscitation_bits=(),
             scrub_enabled=False,
             scrub_quality_floor=0.85,
-            quality_sensitivity=800.0,
             n_groups=20,
         )
 

@@ -20,7 +20,7 @@ from lifetime_oracle import Partition, from_partitions
 
 from repro.ecc.policy import POLICIES, ProtectionLevel
 from repro.flash.cell import CellMode, CellTechnology, native_mode
-from repro.sim.batch import BatchPartition
+from repro.sim.batch import QUALITY_SENSITIVITY, BatchPartition
 from repro.sim.lifetime import HOT_GROUP_FRACTION, WL_WRITE_OVERHEAD, PartitionSpec
 
 
@@ -61,7 +61,7 @@ def scalar_quality(partition: Partition, now: float) -> float:
         if g.live_gb <= 0:
             continue
         residual = spec.protection.residual_ber(g.rber(now))
-        weighted += math.exp(-spec.quality_sensitivity * residual) * g.live_gb
+        weighted += math.exp(-QUALITY_SENSITIVITY * residual) * g.live_gb
         total += g.live_gb
     return weighted / total if total else 1.0
 

@@ -137,6 +137,15 @@ class TestFtlFidelity:
         assert "usage: repro lifetime" in err
         assert "--capacity-gb must be positive" in err
 
+    def test_lifetime_under_a_year_is_a_usage_error(self, capsys):
+        """``--years 0`` is refused before any sweep point runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lifetime", "--years", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro lifetime" in err
+        assert "--years must be at least 1" in err
+
 
 def test_build_choices_are_the_builders():
     """``population`` and ``submit`` offer exactly the registered builds."""

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from repro.workloads.apps import APP_PROFILES, USER_MIXES, daily_write_gb
-from repro.workloads.mobile import MobileWorkload, WorkloadConfig
+from repro.workloads.mobile import (
+    DAILY_JITTER_SIGMA,
+    DELETE_FRACTION,
+    MobileWorkload,
+    WorkloadConfig,
+)
 from repro.workloads.traces import OpKind, TraceOp, load_trace, save_trace
 from repro.host.files import FileKind
 
@@ -50,6 +55,13 @@ class TestGenerator:
         assert all(array.shape == (100,) for array in volumes.values())
         assert volumes["day"].tolist() == list(range(100))
 
+    @pytest.mark.parametrize("days", [0, -3])
+    def test_workload_without_days_is_refused(self, days):
+        """A zero- or negative-day workload is refused where it is made,
+        not by numpy days later inside a volume block."""
+        with pytest.raises(ValueError, match="days must be positive"):
+            WorkloadConfig(days=days)
+
     def test_unknown_mix_rejected(self):
         with pytest.raises(ValueError):
             MobileWorkload(WorkloadConfig(mix="bogus"))
@@ -89,16 +101,16 @@ def _scalar_summaries(
         media = other = overwrite = read = 0.0
         for app_name, factor in USER_MIXES[config.mix].items():
             profile = APP_PROFILES[app_name]
-            jitter = rng.lognormal(0.0, config.daily_jitter_sigma)
+            jitter = rng.lognormal(0.0, DAILY_JITTER_SIGMA)
             vol_mb = profile.write_mb_per_day * factor * jitter
             ow = vol_mb * profile.overwrite_fraction
             fresh = vol_mb - ow
             media += fresh * profile.media_fraction
             other += fresh * (1.0 - profile.media_fraction)
             overwrite += ow
-            jitter = rng.lognormal(0.0, config.daily_jitter_sigma)
+            jitter = rng.lognormal(0.0, DAILY_JITTER_SIGMA)
             read += profile.read_mb_per_day * factor * jitter
-        delete = (media + other) * config.delete_fraction
+        delete = (media + other) * DELETE_FRACTION
         row = (day, media / 1024.0, other / 1024.0, overwrite / 1024.0,
                read / 1024.0, delete / 1024.0)
         for name, value in zip(out, row):
